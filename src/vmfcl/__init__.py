@@ -39,13 +39,13 @@ from .streams import (
 )
 from .structure import ComponentStats, ReductionConfig, expand, merge_pair, reduce
 from .trainer import (
+    _e_step_array as e_step,
     LossConfig,
     ModelState,
     SessionSnapshot,
     TrainConfig,
     clf_loss,
     distill_loss,
-    e_step,
     lambda_at,
     overall_loss,
     reg_loss,

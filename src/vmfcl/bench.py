@@ -16,7 +16,8 @@ from __future__ import annotations
 import json
 import os
 import time
-from dataclasses import dataclass, field, replace
+import typing
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 
 import numpy as np
 
@@ -84,7 +85,12 @@ def purity(y: np.ndarray, z: np.ndarray, domains: np.ndarray) -> float:
 
 @dataclass
 class RunConfig:
-    """Everything a benchmark run depends on; echoed verbatim into the report."""
+    """Everything a benchmark run depends on; echoed verbatim into the report.
+
+    A config file sets each plain field from the [run] key of the same name,
+    unless the field's metadata names another section or key, and each
+    nested dataclass from its section in ``_SECTIONS``.
+    """
 
     method: str = "domain_aware"
     split: str = "ND"
@@ -96,10 +102,10 @@ class RunConfig:
     embed_dim: int | None = None  # None -> input dimension
     loss: LossConfig = field(default_factory=LossConfig)
     reduction: ReductionConfig = field(default_factory=ReductionConfig)
-    m: int = 30
+    m: int = field(default=30, metadata={"section": "structure"})
     synth: SynthConfig | None = None
-    train_path: str | None = None
-    test_path: str | None = None
+    train_path: str | None = field(default=None, metadata={"section": "data", "key": "train"})
+    test_path: str | None = field(default=None, metadata={"section": "data", "key": "test"})
 
     def validate(self):
         if self.method not in METHODS:
@@ -110,6 +116,13 @@ class RunConfig:
             raise ConfigError("memory_budget must be positive")
         if self.m < 1:
             raise ConfigError("m must be at least 1")
+        if not self.kappa >= 0 or self.hidden_dim < 0 or self.seed < 0:
+            raise ConfigError(
+                f"kappa, hidden_dim and seed must be nonnegative, got {self.kappa}, "
+                f"{self.hidden_dim} and {self.seed}"
+            )
+        if self.embed_dim is not None and self.embed_dim < 2:
+            raise ConfigError("embed_dim must be at least 2")
         file_source = self.train_path is not None or self.test_path is not None
         if (self.synth is None) == (not file_source):
             raise ConfigError("exactly one data source required: [synth] or [data]")
@@ -123,126 +136,66 @@ class RunConfig:
             raise ConfigError(f"{self.split} split requires an explicit session count")
 
     def echo(self) -> dict:
-        out = {
-            "run": {
-                "method": self.method,
-                "split": self.split,
-                "sessions": self.sessions,
-                "memory_budget": self.memory_budget,
-                "kappa": self.kappa,
-                "seed": self.seed,
-                "hidden_dim": self.hidden_dim,
-                "embed_dim": self.embed_dim,
-            },
-            "train": {
-                "epochs": self.loss.epochs,
-                "batch_size": self.loss.batch_size,
-                "lr": self.loss.lr,
-                "weight_decay": self.loss.weight_decay,
-                "lambda_max": self.loss.lambda_max,
-                "lambda_warmup_epochs": self.loss.lambda_warmup_epochs,
-                "beta": self.loss.beta,
-                "eta": self.loss.eta,
-                "backbone_lr": self.loss.backbone_lr,
-            },
-            "structure": {
-                "m": self.m,
-                "delta": self.reduction.delta,
-                "min_components": self.reduction.min_components,
-                "min_count": self.reduction.min_count,
-            },
-        }
-        if self.synth is not None:
-            out["synth"] = {
-                "classes": self.synth.num_classes,
-                "domains_per_class": self.synth.domains_per_class,
-                "dim": self.synth.dim,
-                "kappa_true": self.synth.kappa_true,
-                "train_per_pair": self.synth.train_per_pair,
-                "test_per_pair": self.synth.test_per_pair,
-                "min_angle_deg": self.synth.min_angle_deg,
-                "max_angle_deg": self.synth.max_angle_deg,
-                "seed": self.synth.seed,
-            }
-        else:
-            out["data"] = {"train": self.train_path, "test": self.test_path}
+        """Every config key with its value, by section; [data] only without [synth]."""
+        out: dict[str, dict] = {}
+        for (section, key), (attr, f, _) in _KEYS.items():
+            owner = self if attr is None else getattr(self, attr)
+            if owner is not None and not (section == "data" and self.synth is not None):
+                out.setdefault(section, {})[key] = getattr(owner, f.name)
         return out
 
 
-_SCHEMA = {
-    "run": {"method", "split", "sessions", "memory_budget", "kappa", "seed", "hidden_dim", "embed_dim"},
-    "synth": {"classes", "domains_per_class", "dim", "kappa_true", "train_per_pair",
-              "test_per_pair", "min_angle_deg", "max_angle_deg", "seed"},
-    "data": {"train", "test"},
-    "train": {"epochs", "batch_size", "lr", "weight_decay", "lambda_max",
-              "lambda_warmup_epochs", "beta", "eta", "backbone_lr"},
-    "structure": {"m", "delta", "min_components", "min_count"},
+# Config-file sections, each with the dataclass whose fields it sets and the
+# RunConfig attribute holding that dataclass (None: RunConfig itself).
+_SECTIONS = {
+    "run": (None, RunConfig),
+    "train": ("loss", LossConfig),
+    "structure": ("reduction", ReductionConfig),
+    "synth": ("synth", SynthConfig),
 }
 
-_TYPES = {
-    ("run", "method"): str, ("run", "split"): str, ("run", "sessions"): int,
-    ("run", "memory_budget"): int, ("run", "kappa"): float, ("run", "seed"): int,
-    ("run", "hidden_dim"): int, ("run", "embed_dim"): int,
-    ("synth", "classes"): int, ("synth", "domains_per_class"): int, ("synth", "dim"): int,
-    ("synth", "kappa_true"): float, ("synth", "train_per_pair"): int,
-    ("synth", "max_angle_deg"): float,
-    ("synth", "test_per_pair"): int, ("synth", "min_angle_deg"): float, ("synth", "seed"): int,
-    ("data", "train"): str, ("data", "test"): str,
-    ("train", "epochs"): int, ("train", "batch_size"): int, ("train", "lr"): float,
-    ("train", "weight_decay"): float, ("train", "lambda_max"): float,
-    ("train", "lambda_warmup_epochs"): int, ("train", "beta"): float, ("train", "eta"): float,
-    ("train", "backbone_lr"): float,
-    ("structure", "m"): int, ("structure", "delta"): float, ("structure", "min_components"): int,
-    ("structure", "min_count"): int,
-}
+
+def _value_type(hint):
+    """The type a field holds when it is set: ``X | None`` -> ``X``."""
+    args = [a for a in typing.get_args(hint) if a is not type(None)]
+    return args[0] if args else hint
+
+
+def _declare_keys() -> dict:
+    """(section, file key) -> (RunConfig attribute, dataclass field, value type).
+
+    A field's file key is its name and its section the one its dataclass
+    fills, unless the field's metadata says otherwise.
+    """
+    keys = {}
+    for section, (attr, cls) in _SECTIONS.items():
+        hints = typing.get_type_hints(cls)
+        for f in fields(cls):
+            kind = _value_type(hints[f.name])
+            if not is_dataclass(kind):
+                keys[(f.metadata.get("section", section), f.metadata.get("key", f.name))] = (attr, f, kind)
+    return keys
+
+
+_KEYS = _declare_keys()
 
 
 def load_run_config(path) -> RunConfig:
     """Build a RunConfig from a config file; unknown keys are errors."""
     sections = cfgfile.parse_sections(path)
-    cfgfile.check_schema(sections, _SCHEMA, path)
-    values: dict[str, dict] = {}
-    for section, entries in sections.items():
-        values[section] = {
-            k: cfgfile.coerce(section, k, v, _TYPES[(section, k)], path) for k, v in entries.items()
-        }
-
-    cfg = RunConfig()
-    run = values.get("run", {})
-    for key in ("method", "split", "sessions", "memory_budget", "kappa", "seed", "hidden_dim", "embed_dim"):
-        if key in run:
-            setattr(cfg, key, run[key])
-    if "train" in values:
-        cfg.loss = replace(cfg.loss, **values["train"])
-    if "structure" in values:
-        s = values["structure"]
-        cfg.m = s.get("m", cfg.m)
-        cfg.reduction = ReductionConfig(
-            delta=s.get("delta", cfg.reduction.delta),
-            min_components=s.get("min_components", cfg.reduction.min_components),
-            min_count=s.get("min_count", cfg.reduction.min_count),
-        )
-    if "synth" in values and "data" in values:
+    cfgfile.check_schema(sections, _KEYS, path)
+    if "synth" in sections and "data" in sections:
         raise ConfigError(f"{path}: [synth] and [data] are mutually exclusive")
-    if "synth" in values:
-        s = values["synth"]
-        try:
-            cfg.synth = SynthConfig(
-                num_classes=s["classes"],
-                domains_per_class=s["domains_per_class"],
-                dim=s["dim"],
-                kappa_true=s["kappa_true"],
-                train_per_pair=s["train_per_pair"],
-                test_per_pair=s["test_per_pair"],
-                min_angle_deg=s.get("min_angle_deg", 0.0),
-                max_angle_deg=s.get("max_angle_deg"),
-                seed=s.get("seed", 0),
-            )
-        except KeyError as e:
-            raise ConfigError(f"{path}: [synth] is missing required key {e.args[0]!r}") from None
-    elif "data" in values:
-        cfg.train_path = values["data"].get("train")
-        cfg.test_path = values["data"].get("test")
+    # keyword arguments of RunConfig (None) and of each dataclass whose section is present
+    kwargs = {_SECTIONS[s][0]: {} for s in ("run", *sections) if s in _SECTIONS}
+    for (section, key), (attr, f, kind) in _KEYS.items():
+        if key in sections.get(section, ()):
+            kwargs[attr][f.name] = cfgfile.coerce(section, key, sections[section][key], kind, path)
+        elif attr in kwargs and f.default is MISSING and f.default_factory is MISSING:
+            raise ConfigError(f"{path}: [{section}] is missing required key {key!r}")
+    own = kwargs.pop(None)
+    nested = {attr: cls(**kwargs[attr]) for attr, cls in _SECTIONS.values() if attr in kwargs}
+    cfg = RunConfig(**own, **nested)
     cfg.validate()
     return cfg
 
@@ -377,7 +330,7 @@ def run_experiment_full(cfg: RunConfig, out_dir=None) -> RunResult:
                 reduce_enabled=not baseline,
                 seed=session_seeds[t],
             )
-            state, table = train_session(state, session, memory, tcfg, log=log)
+            state, z = train_session(state, session, memory, tcfg, log=log)
 
             data = session.records
             if len(memory) > 0:
@@ -393,11 +346,10 @@ def run_experiment_full(cfg: RunConfig, out_dir=None) -> RunResult:
             if np.any(data.domain < 0):
                 purity_per_session.append(None)
             else:
-                z = np.asarray([table[int(i)] for i in data.ids], dtype=np.int64)
                 purity_per_session.append(purity(data.y, z, data.domain))
 
             memory = select_memory(
-                state.bank, data, table, cfg.memory_budget, np.random.default_rng(memory_seeds[t])
+                state.bank, data, z, cfg.memory_budget, np.random.default_rng(memory_seeds[t])
             )
             comp_history.append({c: state.bank.mixtures[c].num_components for c in state.bank.class_ids})
             mem_class_counts.append(memory.class_counts())

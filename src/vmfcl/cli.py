@@ -15,6 +15,7 @@ import csv
 import json
 import os
 import sys
+from dataclasses import replace
 
 from .backbone import forward_batch
 from .bench import load_run_config, run_experiment_full
@@ -48,7 +49,7 @@ def _load(args):
     cfg = load_run_config(args.config)
     if args.seed is not None:
         cfg.seed = args.seed
-    if getattr(args, "method", None):
+    if args.method:
         cfg.method = args.method
     cfg.validate()
     return cfg
@@ -59,7 +60,7 @@ def _cmd_synth(args) -> int:
     if cfg.synth is None:
         raise ConfigError(f"{args.config}: synth requires a [synth] section")
     if args.seed is not None:
-        cfg.synth.seed = args.seed
+        cfg.synth = replace(cfg.synth, seed=args.seed)
     train, test, _ = generate_synthetic(cfg.synth)
     os.makedirs(args.out, exist_ok=True)
     train_path = os.path.join(args.out, "train.vmfs")

@@ -7,6 +7,8 @@ instead of silently running with defaults.
 
 from __future__ import annotations
 
+import math
+
 from .errors import ConfigError
 
 
@@ -46,27 +48,25 @@ def parse_sections(path) -> dict[str, dict[str, str]]:
     return sections
 
 
-def check_schema(sections: dict[str, dict[str, str]], schema: dict[str, set[str]], path):
-    """Reject unknown sections and unknown keys."""
+def check_schema(sections: dict[str, dict[str, str]], keys, path):
+    """Reject sections and keys that are not among the (section, key) pairs of ``keys``."""
+    known = {section for section, _ in keys}
     for section, entries in sections.items():
-        if section not in schema:
+        if section not in known:
             raise ConfigError(f"{path}: unknown section [{section}]")
         for key in entries:
-            if key not in schema[section]:
+            if (section, key) not in keys:
                 raise ConfigError(f"{path}: unknown key {key!r} in [{section}]")
 
 
 def coerce(section: str, key: str, value: str, kind, path):
-    """Convert a raw value, turning conversion failures into ConfigError."""
+    """Convert a raw value; conversion failures and non-finite floats are ConfigErrors."""
     try:
-        if kind is bool:
-            if value.lower() in ("true", "1", "yes"):
-                return True
-            if value.lower() in ("false", "0", "no"):
-                return False
-            raise ValueError(value)
-        return kind(value)
+        out = kind(value)
     except ValueError:
         raise ConfigError(
             f"{path}: [{section}] {key} = {value!r} is not a valid {kind.__name__}"
         ) from None
+    if kind is float and not math.isfinite(out):
+        raise ConfigError(f"{path}: [{section}] {key} = {value!r} is not finite")
+    return out

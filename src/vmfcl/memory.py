@@ -65,17 +65,20 @@ def _class_quotas(class_ids: list[int], budget: int) -> dict[int, int]:
 def select_memory(
     bank: ModelBank,
     records: FeatureRecords,
-    assignments: dict[int, int],
+    assignments: np.ndarray,
     budget: int,
     rng: np.random.Generator,
 ) -> MemoryBuffer:
     """Build the next session's replay buffer from all currently available data.
 
-    ``assignments`` must cover every record (example id -> component index,
-    from the final post-reduction E-step). When the budget is smaller than
-    the number of classes an InsufficientBudget warning is emitted and the
-    lowest class ids receive quota 1 each.
+    ``assignments[i]`` is the component index of ``records[i]``, from the
+    final post-reduction E-step. When the budget is smaller than the number
+    of classes an InsufficientBudget warning is emitted and the lowest class
+    ids receive quota 1 each.
     """
+    z = np.asarray(assignments, dtype=np.int64)
+    if z.shape != (len(records),):
+        raise ValueError(f"need one assignment per record, got shape {z.shape} for {len(records)}")
     class_ids = bank.class_ids
     if not class_ids:
         raise ValueError("cannot select memory before any class was observed")
@@ -87,7 +90,6 @@ def select_memory(
             InsufficientBudget,
         )
 
-    z = np.asarray([assignments[int(i)] for i in records.ids], dtype=np.int64)
     picked: list[np.ndarray] = []
     picked_comp: list[np.ndarray] = []
     for c in class_ids:

@@ -14,7 +14,7 @@ feature entries. Payloads are float32 on disk; reads are bit-exact.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -96,7 +96,7 @@ class SplitPlan:
 
 @dataclass
 class SynthConfig:
-    num_classes: int
+    num_classes: int = field(metadata={"key": "classes"})  # config file key
     domains_per_class: int
     dim: int
     kappa_true: float
@@ -107,7 +107,7 @@ class SynthConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.kappa_true <= 0:
+        if not self.kappa_true > 0:  # also rejects NaN
             raise ConfigError("kappa_true must be positive")
         if self.num_classes < 1 or self.domains_per_class < 1:
             raise ConfigError("need at least one class and one domain per class")
@@ -117,6 +117,8 @@ class SynthConfig:
             raise ConfigError("train_per_pair must be >= 1 and test_per_pair >= 0")
         if self.max_angle_deg is not None and not 0.0 < self.max_angle_deg <= 180.0:
             raise ConfigError("max_angle_deg must lie in (0, 180]")
+        if self.seed < 0:
+            raise ConfigError("seed must be nonnegative")
 
 
 def sample_vmf(rng: np.random.Generator, mu: np.ndarray, kappa: float, n: int) -> np.ndarray:

@@ -14,7 +14,7 @@ time to stabilize.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -24,8 +24,6 @@ from . import structure as st
 from .errors import ConfigError, ModelRegression, NumericalError
 from .memory import MemoryBuffer
 from .streams import FeatureRecords, SessionDataset, concat_records
-
-AssignmentTable = dict[int, int]
 
 
 @dataclass
@@ -41,13 +39,12 @@ class LossConfig:
     backbone_lr: float | None = None  # None -> lr; 0.0 freezes the backbone
 
     def __post_init__(self):
-        if self.epochs < 0 or self.batch_size < 1:
-            raise ConfigError("epochs must be >= 0 and batch_size >= 1")
-        for name in ("lr", "weight_decay", "lambda_max", "beta", "eta"):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"{name} must be nonnegative")
-        if self.lambda_warmup_epochs < 0:
-            raise ConfigError("lambda_warmup_epochs must be nonnegative")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if value is not None and not value >= 0:  # NaN fails too
+                raise ConfigError(f"{f.name} must be nonnegative, got {value}")
+        if self.batch_size < 1:
+            raise ConfigError("batch_size must be at least 1")
 
 
 @dataclass
@@ -100,13 +97,12 @@ def _lr_factor(epoch: int, total: int) -> float:
     return f
 
 
-def e_step(bank: mx.ModelBank, params: bb.BackboneParams, records: FeatureRecords) -> AssignmentTable:
-    """Hard assignment of every example to its class's closest component."""
-    z = _e_step_array(bank, params, records)
-    return {int(i): int(k) for i, k in zip(records.ids, z)}
+def _e_step_array(bank: mx.ModelBank, params: bb.BackboneParams, records: FeatureRecords) -> np.ndarray:
+    """Hard assignment of every record to its class's closest component.
 
-
-def _e_step_array(bank, params, records) -> np.ndarray:
+    Returns an (n,) int64 array of component indices aligned with the
+    records by position, so records that share an id stay distinct.
+    """
     feats = bb.forward_batch(params, records.x)
     z = np.zeros(len(records), dtype=np.int64)
     for c in sorted(np.unique(records.y).tolist()):
@@ -115,22 +111,23 @@ def _e_step_array(bank, params, records) -> np.ndarray:
     return z
 
 
-def _z_from_table(records: FeatureRecords, table: AssignmentTable) -> np.ndarray:
-    return np.asarray([table[int(i)] for i in records.ids], dtype=np.int64)
-
-
 def clf_loss(
     bank: mx.ModelBank,
     params: bb.BackboneParams,
     records: FeatureRecords,
-    assignments: AssignmentTable,
+    assignments: np.ndarray,
     lam: float,
 ) -> float:
-    """Inter-class CE plus lam times the intra-class CE on the assigned component."""
+    """Inter-class CE plus lam times the intra-class CE on the assigned component.
+
+    ``assignments[i]`` is the component index of ``records[i]``.
+    """
+    z = np.asarray(assignments, dtype=np.int64)
+    if z.shape != (len(records),):
+        raise ValueError(f"need one assignment per record, got shape {z.shape} for {len(records)}")
     feats = bb.forward_batch(params, records.x)
     ids = bank.class_ids
     col = {c: i for i, c in enumerate(ids)}
-    z = _z_from_table(records, assignments)
     inter = 0.0
     intra = 0.0
     for c in sorted(np.unique(records.y).tolist()):
@@ -221,7 +218,7 @@ def overall_loss(
     params: bb.BackboneParams,
     snapshot: SessionSnapshot | None,
     records: FeatureRecords,
-    assignments: AssignmentTable,
+    assignments: np.ndarray,
     lam: float,
     beta: float,
     eta: float,
@@ -250,12 +247,13 @@ def train_session(
     memory: MemoryBuffer | None,
     cfg: TrainConfig,
     log=None,
-) -> tuple[ModelState, AssignmentTable]:
+) -> tuple[ModelState, np.ndarray]:
     """Run one full incremental session; the input state is never mutated.
 
-    Returns the updated state and the final (post-reduction) assignments for
-    incoming plus memory data. Any error propagates and leaves the caller's
-    state exactly as it was.
+    Returns the updated state and the final (post-reduction) assignments of
+    the incoming records followed by the memory records, one per record by
+    position. Any error propagates and leaves the caller's state exactly as
+    it was.
     """
     if len(incoming) == 0:
         raise ValueError("incoming session data must be nonempty")
@@ -306,8 +304,7 @@ def train_session(
                 params, bank, grad, lr, cfg.loss.weight_decay, backbone_lr=backbone_lr
             )
         if log is not None:
-            table = dict(zip((int(i) for i in data.ids), (int(k) for k in z)))
-            clf = clf_loss(bank, params, data, table, lam)
+            clf = clf_loss(bank, params, data, z, lam)
             dis = distill_loss(bank, params, snapshot, data) if cfg.loss.beta else 0.0
             reg = reg_loss(bank)
             total = clf + cfg.loss.beta * dis + cfg.loss.eta * reg
@@ -329,5 +326,5 @@ def train_session(
                     f"merge_map={rec.merge_map}\n"
                 )
 
-    final = e_step(bank, params, data)
+    final = _e_step_array(bank, params, data)
     return ModelState(params, bank), final

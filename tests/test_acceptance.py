@@ -231,7 +231,7 @@ def test_criterion_2_oracle_equivalence():
         n_classes = int(rng.integers(1, 6))
         bank = ModelBank(d, 16.0)
         ids, xs, ys, zs = [], [], [], []
-        table = {}
+        assigned = []
         supply = {}
         next_id = 0
         for c in range(n_classes):
@@ -242,7 +242,7 @@ def test_criterion_2_oracle_equivalence():
                 supply[(c, kk)] = cnt
                 for _ in range(cnt):
                     ids.append(next_id)
-                    table[next_id] = kk
+                    assigned.append(kk)
                     xs.append(rng.standard_normal(d))
                     ys.append(c)
                     zs.append(-1)
@@ -254,7 +254,7 @@ def test_criterion_2_oracle_equivalence():
             np.array(zs, np.int32), np.full(next_id, ROLE_TRAIN, np.uint8),
         )
         budget = int(rng.integers(n_classes, 40))
-        buf = select_memory(bank, records, table, budget, np.random.default_rng(trial))
+        buf = select_memory(bank, records, np.array(assigned), budget, np.random.default_rng(trial))
         base, rem = divmod(budget, n_classes)
         got_class = {int(c): int(n) for c, n in zip(*np.unique(buf.records.y, return_counts=True))}
         for i, c in enumerate(sorted(bank.class_ids)):

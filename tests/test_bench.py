@@ -224,6 +224,16 @@ class TestRunExperiment:
                        test_path=str(tmp_path / "absent2.vmfs"))
         with pytest.raises(ConfigError):
             cfg.validate()
+        for section, key, value in (
+            ("train", "backbone_lr", "-1"), ("run", "embed_dim", "0"), ("run", "kappa", "-16"),
+            ("run", "hidden_dim", "-3"), ("run", "seed", "-1"), ("synth", "seed", "-1"),
+        ):
+            path = tmp_path / f"{section}_{key}.cfg"
+            path.write_text(config_with(section, key, "2"))
+            load_run_config(path)  # an in-range value loads
+            path.write_text(config_with(section, key, value))
+            with pytest.raises(ConfigError, match=key):
+                load_run_config(path)
 
 
 CONFIG_TEXT = """
@@ -256,6 +266,14 @@ m = 30
 delta = 0.7
 min_count = 6
 """
+
+
+def config_with(section, key, value):
+    """CONFIG_TEXT with ``key = value`` in [section], replacing any value it had."""
+    head, sep, rest = CONFIG_TEXT.partition(f"[{section}]\n")
+    body, nxt, tail = rest.partition("\n[")
+    body = "".join(line + "\n" for line in body.splitlines() if line.partition("=")[0].strip() != key)
+    return f"{head}{sep}{key} = {value}\n{body}{nxt}{tail}"
 
 
 class TestConfigFiles:
@@ -292,6 +310,18 @@ class TestConfigFiles:
         path = tmp_path / "typ.cfg"
         path.write_text("[run]\nseed = soon\n")
         with pytest.raises(ConfigError):
+            load_run_config(path)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize(
+        "section,key", [("synth", "kappa_true"), ("train", "lr"), ("run", "kappa"), ("structure", "delta")]
+    )
+    def test_nonfinite_float_rejected(self, tmp_path, section, key, value):
+        path = tmp_path / "nonfinite.cfg"
+        path.write_text(config_with(section, key, "1.5"))
+        load_run_config(path)  # a finite value loads
+        path.write_text(config_with(section, key, value))
+        with pytest.raises(ConfigError, match=key):
             load_run_config(path)
 
     def test_key_outside_section_rejected(self, tmp_path):
@@ -379,6 +409,12 @@ test = {out}/test.vmfs
         bad = tmp_path / "bad.cfg"
         bad.write_text("[run]\nmystery = 1\n")
         assert cli_main(["run", "--config", str(bad), "--out", str(tmp_path / "x")]) == 1
+
+    def test_out_of_range_value_exit_code(self, tmp_path, capsys):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(config_with("run", "seed", "-1"))
+        assert cli_main(["run", "--config", str(bad), "--out", str(tmp_path / "x")]) == 1
+        assert "config error" in capsys.readouterr().err
 
     def test_missing_config_exit_code(self, tmp_path):
         missing = str(tmp_path / "no.cfg")

@@ -11,21 +11,20 @@ from vmfcl.vmf import normalize_rows
 
 
 def build_case(rng, class_components, per_component):
-    """A bank plus records whose component membership is dictated exactly.
+    """A bank, records whose component membership is dictated exactly, and
+    each record's component index by position.
 
     ``class_components``: {class_id: K}; ``per_component``: {(c, k): count}.
     """
     d = 4
     bank = ModelBank(d, 16.0)
     ids, xs, ys, zs = [], [], [], []
-    table = {}
     next_id = 0
     for c, k_c in class_components.items():
         bank.set_mixture(ClassMixture(c, normalize_rows(rng.standard_normal((k_c, d)))))
         for k in range(k_c):
             for _ in range(per_component.get((c, k), 0)):
                 ids.append(next_id)
-                table[next_id] = k
                 xs.append(rng.standard_normal(d))
                 ys.append(c)
                 zs.append(k)
@@ -35,16 +34,16 @@ def build_case(rng, class_components, per_component):
         np.array(ids, np.uint64), np.array(xs), np.array(ys),
         np.array(zs, np.int32), np.full(n, ROLE_TRAIN, np.uint8),
     )
-    return bank, records, table
+    return bank, records, np.array(zs, np.int64)
 
 
 class TestSelectMemory:
     def test_exact_division(self):
         rng = np.random.default_rng(1)
-        bank, records, table = build_case(
+        bank, records, z = build_case(
             rng, {0: 2, 1: 2}, {(0, 0): 5, (0, 1): 6, (1, 0): 7, (1, 1): 4}
         )
-        buf = select_memory(bank, records, table, 8, np.random.default_rng(2))
+        buf = select_memory(bank, records, z, 8, np.random.default_rng(2))
         assert len(buf) == 8
         counts = buf.component_counts()
         assert counts[0] == [2, 2] and counts[1] == [2, 2]
@@ -53,28 +52,28 @@ class TestSelectMemory:
         # budget 10, two classes -> 5 each; K=2 splits 3/2 with 3 to the
         # component holding more candidates
         rng = np.random.default_rng(3)
-        bank, records, table = build_case(
+        bank, records, z = build_case(
             rng, {0: 2, 1: 1}, {(0, 0): 4, (0, 1): 9, (1, 0): 8}
         )
-        buf = select_memory(bank, records, table, 10, np.random.default_rng(4))
+        buf = select_memory(bank, records, z, 10, np.random.default_rng(4))
         counts = buf.component_counts()
         assert counts[0] == [2, 3]
         assert buf.class_counts() == {0: 5, 1: 5}
 
     def test_class_remainder_to_lowest_ids(self):
         rng = np.random.default_rng(5)
-        bank, records, table = build_case(
+        bank, records, z = build_case(
             rng, {3: 1, 8: 1, 11: 1}, {(3, 0): 10, (8, 0): 10, (11, 0): 10}
         )
-        buf = select_memory(bank, records, table, 11, np.random.default_rng(6))
+        buf = select_memory(bank, records, z, 11, np.random.default_rng(6))
         assert buf.class_counts() == {3: 4, 8: 4, 11: 3}
 
     def test_shortfall_spills_largest_first(self):
         rng = np.random.default_rng(7)
-        bank, records, table = build_case(
+        bank, records, z = build_case(
             rng, {0: 3}, {(0, 0): 1, (0, 1): 20, (0, 2): 10}
         )
-        buf = select_memory(bank, records, table, 9, np.random.default_rng(8))
+        buf = select_memory(bank, records, z, 9, np.random.default_rng(8))
         counts = buf.component_counts()
         # quotas 3/3/3 -> comp 0 yields 1, shortfall 2 spills to comp 1 (largest)
         assert counts[0] == [1, 5, 3]
@@ -82,26 +81,26 @@ class TestSelectMemory:
 
     def test_insufficient_budget_warns_and_prioritizes_low_ids(self):
         rng = np.random.default_rng(9)
-        bank, records, table = build_case(
+        bank, records, z = build_case(
             rng, {0: 1, 1: 1, 2: 1}, {(0, 0): 4, (1, 0): 4, (2, 0): 4}
         )
         with pytest.warns(InsufficientBudget):
-            buf = select_memory(bank, records, table, 2, np.random.default_rng(10))
+            buf = select_memory(bank, records, z, 2, np.random.default_rng(10))
         assert buf.insufficient_budget
         assert buf.class_counts() == {0: 1, 1: 1}
 
     def test_total_is_min_of_budget_and_supply(self):
         rng = np.random.default_rng(11)
-        bank, records, table = build_case(rng, {0: 2, 1: 1}, {(0, 0): 3, (0, 1): 2, (1, 0): 4})
-        buf = select_memory(bank, records, table, 50, np.random.default_rng(12))
+        bank, records, z = build_case(rng, {0: 2, 1: 1}, {(0, 0): 3, (0, 1): 2, (1, 0): 4})
+        buf = select_memory(bank, records, z, 50, np.random.default_rng(12))
         assert len(buf) == len(records)
 
     def test_selection_is_subset_without_duplicates(self):
         rng = np.random.default_rng(13)
-        bank, records, table = build_case(
+        bank, records, z = build_case(
             rng, {0: 3, 1: 2}, {(0, 0): 9, (0, 1): 14, (0, 2): 3, (1, 0): 11, (1, 1): 6}
         )
-        buf = select_memory(bank, records, table, 16, np.random.default_rng(14))
+        buf = select_memory(bank, records, z, 16, np.random.default_rng(14))
         chosen = buf.records.ids.tolist()
         assert len(set(chosen)) == len(chosen)
         assert set(chosen) <= set(records.ids.tolist())
@@ -109,11 +108,11 @@ class TestSelectMemory:
 
     def test_identical_seeds_identical_selections(self):
         rng = np.random.default_rng(15)
-        bank, records, table = build_case(
+        bank, records, z = build_case(
             rng, {0: 2, 1: 2}, {(0, 0): 30, (0, 1): 30, (1, 0): 30, (1, 1): 30}
         )
-        a = select_memory(bank, records, table, 20, np.random.default_rng(16))
-        b = select_memory(bank, records, table, 20, np.random.default_rng(16))
+        a = select_memory(bank, records, z, 20, np.random.default_rng(16))
+        b = select_memory(bank, records, z, 20, np.random.default_rng(16))
         np.testing.assert_array_equal(a.records.ids, b.records.ids)
         np.testing.assert_array_equal(a.components, b.components)
 
@@ -128,9 +127,9 @@ class TestSelectMemory:
                 shape[c] = k
                 for kk in range(k):
                     comp[(c, kk)] = int(rng.integers(25, 40))
-            bank, records, table = build_case(rng, shape, comp)
+            bank, records, z = build_case(rng, shape, comp)
             budget = int(rng.integers(n_classes, 4 * n_classes + 10))
-            buf = select_memory(bank, records, table, budget, np.random.default_rng(trial))
+            buf = select_memory(bank, records, z, budget, np.random.default_rng(trial))
             cc = buf.class_counts()
             values = [cc.get(c, 0) for c in range(n_classes)]
             assert max(values) - min(values) <= 1
@@ -152,9 +151,9 @@ class TestSelectMemory:
                     comp[(c, kk)] = int(rng.integers(0, 12))
             if sum(comp.values()) == 0:
                 comp[(0, 0)] = 1
-            bank, records, table = build_case(rng, shape, comp)
+            bank, records, z = build_case(rng, shape, comp)
             budget = int(rng.integers(1, 30))
-            buf = select_memory(bank, records, table, budget, np.random.default_rng(100 + trial))
+            buf = select_memory(bank, records, z, budget, np.random.default_rng(100 + trial))
 
             base, rem = divmod(budget, n_classes)
             got_class = buf.class_counts()
@@ -170,13 +169,22 @@ class TestSelectMemory:
                 for kk in range(shape[c]):
                     assert counts[kk] <= comp.get((c, kk), 0)
 
+    def test_shared_ids_select_by_position(self):
+        rng = np.random.default_rng(21)
+        bank, records, z = build_case(rng, {0: 2}, {(0, 0): 6, (0, 1): 6})
+        a = select_memory(bank, records, z, 6, np.random.default_rng(22))
+        records.ids[:] = 0
+        b = select_memory(bank, records, z, 6, np.random.default_rng(22))
+        assert a.component_counts() == b.component_counts() == {0: [3, 3]}
+        np.testing.assert_array_equal(a.records.x, b.records.x)
+
     def test_buffer_resumes_through_stream_file(self, tmp_path):
         # cross-process resumption: persist the buffer in the VMFS format
         # with the memory role flag, reload, and train on it
         rng = np.random.default_rng(19)
-        bank, records, table = build_case(rng, {0: 1, 1: 1}, {(0, 0): 20, (1, 0): 20})
+        bank, records, z = build_case(rng, {0: 1, 1: 1}, {(0, 0): 20, (1, 0): 20})
         records.x[:] = normalize_rows(records.x)
-        buf = select_memory(bank, records, table, 8, np.random.default_rng(20))
+        buf = select_memory(bank, records, z, 8, np.random.default_rng(20))
         path = tmp_path / "memory.vmfs"
         from vmfcl.streams import read_stream, write_stream
 

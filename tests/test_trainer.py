@@ -10,16 +10,23 @@ from vmfcl.backbone import BackboneParams, forward_batch, init_params
 from vmfcl.errors import ModelRegression, NumericalError, VmfclError
 from vmfcl.memory import MemoryBuffer
 from vmfcl.mixture import ClassMixture, ModelBank, class_posterior, component_posterior
-from vmfcl.streams import FeatureRecords, ROLE_TRAIN, SessionDataset, SynthConfig, generate_synthetic
+from vmfcl.streams import (
+    ROLE_TRAIN,
+    FeatureRecords,
+    SessionDataset,
+    SynthConfig,
+    concat_records,
+    generate_synthetic,
+)
 from vmfcl.structure import ReductionConfig
 from vmfcl.trainer import (
+    _e_step_array as e_step,
     LossConfig,
     ModelState,
     SessionSnapshot,
     TrainConfig,
     clf_loss,
     distill_loss,
-    e_step,
     lambda_at,
     overall_loss,
     reg_loss,
@@ -70,14 +77,14 @@ class TestEStep:
     def test_feature_on_mean_assigned_there(self):
         bank = ModelBank(2, 16.0, {0: ClassMixture(0, np.eye(2))})
         recs = records_from(np.array([[0.0, 5.0]]), np.array([0]))
-        table = e_step(bank, identity_backbone(2), recs)
-        assert table == {0: 1}
+        z = e_step(bank, identity_backbone(2), recs)
+        assert z.tolist() == [1]
 
     def test_equidistant_tie_goes_to_first(self):
         bank = ModelBank(2, 16.0, {0: ClassMixture(0, np.eye(2))})
         recs = records_from(np.array([[1.0, 1.0], [2.0, 2.0]]), np.array([0, 0]))
-        table = e_step(bank, identity_backbone(2), recs)
-        assert table == {0: 0, 1: 0}
+        z = e_step(bank, identity_backbone(2), recs)
+        assert z.tolist() == [0, 0]
 
     def test_separated_generators_recovered(self):
         rng = np.random.default_rng(40)
@@ -88,8 +95,7 @@ class TestEStep:
         true = np.repeat([0, 1], 50)
         bank = ModelBank(8, 16.0, {0: ClassMixture(0, centers)})
         recs = records_from(x, np.zeros(100, dtype=int))
-        table = e_step(bank, identity_backbone(8), recs)
-        got = np.array([table[i] for i in range(100)])
+        got = e_step(bank, identity_backbone(8), recs)
         agreement = max(np.mean(got == true), np.mean(got == 1 - true))
         assert agreement == 1.0
 
@@ -100,7 +106,7 @@ class TestEStep:
         params = identity_backbone(4)
         first = e_step(bank, params, recs)
         second = e_step(bank, params, recs)
-        assert first == second
+        np.testing.assert_array_equal(first, second)
 
 
 class TestLossTerms:
@@ -114,13 +120,13 @@ class TestLossTerms:
     def test_single_class_inter_is_zero(self):
         bank = ModelBank(2, 16.0, {0: ClassMixture(0, np.eye(2))})
         recs = records_from(np.array([[1.0, 0.2]]), np.array([0]))
-        assert clf_loss(bank, identity_backbone(2), recs, {0: 0}, lam=0.0) == pytest.approx(0.0)
+        assert clf_loss(bank, identity_backbone(2), recs, [0], lam=0.0) == pytest.approx(0.0)
 
     def test_matches_posterior_composition(self):
         bank, params = self.setup_bank()
         x = normalize_rows(np.array([[0.9, 0.1], [-0.5, -0.6]]))
         recs = records_from(x, np.array([0, 1]))
-        table = {0: 1, 1: 0}
+        z = [1, 0]
         lam = 0.1
         expected = 0.0
         for i in range(2):
@@ -128,14 +134,14 @@ class TestLossTerms:
             cp = class_posterior(bank, v)
             expected -= math.log(cp[int(recs.y[i])])
             comp = component_posterior(bank, int(recs.y[i]), v)
-            expected -= lam * math.log(comp[table[i]])
+            expected -= lam * math.log(comp[z[i]])
         expected /= 2
-        assert clf_loss(bank, params, recs, table, lam) == pytest.approx(expected, abs=1e-9)
+        assert clf_loss(bank, params, recs, z, lam) == pytest.approx(expected, abs=1e-9)
 
     def test_certain_assignment_kills_intra_term(self):
         bank = ModelBank(2, 16.0, {0: ClassMixture(0, np.array([[1.0, 0.0]]))})
         recs = records_from(np.array([[1.0, 0.0]]), np.array([0]))
-        assert clf_loss(bank, identity_backbone(2), recs, {0: 0}, lam=0.7) == pytest.approx(0.0)
+        assert clf_loss(bank, identity_backbone(2), recs, [0], lam=0.7) == pytest.approx(0.0)
 
     def test_distill_zero_for_identical_models(self):
         bank, params = self.setup_bank()
@@ -218,23 +224,23 @@ class TestLossTerms:
     def test_overall_composition(self):
         bank, params = self.setup_bank()
         recs = records_from(normalize_rows(np.array([[0.9, 0.2], [-0.7, -0.6]])), np.array([0, 1]))
-        table = e_step(bank, params, recs)
+        z = e_step(bank, params, recs)
         snap = SessionSnapshot(params.copy(), bank.copy())
         lam, beta, eta = 0.1, 1.0, 0.1
         expected = (
-            clf_loss(bank, params, recs, table, lam)
+            clf_loss(bank, params, recs, z, lam)
             + beta * distill_loss(bank, params, snap, recs)
             + eta * reg_loss(bank)
         )
-        got = overall_loss(bank, params, snap, recs, table, lam, beta, eta)
+        got = overall_loss(bank, params, snap, recs, z, lam, beta, eta)
         assert got == pytest.approx(expected, rel=1e-12)
 
     def test_overall_without_terms_equals_clf(self):
         bank, params = self.setup_bank()
         recs = records_from(normalize_rows(np.array([[0.9, 0.2]])), np.array([0]))
-        table = e_step(bank, params, recs)
-        assert overall_loss(bank, params, None, recs, table, 0.05, 0.0, 0.0) == pytest.approx(
-            clf_loss(bank, params, recs, table, 0.05)
+        z = e_step(bank, params, recs)
+        assert overall_loss(bank, params, None, recs, z, 0.05, 0.0, 0.0) == pytest.approx(
+            clf_loss(bank, params, recs, z, 0.05)
         )
 
     def test_scalar_path_matches_gradient_path(self):
@@ -256,10 +262,9 @@ class TestLossTerms:
         x = rng.standard_normal((12, 5))
         y = rng.integers(0, 3, size=12)
         recs = records_from(x, y)
-        table = e_step(bank, params, recs)
-        z = np.array([table[int(i)] for i in recs.ids])
+        z = e_step(bank, params, recs)
         lam, beta, eta = 0.08, 1.0, 0.1
-        scalar = overall_loss(bank, params, snap, recs, table, lam, beta, eta)
+        scalar = overall_loss(bank, params, snap, recs, z, lam, beta, eta)
         old_lp = _old_log_posteriors(snap, recs)
         vectorized, _ = loss_and_grad(params, bank, x, y, z, lam=lam, beta=beta, eta=eta,
                                       old_log_post=old_lp)
@@ -282,9 +287,8 @@ class TestTrainSession:
 
     def test_purity_on_separated_stream(self):
         session, _ = synthetic_session()
-        state, table = train_session(self.base_state(), session, None, self.cfg())
+        state, z = train_session(self.base_state(), session, None, self.cfg())
         recs = session.records
-        z = np.array([table[int(i)] for i in recs.ids])
         from vmfcl.bench import purity
 
         assert purity(recs.y, z, recs.domain) >= 0.95
@@ -302,17 +306,17 @@ class TestTrainSession:
 
     def test_final_assignments_are_reduced_model_fixed_point(self):
         session, _ = synthetic_session()
-        state, table = train_session(self.base_state(), session, None, self.cfg())
+        state, z = train_session(self.base_state(), session, None, self.cfg())
         recs = session.records
-        for rid, y in zip(recs.ids, recs.y):
-            assert 0 <= table[int(rid)] < state.bank.mixtures[int(y)].num_components
-        assert e_step(state.bank, state.params, recs) == table
+        for k, y in zip(z, recs.y):
+            assert 0 <= k < state.bank.mixtures[int(y)].num_components
+        np.testing.assert_array_equal(e_step(state.bank, state.params, recs), z)
 
     def test_deterministic_under_seed(self):
         session, _ = synthetic_session()
         s1, t1 = train_session(self.base_state(), session, None, self.cfg())
         s2, t2 = train_session(self.base_state(), session, None, self.cfg())
-        assert t1 == t2
+        np.testing.assert_array_equal(t1, t2)
         for c in s1.bank.class_ids:
             np.testing.assert_array_equal(s1.bank.mixtures[c].means, s2.bank.mixtures[c].means)
         for (w1, b1), (w2, b2) in zip(s1.params.layers, s2.params.layers):
@@ -361,11 +365,10 @@ class TestTrainSession:
         bank = ModelBank(6, 16.0, {0: ClassMixture(0, normalize_rows(rng.standard_normal((4, 6))))})
         params = identity_backbone(6)
         recs = records_from(x, y)
-        table = e_step(bank, params, recs)
-        z = np.array([table[int(i)] for i in recs.ids])
+        z = e_step(bank, params, recs)
         values = []
         for _ in range(50):
-            values.append(clf_loss(bank, params, recs, table, lam=1.0))
+            values.append(clf_loss(bank, params, recs, z, lam=1.0))
             _, grad = loss_and_grad(params, bank, x, y, z, lam=1.0, beta=0.0, eta=0.0)
             params, bank = sgd_step(params, bank, grad, lr=1e-3, weight_decay=0.0, backbone_lr=0.0)
         assert all(a >= b - 1e-12 for a, b in zip(values, values[1:])), values
@@ -378,6 +381,23 @@ class TestTrainSession:
         memory = MemoryBuffer(10, mem_records, np.zeros(5, dtype=np.int64))
         state, table = train_session(self.base_state(), session, memory, self.cfg(epochs=1))
         assert len(table) == len(recs) + 5
+
+    def test_memory_records_sharing_ids_keep_their_own_assignments(self):
+        # a replayed record keeps the id it arrived with, so incoming and
+        # memory records may share ids; assignments go by position
+        session, _ = synthetic_session()
+        recs = session.records
+        memory = MemoryBuffer(10, recs.subset(np.arange(5)), np.zeros(5, dtype=np.int64))
+        state, z = train_session(self.base_state(), session, memory, self.cfg(epochs=1))
+        assert z.shape == (len(recs) + 5,)
+        data = concat_records(recs, memory.records)
+        np.testing.assert_array_equal(z, e_step(state.bank, state.params, data))
+
+    def test_assignment_count_must_match_records(self):
+        bank = ModelBank(2, 16.0, {0: ClassMixture(0, np.eye(2))})
+        recs = records_from(np.array([[1.0, 0.0], [0.0, 1.0]]), np.array([0, 0]))
+        with pytest.raises(ValueError):
+            clf_loss(bank, identity_backbone(2), recs, [0], lam=0.1)
 
     def test_baseline_flags_keep_single_component(self):
         session, _ = synthetic_session()
