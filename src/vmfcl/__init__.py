@@ -42,7 +42,6 @@ from .trainer import (
     _e_step_array as e_step,
     LossConfig,
     ModelState,
-    SessionSnapshot,
     TrainConfig,
     clf_loss,
     distill_loss,
@@ -63,7 +62,7 @@ __all__ = [
     "FeatureRecords", "SessionDataset", "SplitPlan", "SynthConfig", "generate_synthetic",
     "make_splits", "read_stream", "sample_vmf", "write_stream",
     "ComponentStats", "ReductionConfig", "expand", "merge_pair", "reduce",
-    "LossConfig", "ModelState", "SessionSnapshot", "TrainConfig", "clf_loss", "distill_loss",
+    "LossConfig", "ModelState", "TrainConfig", "clf_loss", "distill_loss",
     "e_step", "lambda_at", "overall_loss", "reg_loss", "train_session",
     "VmfParams", "log_bessel_i", "normalize", "uniform_log_density", "vmf_log_density",
 ]

@@ -121,8 +121,12 @@ def loss_and_grad(
     beta: float,
     eta: float,
     old_log_post: dict[int, np.ndarray] | None = None,
-) -> tuple[float, Gradient]:
-    """Exact loss and gradient over a batch with fixed hard assignments.
+) -> tuple[float, Gradient, dict[str, float]]:
+    """Exact loss, gradient and unweighted loss terms over a batch with fixed hard assignments.
+
+    The terms are the batch means ``inter``, ``intra``, ``distill`` and
+    ``reg``; the loss is ``inter + lam * intra + beta * distill + eta * reg``.
+    A term whose coefficient is 0 is not evaluated and reads 0.
 
     ``old_log_post`` carries the previous-session model's per-class component
     log posteriors for this batch, restricted to the components the current
@@ -228,6 +232,7 @@ def loss_and_grad(
         if not np.isfinite(val):
             raise NumericalError(f"{name} loss term is non-finite ({val})")
     loss = float(sum(loss_parts.values()))
+    terms = {"inter": inter, "intra": intra, "distill": distill, "reg": reg}
 
     # backprop through the embeddings: d/dT -> d/dv -> normalize -> MLP
     g_v = np.zeros_like(v)
@@ -247,7 +252,7 @@ def loss_and_grad(
         if not (np.all(np.isfinite(gw)) and np.all(np.isfinite(gb))):
             raise NumericalError(f"gradient of layer {i} is non-finite")
 
-    return loss, Gradient(layer_grads, mean_grads)
+    return loss, Gradient(layer_grads, mean_grads), terms
 
 
 def sgd_step(

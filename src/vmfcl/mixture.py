@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionError, EmptyModel, ParseError, UnknownClass
+from .vmf import ZERO_NORM_EPS
 
 SNAPSHOT_MAGIC = b"VMFB"
 SNAPSHOT_VERSION = 1
@@ -39,7 +40,7 @@ class ClassMixture:
         if self.means.ndim != 2 or self.means.shape[0] < 1:
             raise DimensionError(f"means must be a nonempty (K, d) matrix, got {self.means.shape}")
         norms = np.linalg.norm(self.means, axis=1)
-        if np.any(np.abs(norms - 1.0) > 1e-9):
+        if not np.all(np.abs(norms - 1.0) <= 1e-9):  # NaN fails too
             raise DimensionError("all component means must be unit length within 1e-9")
 
     @property
@@ -234,14 +235,30 @@ def load_snapshot(path):
     version, dim, kappa, n_classes = cur.unpack("<IIfI")
     if version != SNAPSHOT_VERSION:
         raise ParseError(f"unsupported snapshot version {version}", offset=4)
+    if dim < 2:
+        raise ParseError(f"dimension must be at least 2, got {dim}", offset=8)
+    if not 0.0 <= kappa < np.inf:  # NaN fails too
+        raise ParseError(f"kappa must be finite and nonnegative, got {kappa}", offset=12)
     mixtures = {}
     for _ in range(n_classes):
+        header_at = cur.pos
         class_id, k = cur.unpack("<II")
+        if class_id in mixtures:
+            raise ParseError(f"duplicate class id {class_id}", offset=header_at)
+        if k == 0:
+            raise ParseError(f"class {class_id} has no components", offset=header_at + 4)
+        means_at = cur.pos
         raw = cur.take(4 * k * dim)
         means = np.frombuffer(raw, dtype="<f4").reshape(k, dim).astype(np.float64)
+        norms = np.linalg.norm(means, axis=1, keepdims=True)
+        bad = np.flatnonzero(~(np.isfinite(norms[:, 0]) & (norms[:, 0] >= ZERO_NORM_EPS)))
+        if bad.size:
+            raise ParseError(
+                f"class {class_id} component {bad[0]} mean is zero or non-finite",
+                offset=means_at + 4 * dim * int(bad[0]),
+            )
         # float32 quantization leaves norms ~1e-8 off unit; re-project.
-        means = means / np.linalg.norm(means, axis=1, keepdims=True)
-        mixtures[class_id] = ClassMixture(class_id, means)
+        mixtures[class_id] = ClassMixture(class_id, means / norms)
     bank = ModelBank(dim, float(kappa), mixtures)
     layers = None
     if cur.pos < len(cur.data):
@@ -250,11 +267,14 @@ def load_snapshot(path):
             raise ParseError("unknown trailing section", offset=tag_at)
         (n_layers,) = cur.unpack("<I")
         layers = []
-        for _ in range(n_layers):
+        for i in range(n_layers):
             out_dim, in_dim = cur.unpack("<II")
+            block_at = cur.pos
             w = np.frombuffer(cur.take(4 * out_dim * in_dim), dtype="<f4")
             w = w.reshape(out_dim, in_dim).astype(np.float64)
             b = np.frombuffer(cur.take(4 * out_dim), dtype="<f4").astype(np.float64)
+            if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
+                raise ParseError(f"backbone layer {i} has non-finite weights", offset=block_at)
             layers.append((w, b))
     if cur.pos != len(cur.data):
         raise ParseError("trailing bytes after snapshot payload", offset=cur.pos)

@@ -358,12 +358,14 @@ def make_splits(pool: FeatureRecords, mode: str, num_sessions: int, seed: int):
     return SplitPlan(mode, pairs), sessions
 
 
+def _record_dtype(dim: int) -> np.dtype:
+    return np.dtype([("id", "<u8"), ("y", "<u4"), ("z", "<i4"), ("role", "u1"), ("x", "<f4", (dim,))])
+
+
 def write_stream(path, records: FeatureRecords):
     """Serialize records to a VMFS file (features quantized to float32)."""
     dim = records.dim
-    rec_dtype = np.dtype(
-        [("id", "<u8"), ("y", "<u4"), ("z", "<i4"), ("role", "u1"), ("x", "<f4", (dim,))]
-    )
+    rec_dtype = _record_dtype(dim)
     if np.any(records.y < 0):
         raise ValueError("class labels must be nonnegative")
     arr = np.empty(len(records), dtype=rec_dtype)
@@ -388,9 +390,10 @@ def read_stream(path) -> FeatureRecords:
         raise ParseError("bad magic, not a VMFS stream", offset=0)
     if version != STREAM_VERSION:
         raise ParseError(f"unsupported VMFS version {version}", offset=4)
-    rec_dtype = np.dtype(
-        [("id", "<u8"), ("y", "<u4"), ("z", "<i4"), ("role", "u1"), ("x", "<f4", (dim,))]
-    )
+    try:
+        rec_dtype = _record_dtype(dim)
+    except ValueError:  # the record size overflows a C int
+        raise ParseError(f"record dimension {dim} is too large", offset=8) from None
     body = data[_HEADER.size :]
     whole, tail = divmod(len(body), rec_dtype.itemsize)
     if tail != 0:
@@ -398,6 +401,14 @@ def read_stream(path) -> FeatureRecords:
     if whole != count:
         raise ParseError(f"record count mismatch: header says {count}, file holds {whole}")
     arr = np.frombuffer(body, dtype=rec_dtype)
+    order = np.argsort(arr["id"], kind="stable")
+    repeats = order[1:][arr["id"][order[1:]] == arr["id"][order[:-1]]]
+    if repeats.size:
+        first = int(np.min(repeats))
+        raise ParseError(
+            f"duplicate example id {arr['id'][first]}",
+            offset=_HEADER.size + first * rec_dtype.itemsize,
+        )
     return FeatureRecords(
         arr["id"].copy(),
         arr["x"].astype(np.float64),

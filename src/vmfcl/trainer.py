@@ -70,14 +70,6 @@ class ModelState:
         return ModelState(self.params.copy(), self.bank.copy())
 
 
-@dataclass
-class SessionSnapshot:
-    """Frozen end-of-previous-session model used as the distillation teacher."""
-
-    params: bb.BackboneParams
-    bank: mx.ModelBank
-
-
 def lambda_at(epoch: int, cfg: LossConfig) -> float:
     """Linear warmup 0 -> lambda_max over the first warmup epochs, then flat."""
     if epoch < 0:
@@ -97,16 +89,16 @@ def _lr_factor(epoch: int, total: int) -> float:
     return f
 
 
-def _e_step_array(bank: mx.ModelBank, params: bb.BackboneParams, records: FeatureRecords) -> np.ndarray:
-    """Hard assignment of every record to its class's closest component.
+def _e_step_array(bank: mx.ModelBank, feats: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Hard assignment of every unit feature row to its class's closest component.
 
-    Returns an (n,) int64 array of component indices aligned with the
-    records by position, so records that share an id stay distinct.
+    ``feats`` holds the backbone features of the records, ``y`` their
+    labels. Returns an (n,) int64 array of component indices aligned with
+    the rows by position, so records that share an id stay distinct.
     """
-    feats = bb.forward_batch(params, records.x)
-    z = np.zeros(len(records), dtype=np.int64)
-    for c in sorted(np.unique(records.y).tolist()):
-        rows = np.flatnonzero(records.y == c)
+    z = np.zeros(len(y), dtype=np.int64)
+    for c in sorted(np.unique(y).tolist()):
+        rows = np.flatnonzero(y == c)
         z[rows] = mx.assign_components_batch(bank, c, feats[rows])
     return z
 
@@ -161,7 +153,7 @@ def _class_log_scores_batch(bank: mx.ModelBank, feats: np.ndarray) -> np.ndarray
 def distill_loss(
     bank: mx.ModelBank,
     params: bb.BackboneParams,
-    snapshot: SessionSnapshot | None,
+    snapshot: ModelState | None,
     records: FeatureRecords,
 ) -> float:
     """Mean KL between current and previous-session component posteriors.
@@ -216,7 +208,7 @@ def reg_loss(bank: mx.ModelBank) -> float:
 def overall_loss(
     bank: mx.ModelBank,
     params: bb.BackboneParams,
-    snapshot: SessionSnapshot | None,
+    snapshot: ModelState | None,
     records: FeatureRecords,
     assignments: np.ndarray,
     lam: float,
@@ -231,7 +223,7 @@ def overall_loss(
     )
 
 
-def _old_log_posteriors(snapshot: SessionSnapshot, records: FeatureRecords) -> dict[int, np.ndarray]:
+def _old_log_posteriors(snapshot: ModelState, records: FeatureRecords) -> dict[int, np.ndarray]:
     """Teacher log posteriors for the whole dataset, computed once per session."""
     old_feats = bb.forward_batch(snapshot.params, records.x)
     out = {}
@@ -259,7 +251,7 @@ def train_session(
         raise ValueError("incoming session data must be nonempty")
     params = state.params.copy()
     bank = state.bank.copy()
-    snapshot = SessionSnapshot(state.params.copy(), state.bank.copy()) if state.bank.mixtures else None
+    snapshot = state.copy() if state.bank.mixtures else None
 
     rng = np.random.default_rng(cfg.seed)
     incoming_classes = sorted(np.unique(incoming.records.y).tolist())
@@ -283,39 +275,41 @@ def train_session(
 
     n = len(data)
     for epoch in range(cfg.loss.epochs):
-        z = _e_step_array(bank, params, data)
+        z = _e_step_array(bank, bb.forward_batch(params, data.x), data.y)
         lam = lambda_at(epoch, cfg.loss)
         factor = _lr_factor(epoch, cfg.loss.epochs)
         lr = cfg.loss.lr * factor
         backbone_lr = None if cfg.loss.backbone_lr is None else cfg.loss.backbone_lr * factor
         perm = rng.permutation(n)
-        loss_sum = 0.0
+        sums = dict.fromkeys(("inter", "intra", "distill"), 0.0)
         for start in range(0, n, cfg.loss.batch_size):
             idx = perm[start : start + cfg.loss.batch_size]
             batch_old_lp = None
             if old_lp is not None:
                 batch_old_lp = {c: lp[idx] for c, lp in old_lp.items()}
-            loss, grad = bb.loss_and_grad(
+            _, grad, terms = bb.loss_and_grad(
                 params, bank, data.x[idx], data.y[idx], z[idx],
                 lam=lam, beta=cfg.loss.beta, eta=cfg.loss.eta, old_log_post=batch_old_lp,
             )
-            loss_sum += loss * idx.size
+            for name in sums:
+                sums[name] += terms[name] * idx.size
             params, bank = bb.sgd_step(
                 params, bank, grad, lr, cfg.loss.weight_decay, backbone_lr=backbone_lr
             )
         if log is not None:
-            clf = clf_loss(bank, params, data, z, lam)
-            dis = distill_loss(bank, params, snapshot, data) if cfg.loss.beta else 0.0
+            # clf and dis are batch means over the epoch; reg is the end-of-epoch value
+            clf = (sums["inter"] + lam * sums["intra"]) / n
+            dis = sums["distill"] / n
             reg = reg_loss(bank)
             total = clf + cfg.loss.beta * dis + cfg.loss.eta * reg
             log.write(
                 f"epoch={epoch} lambda={lam:.6f} lr={lr:.6g} clf={clf:.6f} "
-                f"dis={dis:.6f} reg={reg:.6f} total={total:.6f} batch_mean={loss_sum / n:.6f}\n"
+                f"dis={dis:.6f} reg={reg:.6f} total={total:.6f}\n"
             )
 
+    feats = bb.forward_batch(params, data.x)
     if cfg.reduce_enabled:
-        z = _e_step_array(bank, params, data)
-        feats = bb.forward_batch(params, data.x)
+        z = _e_step_array(bank, feats, data.y)
         stats = st.collect_stats(bank, data.y, z, feats)
         bank, reduction = st.reduce(bank, stats, cfg.reduction)
         if log is not None:
@@ -326,5 +320,5 @@ def train_session(
                     f"merge_map={rec.merge_map}\n"
                 )
 
-    final = _e_step_array(bank, params, data)
+    final = _e_step_array(bank, feats, data.y)
     return ModelState(params, bank), final

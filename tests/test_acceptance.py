@@ -77,11 +77,11 @@ def nd_runs():
 
 def _fd_worst(params, bank, x, y, zhat, lam, beta, eta, old_lp, h=1e-5):
     def value():
-        loss, _ = loss_and_grad(params, bank, x, y, zhat, lam=lam, beta=beta, eta=eta,
+        loss, _, _ = loss_and_grad(params, bank, x, y, zhat, lam=lam, beta=beta, eta=eta,
                                 old_log_post=old_lp)
         return loss
 
-    _, grad = loss_and_grad(params, bank, x, y, zhat, lam=lam, beta=beta, eta=eta,
+    _, grad, _ = loss_and_grad(params, bank, x, y, zhat, lam=lam, beta=beta, eta=eta,
                             old_log_post=old_lp)
     arrays = []
     for li in range(len(params.layers)):
@@ -333,7 +333,7 @@ def test_criterion_5_reduction_sensitivity():
         cfg = TrainConfig(loss=loss, m=30, seed=100 + t, reduce_enabled=False)
         state, _ = train_session(state, sessions[t], None, cfg)
     data = sessions[1].records
-    z = _e_step_array(state.bank, state.params, data)
+    z = _e_step_array(state.bank, forward_batch(state.params, data.x), data.y)
     feats = forward_batch(state.params, data.x)
     stats = collect_stats(state.bank, data.y, z, feats)
 

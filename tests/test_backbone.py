@@ -43,11 +43,11 @@ def fd_check(params, bank, x, y, zhat, lam, beta, eta, old_lp, h=1e-5, tol=1e-4)
     """Central finite differences against every analytic gradient coordinate."""
 
     def value():
-        loss, _ = loss_and_grad(params, bank, x, y, zhat, lam=lam, beta=beta, eta=eta,
+        loss, _, _ = loss_and_grad(params, bank, x, y, zhat, lam=lam, beta=beta, eta=eta,
                                 old_log_post=old_lp)
         return loss
 
-    _, grad = loss_and_grad(params, bank, x, y, zhat, lam=lam, beta=beta, eta=eta,
+    _, grad, _ = loss_and_grad(params, bank, x, y, zhat, lam=lam, beta=beta, eta=eta,
                             old_log_post=old_lp)
     worst = 0.0
     arrays = []
@@ -103,7 +103,7 @@ class TestLossAndGrad:
         # with lam = beta = eta = 0 only the inter-class CE remains
         rng = np.random.default_rng(7)
         params, bank, x, y, zhat = make_setup(rng, n=1)
-        loss, _ = loss_and_grad(params, bank, x, y, zhat, lam=0.0, beta=0.0, eta=0.0)
+        loss, _, _ = loss_and_grad(params, bank, x, y, zhat, lam=0.0, beta=0.0, eta=0.0)
         from vmfcl.mixture import class_posterior
 
         v = forward(params, x[0])
@@ -116,8 +116,8 @@ class TestLossAndGrad:
         x2 = np.vstack([x, x])
         y2 = np.concatenate([y, y])
         z2 = np.concatenate([zhat, zhat])
-        _, g1 = loss_and_grad(params, bank, x, y, zhat, lam=0.05, beta=0.0, eta=0.1)
-        _, g2 = loss_and_grad(params, bank, x2, y2, z2, lam=0.05, beta=0.0, eta=0.1)
+        _, g1, _ = loss_and_grad(params, bank, x, y, zhat, lam=0.05, beta=0.0, eta=0.1)
+        _, g2, _ = loss_and_grad(params, bank, x2, y2, z2, lam=0.05, beta=0.0, eta=0.1)
         # equality up to BLAS shape-dependent rounding in the forward pass
         for (w1, b1), (w2, b2) in zip(g1.layers, g2.layers):
             np.testing.assert_allclose(w1, w2, rtol=1e-12, atol=1e-13)
@@ -208,7 +208,7 @@ class TestSgdStep:
     def test_backbone_lr_zero_freezes_layers(self):
         rng = np.random.default_rng(20)
         params, bank, x, y, zhat = make_setup(rng)
-        _, grad = loss_and_grad(params, bank, x, y, zhat, lam=0.1, beta=0.0, eta=0.1)
+        _, grad, _ = loss_and_grad(params, bank, x, y, zhat, lam=0.1, beta=0.0, eta=0.1)
         new_params, new_bank = sgd_step(params, bank, grad, lr=0.1, weight_decay=0.0, backbone_lr=0.0)
         for (w, b), (nw, nb) in zip(params.layers, new_params.layers):
             np.testing.assert_array_equal(w, nw)
@@ -225,7 +225,7 @@ class TestSgdStep:
         def run_twice():
             p, bk = params.copy(), bank.copy()
             for _ in range(5):
-                _, grad = loss_and_grad(p, bk, x, y, zhat, lam=0.05, beta=0.0, eta=0.1)
+                _, grad, _ = loss_and_grad(p, bk, x, y, zhat, lam=0.05, beta=0.0, eta=0.1)
                 p, bk = sgd_step(p, bk, grad, lr=0.05, weight_decay=0.0005)
             return p, bk
 

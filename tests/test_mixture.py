@@ -1,11 +1,12 @@
 """Tests for per-class mixtures: posteriors, assignment, prediction, snapshots."""
 
 import math
+import struct
 
 import numpy as np
 import pytest
 
-from vmfcl.errors import EmptyModel, ParseError, UnknownClass
+from vmfcl.errors import DimensionError, EmptyModel, ParseError, UnknownClass
 from vmfcl.mixture import (
     ClassMixture,
     ModelBank,
@@ -245,3 +246,48 @@ class TestSnapshots:
         path.write_bytes(path.read_bytes()[:-3])
         with pytest.raises(ParseError):
             load_snapshot(path)
+
+    # Layout of the snapshot below: dim at 8, kappa at 12, class 0 header at
+    # 20 (K at 24) and means at 28, class 5 header at 52 and means at 60,
+    # THET at 72, layer dims at 80, weights at 88, biases at 112.
+    @pytest.mark.parametrize("at, fmt, value, offset", [
+        (40, "<3f", (0.0, 0.0, 0.0), 40),  # all-zero mean would load as NaN
+        (28, "<f", math.nan, 28),
+        (32, "<f", math.inf, 28),
+        (68, "<f", -math.inf, 60),
+        (12, "<f", math.nan, 12),
+        (12, "<f", math.inf, 12),
+        (12, "<f", -1.0, 12),
+        (52, "<I", 0, 52),  # duplicate class id
+        (24, "<I", 0, 24),  # K = 0
+        (8, "<I", 0, 8),
+        (8, "<I", 1, 8),
+        (96, "<f", math.nan, 88),
+        (112, "<f", math.inf, 88),
+    ], ids=[
+        "zero-mean", "nan-mean", "inf-mean", "neg-inf-mean", "nan-kappa", "inf-kappa",
+        "negative-kappa", "duplicate-class", "k-zero", "dim-zero", "dim-one",
+        "nan-weight", "inf-bias",
+    ])
+    def test_corrupt_payload_raises_with_offset(self, tmp_path, at, fmt, value, offset):
+        bank = ModelBank(3, 16.0, {
+            0: ClassMixture(0, np.eye(3)[:2]),
+            5: ClassMixture(5, np.eye(3)[2:]),
+        })
+        path = tmp_path / "bad.vmfb"
+        save_snapshot(path, bank, [(np.ones((2, 3)), np.ones(2))])
+        raw = bytearray(path.read_bytes())
+        assert len(raw) == 120
+        values = value if isinstance(value, tuple) else (value,)
+        struct.pack_into(fmt, raw, at, *values)
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ParseError) as err:
+            load_snapshot(path)
+        assert err.value.offset == offset
+
+
+class TestClassMixture:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_nonfinite_mean_rejected(self, bad):
+        with pytest.raises(DimensionError):
+            ClassMixture(0, np.array([[bad, 0.0]]))

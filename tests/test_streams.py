@@ -279,6 +279,23 @@ class TestStreamFiles:
             read_stream(path)
         assert "9" in str(err.value) and "5" in str(err.value)
 
+    # 4 records of dim 3, 29 bytes each, after the 20-byte header
+    @pytest.mark.parametrize("at, value, offset", [
+        (20 + 2 * 29, (0).to_bytes(8, "little"), 20 + 2 * 29),  # record 2 repeats record 0's id
+        (8, (2**31).to_bytes(4, "little"), 8),  # no record type holds that dim
+    ], ids=["duplicate-id", "oversized-dim"])
+    def test_corrupt_payload_raises_with_offset(self, tmp_path, at, value, offset):
+        records = random_records(np.random.default_rng(26), n=4, d=3)
+        records.ids = np.arange(4, dtype=np.uint64)
+        path = tmp_path / "bad.vmfs"
+        write_stream(path, records)
+        raw = bytearray(path.read_bytes())
+        raw[at : at + len(value)] = value
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ParseError) as err:
+            read_stream(path)
+        assert err.value.offset == offset
+
     def test_zero_record_file_round_trips(self, tmp_path):
         path = tmp_path / "empty.vmfs"
         write_stream(path, FeatureRecords.empty(3))

@@ -23,7 +23,6 @@ from vmfcl.trainer import (
     _e_step_array as e_step,
     LossConfig,
     ModelState,
-    SessionSnapshot,
     TrainConfig,
     clf_loss,
     distill_loss,
@@ -77,13 +76,13 @@ class TestEStep:
     def test_feature_on_mean_assigned_there(self):
         bank = ModelBank(2, 16.0, {0: ClassMixture(0, np.eye(2))})
         recs = records_from(np.array([[0.0, 5.0]]), np.array([0]))
-        z = e_step(bank, identity_backbone(2), recs)
+        z = e_step(bank, forward_batch(identity_backbone(2), recs.x), recs.y)
         assert z.tolist() == [1]
 
     def test_equidistant_tie_goes_to_first(self):
         bank = ModelBank(2, 16.0, {0: ClassMixture(0, np.eye(2))})
         recs = records_from(np.array([[1.0, 1.0], [2.0, 2.0]]), np.array([0, 0]))
-        z = e_step(bank, identity_backbone(2), recs)
+        z = e_step(bank, forward_batch(identity_backbone(2), recs.x), recs.y)
         assert z.tolist() == [0, 0]
 
     def test_separated_generators_recovered(self):
@@ -95,7 +94,7 @@ class TestEStep:
         true = np.repeat([0, 1], 50)
         bank = ModelBank(8, 16.0, {0: ClassMixture(0, centers)})
         recs = records_from(x, np.zeros(100, dtype=int))
-        got = e_step(bank, identity_backbone(8), recs)
+        got = e_step(bank, forward_batch(identity_backbone(8), recs.x), recs.y)
         agreement = max(np.mean(got == true), np.mean(got == 1 - true))
         assert agreement == 1.0
 
@@ -104,8 +103,8 @@ class TestEStep:
         bank = ModelBank(4, 16.0, {0: ClassMixture(0, normalize_rows(rng.standard_normal((3, 4))))})
         recs = records_from(rng.standard_normal((30, 4)), np.zeros(30, dtype=int))
         params = identity_backbone(4)
-        first = e_step(bank, params, recs)
-        second = e_step(bank, params, recs)
+        first = e_step(bank, forward_batch(params, recs.x), recs.y)
+        second = e_step(bank, forward_batch(params, recs.x), recs.y)
         np.testing.assert_array_equal(first, second)
 
 
@@ -145,7 +144,7 @@ class TestLossTerms:
 
     def test_distill_zero_for_identical_models(self):
         bank, params = self.setup_bank()
-        snap = SessionSnapshot(params.copy(), bank.copy())
+        snap = ModelState(params.copy(), bank.copy())
         recs = records_from(normalize_rows(np.array([[0.3, 0.9], [-0.8, 0.1]])), np.array([0, 1]))
         assert distill_loss(bank, params, snap, recs) == pytest.approx(0.0, abs=1e-12)
 
@@ -165,7 +164,7 @@ class TestLossTerms:
         cur = ModelBank(2, kappa, {0: ClassMixture(0, np.vstack([v, mu2]))})
         same = normalize([0.7, 0.7])
         old = ModelBank(2, kappa, {0: ClassMixture(0, np.vstack([same, same]))})
-        snap = SessionSnapshot(identity_backbone(2), old)
+        snap = ModelState(identity_backbone(2), old)
         recs = records_from(v[None, :], np.array([0]))
         q = np.array([0.9, 0.1])
         expected = float(np.sum(q * np.log(q / 0.5)))
@@ -178,7 +177,7 @@ class TestLossTerms:
         old = ModelBank(2, kappa, {0: ClassMixture(0, old_means)})
         # current model inherited both components and gained an expansion one
         cur = ModelBank(2, kappa, {0: ClassMixture(0, np.vstack([old_means, normalize([0.0, 1.0])]))})
-        snap = SessionSnapshot(identity_backbone(2), old)
+        snap = ModelState(identity_backbone(2), old)
         recs = records_from(v[None, :], np.array([0]))
         # identical inherited block and identical features: KL must vanish
         assert distill_loss(cur, identity_backbone(2), snap, recs) == pytest.approx(0.0, abs=1e-12)
@@ -186,7 +185,7 @@ class TestLossTerms:
     def test_distill_missing_class_raises(self):
         bank, params = self.setup_bank()
         old = ModelBank(2, 16.0, {9: ClassMixture(9, np.eye(2)[:1])})
-        snap = SessionSnapshot(params.copy(), old)
+        snap = ModelState(params.copy(), old)
         recs = records_from(np.array([[1.0, 0.0]]), np.array([0]))
         with pytest.raises(ModelRegression):
             distill_loss(bank, params, snap, recs)
@@ -224,8 +223,8 @@ class TestLossTerms:
     def test_overall_composition(self):
         bank, params = self.setup_bank()
         recs = records_from(normalize_rows(np.array([[0.9, 0.2], [-0.7, -0.6]])), np.array([0, 1]))
-        z = e_step(bank, params, recs)
-        snap = SessionSnapshot(params.copy(), bank.copy())
+        z = e_step(bank, forward_batch(params, recs.x), recs.y)
+        snap = ModelState(params.copy(), bank.copy())
         lam, beta, eta = 0.1, 1.0, 0.1
         expected = (
             clf_loss(bank, params, recs, z, lam)
@@ -238,7 +237,7 @@ class TestLossTerms:
     def test_overall_without_terms_equals_clf(self):
         bank, params = self.setup_bank()
         recs = records_from(normalize_rows(np.array([[0.9, 0.2]])), np.array([0]))
-        z = e_step(bank, params, recs)
+        z = e_step(bank, forward_batch(params, recs.x), recs.y)
         assert overall_loss(bank, params, None, recs, z, 0.05, 0.0, 0.0) == pytest.approx(
             clf_loss(bank, params, recs, z, 0.05)
         )
@@ -258,17 +257,22 @@ class TestLossTerms:
             means = normalize_rows(rng.standard_normal((k, 4)))
             bank.set_mixture(ClassMixture(c, means))
             old.set_mixture(ClassMixture(c, means[: max(1, k - 1)].copy()))
-        snap = SessionSnapshot(params.copy(), old)
+        snap = ModelState(params.copy(), old)
         x = rng.standard_normal((12, 5))
         y = rng.integers(0, 3, size=12)
         recs = records_from(x, y)
-        z = e_step(bank, params, recs)
+        z = e_step(bank, forward_batch(params, recs.x), recs.y)
         lam, beta, eta = 0.08, 1.0, 0.1
         scalar = overall_loss(bank, params, snap, recs, z, lam, beta, eta)
         old_lp = _old_log_posteriors(snap, recs)
-        vectorized, _ = loss_and_grad(params, bank, x, y, z, lam=lam, beta=beta, eta=eta,
-                                      old_log_post=old_lp)
+        vectorized, _, terms = loss_and_grad(params, bank, x, y, z, lam=lam, beta=beta, eta=eta,
+                                             old_log_post=old_lp)
         assert vectorized == pytest.approx(scalar, abs=1e-9)
+        assert terms["inter"] + lam * terms["intra"] == pytest.approx(
+            clf_loss(bank, params, recs, z, lam), abs=1e-9
+        )
+        assert terms["distill"] == pytest.approx(distill_loss(bank, params, snap, recs), abs=1e-9)
+        assert terms["reg"] == pytest.approx(reg_loss(bank), abs=1e-12)
 
 
 def synthetic_session(seed=50, n_classes=3, domains=2, kt=60.0, per_pair=40, d=8):
@@ -310,7 +314,7 @@ class TestTrainSession:
         recs = session.records
         for k, y in zip(z, recs.y):
             assert 0 <= k < state.bank.mixtures[int(y)].num_components
-        np.testing.assert_array_equal(e_step(state.bank, state.params, recs), z)
+        np.testing.assert_array_equal(e_step(state.bank, forward_batch(state.params, recs.x), recs.y), z)
 
     def test_deterministic_under_seed(self):
         session, _ = synthetic_session()
@@ -353,6 +357,54 @@ class TestTrainSession:
         reduce_lines = [l for l in log.getvalue().splitlines() if l.startswith("reduce ")]
         assert reduce_lines and "k_before=" in reduce_lines[0]
 
+    def test_one_full_data_forward_per_epoch(self, monkeypatch):
+        # one forward per epoch E-step, one for the teacher, and one shared by
+        # the reduction and final E-steps; the epoch log reuses the batches
+        import vmfcl.backbone
+
+        session, _ = synthetic_session()
+        teacher, _ = train_session(self.base_state(), session, None, self.cfg(epochs=2))
+        original = vmfcl.backbone.forward_batch
+        rows = []
+
+        def counting(params, x):
+            rows.append(len(x))
+            return original(params, x)
+
+        monkeypatch.setattr(vmfcl.backbone, "forward_batch", counting)
+        epochs = 3
+        train_session(teacher, session, None, self.cfg(epochs=epochs), log=io.StringIO())
+        assert rows == [len(session)] * (epochs + 2)
+        rows.clear()
+        train_session(self.base_state(), session, None, self.cfg(epochs=epochs), log=io.StringIO())
+        assert rows == [len(session)] * (epochs + 1)
+
+    def test_epoch_log_matches_the_loss_oracles(self):
+        # with lr = 0 the model stays put, so the batch means an epoch line
+        # reports equal the full-data oracles on the returned state
+        session, _ = synthetic_session()
+        teacher, _ = train_session(self.base_state(), session, None, self.cfg(epochs=2))
+        loss = LossConfig(epochs=2, batch_size=32, lr=0.0, lambda_warmup_epochs=0)
+        cfg = TrainConfig(loss=loss, m=3, reduce_enabled=False, seed=5)
+        log = io.StringIO()
+        state, z = train_session(teacher, session, None, cfg, log=log)
+        lines = [l for l in log.getvalue().splitlines() if l.startswith("epoch=")]
+        assert len(lines) == loss.epochs
+        recs = session.records
+        clf = clf_loss(state.bank, state.params, recs, z, loss.lambda_max)
+        dis = distill_loss(state.bank, state.params, teacher, recs)
+        reg = reg_loss(state.bank)
+        assert clf > 0 and reg != 0
+        for line in lines:
+            got = dict(kv.split("=") for kv in line.split())
+            assert list(got) == ["epoch", "lambda", "lr", "clf", "dis", "reg", "total"]
+            assert float(got["clf"]) == pytest.approx(clf, abs=1e-6)
+            assert float(got["dis"]) == pytest.approx(dis, abs=1e-6)
+            assert float(got["reg"]) == pytest.approx(reg, abs=1e-6)
+            assert float(got["total"]) == pytest.approx(
+                clf + loss.beta * dis + loss.eta * reg, abs=1e-6
+            )
+
     def test_intra_loss_non_increasing_frozen_backbone(self):
         # single class and eta = 0: full-batch GD descends the intra CE itself
         rng = np.random.default_rng(60)
@@ -365,11 +417,11 @@ class TestTrainSession:
         bank = ModelBank(6, 16.0, {0: ClassMixture(0, normalize_rows(rng.standard_normal((4, 6))))})
         params = identity_backbone(6)
         recs = records_from(x, y)
-        z = e_step(bank, params, recs)
+        z = e_step(bank, forward_batch(params, recs.x), recs.y)
         values = []
         for _ in range(50):
             values.append(clf_loss(bank, params, recs, z, lam=1.0))
-            _, grad = loss_and_grad(params, bank, x, y, z, lam=1.0, beta=0.0, eta=0.0)
+            _, grad, _ = loss_and_grad(params, bank, x, y, z, lam=1.0, beta=0.0, eta=0.0)
             params, bank = sgd_step(params, bank, grad, lr=1e-3, weight_decay=0.0, backbone_lr=0.0)
         assert all(a >= b - 1e-12 for a, b in zip(values, values[1:])), values
 
@@ -391,7 +443,7 @@ class TestTrainSession:
         state, z = train_session(self.base_state(), session, memory, self.cfg(epochs=1))
         assert z.shape == (len(recs) + 5,)
         data = concat_records(recs, memory.records)
-        np.testing.assert_array_equal(z, e_step(state.bank, state.params, data))
+        np.testing.assert_array_equal(z, e_step(state.bank, forward_batch(state.params, data.x), data.y))
 
     def test_assignment_count_must_match_records(self):
         bank = ModelBank(2, 16.0, {0: ClassMixture(0, np.eye(2))})
