@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalError
-from .mixture import ModelBank
+from .errors import ModelRegression, NumericalError, UnknownClass
+from .mixture import ModelBank, segment_log_softmax
 from .vmf import ZERO_NORM_EPS, normalize_rows
 
 
@@ -56,7 +56,7 @@ class Gradient:
     """Shape-congruent gradients for the layer stack plus every mixture mean."""
 
     layers: list[tuple[np.ndarray, np.ndarray]]
-    means: dict[int, np.ndarray]  # class id -> (K, d)
+    means: np.ndarray  # (K, d), in the bank's row order
 
 
 def init_params(
@@ -120,7 +120,7 @@ def loss_and_grad(
     lam: float,
     beta: float,
     eta: float,
-    old_log_post: dict[int, np.ndarray] | None = None,
+    old_log_post: tuple[ModelBank, np.ndarray] | None = None,
 ) -> tuple[float, Gradient, dict[str, float]]:
     """Exact loss, gradient and unweighted loss terms over a batch with fixed hard assignments.
 
@@ -128,12 +128,18 @@ def loss_and_grad(
     ``reg``; the loss is ``inter + lam * intra + beta * distill + eta * reg``.
     A term whose coefficient is 0 is not evaluated and reads 0.
 
-    ``old_log_post`` carries the previous-session model's per-class component
-    log posteriors for this batch, restricted to the components the current
-    mixtures inherited (array of shape (n, K_inherited) per snapshot class);
-    when absent or beta = 0 the distillation term is skipped.
+    ``old_log_post`` is the previous-session bank (only its layout is read)
+    and its (n, K_old) component log posteriors for this batch, columns in
+    that bank's row order. Each of its classes is compared with the leading
+    components the current mixture inherited; when absent or beta = 0 the
+    distillation term is skipped.
 
-    Raises NumericalError naming the term that went non-finite.
+    Every term is a segment reduction over the packed (n, K) scores, so a
+    batch costs a fixed number of array operations whatever the class count.
+
+    Raises NumericalError naming the term that went non-finite, UnknownClass
+    for a label the bank lacks, ValueError for an assignment outside its
+    class and ModelRegression when the bank lost part of the teacher.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y)
@@ -152,80 +158,68 @@ def loss_and_grad(
         raise NumericalError("forward produced a zero-norm feature")
     v = v_raw / norms
 
-    ids = bank.class_ids
-    col = {c: i for i, c in enumerate(ids)}
-    kappa = bank.kappa
+    ids = np.asarray(bank.class_ids)
+    offsets, sizes, means, kappa = bank.offsets, bank.sizes, bank.means, bank.kappa
+    n_classes = ids.size
+    rows = np.arange(n)
+    y_cols = np.searchsorted(ids, y)
+    if not np.array_equal(ids.take(y_cols, mode="clip"), y):
+        raise UnknownClass("batch has a label the bank has never observed")
 
-    scores = {c: kappa * (v @ bank.mixtures[c].means.T) for c in ids}  # (n, K_c) each
-    a = np.empty((n, len(ids)))
-    for c in ids:
-        t = scores[c]
-        m = np.max(t, axis=1)
-        a[:, col[c]] = m + np.log(np.sum(np.exp(t - m[:, None]), axis=1)) - np.log(t.shape[1])
-    log_p = _log_softmax(a)
+    t = kappa * (v @ means.T)  # (n, K) scores, class blocks at the offsets
+    lse, log_comp = segment_log_softmax(t, offsets)
+    log_p = _log_softmax(lse - np.log(sizes))
     p = np.exp(log_p)
-    y_cols = np.asarray([col[int(c)] for c in y])
+    comp_post = np.exp(log_comp)  # softmax within each class
 
-    inter = -float(np.mean(log_p[np.arange(n), y_cols]))
+    inter = -float(np.mean(log_p[rows, y_cols]))
 
-    # dL/dT accumulators, one (n, K_c) array per class
-    d_t = {c: np.zeros_like(scores[c]) for c in ids}
-
-    # inter-class CE: softmax within class distributes the class-level signal
-    comp_post = {c: np.exp(_log_softmax(scores[c])) for c in ids}
-    onehot_y = np.zeros((n, len(ids)))
-    onehot_y[np.arange(n), y_cols] = 1.0
-    class_signal = (p - onehot_y) / n
-    for c in ids:
-        d_t[c] += class_signal[:, col[c]][:, None] * comp_post[c]
+    # dL/dT; inter-class CE: softmax within class distributes the class-level signal
+    onehot_y = np.zeros((n, n_classes))
+    onehot_y[rows, y_cols] = 1.0
+    d_t = np.repeat((p - onehot_y) / n, sizes, axis=1) * comp_post
 
     # intra-class CE on the assigned component
     intra = 0.0
     if lam != 0.0:
-        for c in ids:
-            rows = np.flatnonzero(y == c)
-            if rows.size == 0:
-                continue
-            lp = _log_softmax(scores[c][rows])
-            z = zhat[rows]
-            intra -= float(np.sum(lp[np.arange(rows.size), z]))
-            dz = comp_post[c][rows].copy()
-            dz[np.arange(rows.size), z] -= 1.0
-            d_t[c][rows] += (lam / n) * dz
-        intra /= n
+        if np.any((zhat < 0) | (zhat >= sizes[y_cols])):
+            raise ValueError("assignments must index a component of the example's class")
+        z_cols = offsets[y_cols] + zhat
+        intra = -float(np.sum(log_comp[rows, z_cols])) / n
+        dz = comp_post * (np.repeat(np.arange(n_classes), sizes) == y_cols[:, None])
+        dz[rows, z_cols] -= 1.0
+        d_t += (lam / n) * dz
 
     # distillation against the previous-session posterior, restricted to
     # inherited components and renormalized
     distill = 0.0
-    if beta != 0.0 and old_log_post:
-        n_snap = len(old_log_post)
-        for c in sorted(old_log_post):
-            log_r = old_log_post[c]
-            k_old = log_r.shape[1]
-            log_q = _log_softmax(scores[c][:, :k_old])
-            q = np.exp(log_q)
-            diff = log_q - log_r
-            kl = np.sum(q * diff, axis=1)
-            distill += float(np.sum(kl))
-            d_t[c][:, :k_old] += (beta / (n * n_snap)) * q * (diff - kl[:, None])
-        distill /= n * n_snap
+    if beta != 0.0 and old_log_post is not None:
+        old, log_r = old_log_post
+        at = np.searchsorted(ids, old.class_ids)
+        if not np.array_equal(ids.take(at, mode="clip"), old.class_ids) or np.any(sizes[at] < old.sizes):
+            raise ModelRegression("the bank lost a class or component of the previous session")
+        # current columns of the inherited components, in the old bank's order
+        cols = np.repeat(offsets[at] - old.offsets[:-1], old.sizes) + np.arange(old.offsets[-1])
+        _, log_q = segment_log_softmax(t[:, cols], old.offsets)
+        q = np.exp(log_q)
+        diff = log_q - log_r
+        kl = np.add.reduceat(q * diff, old.offsets[:-1], axis=1)  # (n, C_old)
+        n_old = len(old.class_ids)
+        distill = float(np.sum(kl)) / (n * n_old)
+        d_t[:, cols] += (beta / (n * n_old)) * q * (diff - np.repeat(kl, old.sizes, axis=1))
 
     # component spread penalty (negated mean pairwise mean dot product)
     reg = 0.0
-    mean_grads = {}
-    n_classes = len(ids)
-    for c in ids:
-        m = bank.mixtures[c].means
-        k = m.shape[0]
-        g = kappa * (d_t[c].T @ v)
-        if eta != 0.0 and k > 1:
-            sm = np.sum(m, axis=0)
-            w_pair = 1.0 / (k * (k - 1))
-            # sum_{i<j} mu_i . mu_j, written so it stays exact off-sphere too
-            reg -= w_pair * 0.5 * (float(sm @ sm) - float(np.sum(m * m)))
-            g += eta * (-(w_pair / n_classes)) * (sm[None, :] - m)
-        mean_grads[c] = g
-    reg /= n_classes
+    mean_grad = kappa * (d_t.T @ v)
+    if eta != 0.0:
+        k = sizes.astype(np.float64)
+        w_pair = np.divide(1.0, k * (k - 1), out=np.zeros(n_classes), where=sizes > 1)
+        sm = np.add.reduceat(means, offsets[:-1], axis=0)  # (C, d) per-class sums
+        # sum_{i<j} mu_i . mu_j, written so it stays exact off-sphere too
+        pairs = np.sum(sm * sm, axis=1) - np.add.reduceat(np.sum(means * means, axis=1), offsets[:-1])
+        reg = -float(np.sum(w_pair * 0.5 * pairs)) / n_classes
+        coef = eta * (-(w_pair / n_classes))
+        mean_grad += np.repeat(coef, sizes)[:, None] * (np.repeat(sm, sizes, axis=0) - means)
 
     loss_parts = {"inter": inter, "intra": lam * intra, "distill": beta * distill, "reg": eta * reg}
     for name, val in loss_parts.items():
@@ -235,9 +229,7 @@ def loss_and_grad(
     terms = {"inter": inter, "intra": intra, "distill": distill, "reg": reg}
 
     # backprop through the embeddings: d/dT -> d/dv -> normalize -> MLP
-    g_v = np.zeros_like(v)
-    for c in ids:
-        g_v += kappa * (d_t[c] @ bank.mixtures[c].means)
+    g_v = kappa * (d_t @ means)
     g_raw = (g_v - np.sum(g_v * v, axis=1, keepdims=True) * v) / norms
 
     layer_grads: list[tuple[np.ndarray, np.ndarray]] = [None] * len(params.layers)
@@ -252,7 +244,7 @@ def loss_and_grad(
         if not (np.all(np.isfinite(gw)) and np.all(np.isfinite(gb))):
             raise NumericalError(f"gradient of layer {i} is non-finite")
 
-    return loss, Gradient(layer_grads, mean_grads), terms
+    return loss, Gradient(layer_grads, mean_grad), terms
 
 
 def sgd_step(
@@ -275,8 +267,4 @@ def sgd_step(
         (w - lr_b * (gw + weight_decay * w), b - lr_b * (gb + weight_decay * b))
         for (w, b), (gw, gb) in zip(params.layers, grad.layers)
     ]
-    new_bank = bank.copy()
-    for c, gm in grad.means.items():
-        mix = new_bank.mixtures[c]
-        mix.means = normalize_rows(mix.means - lr * gm)
-    return BackboneParams(new_layers), new_bank
+    return BackboneParams(new_layers), bank.with_means(normalize_rows(bank.means - lr * grad.means))

@@ -351,7 +351,7 @@ def run_experiment_full(cfg: RunConfig, out_dir=None) -> RunResult:
             memory = select_memory(
                 state.bank, data, z, cfg.memory_budget, np.random.default_rng(memory_seeds[t])
             )
-            comp_history.append({c: state.bank.mixtures[c].num_components for c in state.bank.class_ids})
+            comp_history.append(dict(zip(state.bank.class_ids, state.bank.sizes.tolist())))
             mem_class_counts.append(memory.class_counts())
             mem_comp_counts.append(memory.component_counts())
         incomplete = False

@@ -92,12 +92,11 @@ def select_memory(
 
     picked: list[np.ndarray] = []
     picked_comp: list[np.ndarray] = []
-    for c in class_ids:
+    for c, k_c in zip(class_ids, bank.sizes.tolist()):
         quota = quotas[c]
         if quota == 0:
             continue
         rows = np.flatnonzero(records.y == c)
-        k_c = bank.mixtures[c].num_components
         cands = [rows[z[rows] == k] for k in range(k_c)]
         base, rem = divmod(quota, k_c)
         take = np.full(k_c, base, dtype=np.int64)

@@ -15,8 +15,9 @@ from ``predict``; both paths are part of the contract.
 
 from __future__ import annotations
 
+import copy
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -51,45 +52,72 @@ class ClassMixture:
         return ClassMixture(self.class_id, self.means.copy())
 
 
-@dataclass
 class ModelBank:
-    """All class mixtures observed so far, sharing dimension and kappa."""
+    """All class mixtures observed so far, sharing dimension and kappa, packed in one array.
 
-    dim: int
-    kappa: float
-    mixtures: dict[int, ClassMixture] = field(default_factory=dict)
+    Rows ``offsets[i]:offsets[i + 1]`` of the (K, d) ``means`` belong to
+    ``class_ids[i]`` (ascending); ``mixtures`` and ``mixture(c)`` are views.
+    """
 
-    def __post_init__(self):
-        for mix in self.mixtures.values():
-            self._check(mix)
+    def __init__(self, dim: int, kappa: float, mixtures: dict[int, ClassMixture] | None = None):
+        self.dim = dim
+        self.kappa = kappa
+        self._pack(mixtures or {})
 
-    def _check(self, mix: ClassMixture):
-        if mix.means.shape[1] != self.dim:
-            raise DimensionError(
-                f"class {mix.class_id} has dimension {mix.means.shape[1]}, bank has {self.dim}"
-            )
+    def _pack(self, mixtures: dict[int, ClassMixture]):
+        for mix in mixtures.values():
+            if mix.means.shape[1] != self.dim:
+                raise DimensionError(
+                    f"class {mix.class_id} has dimension {mix.means.shape[1]}, bank has {self.dim}"
+                )
+        self.class_ids = sorted(mixtures)
+        blocks = [mixtures[c].means for c in self.class_ids]
+        self.offsets = np.cumsum([0] + [b.shape[0] for b in blocks], dtype=np.int64)
+        self.means = np.vstack(blocks) if blocks else np.zeros((0, self.dim))
 
     @property
-    def class_ids(self) -> list[int]:
-        return sorted(self.mixtures)
+    def sizes(self) -> np.ndarray:
+        """(C,) component count of each class, in ``class_ids`` order."""
+        return np.diff(self.offsets)
+
+    @property
+    def mixtures(self) -> dict[int, ClassMixture]:
+        """Per-class views of the packed rows, keyed by class id."""
+        return {c: self.mixture(c) for c in self.class_ids}
 
     def mixture(self, class_id: int) -> ClassMixture:
-        try:
-            return self.mixtures[class_id]
-        except KeyError:
-            raise UnknownClass(f"class {class_id} has never been observed") from None
+        """A view of one class's rows, not re-validated: they were checked on entry."""
+        if class_id not in self.class_ids:
+            raise UnknownClass(f"class {class_id} has never been observed")
+        i = self.class_ids.index(class_id)
+        view = object.__new__(ClassMixture)
+        view.class_id, view.means = class_id, self.means[self.offsets[i] : self.offsets[i + 1]]
+        return view
 
     def set_mixture(self, mix: ClassMixture):
-        self._check(mix)
-        self.mixtures[mix.class_id] = mix
+        self._pack({**self.mixtures, mix.class_id: mix})
+
+    def with_means(self, means: np.ndarray) -> "ModelBank":
+        """A bank with this one's classes and offsets and new (K, d) means."""
+        out = copy.copy(self)
+        out.means = means
+        return out
 
     def copy(self) -> "ModelBank":
-        return ModelBank(self.dim, self.kappa, {c: m.copy() for c, m in self.mixtures.items()})
+        return self.with_means(self.means.copy())
 
 
-def _logsumexp(scores: np.ndarray) -> float:
-    m = float(np.max(scores))
-    return m + float(np.log(np.sum(np.exp(scores - m))))
+def segment_log_softmax(t: np.ndarray, offsets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Log-softmax of each row of ``t`` within column segments ``offsets[i]:offsets[i + 1]``.
+
+    Returns the (n, C) log-sum-exp of every segment and the (n, K)
+    within-segment log-softmax. Every segment must be nonempty.
+    """
+    starts, sizes = offsets[:-1], np.diff(offsets)
+    m = np.maximum.reduceat(t, starts, axis=1)
+    shifted = t - np.repeat(m, sizes, axis=1)
+    log_s = np.log(np.add.reduceat(np.exp(shifted), starts, axis=1))
+    return m + log_s, shifted - np.repeat(log_s, sizes, axis=1)
 
 
 def component_scores(bank: ModelBank, class_id: int, v: np.ndarray) -> np.ndarray:
@@ -129,14 +157,11 @@ def class_log_scores(bank: ModelBank, v: np.ndarray) -> np.ndarray:
     Entries are ordered by ascending class id. These are unnormalized
     class-posterior logits.
     """
-    if not bank.mixtures:
+    if not bank.class_ids:
         raise EmptyModel("model bank has no classes")
-    v = np.asarray(v, dtype=np.float64)
-    out = np.empty(len(bank.mixtures))
-    for i, c in enumerate(bank.class_ids):
-        mix = bank.mixtures[c]
-        out[i] = _logsumexp(bank.kappa * (mix.means @ v)) - np.log(mix.num_components)
-    return out
+    t = bank.kappa * (bank.means @ np.asarray(v, dtype=np.float64))
+    lse, _ = segment_log_softmax(t[None, :], bank.offsets)
+    return lse[0] - np.log(bank.sizes)
 
 
 def class_posterior(bank: ModelBank, v: np.ndarray) -> np.ndarray:
@@ -149,28 +174,26 @@ def class_posterior(bank: ModelBank, v: np.ndarray) -> np.ndarray:
 
 def predict(bank: ModelBank, v: np.ndarray) -> int:
     """Class of the single closest component mean; ties go to the lowest class id."""
-    if not bank.mixtures:
+    if not bank.class_ids:
         raise EmptyModel("model bank has no classes")
-    v = np.asarray(v, dtype=np.float64)
-    best_class = -1
-    best = -np.inf
-    for c in bank.class_ids:
-        top = float(np.max(_row_dots(bank.mixtures[c].means, v)))
-        if top > best:
-            best = top
-            best_class = c
-    return best_class
+    tops = np.maximum.reduceat(_row_dots(bank.means, np.asarray(v, dtype=np.float64)), bank.offsets[:-1])
+    return bank.class_ids[int(np.argmax(tops))]  # first maximum -> lowest class id
 
 
 def predict_batch(bank: ModelBank, vs: np.ndarray) -> np.ndarray:
-    """Vectorized ``predict`` over the rows of an (n, d) matrix."""
-    if not bank.mixtures:
+    """Vectorized ``predict`` over the rows of an (n, d) matrix.
+
+    ``predict`` is the tie-exact reference: here each class's dot products
+    come from a BLAS matmul whose rounding depends on the matrix shape, so
+    an exact tie between classes of different sizes may break either way.
+    """
+    if not bank.class_ids:
         raise EmptyModel("model bank has no classes")
     vs = np.asarray(vs, dtype=np.float64)
     ids = bank.class_ids
     tops = np.empty((len(ids), vs.shape[0]))
-    for i, c in enumerate(ids):
-        tops[i] = np.max(vs @ bank.mixtures[c].means.T, axis=1)
+    for i, (lo, hi) in enumerate(zip(bank.offsets[:-1], bank.offsets[1:])):
+        tops[i] = np.max(vs @ bank.means[lo:hi].T, axis=1)
     # argmax over rows ordered by ascending class id -> lowest id wins ties
     return np.asarray(ids, dtype=np.int64)[np.argmax(tops, axis=0)]
 
@@ -191,12 +214,11 @@ def save_snapshot(path, bank: ModelBank, layers=None):
     """
     chunks = [
         SNAPSHOT_MAGIC,
-        struct.pack("<IIfI", SNAPSHOT_VERSION, bank.dim, bank.kappa, len(bank.mixtures)),
+        struct.pack("<IIfI", SNAPSHOT_VERSION, bank.dim, bank.kappa, len(bank.class_ids)),
     ]
-    for c in bank.class_ids:
-        mix = bank.mixtures[c]
-        chunks.append(struct.pack("<II", c, mix.num_components))
-        chunks.append(mix.means.astype("<f4").tobytes())
+    for c, lo, hi in zip(bank.class_ids, bank.offsets[:-1], bank.offsets[1:]):
+        chunks.append(struct.pack("<II", c, hi - lo))
+        chunks.append(bank.means[lo:hi].astype("<f4").tobytes())
     if layers is not None:
         chunks.append(BACKBONE_TAG)
         chunks.append(struct.pack("<I", len(layers)))
@@ -265,10 +287,23 @@ def load_snapshot(path):
         tag_at = cur.pos
         if cur.take(4) != BACKBONE_TAG:
             raise ParseError("unknown trailing section", offset=tag_at)
+        count_at = cur.pos
         (n_layers,) = cur.unpack("<I")
+        if n_layers == 0:
+            raise ParseError("backbone section has no layers", offset=count_at)
         layers = []
         for i in range(n_layers):
+            header_at = cur.pos
             out_dim, in_dim = cur.unpack("<II")
+            if layers and in_dim != layers[-1][0].shape[0]:
+                raise ParseError(
+                    f"backbone layer {i} input dim {in_dim} does not match layer {i - 1}",
+                    offset=header_at,
+                )
+            if i == n_layers - 1 and out_dim != dim:
+                raise ParseError(
+                    f"backbone output dim {out_dim} differs from the bank dim {dim}", offset=header_at
+                )
             block_at = cur.pos
             w = np.frombuffer(cur.take(4 * out_dim * in_dim), dtype="<f4")
             w = w.reshape(out_dim, in_dim).astype(np.float64)

@@ -72,15 +72,13 @@ def expand(bank: ModelBank, incoming_classes, m: int, rng: np.random.Generator) 
     """
     if m < 1:
         raise ConfigError(f"expansion size m must be at least 1, got {m}")
-    out = bank.copy()
+    mixtures = dict(bank.mixtures)
     for c in sorted(set(int(c) for c in incoming_classes)):
-        fresh = normalize_rows(rng.standard_normal((m, bank.dim)))
-        if c in out.mixtures:
-            means = np.vstack([out.mixtures[c].means, fresh])
-        else:
-            means = fresh
-        out.set_mixture(ClassMixture(c, means))
-    return out
+        means = normalize_rows(rng.standard_normal((m, bank.dim)))
+        if c in mixtures:
+            means = np.vstack([mixtures[c].means, means])
+        mixtures[c] = ClassMixture(c, means)
+    return ModelBank(bank.dim, bank.kappa, mixtures)
 
 
 def merge_pair(a: ComponentStats, b: ComponentStats) -> tuple[np.ndarray, ComponentStats]:
@@ -102,8 +100,7 @@ def collect_stats(
     y = np.asarray(y)
     z = np.asarray(z)
     stats: dict[int, list[ComponentStats]] = {}
-    for c in bank.class_ids:
-        k_c = bank.mixtures[c].num_components
+    for c, k_c in zip(bank.class_ids, bank.sizes.tolist()):
         rows = np.flatnonzero(y == c)
         per_comp = []
         for k in range(k_c):
@@ -163,13 +160,10 @@ def reduce(
     ``stats`` must cover every component of every class. Reduction never
     crosses class boundaries. Returns the reduced bank and per-class records.
     """
-    out = ModelBank(bank.dim, bank.kappa)
+    reduced: dict[int, ClassMixture] = {}
     records: dict[int, ReductionRecord] = {}
-    for c in bank.class_ids:
-        mix = bank.mixtures[c]
+    for c, mix in bank.mixtures.items():
         if c not in stats or len(stats[c]) != mix.num_components:
             raise ValueError(f"stats for class {c} do not cover its {mix.num_components} components")
-        new_mix, rec = _reduce_class(mix, stats[c], cfg)
-        out.set_mixture(new_mix)
-        records[c] = rec
-    return out, records
+        reduced[c], records[c] = _reduce_class(mix, stats[c], cfg)
+    return ModelBank(bank.dim, bank.kappa, reduced), records

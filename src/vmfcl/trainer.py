@@ -127,7 +127,7 @@ def clf_loss(
         scores = _class_log_scores_batch(bank, feats[rows])
         logp = scores - _logsumexp_rows(scores)
         inter -= float(np.sum(logp[:, col[c]]))
-        t = bank.kappa * (feats[rows] @ bank.mixtures[c].means.T)
+        t = bank.kappa * (feats[rows] @ bank.mixture(c).means.T)
         logq = t - _logsumexp_rows(t)
         intra -= float(np.sum(logq[np.arange(rows.size), z[rows]]))
     n = len(records)
@@ -143,9 +143,9 @@ def _logsumexp_rows(t: np.ndarray) -> np.ndarray:
 
 
 def _class_log_scores_batch(bank: mx.ModelBank, feats: np.ndarray) -> np.ndarray:
-    out = np.empty((feats.shape[0], len(bank.mixtures)))
-    for i, c in enumerate(bank.class_ids):
-        t = bank.kappa * (feats @ bank.mixtures[c].means.T)
+    out = np.empty((feats.shape[0], len(bank.class_ids)))
+    for i, mix in enumerate(bank.mixtures.values()):
+        t = bank.kappa * (feats @ mix.means.T)
         out[:, i] = _logsumexp_rows(t)[:, 0] - np.log(t.shape[1])
     return out
 
@@ -169,14 +169,14 @@ def distill_loss(
     old_feats = bb.forward_batch(snapshot.params, records.x)
     total = 0.0
     snap_ids = snapshot.bank.class_ids
-    for c in snap_ids:
-        if c not in bank.mixtures:
+    for c, old_mix in snapshot.bank.mixtures.items():
+        if c not in bank.class_ids:
             raise ModelRegression(f"class {c} from the previous session is missing from the bank")
-        k_old = snapshot.bank.mixtures[c].num_components
-        if bank.mixtures[c].num_components < k_old:
+        k_old = old_mix.num_components
+        if bank.mixture(c).num_components < k_old:
             raise ModelRegression(f"class {c} lost inherited components")
-        t_new = bank.kappa * (feats @ bank.mixtures[c].means[:k_old].T)
-        t_old = snapshot.bank.kappa * (old_feats @ snapshot.bank.mixtures[c].means.T)
+        t_new = bank.kappa * (feats @ bank.mixture(c).means[:k_old].T)
+        t_old = snapshot.bank.kappa * (old_feats @ old_mix.means.T)
         log_q = t_new - _logsumexp_rows(t_new)
         log_r = t_old - _logsumexp_rows(t_old)
         total += float(np.sum(np.exp(log_q) * (log_q - log_r)))
@@ -195,8 +195,8 @@ def reg_loss(bank: mx.ModelBank) -> float:
     if not bank.mixtures:
         raise ValueError("bank must have at least one class")
     total = 0.0
-    for c in bank.class_ids:
-        m = bank.mixtures[c].means
+    for mix in bank.mixtures.values():
+        m = mix.means
         k = m.shape[0]
         if k < 2:
             continue
@@ -223,14 +223,14 @@ def overall_loss(
     )
 
 
-def _old_log_posteriors(snapshot: ModelState, records: FeatureRecords) -> dict[int, np.ndarray]:
-    """Teacher log posteriors for the whole dataset, computed once per session."""
+def _old_log_posteriors(snapshot: ModelState, records: FeatureRecords) -> np.ndarray:
+    """Teacher log posteriors for the whole dataset, computed once per session.
+
+    One (n, K_old) array in the teacher bank's row order, log-softmax per class.
+    """
     old_feats = bb.forward_batch(snapshot.params, records.x)
-    out = {}
-    for c in snapshot.bank.class_ids:
-        t = snapshot.bank.kappa * (old_feats @ snapshot.bank.mixtures[c].means.T)
-        out[c] = t - _logsumexp_rows(t)
-    return out
+    t = snapshot.bank.kappa * (old_feats @ snapshot.bank.means.T)
+    return mx.segment_log_softmax(t, snapshot.bank.offsets)[1]
 
 
 def train_session(
@@ -251,14 +251,14 @@ def train_session(
         raise ValueError("incoming session data must be nonempty")
     params = state.params.copy()
     bank = state.bank.copy()
-    snapshot = state.copy() if state.bank.mixtures else None
+    snapshot = state.copy() if state.bank.class_ids else None
 
     rng = np.random.default_rng(cfg.seed)
     incoming_classes = sorted(np.unique(incoming.records.y).tolist())
     if cfg.expand_existing:
         to_expand = incoming_classes
     else:
-        to_expand = [c for c in incoming_classes if c not in bank.mixtures]
+        to_expand = [c for c in incoming_classes if c not in bank.class_ids]
     if to_expand:
         bank = st.expand(bank, to_expand, cfg.m, rng)
 
@@ -268,9 +268,6 @@ def train_session(
 
     old_lp = None
     if snapshot is not None and cfg.loss.beta != 0.0:
-        for c in snapshot.bank.class_ids:  # fail before training, not mid-epoch
-            if c not in bank.mixtures:
-                raise ModelRegression(f"class {c} from the previous session is missing from the bank")
         old_lp = _old_log_posteriors(snapshot, data)
 
     n = len(data)
@@ -284,12 +281,10 @@ def train_session(
         sums = dict.fromkeys(("inter", "intra", "distill"), 0.0)
         for start in range(0, n, cfg.loss.batch_size):
             idx = perm[start : start + cfg.loss.batch_size]
-            batch_old_lp = None
-            if old_lp is not None:
-                batch_old_lp = {c: lp[idx] for c, lp in old_lp.items()}
             _, grad, terms = bb.loss_and_grad(
                 params, bank, data.x[idx], data.y[idx], z[idx],
-                lam=lam, beta=cfg.loss.beta, eta=cfg.loss.eta, old_log_post=batch_old_lp,
+                lam=lam, beta=cfg.loss.beta, eta=cfg.loss.eta,
+                old_log_post=None if old_lp is None else (snapshot.bank, old_lp[idx]),
             )
             for name in sums:
                 sums[name] += terms[name] * idx.size

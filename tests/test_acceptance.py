@@ -87,8 +87,7 @@ def _fd_worst(params, bank, x, y, zhat, lam, beta, eta, old_lp, h=1e-5):
     for li in range(len(params.layers)):
         arrays.append((params.layers[li][0], grad.layers[li][0]))
         arrays.append((params.layers[li][1], grad.layers[li][1]))
-    for c in bank.class_ids:
-        arrays.append((bank.mixtures[c].means, grad.means[c]))
+    arrays.append((bank.means, grad.means))
     worst = 0.0
     for arr, g in arrays:
         it = np.nditer(arr, flags=["multi_index"])
@@ -133,12 +132,15 @@ def test_criterion_1_gradient_correctness():
             old_lp = None
             if with_old:
                 feats = forward_batch(params, x)
-                old_lp = {}
+                old = ModelBank(d, bank.kappa)
+                old_lp = []
                 for c in range(min(2, n_classes)):
                     k_old = max(1, bank.mixtures[c].num_components - 1)
+                    old.set_mixture(ClassMixture(c, bank.mixtures[c].means[:k_old].copy()))
                     t = bank.kappa * (feats @ bank.mixtures[c].means[:k_old].T)
                     m = np.max(t, axis=1, keepdims=True)
-                    old_lp[c] = t - (m + np.log(np.sum(np.exp(t - m), axis=1, keepdims=True)))
+                    old_lp.append(t - (m + np.log(np.sum(np.exp(t - m), axis=1, keepdims=True))))
+                old_lp = (old, np.hstack(old_lp))
             worst = max(worst, _fd_worst(params, bank, x, y, zhat, lam, beta, eta, old_lp))
             draws += 1
     elapsed = time.perf_counter() - t0

@@ -11,7 +11,7 @@ from vmfcl.backbone import (
     loss_and_grad,
     sgd_step,
 )
-from vmfcl.errors import DegenerateFeature, NumericalError
+from vmfcl.errors import DegenerateFeature, ModelRegression, NumericalError, UnknownClass
 from vmfcl.mixture import ClassMixture, ModelBank
 from vmfcl.vmf import normalize_rows
 
@@ -29,14 +29,16 @@ def make_setup(rng, n_classes=3, d=4, din=5, hidden=6, kappa=16.0, n=7):
 
 
 def old_posteriors(params, bank, x, inherited):
-    """Teacher log posteriors restricted to the first ``inherited[c]`` components."""
+    """Teacher bank of the first ``inherited[c]`` components and its log posteriors."""
     feats = forward_batch(params, x)
-    out = {}
-    for c, k in inherited.items():
+    old = ModelBank(bank.dim, bank.kappa)
+    out = []
+    for c, k in sorted(inherited.items()):
+        old.set_mixture(ClassMixture(c, bank.mixtures[c].means[:k].copy()))
         t = bank.kappa * (feats @ bank.mixtures[c].means[:k].T)
         m = np.max(t, axis=1, keepdims=True)
-        out[c] = t - (m + np.log(np.sum(np.exp(t - m), axis=1, keepdims=True)))
-    return out
+        out.append(t - (m + np.log(np.sum(np.exp(t - m), axis=1, keepdims=True))))
+    return old, np.hstack(out)
 
 
 def fd_check(params, bank, x, y, zhat, lam, beta, eta, old_lp, h=1e-5, tol=1e-4):
@@ -54,8 +56,7 @@ def fd_check(params, bank, x, y, zhat, lam, beta, eta, old_lp, h=1e-5, tol=1e-4)
     for li, (w, b) in enumerate(params.layers):
         arrays.append((w, grad.layers[li][0]))
         arrays.append((b, grad.layers[li][1]))
-    for c in bank.class_ids:
-        arrays.append((bank.mixtures[c].means, grad.means[c]))
+    arrays.append((bank.means, grad.means))
     for arr, g in arrays:
         it = np.nditer(arr, flags=["multi_index"])
         for _ in it:
@@ -122,8 +123,7 @@ class TestLossAndGrad:
         for (w1, b1), (w2, b2) in zip(g1.layers, g2.layers):
             np.testing.assert_allclose(w1, w2, rtol=1e-12, atol=1e-13)
             np.testing.assert_allclose(b1, b2, rtol=1e-12, atol=1e-13)
-        for c in g1.means:
-            np.testing.assert_allclose(g1.means[c], g2.means[c], rtol=1e-12, atol=1e-13)
+        np.testing.assert_allclose(g1.means, g2.means, rtol=1e-12, atol=1e-13)
 
     def test_empty_batch_rejected(self):
         rng = np.random.default_rng(9)
@@ -137,6 +137,22 @@ class TestLossAndGrad:
         x[0, 0] = np.inf
         with pytest.raises(NumericalError):
             loss_and_grad(params, bank, x, y, zhat, lam=0.0, beta=0.0, eta=0.0)
+
+    def test_inputs_outside_the_bank_rejected(self):
+        # packed columns would otherwise read a neighbouring class
+        rng = np.random.default_rng(16)
+        params, bank, x, y, zhat = make_setup(rng)
+        with pytest.raises(UnknownClass):
+            loss_and_grad(params, bank, x, y + 10, zhat, lam=0.0, beta=0.0, eta=0.0)
+        for bad in (-1, bank.mixtures[int(y[0])].num_components):
+            z = zhat.copy()
+            z[0] = bad
+            with pytest.raises(ValueError):
+                loss_and_grad(params, bank, x, y, z, lam=0.1, beta=0.0, eta=0.0)
+        old = ModelBank(bank.dim, bank.kappa, {9: ClassMixture(9, np.eye(bank.dim)[:1])})
+        with pytest.raises(ModelRegression):
+            loss_and_grad(params, bank, x, y, zhat, lam=0.0, beta=1.0, eta=0.0,
+                          old_log_post=(old, np.zeros((len(y), 1))))
 
     def test_finite_differences_inter_only(self):
         rng = np.random.default_rng(11)
@@ -176,7 +192,7 @@ class TestSgdStep:
         params, bank = self._singleton(1.0)
         from vmfcl.backbone import Gradient
 
-        grad = Gradient([(np.array([[2.0, 0.0]]), np.zeros(1))], {0: np.zeros((1, 2))})
+        grad = Gradient([(np.array([[2.0, 0.0]]), np.zeros(1))], np.zeros((1, 2)))
         new_params, _ = sgd_step(params, bank, grad, lr=0.1, weight_decay=0.0)
         assert new_params.layers[0][0][0, 0] == pytest.approx(0.8)
 
@@ -184,7 +200,7 @@ class TestSgdStep:
         params, bank = self._singleton(1.0)
         from vmfcl.backbone import Gradient
 
-        grad = Gradient([(np.zeros((1, 2)), np.zeros(1))], {0: np.zeros((1, 2))})
+        grad = Gradient([(np.zeros((1, 2)), np.zeros(1))], np.zeros((1, 2)))
         new_params, _ = sgd_step(params, bank, grad, lr=0.1, weight_decay=0.0005)
         assert new_params.layers[0][0][0, 0] == pytest.approx(0.99995)
 
@@ -192,7 +208,7 @@ class TestSgdStep:
         params, bank = self._singleton(1.0)
         from vmfcl.backbone import Gradient
 
-        grad = Gradient([(np.zeros((1, 2)), np.zeros(1))], {0: np.array([[0.4, -1.2]])})
+        grad = Gradient([(np.zeros((1, 2)), np.zeros(1))], np.array([[0.4, -1.2]]))
         _, new_bank = sgd_step(params, bank, grad, lr=1.0, weight_decay=0.0)
         np.testing.assert_allclose(np.linalg.norm(new_bank.mixtures[0].means, axis=1), 1.0, atol=1e-12)
 
@@ -201,7 +217,7 @@ class TestSgdStep:
         from vmfcl.backbone import Gradient
 
         # step lands exactly on (0.8, 0.6): already unit, projection keeps it
-        grad = Gradient([(np.zeros((1, 2)), np.zeros(1))], {0: np.array([[0.2, -0.6]])})
+        grad = Gradient([(np.zeros((1, 2)), np.zeros(1))], np.array([[0.2, -0.6]]))
         _, new_bank = sgd_step(params, bank, grad, lr=1.0, weight_decay=0.0)
         np.testing.assert_allclose(new_bank.mixtures[0].means, [[0.8, 0.6]], atol=1e-15)
 

@@ -2,10 +2,13 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import vmfcl
 from vmfcl.backbone import BackboneParams
 from vmfcl.bench import (
     RunConfig,
@@ -420,6 +423,24 @@ test = {out}/test.vmfs
         missing = str(tmp_path / "no.cfg")
         code = cli_main(["run", "--config", missing, "--out", str(tmp_path / "x")])
         assert code == 1  # an unreadable config file is a config error
+
+    def test_outputs_identical_across_blas_thread_counts(self, tmp_path):
+        # a BLAS may split a product differently over threads; the outputs must not change
+        with open(os.path.join(os.path.dirname(__file__), "..", "configs", "nd_gain.cfg")) as fh:
+            text = fh.read()
+        assert "epochs = 30\n" in text
+        cfg = tmp_path / "nd_gain.cfg"
+        cfg.write_text(text.replace("epochs = 30\n", "epochs = 3\n"))
+        src = os.path.dirname(os.path.dirname(vmfcl.__file__))
+        outs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads{threads}"
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
+            subprocess.run([sys.executable, "-m", "vmfcl.cli", "run", "--config", str(cfg),
+                            "--out", str(out)], env=env, check=True, capture_output=True, timeout=300)
+            outs.append(out)
+        for name in ("report.json", "model.vmfb"):
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
 
     def test_shipped_configs_parse(self):
         root = os.path.join(os.path.dirname(__file__), "..", "configs")

@@ -1,8 +1,10 @@
-"""Property tests for the VMFB and VMFS readers on corrupted bytes.
+"""Property tests for the VMFB and VMFS formats: round trips and corrupted bytes.
 
-Truncating a valid file or overwriting some of its bytes must either give a
-valid load or raise ParseError; no other exception, no non-finite or
-zero-norm mean and no duplicate class or example id may get through.
+Writing then reading a file must give back what was written, up to the
+float32 quantization of the format. Truncating a valid file or overwriting
+some of its bytes must either give a valid load or raise ParseError; no
+other exception, no non-finite or zero-norm mean, no duplicate class or
+example id and no backbone that does not fit the bank may get through.
 Stream features are not checked here: a non-finite feature loads and stops
 training with NumericalError.
 """
@@ -16,10 +18,20 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+from vmfcl.backbone import BackboneParams
 from vmfcl.errors import ParseError
 from vmfcl.mixture import ClassMixture, ModelBank, load_snapshot, save_snapshot
 from vmfcl.streams import FeatureRecords, read_stream, write_stream
+from vmfcl.vmf import normalize_rows
+
+
+def _round_trip(write, read, *args):
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "file")
+        write(path, *args)
+        return read(path)
 
 
 def _file_bytes(write, *args) -> bytes:
@@ -67,7 +79,7 @@ SNAPSHOT = _file_bytes(
         1: ClassMixture(1, np.eye(3)[2:]),
         2: ClassMixture(2, np.array([[0.6, 0.0, 0.8]])),
     }),
-    [(np.full((2, 3), 0.5), np.zeros(2)), (np.eye(2), np.ones(2))],
+    [(np.full((2, 3), 0.5), np.zeros(2)), (np.eye(3, 2), np.ones(3))],
 )
 
 STREAM = _file_bytes(
@@ -97,8 +109,10 @@ def check_snapshot(data: bytes):
         assert mix.means.shape[1] == bank.dim
         assert np.all(np.isfinite(mix.means))
         np.testing.assert_allclose(np.linalg.norm(mix.means, axis=1), 1.0, atol=1e-9)
-    for w, b in layers or []:
-        assert np.all(np.isfinite(w)) and np.all(np.isfinite(b))
+    if layers is not None:
+        for w, b in layers:
+            assert np.all(np.isfinite(w)) and np.all(np.isfinite(b))
+        assert BackboneParams(layers).output_dim == bank.dim
 
 
 def check_stream(data: bytes):
@@ -133,3 +147,73 @@ def test_every_single_byte_corruption_of_a_snapshot():
 def test_every_single_byte_corruption_of_a_stream():
     for data in every_single_corruption(STREAM):
         check_stream(data)
+
+
+# finite float64 values that float32 can hold without overflow
+FLOATS = st.floats(-1e30, 1e30)
+
+
+@st.composite
+def record_sets(draw):
+    n = draw(st.integers(0, 12))
+    d = draw(st.integers(1, 6))
+    return FeatureRecords(
+        np.array(draw(st.lists(st.integers(0, 2**64 - 1), min_size=n, max_size=n, unique=True)),
+                 dtype=np.uint64),
+        draw(hnp.arrays(np.float64, (n, d), elements=FLOATS)),
+        np.array(draw(st.lists(st.integers(0, 2**32 - 1), min_size=n, max_size=n)), dtype=np.int64),
+        np.array(draw(st.lists(st.integers(-(2**31), 2**31 - 1), min_size=n, max_size=n)), dtype=np.int32),
+        np.array(draw(st.lists(st.integers(0, 255), min_size=n, max_size=n)), dtype=np.uint8),
+    )
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(record_sets())
+def test_stream_round_trip(records):
+    loaded = _round_trip(write_stream, read_stream, records)
+    np.testing.assert_array_equal(loaded.ids, records.ids)
+    np.testing.assert_array_equal(loaded.y, records.y)
+    np.testing.assert_array_equal(loaded.domain, records.domain)
+    np.testing.assert_array_equal(loaded.role, records.role)
+    np.testing.assert_array_equal(loaded.x, records.x.astype("<f4"))
+
+
+@st.composite
+def snapshots(draw):
+    """A bank and either no backbone or a layer stack that ends at the bank dim."""
+    d = draw(st.integers(2, 6))
+    ids = draw(st.sets(st.integers(0, 2**32 - 1), min_size=1, max_size=5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    bank = ModelBank(d, draw(st.floats(0.0, 1e6, width=32)), {
+        c: ClassMixture(c, normalize_rows(rng.standard_normal((draw(st.integers(1, 4)), d))))
+        for c in ids
+    })
+    layers = None
+    if draw(st.booleans()):
+        dims = draw(st.lists(st.integers(1, 5), min_size=1, max_size=3)) + [d]
+        layers = [
+            (draw(hnp.arrays(np.float64, (fan_out, fan_in), elements=FLOATS)),
+             draw(hnp.arrays(np.float64, (fan_out,), elements=FLOATS)))
+            for fan_in, fan_out in zip(dims[:-1], dims[1:])
+        ]
+    return bank, layers
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(snapshots())
+def test_snapshot_round_trip(snapshot):
+    bank, layers = snapshot
+    loaded, loaded_layers = _round_trip(save_snapshot, load_snapshot, bank, layers)
+    assert loaded.dim == bank.dim
+    assert loaded.kappa == bank.kappa
+    assert loaded.class_ids == bank.class_ids
+    np.testing.assert_array_equal(loaded.sizes, bank.sizes)
+    expected = normalize_rows(bank.means.astype("<f4").astype(np.float64))
+    np.testing.assert_allclose(loaded.means, expected, rtol=0, atol=1e-7)
+    if layers is None:
+        assert loaded_layers is None
+        return
+    assert len(loaded_layers) == len(layers)
+    for (w, b), (lw, lb) in zip(layers, loaded_layers):
+        np.testing.assert_array_equal(lw, w.astype("<f4"))
+        np.testing.assert_array_equal(lb, b.astype("<f4"))

@@ -249,7 +249,8 @@ class TestSnapshots:
 
     # Layout of the snapshot below: dim at 8, kappa at 12, class 0 header at
     # 20 (K at 24) and means at 28, class 5 header at 52 and means at 60,
-    # THET at 72, layer dims at 80, weights at 88, biases at 112.
+    # THET at 72, layer 0 dims at 80, weights at 88, biases at 112, layer 1
+    # dims at 120 (its input dim at 124).
     @pytest.mark.parametrize("at, fmt, value, offset", [
         (40, "<3f", (0.0, 0.0, 0.0), 40),  # all-zero mean would load as NaN
         (28, "<f", math.nan, 28),
@@ -264,10 +265,12 @@ class TestSnapshots:
         (8, "<I", 1, 8),
         (96, "<f", math.nan, 88),
         (112, "<f", math.inf, 88),
+        (124, "<I", 5, 120),  # layers (2, 3), (3, 5) do not compose
+        (120, "<I", 4, 120),  # output dim 4, bank dim 3
     ], ids=[
         "zero-mean", "nan-mean", "inf-mean", "neg-inf-mean", "nan-kappa", "inf-kappa",
         "negative-kappa", "duplicate-class", "k-zero", "dim-zero", "dim-one",
-        "nan-weight", "inf-bias",
+        "nan-weight", "inf-bias", "layers-do-not-compose", "output-dim-mismatch",
     ])
     def test_corrupt_payload_raises_with_offset(self, tmp_path, at, fmt, value, offset):
         bank = ModelBank(3, 16.0, {
@@ -275,9 +278,9 @@ class TestSnapshots:
             5: ClassMixture(5, np.eye(3)[2:]),
         })
         path = tmp_path / "bad.vmfb"
-        save_snapshot(path, bank, [(np.ones((2, 3)), np.ones(2))])
+        save_snapshot(path, bank, [(np.ones((2, 3)), np.ones(2)), (np.ones((3, 2)), np.ones(3))])
         raw = bytearray(path.read_bytes())
-        assert len(raw) == 120
+        assert len(raw) == 164
         values = value if isinstance(value, tuple) else (value,)
         struct.pack_into(fmt, raw, at, *values)
         path.write_bytes(bytes(raw))

@@ -1,0 +1,98 @@
+"""Property tests: the packed loss, gradient and SGD step against per-class oracles.
+
+``loss_and_grad`` works on one (n, K) score matrix with segment reductions
+over the bank's class offsets. ``clf_loss``, ``distill_loss`` and
+``reg_loss`` in ``vmfcl.trainer`` loop over classes one mixture at a time
+and share none of that code, so agreement on random banks, batches and
+teachers checks the packed indexing: the class blocks, the inherited
+columns of a teacher and classes with a single component.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from vmfcl.backbone import init_params, loss_and_grad, sgd_step
+from vmfcl.mixture import ClassMixture, ModelBank
+from vmfcl.streams import ROLE_TRAIN, FeatureRecords
+from vmfcl.structure import expand
+from vmfcl.trainer import ModelState, _old_log_posteriors, clf_loss, distill_loss, reg_loss
+from vmfcl.vmf import normalize_rows
+
+TOL = 1e-10
+
+
+@st.composite
+def cases(draw):
+    """A bank of 1-8 classes with 1-12 components each, an optional teacher and a batch.
+
+    The teacher holds a proper subset of the classes; the current bank grows
+    from it by ``expand``, as a session does, so the inherited components
+    lead each class block.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    d = draw(st.integers(2, 8))
+    kappa = draw(st.sampled_from([0.0, 1.0, 16.0, 100.0]))
+    n_classes = draw(st.integers(1, 8))
+    ids = sorted(draw(st.sets(st.integers(0, 50), min_size=n_classes, max_size=n_classes)))
+    n_old = draw(st.integers(0, n_classes - 1))
+    old_ids = sorted(draw(st.permutations(ids))[:n_old])
+    if old_ids:
+        old = ModelBank(d, kappa, {
+            c: ClassMixture(c, normalize_rows(rng.standard_normal((draw(st.integers(1, 6)), d))))
+            for c in old_ids
+        })
+        m = draw(st.integers(1, 6))
+        grown = [c for c in ids if c not in old_ids or draw(st.booleans())]
+        bank = expand(old, grown, m, rng)
+    else:
+        old = None
+        bank = ModelBank(d, kappa, {
+            c: ClassMixture(c, normalize_rows(rng.standard_normal((draw(st.integers(1, 12)), d))))
+            for c in ids
+        })
+    n = draw(st.integers(1, 10))
+    hidden = draw(st.sampled_from([0, 3]))
+    params = init_params(d + 1, d, hidden, rng)
+    x = rng.standard_normal((n, d + 1))
+    y = rng.choice(ids, size=n)
+    z = rng.integers(0, bank.sizes[np.searchsorted(ids, y)])
+    teacher = None if old is None else ModelState(init_params(d + 1, d, hidden, rng), old)
+    return bank, teacher, params, x, y, z
+
+
+def records(x, y) -> FeatureRecords:
+    n = len(y)
+    return FeatureRecords(np.arange(n, dtype=np.uint64), x, y, np.full(n, -1, np.int32),
+                          np.full(n, ROLE_TRAIN, np.uint8))
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(cases())
+def test_packed_terms_match_the_per_class_oracles(case):
+    bank, teacher, params, x, y, z = case
+    recs = records(x, y)
+    old_lp = None if teacher is None else (teacher.bank, _old_log_posteriors(teacher, recs))
+    _, _, terms = loss_and_grad(params, bank, x, y, z, lam=1.0, beta=1.0, eta=1.0, old_log_post=old_lp)
+    inter = clf_loss(bank, params, recs, z, 0.0)
+    assert terms["inter"] == pytest.approx(inter, rel=TOL, abs=TOL)
+    assert terms["inter"] + terms["intra"] == pytest.approx(clf_loss(bank, params, recs, z, 1.0),
+                                                            rel=TOL, abs=TOL)
+    assert terms["distill"] == pytest.approx(distill_loss(bank, params, teacher, recs), rel=TOL, abs=TOL)
+    assert terms["reg"] == pytest.approx(reg_loss(bank), rel=TOL, abs=TOL)
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(cases(), st.sampled_from([0.01, 0.5]))
+def test_packed_sgd_step_is_a_per_class_normalized_update(case, lr):
+    bank, teacher, params, x, y, z = case
+    old_lp = None if teacher is None else (teacher.bank, _old_log_posteriors(teacher, records(x, y)))
+    _, grad, _ = loss_and_grad(params, bank, x, y, z, lam=0.1, beta=1.0, eta=0.1, old_log_post=old_lp)
+    _, new_bank = sgd_step(params, bank, grad, lr)
+    assert new_bank.class_ids == bank.class_ids
+    np.testing.assert_array_equal(new_bank.offsets, bank.offsets)
+    for i, c in enumerate(bank.class_ids):
+        rows = slice(bank.offsets[i], bank.offsets[i + 1])
+        expected = normalize_rows(bank.mixtures[c].means - lr * grad.means[rows])
+        np.testing.assert_array_equal(new_bank.mixtures[c].means, expected)

@@ -266,7 +266,7 @@ class TestLossTerms:
         scalar = overall_loss(bank, params, snap, recs, z, lam, beta, eta)
         old_lp = _old_log_posteriors(snap, recs)
         vectorized, _, terms = loss_and_grad(params, bank, x, y, z, lam=lam, beta=beta, eta=eta,
-                                             old_log_post=old_lp)
+                                             old_log_post=(old, old_lp))
         assert vectorized == pytest.approx(scalar, abs=1e-9)
         assert terms["inter"] + lam * terms["intra"] == pytest.approx(
             clf_loss(bank, params, recs, z, lam), abs=1e-9
