@@ -50,7 +50,7 @@ from .trainer import (
     reg_loss,
     train_session,
 )
-from .vmf import VmfParams, log_bessel_i, normalize, uniform_log_density, vmf_log_density
+from .vmf import normalize
 
 __all__ = [
     "BackboneParams", "Gradient", "forward", "init_params", "loss_and_grad", "sgd_step",
@@ -64,7 +64,7 @@ __all__ = [
     "ComponentStats", "ReductionConfig", "expand", "merge_pair", "reduce",
     "LossConfig", "ModelState", "TrainConfig", "clf_loss", "distill_loss",
     "e_step", "lambda_at", "overall_loss", "reg_loss", "train_session",
-    "VmfParams", "log_bessel_i", "normalize", "uniform_log_density", "vmf_log_density",
+    "normalize",
 ]
 
 __version__ = "0.1.0"

@@ -9,10 +9,6 @@ class DegenerateFeature(VmfclError):
     """A feature vector with (near-)zero norm cannot be projected to the sphere."""
 
 
-class DomainError(VmfclError):
-    """Argument outside the mathematical domain of a special function."""
-
-
 class DimensionError(VmfclError):
     """Operands do not share the required dimension."""
 

@@ -11,6 +11,12 @@ same thing:
 
 For a given input the argmax of ``class_posterior`` can legitimately differ
 from ``predict``; both paths are part of the contract.
+
+The shared kappa cancels from every hard decision, so ``predict_batch`` and
+``assign_components_batch`` (and their one-row cases ``predict`` and
+``assign_component``) take an argmax of dot products from one BLAS-free
+kernel, ``_dots``: an exact tie goes to the lowest class id or component
+index.
 """
 
 from __future__ import annotations
@@ -27,6 +33,9 @@ from .vmf import ZERO_NORM_EPS
 SNAPSHOT_MAGIC = b"VMFB"
 SNAPSHOT_VERSION = 1
 BACKBONE_TAG = b"THET"
+
+# Rows that predict_batch scores at once: bounds its (rows, K) block of dots.
+PREDICT_BLOCK_ROWS = 1024
 
 
 @dataclass
@@ -120,35 +129,34 @@ def segment_log_softmax(t: np.ndarray, offsets: np.ndarray) -> tuple[np.ndarray,
     return m + log_s, shifted - np.repeat(log_s, sizes, axis=1)
 
 
-def component_scores(bank: ModelBank, class_id: int, v: np.ndarray) -> np.ndarray:
-    """kappa-scaled dot products of v against every component mean of one class."""
-    return bank.kappa * (bank.mixture(class_id).means @ np.asarray(v, dtype=np.float64))
-
-
 def component_posterior(bank: ModelBank, class_id: int, v: np.ndarray) -> np.ndarray:
-    """Softmax over a class's component scores (max-subtracted for stability)."""
-    s = component_scores(bank, class_id, v)
+    """Softmax over a class's kappa-scaled component scores (max-subtracted for stability)."""
+    s = bank.kappa * (bank.mixture(class_id).means @ np.asarray(v, dtype=np.float64))
     s = s - np.max(s)
     e = np.exp(s)
     return e / np.sum(e)
 
 
-def _row_dots(means: np.ndarray, v: np.ndarray) -> np.ndarray:
-    # elementwise product + pairwise sum: the result does not depend on K,
-    # so exact ties across mixtures of different sizes stay exact ties
-    return np.sum(means * v, axis=1)
+def _dots(vs: np.ndarray, means: np.ndarray) -> np.ndarray:
+    """(n, K) dot products of the rows of ``vs`` with the rows of ``means``, without BLAS.
+
+    Every entry is the same sum of products over d whatever the matrix
+    shapes or row positions, so equal means give equal dots and an exact
+    tie stays exact. C order is forced because strided operands are summed
+    in another order.
+    """
+    vs, means = np.ascontiguousarray(vs, dtype=np.float64), np.ascontiguousarray(means)
+    return np.einsum("nd,kd->nk", vs, means, optimize=False)
 
 
 def assign_component(bank: ModelBank, class_id: int, v: np.ndarray) -> int:
     """Hard assignment: index of the component mean closest to v, ties to lowest index."""
-    dots = _row_dots(bank.mixture(class_id).means, np.asarray(v, dtype=np.float64))
-    return int(np.argmax(dots))
+    return int(assign_components_batch(bank, class_id, np.atleast_2d(v))[0])
 
 
 def assign_components_batch(bank: ModelBank, class_id: int, vs: np.ndarray) -> np.ndarray:
-    """Vectorized ``assign_component`` over the rows of an (n, d) matrix."""
-    dots = np.asarray(vs, dtype=np.float64) @ bank.mixture(class_id).means.T
-    return np.argmax(dots, axis=1)
+    """``assign_component`` for every row of an (n, d) matrix."""
+    return np.argmax(_dots(vs, bank.mixture(class_id).means), axis=1)
 
 
 def class_log_scores(bank: ModelBank, v: np.ndarray) -> np.ndarray:
@@ -174,28 +182,20 @@ def class_posterior(bank: ModelBank, v: np.ndarray) -> np.ndarray:
 
 def predict(bank: ModelBank, v: np.ndarray) -> int:
     """Class of the single closest component mean; ties go to the lowest class id."""
-    if not bank.class_ids:
-        raise EmptyModel("model bank has no classes")
-    tops = np.maximum.reduceat(_row_dots(bank.means, np.asarray(v, dtype=np.float64)), bank.offsets[:-1])
-    return bank.class_ids[int(np.argmax(tops))]  # first maximum -> lowest class id
+    return int(predict_batch(bank, np.atleast_2d(v))[0])
 
 
 def predict_batch(bank: ModelBank, vs: np.ndarray) -> np.ndarray:
-    """Vectorized ``predict`` over the rows of an (n, d) matrix.
-
-    ``predict`` is the tie-exact reference: here each class's dot products
-    come from a BLAS matmul whose rounding depends on the matrix shape, so
-    an exact tie between classes of different sizes may break either way.
-    """
+    """``predict`` for every row of an (n, d) matrix, scored in blocks of rows."""
     if not bank.class_ids:
         raise EmptyModel("model bank has no classes")
-    vs = np.asarray(vs, dtype=np.float64)
-    ids = bank.class_ids
-    tops = np.empty((len(ids), vs.shape[0]))
-    for i, (lo, hi) in enumerate(zip(bank.offsets[:-1], bank.offsets[1:])):
-        tops[i] = np.max(vs @ bank.means[lo:hi].T, axis=1)
-    # argmax over rows ordered by ascending class id -> lowest id wins ties
-    return np.asarray(ids, dtype=np.int64)[np.argmax(tops, axis=0)]
+    ids = np.asarray(bank.class_ids, dtype=np.int64)
+    out = np.empty(len(vs), dtype=np.int64)
+    for lo in range(0, len(vs), PREDICT_BLOCK_ROWS):
+        rows = slice(lo, lo + PREDICT_BLOCK_ROWS)
+        tops = np.maximum.reduceat(_dots(vs[rows], bank.means), bank.offsets[:-1], axis=1)
+        out[rows] = ids[np.argmax(tops, axis=1)]  # first maximum -> lowest class id
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -1,30 +1,20 @@
-"""Geometry and density primitives for directional features on the unit hypersphere.
+"""Unit-sphere projection of feature vectors.
 
-The von Mises-Fisher (vMF) density on S^{d-1} is
-
-    p(v | mu, kappa) = C_d(kappa) * exp(kappa * mu . v)
-
-with normalizer C_d(kappa) = kappa^(d/2-1) / ((2 pi)^(d/2) * I_{d/2-1}(kappa)),
-where I_r is the modified Bessel function of the first kind and order r.
-Everything here is a pure function of immutable inputs and safe to call
-concurrently.
+Every feature and component mean lives on the unit sphere S^{d-1}. All
+components share one concentration kappa, so the vMF normalizer cancels
+from every posterior and no density is evaluated: ``normalize`` and
+``normalize_rows`` project onto the sphere, and norms below
+``ZERO_NORM_EPS`` count as zero.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-
 import numpy as np
 
-from .errors import DegenerateFeature, DimensionError, DomainError
+from .errors import DegenerateFeature, DimensionError
 
 # Norms below this are treated as zero (dead feature vectors).
 ZERO_NORM_EPS = 1e-12
-
-# Bessel evaluation switches from the ascending power series to the
-# large-argument asymptotic expansion at x = CROSSOVER_FACTOR * (order + 1).
-CROSSOVER_FACTOR = 30.0
 
 
 def normalize(v) -> np.ndarray:
@@ -61,125 +51,3 @@ def normalize_rows(x: np.ndarray) -> np.ndarray:
         bad = int(np.argmin(norms))
         raise DegenerateFeature(f"row {bad} has norm {float(norms[bad, 0]):.3e}")
     return x / norms
-
-
-@dataclass(frozen=True)
-class VmfParams:
-    """One vMF component: unit mean direction and nonnegative concentration."""
-
-    mean: np.ndarray
-    kappa: float
-
-    def __post_init__(self):
-        mean = np.asarray(self.mean, dtype=np.float64)
-        if mean.ndim != 1 or mean.shape[0] < 2:
-            raise DimensionError(f"mean must be a vector with d >= 2 entries, got {mean.shape}")
-        if abs(float(np.linalg.norm(mean)) - 1.0) > 1e-9:
-            raise DomainError("mean must be unit length within 1e-9")
-        if self.kappa < 0:
-            raise DomainError(f"kappa must be nonnegative, got {self.kappa}")
-        object.__setattr__(self, "mean", mean)
-
-
-def log_bessel_i(order: float, x: float) -> float:
-    """log I_order(x) for order >= 0 and x >= 0, without overflow.
-
-    Two regimes with a crossover at x_c = 30 * (order + 1):
-
-    * x < x_c: ascending power series
-      I_v(x) = sum_k (x/2)^(2k+v) / (k! Gamma(k+v+1)),
-      summed in log space until the terms past the peak fall below
-      machine significance.
-    * x >= x_c: large-argument asymptotic expansion
-      I_v(x) ~ e^x / sqrt(2 pi x) * sum_k (-1)^k a_k(v) / x^k, truncated
-      adaptively at its smallest term.
-
-    Relative error stays below 1e-8 for order <= 64 across x in [0, 700]
-    (and well beyond).
-
-    Raises:
-        DomainError: negative order or negative x.
-    """
-    if order < 0:
-        raise DomainError(f"order must be nonnegative, got {order}")
-    if x < 0:
-        raise DomainError(f"argument must be nonnegative, got {x}")
-    if x == 0.0:
-        # I_0(0) = 1; I_v(0) = 0 for v > 0.
-        return 0.0 if order == 0 else -math.inf
-    if x < CROSSOVER_FACTOR * (order + 1.0):
-        return _log_bessel_series(order, x)
-    return _log_bessel_asymptotic(order, x)
-
-
-def _log_bessel_series(order: float, x: float) -> float:
-    # Positive-term series, accumulated as log-terms and combined with
-    # a single logsumexp. The k-th log-term is
-    # (2k + v) log(x/2) - lgamma(k+1) - lgamma(k+v+1).
-    half_log = math.log(0.5 * x)
-    # Index of the largest term: (x/2)^2 = (k+1)(k+v+1).
-    peak = 0.5 * (-(order + 2.0) + math.sqrt((order + 2.0) ** 2 + x * x))
-    log_terms = []
-    lt_max = -math.inf
-    k = 0
-    while True:
-        lt = (2 * k + order) * half_log - math.lgamma(k + 1) - math.lgamma(k + order + 1)
-        log_terms.append(lt)
-        lt_max = max(lt_max, lt)
-        if k > peak and lt < lt_max - 46.0:
-            break
-        if k > 5000:  # unreachable below the crossover; guards misuse
-            break
-        k += 1
-    terms = np.asarray(log_terms)
-    return float(lt_max + math.log(np.sum(np.exp(terms - lt_max))))
-
-
-def _log_bessel_asymptotic(order: float, x: float) -> float:
-    # Hankel expansion: term ratio t_k / t_{k-1} = -(4v^2 - (2k-1)^2) / (8 k x).
-    mu = 4.0 * order * order
-    total = 1.0
-    term = 1.0
-    prev_abs = math.inf
-    for k in range(1, 60):
-        term *= -(mu - (2 * k - 1) ** 2) / (8.0 * k * x)
-        if k >= 3 and abs(term) > prev_abs:
-            break  # optimal truncation: the asymptotic tail started growing
-        total += term
-        prev_abs = abs(term)
-        if abs(term) < 1e-17 * abs(total):
-            break
-    return x - 0.5 * math.log(2.0 * math.pi * x) + math.log(total)
-
-
-def log_vmf_normalizer(d: int, kappa: float) -> float:
-    """log C_d(kappa); the kappa -> 0 limit is handled by the caller."""
-    if kappa <= 0:
-        raise DomainError("normalizer requires kappa > 0; use uniform_log_density at kappa = 0")
-    nu = 0.5 * d - 1.0
-    return nu * math.log(kappa) - 0.5 * d * math.log(2.0 * math.pi) - log_bessel_i(nu, kappa)
-
-
-def uniform_log_density(d: int) -> float:
-    """Log density of the uniform distribution on S^{d-1} (reciprocal surface area)."""
-    if d < 2:
-        raise DimensionError(f"sphere dimension must satisfy d >= 2, got {d}")
-    return math.lgamma(0.5 * d) - math.log(2.0) - 0.5 * d * math.log(math.pi)
-
-
-def vmf_log_density(v: np.ndarray, params: VmfParams) -> float:
-    """Log vMF density of a unit vector under one component.
-
-    kappa = 0 degenerates to the uniform density on the sphere; that branch
-    is explicit because log C_d has a log(kappa) singularity there.
-
-    Raises:
-        DimensionError: v and params.mean differ in dimension.
-    """
-    v = np.asarray(v, dtype=np.float64)
-    if v.shape != params.mean.shape:
-        raise DimensionError(f"dimension mismatch: v has {v.shape}, mean has {params.mean.shape}")
-    d = v.shape[0]
-    if params.kappa == 0.0:
-        return uniform_log_density(d)
-    return log_vmf_normalizer(d, params.kappa) + params.kappa * float(params.mean @ v)

@@ -8,6 +8,7 @@ import pytest
 
 from vmfcl.errors import DimensionError, EmptyModel, ParseError, UnknownClass
 from vmfcl.mixture import (
+    PREDICT_BLOCK_ROWS,
     ClassMixture,
     ModelBank,
     assign_component,
@@ -176,12 +177,20 @@ class TestPredict:
                 assert predict(bank, v) == predict(scaled, v)
 
     def test_batch_variant_matches(self):
+        # the second size spans two full blocks of predict_batch and a partial third
         rng = np.random.default_rng(14)
         bank = random_bank(rng)
-        vs = normalize_rows(rng.standard_normal((40, 4)))
-        np.testing.assert_array_equal(
-            predict_batch(bank, vs), [predict(bank, v) for v in vs]
-        )
+        mixtures = bank.mixtures
+        for n in (40, 2 * PREDICT_BLOCK_ROWS + 3):
+            vs = normalize_rows(rng.standard_normal((n, 4)))
+            expected = [
+                max(
+                    ((c, float(np.max(mixtures[c].means @ v))) for c in bank.class_ids),
+                    key=lambda t: (t[1], -t[0]),
+                )[0]
+                for v in vs
+            ]
+            np.testing.assert_array_equal(predict_batch(bank, vs), expected)
 
     def test_max_pooling_can_disagree_with_mean_pooling(self):
         # predict max-pools components; class_posterior mean-pools. Both are

@@ -6,6 +6,11 @@ over the bank's class offsets. ``clf_loss``, ``distill_loss`` and
 and share none of that code, so agreement on random banks, batches and
 teachers checks the packed indexing: the class blocks, the inherited
 columns of a teacher and classes with a single component.
+
+The hard decisions, ``predict_batch``, ``assign_components_batch`` and the
+E-step ``_e_step_array``, are checked on banks whose classes share some
+means exactly, against a per-class ``np.sum(means * v, axis=1)`` oracle: an
+exact tie must go to the lowest class id or component index.
 """
 
 import numpy as np
@@ -14,10 +19,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vmfcl.backbone import init_params, loss_and_grad, sgd_step
-from vmfcl.mixture import ClassMixture, ModelBank
+from vmfcl.mixture import ClassMixture, ModelBank, assign_components_batch, predict_batch
 from vmfcl.streams import ROLE_TRAIN, FeatureRecords
 from vmfcl.structure import expand
-from vmfcl.trainer import ModelState, _old_log_posteriors, clf_loss, distill_loss, reg_loss
+from vmfcl.trainer import (
+    ModelState,
+    _e_step_array,
+    _old_log_posteriors,
+    clf_loss,
+    distill_loss,
+    reg_loss,
+)
 from vmfcl.vmf import normalize_rows
 
 TOL = 1e-10
@@ -96,3 +108,61 @@ def test_packed_sgd_step_is_a_per_class_normalized_update(case, lr):
         rows = slice(bank.offsets[i], bank.offsets[i + 1])
         expected = normalize_rows(bank.mixtures[c].means - lr * grad.means[rows])
         np.testing.assert_array_equal(new_bank.mixtures[c].means, expected)
+
+
+@st.composite
+def tie_cases(draw):
+    """A bank of 1-8 classes (K 1-12, d 2-40) sharing 1-3 unit means, and rows near them.
+
+    Each shared mean is planted at random rows of a random subset of the
+    classes, so it ties across classes and within one. Each feature row
+    equals a shared mean or is a small perturbation of one.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    d = draw(st.integers(2, 40))
+    n_classes = draw(st.integers(1, 8))
+    ids = sorted(draw(st.sets(st.integers(0, 50), min_size=n_classes, max_size=n_classes)))
+    blocks = {c: normalize_rows(rng.standard_normal((draw(st.integers(1, 12)), d))) for c in ids}
+    shared = normalize_rows(rng.standard_normal((draw(st.integers(1, 3)), d)))
+    for mu in shared:
+        for c in rng.choice(ids, size=int(rng.integers(1, n_classes + 1)), replace=False):
+            k = len(blocks[c])
+            blocks[c][rng.choice(k, size=int(rng.integers(1, k + 1)), replace=False)] = mu
+    bank = ModelBank(d, 16.0, {c: ClassMixture(c, m) for c, m in blocks.items()})
+    n = draw(st.integers(1, 40))
+    near = shared[rng.integers(len(shared), size=n)]
+    noise = draw(st.sampled_from([1e-9, 1e-6, 1e-3]))
+    vs = normalize_rows(near + noise * rng.standard_normal((n, d)))
+    exact = rng.random(n) < 0.5
+    vs[exact] = near[exact]
+    return bank, vs, rng.choice(ids, size=n)
+
+
+def oracle_dots(bank, c, v):
+    return np.sum(bank.mixture(c).means * v, axis=1)
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(tie_cases())
+def test_predict_batch_gives_exact_ties_to_the_lowest_class(case):
+    bank, vs, _ = case
+    expected = []
+    for v in vs:
+        tops = [float(np.max(oracle_dots(bank, c, v))) for c in bank.class_ids]
+        expected.append(bank.class_ids[tops.index(max(tops))])
+    np.testing.assert_array_equal(predict_batch(bank, vs), expected)
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(tie_cases())
+def test_assignments_give_exact_ties_to_the_lowest_component(case):
+    bank, vs, y = case
+    expected = []
+    for v, c in zip(vs, y):
+        dots = oracle_dots(bank, c, v).tolist()
+        expected.append(dots.index(max(dots)))
+    np.testing.assert_array_equal(_e_step_array(bank, vs, y), expected)
+    for c in bank.class_ids:
+        rows = np.flatnonzero(y == c)
+        np.testing.assert_array_equal(assign_components_batch(bank, c, vs[rows]),
+                                      np.asarray(expected, dtype=np.int64)[rows])

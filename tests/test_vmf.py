@@ -1,20 +1,10 @@
-"""Tests for the sphere-geometry and vMF density primitives."""
-
-import math
+"""Tests for the unit-sphere projection primitives."""
 
 import numpy as np
 import pytest
-from scipy.special import ive
 
-from vmfcl.errors import DegenerateFeature, DimensionError, DomainError
-from vmfcl.vmf import (
-    VmfParams,
-    log_bessel_i,
-    normalize,
-    normalize_rows,
-    uniform_log_density,
-    vmf_log_density,
-)
+from vmfcl.errors import DegenerateFeature, DimensionError
+from vmfcl.vmf import normalize, normalize_rows
 
 
 class TestNormalize:
@@ -50,119 +40,3 @@ class TestNormalize:
     def test_rows_variant_rejects_zero_row(self):
         with pytest.raises(DegenerateFeature):
             normalize_rows(np.array([[1.0, 0.0], [0.0, 0.0]]))
-
-
-def _series_oracle(order: float, x: float, terms: int = 50) -> float:
-    """Plain ascending power series, summed in float with mpmath-free logs."""
-    total = 0.0
-    for k in range(terms):
-        total += math.exp(
-            (2 * k + order) * math.log(x / 2.0)
-            - math.lgamma(k + 1)
-            - math.lgamma(k + order + 1)
-        )
-    return math.log(total)
-
-
-class TestLogBesselI:
-    def test_order_zero_at_zero(self):
-        assert log_bessel_i(0, 0.0) == 0.0
-
-    def test_half_order_closed_form(self):
-        # I_{1/2}(x) = sqrt(2 / (pi x)) sinh x
-        expected = math.log(math.sqrt(2.0 / (2.0 * math.pi)) * math.sinh(2.0))
-        assert log_bessel_i(0.5, 2.0) == pytest.approx(expected, rel=1e-12)
-
-    def test_against_series_oracle(self):
-        assert log_bessel_i(1, 10.0) == pytest.approx(_series_oracle(1, 10.0), abs=1e-10)
-
-    def test_negative_argument_rejected(self):
-        with pytest.raises(DomainError):
-            log_bessel_i(0, -1.0)
-
-    def test_negative_order_rejected(self):
-        with pytest.raises(DomainError):
-            log_bessel_i(-0.5, 1.0)
-
-    def test_positive_order_at_zero_is_log_of_zero(self):
-        assert log_bessel_i(2, 0.0) == -math.inf
-
-    @pytest.mark.parametrize("order", [0, 0.5, 1, 3.5, 7, 15, 31.5, 63])
-    def test_matches_scipy_across_regimes(self, order):
-        # spans both sides of the series/asymptotic crossover at 30 (order + 1)
-        for x in [1e-3, 0.5, 2, 10, 100, 400, 700, 2500]:
-            ref = math.log(ive(order, x)) + x
-            assert log_bessel_i(order, x) == pytest.approx(ref, rel=1e-8), (order, x)
-
-    def test_continuity_at_crossover(self):
-        for order in (0, 2, 9.5):
-            xc = 30.0 * (order + 1)
-            below = log_bessel_i(order, xc * (1 - 1e-9))
-            above = log_bessel_i(order, xc * (1 + 1e-9))
-            assert below == pytest.approx(above, rel=1e-8)
-
-
-class TestVmfLogDensity:
-    def test_uniform_on_circle(self):
-        p = VmfParams(np.array([0.0, 1.0]), 0.0)
-        v = normalize([0.3, -0.7])
-        assert vmf_log_density(v, p) == pytest.approx(-math.log(2 * math.pi), rel=1e-12)
-
-    def test_aligned_closed_form_d3(self):
-        # C_3(2) via the half-order closed form
-        kappa = 2.0
-        log_c = 0.5 * math.log(kappa) - 1.5 * math.log(2 * math.pi) - math.log(
-            math.sqrt(2.0 / (math.pi * kappa)) * math.sinh(kappa)
-        )
-        mu = np.array([0.0, 0.0, 1.0])
-        assert vmf_log_density(mu, VmfParams(mu, kappa)) == pytest.approx(log_c + kappa, rel=1e-12)
-
-    def test_antipodal_dot(self):
-        mu = np.array([0.0, 0.0, 1.0])
-        p = VmfParams(mu, 5.0)
-        aligned = vmf_log_density(mu, p)
-        opposite = vmf_log_density(-mu, p)
-        assert opposite == pytest.approx(aligned - 10.0, rel=1e-12)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionError):
-            vmf_log_density(np.array([1.0, 0.0]), VmfParams(np.array([1.0, 0.0, 0.0]), 1.0))
-
-    def test_extremes_at_mean_and_antipode(self):
-        rng = np.random.default_rng(3)
-        for _ in range(25):
-            d = int(rng.integers(2, 12))
-            mu = normalize(rng.standard_normal(d))
-            p = VmfParams(mu, float(rng.uniform(0.5, 40)))
-            at_mean = vmf_log_density(mu, p)
-            at_anti = vmf_log_density(-mu, p)
-            for _ in range(20):
-                v = normalize(rng.standard_normal(d))
-                val = vmf_log_density(v, p)
-                assert at_anti - 1e-12 <= val <= at_mean + 1e-12
-
-    @pytest.mark.parametrize("d,kappa", [(2, 2.0), (2, 16.0), (3, 2.0), (3, 16.0)])
-    def test_monte_carlo_normalization(self, d, kappa):
-        # exp(log density) must integrate to 1 over the sphere
-        rng = np.random.default_rng(11)
-        samples = normalize_rows(rng.standard_normal((1_000_000, d)))
-        mu = np.zeros(d)
-        mu[0] = 1.0
-        base = vmf_log_density(mu, VmfParams(mu, kappa)) - kappa
-        dens = np.exp(base + kappa * (samples @ mu))
-        area = 2 * math.pi ** (d / 2) / math.gamma(d / 2)
-        assert float(np.mean(dens)) * area == pytest.approx(1.0, abs=1e-2)
-
-
-class TestVmfParams:
-    def test_negative_kappa_rejected(self):
-        with pytest.raises(DomainError):
-            VmfParams(np.array([1.0, 0.0]), -1.0)
-
-    def test_non_unit_mean_rejected(self):
-        with pytest.raises(DomainError):
-            VmfParams(np.array([1.0, 1.0]), 1.0)
-
-    def test_uniform_log_density_small_d_rejected(self):
-        with pytest.raises(DimensionError):
-            uniform_log_density(1)
