@@ -1,0 +1,7 @@
+"""``python -m vmfcl``: the ``vmfcl`` command line without an installed script."""
+
+import sys
+
+from .cli import main
+
+sys.exit(main())

@@ -1,7 +1,8 @@
 """Metrics, experiment orchestration and machine-readable run reports.
 
 ``run_experiment`` drives the full incremental protocol: train a session,
-evaluate on everything seen so far, rebuild the replay memory, repeat. The
+evaluate on everything seen so far (``seen_accuracies``, one pass over the
+seen test records), rebuild the replay memory, repeat. The
 ``replay_baseline`` method pins every class to a single component and turns
 off expansion, reduction and the intra-class/distillation/regularization
 terms, leaving plain replay fine-tuning of the same architecture, so the
@@ -258,11 +259,46 @@ class RunResult:
     memory: MemoryBuffer
 
 
-def _test_slice(test_pool: FeatureRecords, pairs) -> FeatureRecords:
-    mask = np.zeros(len(test_pool), dtype=bool)
-    for c, z in pairs:
-        mask |= (test_pool.y == c) & (test_pool.domain == z)
-    return test_pool.subset(mask)
+def _pair_codes(pool: FeatureRecords, pairs) -> np.ndarray:
+    """Position in ``pairs`` of each record's (class, domain) pair; -1 where it is not listed."""
+    codes = np.full(len(pool), -1, dtype=np.int64)
+    for i, (c, z) in enumerate(pairs):
+        codes[(pool.y == c) & (pool.domain == z)] = i
+    return codes
+
+
+def seen_accuracies(
+    bank: ModelBank, params: BackboneParams, test_pool: FeatureRecords, sessions
+) -> tuple[list[float], float, dict[int, dict[int, float]]]:
+    """Accuracies on the test records of the (class, domain) pairs of ``sessions``.
+
+    Returns the accuracy on each session's pairs (one ``acc_matrix`` row),
+    on all of them, and on each pair that has test records. Every record is
+    forwarded and predicted once. Each entry is 100 * hits / records of
+    integer counts, so it equals ``accuracy`` on the same records bit for
+    bit; a pair listed twice counts once.
+    """
+    pairs = sorted({p for s in sessions for p in s})
+    codes = _pair_codes(test_pool, pairs)
+    rows = np.flatnonzero(codes >= 0)
+    pred = predict_batch(bank, forward_batch(params, test_pool.x[rows]))
+    codes = codes[rows]
+    totals = np.bincount(codes, minlength=len(pairs))
+    hits = np.bincount(codes[pred == test_pool.y[rows]], minlength=len(pairs))
+
+    def percent(idx) -> float:
+        n = int(totals[idx].sum())
+        if n == 0:
+            raise ValueError("cannot score an empty pool")
+        return 100.0 * (int(hits[idx].sum()) / n)
+
+    index = {p: i for i, p in enumerate(pairs)}
+    row = [percent([index[p] for p in set(s)]) for s in sessions]
+    per_pair: dict[int, dict[int, float]] = {}
+    for i, (c, z) in enumerate(pairs):
+        if totals[i]:
+            per_pair.setdefault(c, {})[z] = percent(i)
+    return row, percent(slice(None)), per_pair
 
 
 def run_experiment_full(cfg: RunConfig, out_dir=None) -> RunResult:
@@ -296,6 +332,9 @@ def run_experiment_full(cfg: RunConfig, out_dir=None) -> RunResult:
     memory_seeds = seeds[2 + n_sessions :]
 
     plan, sessions = make_splits(train_pool, cfg.split, n_sessions, split_seed)
+    for t, pairs in enumerate(plan.sessions):
+        if not np.any(_pair_codes(test_pool, pairs) >= 0):
+            raise ConfigError(f"session {t} has no test records for any of its pairs {pairs}")
 
     baseline = cfg.method == "replay_baseline"
     loss_cfg = replace(cfg.loss, lambda_max=0.0, beta=0.0, eta=0.0) if baseline else cfg.loss
@@ -317,6 +356,7 @@ def run_experiment_full(cfg: RunConfig, out_dir=None) -> RunResult:
     comp_history: list[dict[int, int]] = []
     mem_class_counts: list[dict[int, int]] = []
     mem_comp_counts: list[dict[int, list[int]]] = []
+    class_domain_acc: dict[int, dict[int, float]] = {}
     incomplete = True
     try:
         for t, session in enumerate(sessions):
@@ -336,12 +376,11 @@ def run_experiment_full(cfg: RunConfig, out_dir=None) -> RunResult:
             if len(memory) > 0:
                 data = concat_records(session.records, memory.records)
 
-            acc_matrix.append(
-                [accuracy(state.bank, state.params, _test_slice(test_pool, plan.sessions[j]))
-                 for j in range(t + 1)]
+            row, seen_acc, class_domain_acc = seen_accuracies(
+                state.bank, state.params, test_pool, plan.sessions[: t + 1]
             )
-            seen_pairs = [p for j in range(t + 1) for p in plan.sessions[j]]
-            per_session_acc.append(accuracy(state.bank, state.params, _test_slice(test_pool, seen_pairs)))
+            acc_matrix.append(row)
+            per_session_acc.append(seen_acc)
 
             if np.any(data.domain < 0):
                 purity_per_session.append(None)
@@ -356,15 +395,6 @@ def run_experiment_full(cfg: RunConfig, out_dir=None) -> RunResult:
             mem_comp_counts.append(memory.component_counts())
         incomplete = False
     finally:
-        # final-session per-(class, domain) accuracy table
-        per_class_domain_acc: dict[int, dict[int, float]] = {}
-        if not incomplete:
-            seen_pairs = [p for s in plan.sessions for p in s]
-            for c, z in sorted(seen_pairs):
-                part = _test_slice(test_pool, [(c, z)])
-                if len(part):
-                    per_class_domain_acc.setdefault(c, {})[z] = accuracy(state.bank, state.params, part)
-
         report = SessionReport(
             per_session_acc=per_session_acc,
             avg_inc_acc=float(np.mean(per_session_acc)) if per_session_acc else 0.0,
@@ -373,7 +403,7 @@ def run_experiment_full(cfg: RunConfig, out_dir=None) -> RunResult:
             purity_per_session=purity_per_session,
             components_per_class=comp_history[-1] if comp_history else {},
             components_per_class_history=comp_history,
-            per_class_domain_acc=per_class_domain_acc,
+            per_class_domain_acc={} if incomplete else class_domain_acc,  # the last session's table
             acc_matrix=acc_matrix,
             memory_class_counts=mem_class_counts,
             memory_component_counts=mem_comp_counts,

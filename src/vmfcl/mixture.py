@@ -7,7 +7,9 @@ same thing:
 
 * ``class_posterior`` mean-pools components per class (used inside the
   training loss),
-* ``predict`` max-pools over components (used for label prediction).
+* ``predict`` max-pools over components (used for label prediction; the
+  run's evaluation calls ``predict_batch`` once per session on every seen
+  test record).
 
 For a given input the argmax of ``class_posterior`` can legitimately differ
 from ``predict``; both paths are part of the contract.
@@ -16,7 +18,8 @@ The shared kappa cancels from every hard decision, so ``predict_batch`` and
 ``assign_components_batch`` (and their one-row cases ``predict`` and
 ``assign_component``) take an argmax of dot products from one BLAS-free
 kernel, ``_dots``: an exact tie goes to the lowest class id or component
-index.
+index. ``predict_batch`` takes one argmax over all the bank's columns, which
+ascend by class id, and maps the winning column to its class.
 """
 
 from __future__ import annotations
@@ -189,12 +192,12 @@ def predict_batch(bank: ModelBank, vs: np.ndarray) -> np.ndarray:
     """``predict`` for every row of an (n, d) matrix, scored in blocks of rows."""
     if not bank.class_ids:
         raise EmptyModel("model bank has no classes")
-    ids = np.asarray(bank.class_ids, dtype=np.int64)
+    # columns ascend by class id, so the first maximal column is the lowest tied class's
+    column_class = np.repeat(np.asarray(bank.class_ids, dtype=np.int64), bank.sizes)
     out = np.empty(len(vs), dtype=np.int64)
     for lo in range(0, len(vs), PREDICT_BLOCK_ROWS):
         rows = slice(lo, lo + PREDICT_BLOCK_ROWS)
-        tops = np.maximum.reduceat(_dots(vs[rows], bank.means), bank.offsets[:-1], axis=1)
-        out[rows] = ids[np.argmax(tops, axis=1)]  # first maximum -> lowest class id
+        out[rows] = column_class[np.argmax(_dots(vs[rows], bank.means), axis=1)]
     return out
 
 

@@ -43,6 +43,16 @@ def tiny_records(x, y, domains=None):
     )
 
 
+def data_files(tmp_path, synth, keep):
+    """Train and test VMFS paths from ``synth``; the test file holds the records ``keep(test)`` selects."""
+    from vmfcl.streams import generate_synthetic, write_stream
+
+    train, test, _ = generate_synthetic(synth)
+    write_stream(tmp_path / "tr.vmfs", train)
+    write_stream(tmp_path / "te.vmfs", test.subset(keep(test)))
+    return str(tmp_path / "tr.vmfs"), str(tmp_path / "te.vmfs")
+
+
 def tiny_cfg(method="domain_aware", seed=1, **kw):
     defaults = dict(
         method=method,
@@ -197,6 +207,14 @@ class TestRunExperiment:
         bank, layers = load_snapshot(out / "model.vmfb")
         assert bank.class_ids == [0, 1]
         assert layers is not None
+
+    def test_pair_without_test_records_is_left_out_of_the_table(self, tmp_path):
+        tr, te = data_files(tmp_path, SynthConfig(2, 2, 8, 30.0, 40, 10, min_angle_deg=60.0, seed=5),
+                            lambda test: (test.y != 0) | (test.domain != 0))
+        rep = run_experiment(tiny_cfg(synth=None, train_path=tr, test_path=te))
+        assert not rep.incomplete and len(rep.acc_matrix) == 2
+        assert sorted(rep.per_class_domain_acc[0]) == [1]
+        assert sorted(rep.per_class_domain_acc[1]) == [0, 1]
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_incomplete_report_on_failure(self, tmp_path):
@@ -423,6 +441,33 @@ test = {out}/test.vmfs
         missing = str(tmp_path / "no.cfg")
         code = cli_main(["run", "--config", missing, "--out", str(tmp_path / "x")])
         assert code == 1  # an unreadable config file is a config error
+
+    def test_synth_session_without_test_records_exit_code(self, tmp_path, capsys):
+        bad = tmp_path / "no_test.cfg"
+        bad.write_text(config_with("synth", "test_per_pair", "0"))
+        out = tmp_path / "x"
+        assert cli_main(["run", "--config", str(bad), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "config error" in err and "session 0 has no test records" in err
+        assert not (out / "report.json").exists()  # rejected before training
+
+    def test_data_session_without_test_records_exit_code(self, tmp_path, capsys):
+        tr, te = data_files(tmp_path, SynthConfig(2, 1, 8, 30.0, 30, 10, seed=7),
+                            lambda test: test.y != 1)
+        path = tmp_path / "data.cfg"
+        path.write_text(f"[run]\nsplit = NC\nsessions = 2\n\n[data]\ntrain = {tr}\ntest = {te}\n")
+        out = tmp_path / "x"
+        assert cli_main(["run", "--config", str(path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "has no test records" in err and "[(1, 0)]" in err
+        assert not (out / "report.json").exists()
+
+    def test_python_m_vmfcl_entry_point(self):
+        src = os.path.dirname(os.path.dirname(vmfcl.__file__))
+        done = subprocess.run([sys.executable, "-m", "vmfcl", "run", "--help"], capture_output=True,
+                              text=True, env=dict(os.environ, PYTHONPATH=src), timeout=60)
+        assert done.returncode == 0
+        assert "--config" in done.stdout
 
     def test_outputs_identical_across_blas_thread_counts(self, tmp_path):
         # a BLAS may split a product differently over threads; the outputs must not change

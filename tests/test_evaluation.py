@@ -1,0 +1,114 @@
+"""Per-session evaluation: one scoring pass against per-slice ``accuracy`` oracles.
+
+``seen_accuracies`` forwards and predicts every seen test record once and
+derives the ``acc_matrix`` row, the per-session accuracy and the
+per-(class, domain) table from integer hit and record counts. The oracle is
+what the run computed before: ``accuracy`` on each slice of the test pool,
+with each slice masked out by ``_test_slice``. The two must agree exactly.
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import vmfcl.bench as bench
+from vmfcl.backbone import init_params
+from vmfcl.bench import RunConfig, accuracy, seen_accuracies
+from vmfcl.mixture import PREDICT_BLOCK_ROWS, ClassMixture, ModelBank
+from vmfcl.streams import ROLE_TEST, FeatureRecords, SynthConfig
+from vmfcl.structure import ReductionConfig
+from vmfcl.trainer import LossConfig
+from vmfcl.vmf import normalize_rows
+
+CLASSES = range(6)
+DOMAINS = (-1, 0, 1)
+
+
+def _test_slice(test_pool: FeatureRecords, pairs) -> FeatureRecords:
+    """The test records of the listed (class, domain) pairs, in pool order."""
+    mask = np.zeros(len(test_pool), dtype=bool)
+    for c, z in pairs:
+        mask |= (test_pool.y == c) & (test_pool.domain == z)
+    return test_pool.subset(mask)
+
+
+@st.composite
+def cases(draw):
+    """A bank, a backbone, 1-3 sessions of pairs and a test pool where each session has records.
+
+    Labels cover classes the bank lacks and domain -1; some listed pairs
+    have no records, a pair may be listed twice in a session or in two
+    sessions, and some pools span several ``predict_batch`` blocks.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    d = draw(st.integers(2, 6))
+    ids = sorted(draw(st.sets(st.sampled_from(CLASSES), min_size=1, max_size=4)))
+    bank = ModelBank(d, 16.0, {
+        c: ClassMixture(c, normalize_rows(rng.standard_normal((draw(st.integers(1, 4)), d))))
+        for c in ids
+    })
+    params = init_params(d + 2, d, draw(st.sampled_from([0, 3])), rng)
+    pair = st.tuples(st.sampled_from(CLASSES), st.sampled_from(DOMAINS))
+    sessions = draw(st.lists(st.lists(pair, min_size=1, max_size=4), min_size=1, max_size=3))
+    if len(sessions) > 1 and draw(st.booleans()):
+        sessions[-1].append(sessions[0][0])
+    n = draw(st.sampled_from([0, 1, 7, 60, PREDICT_BLOCK_ROWS + 5, 2 * PREDICT_BLOCK_ROWS + 3]))
+    labelled = draw(st.lists(pair, min_size=1, max_size=8))  # pairs outside it have no records
+    picks = [labelled[i] for i in rng.integers(0, len(labelled), size=n)]
+    picks += [s[draw(st.integers(0, len(s) - 1))] for s in sessions]  # a record for every session
+    y = np.array([c for c, _ in picks], dtype=np.int64)
+    domain = np.array([z for _, z in picks], dtype=np.int32)
+    m = len(picks)
+    pool = FeatureRecords(np.arange(m, dtype=np.uint64), rng.standard_normal((m, d + 2)), y, domain,
+                          np.full(m, ROLE_TEST, np.uint8))
+    return bank, params, pool, sessions
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(cases())
+def test_one_pass_tables_equal_per_slice_accuracy(case):
+    bank, params, pool, sessions = case
+    row, seen_acc, per_pair = seen_accuracies(bank, params, pool, sessions)
+
+    assert row == [accuracy(bank, params, _test_slice(pool, s)) for s in sessions]
+    seen = [p for s in sessions for p in s]
+    assert seen_acc == accuracy(bank, params, _test_slice(pool, seen))
+    expected: dict[int, dict[int, float]] = {}
+    for c, z in sorted(seen):
+        part = _test_slice(pool, [(c, z)])
+        if len(part):
+            expected.setdefault(c, {})[z] = accuracy(bank, params, part)
+    assert per_pair == expected
+
+
+def test_each_session_predicts_its_seen_test_records_once(monkeypatch):
+    events = []
+    real_forward, real_predict = bench.forward_batch, bench.predict_batch
+
+    def forward(params, x):
+        out = real_forward(params, x)
+        events.append(("forward", x, out))
+        return out
+
+    def predict(bank, vs):
+        events.append(("predict", vs, None))
+        return real_predict(bank, vs)
+
+    monkeypatch.setattr(bench, "forward_batch", forward)
+    monkeypatch.setattr(bench, "predict_batch", predict)
+    cfg = RunConfig(
+        split="NCD", sessions=3, memory_budget=24, seed=3, hidden_dim=0,
+        synth=SynthConfig(3, 2, 8, 30.0, 40, 10, min_angle_deg=60.0, seed=5),
+        loss=LossConfig(epochs=2, batch_size=32, lr=0.05, backbone_lr=0.0),
+        reduction=ReductionConfig(min_count=6),
+    )
+    result = bench.run_experiment_full(cfg)
+
+    assert [kind for kind, _, _ in events] == ["forward", "predict"] * len(result.plan.sessions)
+    pool = result.test_pool
+    for t in range(len(result.plan.sessions)):
+        seen = _test_slice(pool, [p for s in result.plan.sessions[: t + 1] for p in s])
+        (_, x, feats), (_, vs, _) = events[2 * t], events[2 * t + 1]
+        assert np.array_equal(x, seen.x)
+        assert vs is feats
+    assert len(events[-1][1]) == len(pool)  # the last session has seen every test record
