@@ -13,13 +13,14 @@ with respect to both the layer parameters and every mixture mean.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ModelRegression, NumericalError, UnknownClass
 from .mixture import ModelBank, segment_log_softmax
-from .vmf import ZERO_NORM_EPS, normalize_rows
+from .vmf import ZERO_NORM_EPS, normalize_rows, row_norms
 
 
 @dataclass
@@ -55,7 +56,7 @@ class BackboneParams:
 class Gradient:
     """Shape-congruent gradients for the layer stack plus every mixture mean."""
 
-    layers: list[tuple[np.ndarray, np.ndarray]]
+    layers: list[tuple[np.ndarray, np.ndarray]] | None  # None: not computed (frozen backbone)
     means: np.ndarray  # (K, d), in the bank's row order
 
 
@@ -107,8 +108,10 @@ def forward(params: BackboneParams, x: np.ndarray) -> np.ndarray:
 
 
 def _log_softmax(t: np.ndarray) -> np.ndarray:
-    shifted = t - np.max(t, axis=1, keepdims=True)
-    return shifted - np.log(np.sum(np.exp(shifted), axis=1, keepdims=True))
+    """Row-wise log-softmax of ``t``, computed in place."""
+    t -= np.maximum.reduce(t, axis=1, keepdims=True)
+    t -= np.log(np.add.reduce(np.exp(t), axis=1, keepdims=True))
+    return t
 
 
 def loss_and_grad(
@@ -121,6 +124,7 @@ def loss_and_grad(
     beta: float,
     eta: float,
     old_log_post: tuple[ModelBank, np.ndarray] | None = None,
+    with_layers: bool = True,
 ) -> tuple[float, Gradient, dict[str, float]]:
     """Exact loss, gradient and unweighted loss terms over a batch with fixed hard assignments.
 
@@ -136,10 +140,22 @@ def loss_and_grad(
 
     Every term is a segment reduction over the packed (n, K) scores, so a
     batch costs a fixed number of array operations whatever the class count.
+    The layout arrays and the teacher column map come from ``bank.layout``,
+    built once per packing, and the (n, K) and (K, d) temporaries are
+    reused in place; the arithmetic is the same expressions in the same
+    order as a fresh-array version, so the results are too, bit for bit.
+    Reductions call the ufunc methods (``np.add.reduce``, ...) that
+    ``np.sum``, ``np.max``, ``np.mean`` and ``np.all`` wrap, which skips
+    their per-call argument handling.
 
-    Raises NumericalError naming the term that went non-finite, UnknownClass
-    for a label the bank lacks, ValueError for an assignment outside its
-    class and ModelRegression when the bank lost part of the teacher.
+    With ``with_layers`` false only ``Gradient.means`` is computed and
+    ``Gradient.layers`` is None: the backward pass through the layers is
+    skipped, for a caller whose backbone learning rate is 0.
+
+    Raises NumericalError naming the term or gradient that went non-finite,
+    UnknownClass for a label the bank lacks, ValueError for an assignment
+    outside its class and ModelRegression when the bank lost part of the
+    teacher.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y)
@@ -147,101 +163,118 @@ def loss_and_grad(
     n = x.shape[0]
     if n == 0:
         raise ValueError("batch must be nonempty")
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise NumericalError("batch contains non-finite inputs")
 
     v_raw, acts = _forward_raw(params, x)
-    if not np.all(np.isfinite(v_raw)):
+    if not np.isfinite(v_raw).all():
         raise NumericalError("forward produced non-finite features")
-    norms = np.linalg.norm(v_raw, axis=1, keepdims=True)
-    if np.any(norms < ZERO_NORM_EPS):
+    norms = row_norms(v_raw)
+    if (norms < ZERO_NORM_EPS).any():
         raise NumericalError("forward produced a zero-norm feature")
     v = v_raw / norms
 
-    ids = np.asarray(bank.class_ids)
-    offsets, sizes, means, kappa = bank.offsets, bank.sizes, bank.means, bank.kappa
+    layout, means, kappa = bank.layout, bank.means, bank.kappa
+    ids, offsets, sizes = layout.ids, layout.offsets, layout.sizes
     n_classes = ids.size
     rows = np.arange(n)
     y_cols = np.searchsorted(ids, y)
-    if not np.array_equal(ids.take(y_cols, mode="clip"), y):
+    if not (ids.take(y_cols, mode="clip") == y).all():
         raise UnknownClass("batch has a label the bank has never observed")
 
-    t = kappa * (v @ means.T)  # (n, K) scores, class blocks at the offsets
-    lse, log_comp = segment_log_softmax(t, offsets)
-    log_p = _log_softmax(lse - np.log(sizes))
-    p = np.exp(log_p)
-    comp_post = np.exp(log_comp)  # softmax within each class
+    if lam != 0.0 and ((zhat < 0) | (zhat >= sizes[y_cols])).any():
+        raise ValueError("assignments must index a component of the example's class")
+    distilling = beta != 0.0 and old_log_post is not None
+    if distilling:
+        old, log_r = old_log_post
+        cols = layout.teacher_columns(old.layout)  # raises ModelRegression
 
-    inter = -float(np.mean(log_p[rows, y_cols]))
+    t = v @ means.T
+    t *= kappa  # (n, K) scores, class blocks at the offsets
+    if distilling:
+        t_old = t[:, cols]
+    lse, comp_post = segment_log_softmax(t, layout)
+    log_comp = t  # within-class log-softmax
+    log_p = _log_softmax(lse - layout.log_sizes)
+    np.exp(log_comp, out=comp_post)  # softmax within each class
+
+    inter = -(float(np.add.reduce(log_p[rows, y_cols])) / n)  # the batch mean
 
     # dL/dT; inter-class CE: softmax within class distributes the class-level signal
-    onehot_y = np.zeros((n, n_classes))
-    onehot_y[rows, y_cols] = 1.0
-    d_t = np.repeat((p - onehot_y) / n, sizes, axis=1) * comp_post
+    p_minus_onehot = np.exp(log_p)
+    p_minus_onehot[rows, y_cols] -= 1.0
+    p_minus_onehot /= n
+    d_t = np.repeat(p_minus_onehot, sizes, axis=1)
+    d_t *= comp_post
 
     # intra-class CE on the assigned component
     intra = 0.0
     if lam != 0.0:
-        if np.any((zhat < 0) | (zhat >= sizes[y_cols])):
-            raise ValueError("assignments must index a component of the example's class")
         z_cols = offsets[y_cols] + zhat
-        intra = -float(np.sum(log_comp[rows, z_cols])) / n
-        dz = comp_post * (np.repeat(np.arange(n_classes), sizes) == y_cols[:, None])
+        intra = -float(np.add.reduce(log_comp[rows, z_cols])) / n
+        dz = comp_post  # comp_post is not read again
         dz[rows, z_cols] -= 1.0
-        d_t += (lam / n) * dz
+        dz *= lam / n
+        np.add(d_t, dz, out=d_t, where=layout.column_index == y_cols[:, None])
 
     # distillation against the previous-session posterior, restricted to
     # inherited components and renormalized
     distill = 0.0
-    if beta != 0.0 and old_log_post is not None:
-        old, log_r = old_log_post
-        at = np.searchsorted(ids, old.class_ids)
-        if not np.array_equal(ids.take(at, mode="clip"), old.class_ids) or np.any(sizes[at] < old.sizes):
-            raise ModelRegression("the bank lost a class or component of the previous session")
-        # current columns of the inherited components, in the old bank's order
-        cols = np.repeat(offsets[at] - old.offsets[:-1], old.sizes) + np.arange(old.offsets[-1])
-        _, log_q = segment_log_softmax(t[:, cols], old.offsets)
-        q = np.exp(log_q)
-        diff = log_q - log_r
-        kl = np.add.reduceat(q * diff, old.offsets[:-1], axis=1)  # (n, C_old)
-        n_old = len(old.class_ids)
-        distill = float(np.sum(kl)) / (n * n_old)
-        d_t[:, cols] += (beta / (n * n_old)) * q * (diff - np.repeat(kl, old.sizes, axis=1))
+    if distilling:
+        _, q = segment_log_softmax(t_old, old.layout)
+        np.exp(t_old, out=q)
+        diff = t_old
+        diff -= log_r
+        kl = np.add.reduceat(q * diff, old.layout.starts, axis=1)  # (n, C_old)
+        n_old = old.layout.ids.size
+        distill = float(np.add.reduce(kl, axis=None)) / (n * n_old)
+        q *= beta / (n * n_old)
+        diff -= np.repeat(kl, old.layout.sizes, axis=1)
+        q *= diff
+        d_t[:, cols] += q
 
     # component spread penalty (negated mean pairwise mean dot product)
     reg = 0.0
-    mean_grad = kappa * (d_t.T @ v)
+    mean_grad = d_t.T @ v
+    mean_grad *= kappa
     if eta != 0.0:
-        k = sizes.astype(np.float64)
-        w_pair = np.divide(1.0, k * (k - 1), out=np.zeros(n_classes), where=sizes > 1)
-        sm = np.add.reduceat(means, offsets[:-1], axis=0)  # (C, d) per-class sums
+        sm = np.add.reduceat(means, layout.starts, axis=0)  # (C, d) per-class sums
         # sum_{i<j} mu_i . mu_j, written so it stays exact off-sphere too
-        pairs = np.sum(sm * sm, axis=1) - np.add.reduceat(np.sum(means * means, axis=1), offsets[:-1])
-        reg = -float(np.sum(w_pair * 0.5 * pairs)) / n_classes
-        coef = eta * (-(w_pair / n_classes))
-        mean_grad += np.repeat(coef, sizes)[:, None] * (np.repeat(sm, sizes, axis=0) - means)
+        sq_norms = np.add.reduceat(np.add.reduce(means * means, axis=1), layout.starts)
+        pairs = np.add.reduce(sm * sm, axis=1) - sq_norms
+        reg = -float(np.add.reduce(layout.half_pair_weight * pairs)) / n_classes
+        spread = np.repeat(sm, sizes, axis=0)
+        spread -= means
+        spread *= (eta * layout.column_pair_weight)[:, None]
+        mean_grad += spread
 
     loss_parts = {"inter": inter, "intra": lam * intra, "distill": beta * distill, "reg": eta * reg}
     for name, val in loss_parts.items():
-        if not np.isfinite(val):
+        if not math.isfinite(val):
             raise NumericalError(f"{name} loss term is non-finite ({val})")
     loss = float(sum(loss_parts.values()))
     terms = {"inter": inter, "intra": intra, "distill": distill, "reg": reg}
+    if not np.isfinite(mean_grad).all():
+        raise NumericalError("gradient of the means is non-finite")
+    if not with_layers:
+        return loss, Gradient(None, mean_grad), terms
 
     # backprop through the embeddings: d/dT -> d/dv -> normalize -> MLP
-    g_v = kappa * (d_t @ means)
-    g_raw = (g_v - np.sum(g_v * v, axis=1, keepdims=True) * v) / norms
+    g_raw = d_t @ means
+    g_raw *= kappa  # g_v
+    g_raw -= np.add.reduce(g_raw * v, axis=1, keepdims=True) * v
+    g_raw /= norms
 
     layer_grads: list[tuple[np.ndarray, np.ndarray]] = [None] * len(params.layers)
     g = g_raw
     for i in range(len(params.layers) - 1, -1, -1):
         w, _ = params.layers[i]
-        layer_grads[i] = (g.T @ acts[i], np.sum(g, axis=0))
+        layer_grads[i] = (g.T @ acts[i], np.add.reduce(g, axis=0))
         if i > 0:
             g = (g @ w) * (1.0 - acts[i] ** 2)
 
     for i, (gw, gb) in enumerate(layer_grads):
-        if not (np.all(np.isfinite(gw)) and np.all(np.isfinite(gb))):
+        if not (np.isfinite(gw).all() and np.isfinite(gb).all()):
             raise NumericalError(f"gradient of layer {i} is non-finite")
 
     return loss, Gradient(layer_grads, mean_grad), terms
@@ -255,16 +288,25 @@ def sgd_step(
     weight_decay: float = 0.0,
     backbone_lr: float | None = None,
 ) -> tuple[BackboneParams, ModelBank]:
-    """One SGD update; returns fresh parameter and bank objects.
+    """One SGD update; returns the new parameter and bank objects.
 
     Layers take w <- w - lr_b * (g + weight_decay * w); mixture means take a
-    plain step and are re-projected to the unit sphere. Weight decay never
-    touches the means. ``backbone_lr`` overrides ``lr`` for the layers only
-    (0 freezes the backbone).
+    plain step and are re-projected to the unit sphere, in one buffer. Weight
+    decay never touches the means. ``backbone_lr`` overrides ``lr`` for the
+    layers only; at a layer rate of exactly 0 the backbone is frozen and
+    ``params`` itself is returned, so ``grad.layers`` may then be None.
+    Raises DegenerateFeature when a stepped mean is non-finite or zero.
     """
     lr_b = lr if backbone_lr is None else backbone_lr
-    new_layers = [
-        (w - lr_b * (gw + weight_decay * w), b - lr_b * (gb + weight_decay * b))
-        for (w, b), (gw, gb) in zip(params.layers, grad.layers)
-    ]
-    return BackboneParams(new_layers), bank.with_means(normalize_rows(bank.means - lr * grad.means))
+    if lr_b == 0.0:
+        new_params = params
+    elif grad.layers is None:
+        raise ValueError("a backbone step needs the layer gradient (with_layers=True)")
+    else:
+        new_params = BackboneParams([
+            (w - lr_b * (gw + weight_decay * w), b - lr_b * (gb + weight_decay * b))
+            for (w, b), (gw, gb) in zip(params.layers, grad.layers)
+        ])
+    means = np.multiply(grad.means, lr)
+    np.subtract(bank.means, means, out=means)
+    return new_params, bank.with_means(normalize_rows(means, out=means))

@@ -122,6 +122,8 @@ class RunConfig:
                 f"kappa, hidden_dim and seed must be nonnegative, got {self.kappa}, "
                 f"{self.hidden_dim} and {self.seed}"
             )
+        if self.kappa > np.finfo(np.float32).max:
+            raise ConfigError(f"kappa must fit the snapshot's float32 field, got {self.kappa}")
         if self.embed_dim is not None and self.embed_dim < 2:
             raise ConfigError("embed_dim must be at least 2")
         file_source = self.train_path is not None or self.test_path is not None

@@ -110,6 +110,8 @@ def _cmd_report(args) -> int:
                 loaded.append(json.load(fh))
         except (OSError, json.JSONDecodeError) as e:
             raise ConfigError(f"cannot read report {path}: {e}") from None
+        if not isinstance(loaded[-1], dict):
+            raise ConfigError(f"report {path} is not a JSON object")
     if len(loaded) == 1:
         rep = loaded[0]
         for key in _SUMMARY_KEYS:

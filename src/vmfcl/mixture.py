@@ -24,13 +24,12 @@ ascend by class id, and maps the winning column to its class.
 
 from __future__ import annotations
 
-import copy
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, EmptyModel, ParseError, UnknownClass
+from .errors import DimensionError, EmptyModel, ModelRegression, ParseError, UnknownClass
 from .vmf import ZERO_NORM_EPS
 
 SNAPSHOT_MAGIC = b"VMFB"
@@ -64,11 +63,65 @@ class ClassMixture:
         return ClassMixture(self.class_id, self.means.copy())
 
 
+class BankLayout:
+    """Index arrays that depend only on a bank's class ids and component counts.
+
+    Built once when a bank is packed and shared, read-only, by every bank
+    that ``with_means`` or ``copy`` derives from it, so one training step
+    reads them instead of rebuilding them per batch:
+
+    * ``ids``, ``offsets``, ``starts`` (= ``offsets[:-1]``), ``sizes`` and
+      ``log_sizes``;
+    * ``column_index`` (position in ``ids`` of each column's class) and
+      ``column_class`` (its class id);
+    * ``half_pair_weight`` (half of 1 / (K_c (K_c - 1)) per class, 0 for a
+      single component) and ``column_pair_weight`` (-1 / (K_c (K_c - 1) C)
+      per column), the spread penalty's weights.
+    """
+
+    def __init__(self, class_ids: list[int], sizes: list[int]):
+        self.ids = np.asarray(class_ids, dtype=np.int64)
+        self.offsets = np.cumsum([0] + sizes, dtype=np.int64)
+        self.starts = self.offsets[:-1]
+        self.sizes = np.diff(self.offsets)
+        self.log_sizes = np.log(self.sizes)
+        n_classes = self.ids.size
+        self.column_index = np.repeat(np.arange(n_classes), self.sizes)
+        self.column_class = self.ids[self.column_index]
+        k = self.sizes.astype(np.float64)
+        w_pair = np.divide(1.0, k * (k - 1), out=np.zeros(n_classes), where=self.sizes > 1)
+        self.half_pair_weight = w_pair * 0.5
+        self.column_pair_weight = np.repeat(-(w_pair / n_classes), self.sizes)
+        for arr in vars(self).values():
+            arr.flags.writeable = False
+        self._teacher: tuple[BankLayout, np.ndarray] | None = None
+
+    def teacher_columns(self, old: "BankLayout") -> np.ndarray:
+        """This layout's columns of ``old``'s components, in ``old``'s column order.
+
+        Expansion appends, so each of ``old``'s classes maps to the leading
+        columns of the same class here. The map of the last ``old`` asked
+        for is kept, so the check runs once per (layout, teacher layout)
+        pair. Raises ModelRegression when a class or component of ``old``
+        is missing here.
+        """
+        if self._teacher is not None and self._teacher[0] is old:
+            return self._teacher[1]
+        at = np.searchsorted(self.ids, old.ids)
+        if not np.array_equal(self.ids.take(at, mode="clip"), old.ids) or np.any(self.sizes[at] < old.sizes):
+            raise ModelRegression("the bank lost a class or component of the previous session")
+        cols = np.repeat(self.offsets[at] - old.starts, old.sizes) + np.arange(old.offsets[-1])
+        cols.flags.writeable = False
+        self._teacher = (old, cols)
+        return cols
+
+
 class ModelBank:
     """All class mixtures observed so far, sharing dimension and kappa, packed in one array.
 
     Rows ``offsets[i]:offsets[i + 1]`` of the (K, d) ``means`` belong to
     ``class_ids[i]`` (ascending); ``mixtures`` and ``mixture(c)`` are views.
+    ``layout`` holds the index arrays of that packing.
     """
 
     def __init__(self, dim: int, kappa: float, mixtures: dict[int, ClassMixture] | None = None):
@@ -84,13 +137,18 @@ class ModelBank:
                 )
         self.class_ids = sorted(mixtures)
         blocks = [mixtures[c].means for c in self.class_ids]
-        self.offsets = np.cumsum([0] + [b.shape[0] for b in blocks], dtype=np.int64)
+        self.layout = BankLayout(self.class_ids, [b.shape[0] for b in blocks])
         self.means = np.vstack(blocks) if blocks else np.zeros((0, self.dim))
 
     @property
+    def offsets(self) -> np.ndarray:
+        """(C + 1,) row offsets of the class blocks, read-only."""
+        return self.layout.offsets
+
+    @property
     def sizes(self) -> np.ndarray:
-        """(C,) component count of each class, in ``class_ids`` order."""
-        return np.diff(self.offsets)
+        """(C,) component count of each class, in ``class_ids`` order, read-only."""
+        return self.layout.sizes
 
     @property
     def mixtures(self) -> dict[int, ClassMixture]:
@@ -110,8 +168,9 @@ class ModelBank:
         self._pack({**self.mixtures, mix.class_id: mix})
 
     def with_means(self, means: np.ndarray) -> "ModelBank":
-        """A bank with this one's classes and offsets and new (K, d) means."""
-        out = copy.copy(self)
+        """A bank with this one's classes and layout and new (K, d) means."""
+        out = object.__new__(ModelBank)
+        out.__dict__.update(self.__dict__)
         out.means = means
         return out
 
@@ -119,17 +178,20 @@ class ModelBank:
         return self.with_means(self.means.copy())
 
 
-def segment_log_softmax(t: np.ndarray, offsets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Log-softmax of each row of ``t`` within column segments ``offsets[i]:offsets[i + 1]``.
+def segment_log_softmax(t: np.ndarray, layout: BankLayout) -> tuple[np.ndarray, np.ndarray]:
+    """Overwrite ``t`` (n, K) with its log-softmax within each class block of ``layout``.
 
-    Returns the (n, C) log-sum-exp of every segment and the (n, K)
-    within-segment log-softmax. Every segment must be nonempty.
+    Returns the (n, C) log-sum-exp of every block and an (n, K) scratch
+    array, free for the caller to reuse (it held the exponentials of the
+    max-shifted scores). Every block must be nonempty.
     """
-    starts, sizes = offsets[:-1], np.diff(offsets)
-    m = np.maximum.reduceat(t, starts, axis=1)
-    shifted = t - np.repeat(m, sizes, axis=1)
-    log_s = np.log(np.add.reduceat(np.exp(shifted), starts, axis=1))
-    return m + log_s, shifted - np.repeat(log_s, sizes, axis=1)
+    m = np.maximum.reduceat(t, layout.starts, axis=1)
+    t -= np.repeat(m, layout.sizes, axis=1)
+    scratch = np.exp(t)
+    log_s = np.log(np.add.reduceat(scratch, layout.starts, axis=1))
+    t -= np.repeat(log_s, layout.sizes, axis=1)
+    m += log_s
+    return m, scratch
 
 
 def component_posterior(bank: ModelBank, class_id: int, v: np.ndarray) -> np.ndarray:
@@ -171,8 +233,8 @@ def class_log_scores(bank: ModelBank, v: np.ndarray) -> np.ndarray:
     if not bank.class_ids:
         raise EmptyModel("model bank has no classes")
     t = bank.kappa * (bank.means @ np.asarray(v, dtype=np.float64))
-    lse, _ = segment_log_softmax(t[None, :], bank.offsets)
-    return lse[0] - np.log(bank.sizes)
+    lse, _ = segment_log_softmax(t[None, :], bank.layout)
+    return lse[0] - bank.layout.log_sizes
 
 
 def class_posterior(bank: ModelBank, v: np.ndarray) -> np.ndarray:
@@ -193,7 +255,7 @@ def predict_batch(bank: ModelBank, vs: np.ndarray) -> np.ndarray:
     if not bank.class_ids:
         raise EmptyModel("model bank has no classes")
     # columns ascend by class id, so the first maximal column is the lowest tied class's
-    column_class = np.repeat(np.asarray(bank.class_ids, dtype=np.int64), bank.sizes)
+    column_class = bank.layout.column_class
     out = np.empty(len(vs), dtype=np.int64)
     for lo in range(0, len(vs), PREDICT_BLOCK_ROWS):
         rows = slice(lo, lo + PREDICT_BLOCK_ROWS)

@@ -230,7 +230,8 @@ def _old_log_posteriors(snapshot: ModelState, records: FeatureRecords) -> np.nda
     """
     old_feats = bb.forward_batch(snapshot.params, records.x)
     t = snapshot.bank.kappa * (old_feats @ snapshot.bank.means.T)
-    return mx.segment_log_softmax(t, snapshot.bank.offsets)[1]
+    mx.segment_log_softmax(t, snapshot.bank.layout)
+    return t
 
 
 def train_session(
@@ -270,6 +271,8 @@ def train_session(
     if snapshot is not None and cfg.loss.beta != 0.0:
         old_lp = _old_log_posteriors(snapshot, data)
 
+    # a backbone rate of exactly 0 leaves the layers as they are, so their gradient is not needed
+    frozen = (cfg.loss.lr if cfg.loss.backbone_lr is None else cfg.loss.backbone_lr) == 0.0
     n = len(data)
     for epoch in range(cfg.loss.epochs):
         z = _e_step_array(bank, bb.forward_batch(params, data.x), data.y)
@@ -285,6 +288,7 @@ def train_session(
                 params, bank, data.x[idx], data.y[idx], z[idx],
                 lam=lam, beta=cfg.loss.beta, eta=cfg.loss.eta,
                 old_log_post=None if old_lp is None else (snapshot.bank, old_lp[idx]),
+                with_layers=not frozen,
             )
             for name in sums:
                 sums[name] += terms[name] * idx.size

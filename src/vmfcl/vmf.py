@@ -38,16 +38,25 @@ def normalize(v) -> np.ndarray:
     return arr / n
 
 
-def normalize_rows(x: np.ndarray) -> np.ndarray:
-    """Row-wise unit projection of an (n, d) matrix.
+def row_norms(x: np.ndarray) -> np.ndarray:
+    """(n, 1) Euclidean norms of the rows of a real (n, d) matrix.
+
+    The same reduction ``np.linalg.norm(x, axis=1, keepdims=True)`` runs,
+    without its argument handling.
+    """
+    return np.sqrt(np.add.reduce(x * x, axis=1, keepdims=True))
+
+
+def normalize_rows(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Row-wise unit projection of an (n, d) matrix, into ``out`` when given (may be ``x``).
 
     Raises DegenerateFeature if any row has (near-)zero norm or is non-finite.
     """
     x = np.asarray(x, dtype=np.float64)
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise DegenerateFeature("non-finite entries in feature rows")
-    norms = np.linalg.norm(x, axis=1, keepdims=True)
-    if np.any(norms < ZERO_NORM_EPS):
+    norms = row_norms(x)
+    if (norms < ZERO_NORM_EPS).any():
         bad = int(np.argmin(norms))
         raise DegenerateFeature(f"row {bad} has norm {float(norms[bad, 0]):.3e}")
-    return x / norms
+    return np.divide(x, norms, out=out)

@@ -418,6 +418,19 @@ test = {out}/test.vmfs
         shown = capsys.readouterr().out
         assert "avg_inc_acc" in shown
 
+    def test_report_of_a_json_non_object_is_a_config_error(self, tmp_path, capsys):
+        cfg = self.write_cfg(tmp_path)
+        good = str(tmp_path / "a" / "report.json")
+        assert cli_main(["run", "--config", cfg, "--out", str(tmp_path / "a")]) == 0
+        capsys.readouterr()
+        bad = tmp_path / "list.json"
+        bad.write_text("[1, 2]\n")
+        for files in ([str(bad)], [good, str(bad)], [str(bad), good]):
+            assert cli_main(["report", *files]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""  # nothing printed before the error
+            assert "config error" in captured.err and f"{bad} is not a JSON object" in captured.err
+
     def test_export_embeddings(self, tmp_path):
         cfg = self.write_cfg(tmp_path)
         out = str(tmp_path / "exp")
@@ -436,6 +449,14 @@ test = {out}/test.vmfs
         bad.write_text(config_with("run", "seed", "-1"))
         assert cli_main(["run", "--config", str(bad), "--out", str(tmp_path / "x")]) == 1
         assert "config error" in capsys.readouterr().err
+
+    def test_kappa_beyond_the_snapshot_float32_is_a_config_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(config_with("run", "kappa", "1e300"))
+        out = tmp_path / "x"
+        assert cli_main(["run", "--config", str(bad), "--out", str(out)]) == 1
+        assert "kappa must fit" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_config_exit_code(self, tmp_path):
         missing = str(tmp_path / "no.cfg")

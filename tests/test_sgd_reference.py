@@ -1,0 +1,177 @@
+"""Property tests: one SGD step equals the fresh-array reference byte for byte.
+
+``vmfcl.backbone.loss_and_grad`` reads its layout arrays and the teacher
+column map from ``ModelBank.layout`` and reuses its temporaries in place;
+``sgd_step`` steps and re-projects the means in one buffer and leaves a
+frozen backbone as it is. ``reference_sgd`` is the same step written with
+every array rebuilt and freshly allocated, so the two must agree on every
+byte of the loss, the terms and the gradients. The frozen path
+(``with_layers=False``) must return what the full path returns, minus the
+layer gradient.
+"""
+
+import numpy as np
+import pytest
+import reference_sgd as ref
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from vmfcl.backbone import init_params, loss_and_grad, sgd_step
+from vmfcl.errors import ModelRegression
+from vmfcl.mixture import ClassMixture, ModelBank
+from vmfcl.structure import expand
+from vmfcl.trainer import ModelState
+from vmfcl.vmf import normalize_rows
+
+
+def teacher_log_post(teacher: ModelState, x):
+    feats = ref.normalize_rows(ref._forward_raw(teacher.params, x)[0])
+    t = teacher.bank.kappa * (feats @ teacher.bank.means.T)
+    return ref.segment_log_softmax(t, teacher.bank.offsets)[1]
+
+
+@st.composite
+def steps(draw):
+    """A bank of 1-8 classes (K 1-12, d 2-8), an optional teacher it grew from, a batch and coefficients."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    d = draw(st.integers(2, 8))
+    kappa = draw(st.sampled_from([0.0, 1.0, 16.0, 100.0]))
+    n_classes = draw(st.integers(1, 8))
+    ids = sorted(draw(st.sets(st.integers(0, 50), min_size=n_classes, max_size=n_classes)))
+    n_old = draw(st.integers(0, n_classes))
+    old_ids = sorted(draw(st.permutations(ids))[:n_old])
+    hidden = draw(st.sampled_from([0, 3]))
+    teacher = None
+    if old_ids:
+        old = ModelBank(d, kappa, {
+            c: ClassMixture(c, normalize_rows(rng.standard_normal((draw(st.integers(1, 6)), d))))
+            for c in old_ids
+        })
+        grown = [c for c in ids if c not in old_ids or draw(st.booleans())]
+        bank = expand(old, grown, draw(st.integers(1, 6)), rng) if grown else old.copy()
+        teacher = ModelState(init_params(d + 1, d, hidden, rng), old)
+    else:
+        bank = ModelBank(d, kappa, {
+            c: ClassMixture(c, normalize_rows(rng.standard_normal((draw(st.integers(1, 12)), d))))
+            for c in ids
+        })
+    n = draw(st.integers(1, 16))
+    params = init_params(d + 1, d, hidden, rng)
+    x = rng.standard_normal((n, d + 1))
+    y = rng.choice(ids, size=n)
+    z = rng.integers(0, bank.sizes[np.searchsorted(ids, y)])
+    coef = {name: draw(st.sampled_from([0.0, 0.07, 1.0])) for name in ("lam", "beta", "eta")}
+    old_lp = None if teacher is None else (teacher.bank, teacher_log_post(teacher, x))
+    return params, bank, x, y, z, coef, old_lp
+
+
+def same_bytes(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def assert_same_result(got, want, layers=True):
+    loss, grad, terms = got
+    want_loss, want_grad, want_terms = want
+    assert same_bytes(loss, want_loss)
+    assert terms.keys() == want_terms.keys()
+    for name in terms:
+        assert same_bytes(terms[name], want_terms[name]), name
+    assert same_bytes(grad.means, want_grad.means)
+    if layers:
+        assert len(grad.layers) == len(want_grad.layers)
+        for (gw, gb), (rw, rb) in zip(grad.layers, want_grad.layers):
+            assert same_bytes(gw, rw) and same_bytes(gb, rb)
+    else:
+        assert grad.layers is None
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(steps())
+def test_loss_and_grad_matches_the_reference_byte_for_byte(case):
+    params, bank, x, y, z, coef, old_lp = case
+    want = ref.loss_and_grad(params, bank, x, y, z, old_log_post=old_lp, **coef)
+    assert_same_result(loss_and_grad(params, bank, x, y, z, old_log_post=old_lp, **coef), want)
+    # the same bank and teacher again: the layout and the teacher map are cached now
+    assert_same_result(loss_and_grad(params, bank, x, y, z, old_log_post=old_lp, **coef), want)
+    frozen = loss_and_grad(params, bank, x, y, z, old_log_post=old_lp, with_layers=False, **coef)
+    assert_same_result(frozen, want, layers=False)
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(steps(), st.sampled_from([0.0, 0.01, 0.5]), st.sampled_from([None, 0.0, 0.02]),
+       st.sampled_from([0.0, 0.0005]))
+def test_sgd_step_matches_the_reference_byte_for_byte(case, lr, backbone_lr, weight_decay):
+    params, bank, x, y, z, coef, old_lp = case
+    _, grad, _ = ref.loss_and_grad(params, bank, x, y, z, old_log_post=old_lp, **coef)
+    want_params, want_bank = ref.sgd_step(params, bank, grad, lr, weight_decay, backbone_lr)
+    new_params, new_bank = sgd_step(params, bank, grad, lr, weight_decay, backbone_lr)
+    assert same_bytes(new_bank.means, want_bank.means)
+    assert new_bank.layout is bank.layout
+    for (w, b), (rw, rb) in zip(new_params.layers, want_params.layers):
+        assert same_bytes(w, rw) and same_bytes(b, rb)
+    if (lr if backbone_lr is None else backbone_lr) == 0.0:
+        assert new_params is params
+        # the frozen step needs no layer gradient
+        _, frozen, _ = loss_and_grad(params, bank, x, y, z, old_log_post=old_lp, with_layers=False,
+                                     **coef)
+        frozen_params, frozen_bank = sgd_step(params, bank, frozen, lr, weight_decay, backbone_lr)
+        assert frozen_params is params
+        assert same_bytes(frozen_bank.means, want_bank.means)
+
+
+def test_frozen_gradient_cannot_train_the_backbone():
+    rng = np.random.default_rng(3)
+    params = init_params(4, 3, 0, rng)
+    bank = ModelBank(3, 16.0, {0: ClassMixture(0, normalize_rows(rng.standard_normal((2, 3))))})
+    x, y, z = rng.standard_normal((5, 4)), np.zeros(5, np.int64), np.zeros(5, np.int64)
+    _, grad, _ = loss_and_grad(params, bank, x, y, z, 0.1, 0.0, 0.1, with_layers=False)
+    with pytest.raises(ValueError):
+        sgd_step(params, bank, grad, 0.1)
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(steps(), st.integers(1, 12), st.integers(0, 2**32 - 1))
+def test_set_mixture_repacks_like_a_fresh_bank(case, k, seed):
+    params, bank, x, y, z, coef, _ = case
+    c = bank.class_ids[seed % len(bank.class_ids)]
+    # read the layout (and warm the teacher cache) before the repack
+    loss_and_grad(params, bank, x, y, np.zeros_like(z), old_log_post=None, **coef)
+    means = normalize_rows(np.random.default_rng(seed).standard_normal((k, bank.dim)))
+    bank.set_mixture(ClassMixture(c, means))
+    fresh = ModelBank(bank.dim, bank.kappa, {m.class_id: m.copy() for m in bank.mixtures.values()})
+    for name, arr in vars(fresh.layout).items():
+        if isinstance(arr, np.ndarray):
+            assert same_bytes(getattr(bank.layout, name), arr), name
+    z = np.minimum(z, bank.sizes[np.searchsorted(bank.class_ids, y)] - 1)
+    want = ref.loss_and_grad(params, fresh, x, y, z, **coef)
+    assert_same_result(loss_and_grad(params, bank, x, y, z, **coef), want)
+    assert_same_result(loss_and_grad(params, fresh, x, y, z, **coef), want)
+
+
+def test_mismatched_teacher_after_a_cached_hit_still_raises():
+    rng = np.random.default_rng(11)
+    d = 4
+    old = ModelBank(d, 16.0, {
+        c: ClassMixture(c, normalize_rows(rng.standard_normal((2, d)))) for c in (1, 5)
+    })
+    bank = expand(old, [1, 5, 8], 3, rng)
+    params = init_params(d + 1, d, 0, rng)
+    x = rng.standard_normal((6, d + 1))
+    y, z = np.array([1, 5, 8, 1, 5, 8]), np.zeros(6, np.int64)
+    teacher = ModelState(params, old)
+    args = dict(lam=0.1, beta=1.0, eta=0.1)
+    old_lp = (old, teacher_log_post(teacher, x))
+    for _ in range(2):  # the second call hits the cached teacher map
+        want = ref.loss_and_grad(params, bank, x, y, z, old_log_post=old_lp, **args)
+        assert_same_result(loss_and_grad(params, bank, x, y, z, old_log_post=old_lp, **args), want)
+    lost_class = ModelBank(d, 16.0, {c: ClassMixture(c, old.mixture(1).means) for c in (1, 3)})
+    more_components = ModelBank(d, 16.0, {1: ClassMixture(1, normalize_rows(rng.standard_normal((6, d))))})
+    for bad in (lost_class, more_components):
+        log_r = np.zeros((len(y), bad.means.shape[0]))
+        with pytest.raises(ModelRegression):
+            ref.loss_and_grad(params, bank, x, y, z, old_log_post=(bad, log_r), **args)
+        with pytest.raises(ModelRegression):
+            loss_and_grad(params, bank, x, y, z, old_log_post=(bad, log_r), **args)
+    # the valid teacher still works after the failures
+    assert_same_result(loss_and_grad(params, bank, x, y, z, old_log_post=old_lp, **args), want)

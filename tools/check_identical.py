@@ -1,0 +1,105 @@
+#!/usr/bin/env python3
+"""Check that this checkout writes the same run outputs, byte for byte, as a git revision.
+
+Run from anywhere inside the repository:
+
+    python3 tools/check_identical.py REV [--seeds 1-3]
+
+REV is checked out in a temporary git worktree (under ``$TMPDIR``), and
+``python -m vmfcl run`` runs in both trees, each on its own ``src/``, for
+every seed on:
+
+* ``configs/nd_gain.cfg`` and ``configs/ncd_purity.cfg``, under both methods;
+* ``perfbench/configs/nd_wide.cfg`` and ``perfbench/configs/nc_eval.cfg``,
+  read as they are, under their configured method.
+
+For each run the sha256 of ``report.json`` and ``model.vmfb`` are compared
+and one line is printed. The exit code is 1 when any file differs, is
+missing, or a run fails in either tree, and 0 when everything is identical.
+The configs are read from this checkout in both trees, so both run the same
+inputs.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+# (config relative to the repository root, method or None for the configured one)
+RUNS = [
+    ("configs/nd_gain.cfg", "domain_aware"),
+    ("configs/nd_gain.cfg", "replay_baseline"),
+    ("configs/ncd_purity.cfg", "domain_aware"),
+    ("configs/ncd_purity.cfg", "replay_baseline"),
+    ("perfbench/configs/nd_wide.cfg", None),
+    ("perfbench/configs/nc_eval.cfg", None),
+]
+OUTPUTS = ("report.json", "model.vmfb")
+
+
+def parse_seeds(text: str) -> list[int]:
+    """``1-3`` or ``1,4,7`` (or a mix) as a list of seeds."""
+    seeds = []
+    for part in text.split(","):
+        lo, _, hi = part.partition("-")
+        seeds.extend(range(int(lo), int(hi or lo) + 1))
+    return seeds
+
+
+def run(tree: Path, config: str, method: str | None, seed: int, out: Path) -> bool:
+    cmd = [sys.executable, "-m", "vmfcl", "run", "--config", str(ROOT / config),
+           "--seed", str(seed), "--out", str(out)]
+    if method:
+        cmd += ["--method", method]
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    done = subprocess.run(cmd, cwd=tree, env=env, capture_output=True, text=True)
+    if done.returncode != 0:
+        print(f"  run failed in {tree}: {done.stderr.strip()}")
+    return done.returncode == 0
+
+
+def digest(path: Path) -> str | None:
+    return hashlib.sha256(path.read_bytes()).hexdigest() if path.is_file() else None
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("rev", help="git revision to compare against, e.g. HEAD or a commit SHA")
+    parser.add_argument("--seeds", default="1-3", help="run seeds, e.g. 1-3 or 1,5 (default 1-3)")
+    args = parser.parse_args(argv)
+    seeds = parse_seeds(args.seeds)
+
+    differ = 0
+    with tempfile.TemporaryDirectory(prefix="check_identical-") as tmp:
+        base = Path(tmp) / "base"
+        subprocess.run(["git", "worktree", "add", "--detach", "--quiet", str(base), args.rev],
+                       cwd=ROOT, check=True)
+        try:
+            for config, method in RUNS:
+                for seed in seeds:
+                    label = f"{Path(config).stem}.{method or 'configured'}.seed{seed}"
+                    outs = {name: Path(tmp) / name / label for name in ("base", "this")}
+                    ok = run(base, config, method, seed, outs["base"])
+                    ok = run(ROOT, config, method, seed, outs["this"]) and ok
+                    for name in OUTPUTS:
+                        a, b = digest(outs["base"] / name), digest(outs["this"] / name)
+                        same = ok and a is not None and a == b
+                        differ += not same
+                        verdict = "identical" if same else "DIFFERENT"
+                        print(f"{label:42s} {name:12s} {verdict:9s} {a or 'missing'}"
+                              + ("" if same else f" vs {b or 'missing'}"))
+        finally:
+            subprocess.run(["git", "worktree", "remove", "--force", str(base)], cwd=ROOT, check=False)
+    total = len(RUNS) * len(seeds) * len(OUTPUTS)
+    print(f"{total - differ} of {total} files identical to {args.rev}")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
