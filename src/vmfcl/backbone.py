@@ -144,6 +144,10 @@ def loss_and_grad(
     built once per packing, and the (n, K) and (K, d) temporaries are
     reused in place; the arithmetic is the same expressions in the same
     order as a fresh-array version, so the results are too, bit for bit.
+    When every teacher class kept its component count (a session that only
+    adds classes), each is a whole class block of ``bank``, so its
+    restricted posteriors are gathered from the step's own within-class
+    ones: the same reductions over the same values, not run a second time.
     Reductions call the ufunc methods (``np.add.reduce``, ...) that
     ``np.sum``, ``np.max``, ``np.mean`` and ``np.all`` wrap, which skips
     their per-call argument handling.
@@ -167,11 +171,14 @@ def loss_and_grad(
         raise NumericalError("batch contains non-finite inputs")
 
     v_raw, acts = _forward_raw(params, x)
-    if not np.isfinite(v_raw).all():
-        raise NumericalError("forward produced non-finite features")
     norms = row_norms(v_raw)
-    if (norms < ZERO_NORM_EPS).any():
-        raise NumericalError("forward produced a zero-norm feature")
+    # a NaN or infinite entry gives a NaN or infinite norm, so one test on the norms covers it
+    if not ((norms >= ZERO_NORM_EPS) & (norms < np.inf)).all():
+        if not np.isfinite(v_raw).all():
+            raise NumericalError("forward produced non-finite features")
+        if (norms < ZERO_NORM_EPS).any():
+            raise NumericalError("forward produced a zero-norm feature")
+        raise NumericalError("forward produced a feature with an infinite norm")  # squares overflow
     v = v_raw / norms
 
     layout, means, kappa = bank.layout, bank.means, bank.kappa
@@ -187,16 +194,20 @@ def loss_and_grad(
     distilling = beta != 0.0 and old_log_post is not None
     if distilling:
         old, log_r = old_log_post
-        cols = layout.teacher_columns(old.layout)  # raises ModelRegression
+        cols, kept = layout.teacher_columns(old.layout)  # raises ModelRegression
 
     t = v @ means.T
     t *= kappa  # (n, K) scores, class blocks at the offsets
-    if distilling:
-        t_old = t[:, cols]
+    if distilling and not kept:
+        log_q = t[:, cols]
     lse, comp_post = segment_log_softmax(t, layout)
     log_comp = t  # within-class log-softmax
     log_p = _log_softmax(lse - layout.log_sizes)
     np.exp(log_comp, out=comp_post)  # softmax within each class
+    if distilling and kept:
+        # each teacher class is a whole class block here, so its restricted
+        # posteriors are this step's own; gather before intra overwrites comp_post
+        log_q, q = log_comp[:, cols], comp_post[:, cols]
 
     inter = -(float(np.add.reduce(log_p[rows, y_cols])) / n)  # the batch mean
 
@@ -221,9 +232,10 @@ def loss_and_grad(
     # inherited components and renormalized
     distill = 0.0
     if distilling:
-        _, q = segment_log_softmax(t_old, old.layout)
-        np.exp(t_old, out=q)
-        diff = t_old
+        if not kept:
+            _, q = segment_log_softmax(log_q, old.layout)
+            np.exp(log_q, out=q)
+        diff = log_q
         diff -= log_r
         kl = np.add.reduceat(q * diff, old.layout.starts, axis=1)  # (n, C_old)
         n_old = old.layout.ids.size

@@ -14,12 +14,15 @@ same thing:
 For a given input the argmax of ``class_posterior`` can legitimately differ
 from ``predict``; both paths are part of the contract.
 
-The shared kappa cancels from every hard decision, so ``predict_batch`` and
-``assign_components_batch`` (and their one-row cases ``predict`` and
-``assign_component``) take an argmax of dot products from one BLAS-free
-kernel, ``_dots``: an exact tie goes to the lowest class id or component
-index. ``predict_batch`` takes one argmax over all the bank's columns, which
-ascend by class id, and maps the winning column to its class.
+The shared kappa cancels from every hard decision, so each is an argmax of
+dot products, and one BLAS-free kernel, ``_dots``, defines them all: an
+exact tie goes to the lowest class id or component index.
+``assign_components_batch`` (and ``assign_component``) take the argmax of
+``_dots`` directly. ``predict_batch`` (and ``predict``) take one argmax
+over all the bank's columns, which ascend by class id, and map the winning
+column to its class; they score with BLAS and rescore with ``_dots`` every
+row whose margin does not certify that both kernels pick the same column,
+so they return the ``_dots`` answer on every row.
 """
 
 from __future__ import annotations
@@ -94,26 +97,29 @@ class BankLayout:
         self.column_pair_weight = np.repeat(-(w_pair / n_classes), self.sizes)
         for arr in vars(self).values():
             arr.flags.writeable = False
-        self._teacher: tuple[BankLayout, np.ndarray] | None = None
+        self._teacher: tuple[BankLayout, np.ndarray, bool] | None = None
 
-    def teacher_columns(self, old: "BankLayout") -> np.ndarray:
-        """This layout's columns of ``old``'s components, in ``old``'s column order.
+    def teacher_columns(self, old: "BankLayout") -> tuple[np.ndarray, bool]:
+        """This layout's columns of ``old``'s components, in ``old``'s column order,
+        and whether every class of ``old`` kept its component count here.
 
         Expansion appends, so each of ``old``'s classes maps to the leading
-        columns of the same class here. The map of the last ``old`` asked
-        for is kept, so the check runs once per (layout, teacher layout)
-        pair. Raises ModelRegression when a class or component of ``old``
-        is missing here.
+        columns of the same class here. When no class grew, each of those
+        column runs is a whole class block of this layout. The answer for
+        the last ``old`` asked for is kept, so the check runs once per
+        (layout, teacher layout) pair. Raises ModelRegression when a class or
+        component of ``old`` is missing here.
         """
         if self._teacher is not None and self._teacher[0] is old:
-            return self._teacher[1]
+            return self._teacher[1], self._teacher[2]
         at = np.searchsorted(self.ids, old.ids)
         if not np.array_equal(self.ids.take(at, mode="clip"), old.ids) or np.any(self.sizes[at] < old.sizes):
             raise ModelRegression("the bank lost a class or component of the previous session")
         cols = np.repeat(self.offsets[at] - old.starts, old.sizes) + np.arange(old.offsets[-1])
         cols.flags.writeable = False
-        self._teacher = (old, cols)
-        return cols
+        kept = bool(np.array_equal(self.sizes[at], old.sizes))
+        self._teacher = (old, cols, kept)
+        return cols, kept
 
 
 class ModelBank:
@@ -251,15 +257,44 @@ def predict(bank: ModelBank, v: np.ndarray) -> int:
 
 
 def predict_batch(bank: ModelBank, vs: np.ndarray) -> np.ndarray:
-    """``predict`` for every row of an (n, d) matrix, scored in blocks of rows."""
+    """``predict`` for every row of an (n, d) matrix, scored in blocks of rows.
+
+    Each block is scored with one BLAS product. In any summation order, with
+    or without FMA, a computed d-term dot product v . mu lies within
+    E = gamma_d * sum|v_i mu_i| <= gamma_d * |v|_1 * max|mu_ij| (plus an
+    underflow term) of the exact one, and so does the ``_dots`` entry. Where
+    the best column beats the runner-up by more than 4 E, ``_dots`` has the
+    same unique argmax; the check below asks for twice that, which also covers
+    the rounding in the check itself. Every other row (an exact or near tie,
+    NaN, overflow) is rescored with ``_dots``. So every row gets the argmax
+    of ``_dots``, ties to the lowest class id, as ``predict`` defines it.
+    """
     if not bank.class_ids:
         raise EmptyModel("model bank has no classes")
     # columns ascend by class id, so the first maximal column is the lowest tied class's
-    column_class = bank.layout.column_class
+    column_class, means = bank.layout.column_class, bank.means
+    vs = np.ascontiguousarray(vs, dtype=np.float64)
+    # a row is certified when its margin exceeds 2 * 4 E = |v|_1 * per_l1 + floor; the
+    # |v|_1 * per_l1 product is a BLAS matvec, whose own rounding the factor 2 covers
+    du = bank.dim * 2.0**-53
+    per_l1 = np.full(bank.dim, 8.0 * du / (1.0 - du) * float(np.max(np.abs(means))))
+    floor = 8.0 * bank.dim * np.finfo(np.float64).tiny  # underflow: d * 2**-1022, far above its bound
     out = np.empty(len(vs), dtype=np.int64)
     for lo in range(0, len(vs), PREDICT_BLOCK_ROWS):
-        rows = slice(lo, lo + PREDICT_BLOCK_ROWS)
-        out[rows] = column_class[np.argmax(_dots(vs[rows], bank.means), axis=1)]
+        block = vs[lo : lo + PREDICT_BLOCK_ROWS]
+        s = block @ means.T
+        rows = np.arange(len(block))
+        top = np.argmax(s, axis=1)
+        best = s[rows, top]
+        s[rows, top] = -np.inf
+        # the runner-up; a row argmax is faster than a row max on short rows
+        margin = best - s[rows, np.argmax(s, axis=1)]  # inf for a single column
+        tol = np.abs(block) @ per_l1
+        tol += floor
+        redo = np.flatnonzero(~((margin > tol) & (best < np.inf)))  # NaN and overflow fail
+        if redo.size:
+            top[redo] = np.argmax(_dots(block[redo], means), axis=1)
+        out[lo : lo + len(block)] = column_class[top]
     return out
 
 

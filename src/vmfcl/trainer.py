@@ -6,6 +6,11 @@ its closest component within its class) with mini-batch SGD on the combined
 objective. After the last epoch the mixtures are reduced and a final E-step
 produces assignments consistent with the reduced model.
 
+The backbone features of the session data are computed once per E-step
+that follows a layer update: the first forward also gives the teacher its
+features (the snapshot's layers are the session's until the first step),
+and a session whose backbone rate is exactly 0 runs that one forward only.
+
 The intra-class coefficient follows a linear warmup from 0: it only starts
 to matter once the class prediction that the assignments depend on has had
 time to stabilize.
@@ -223,13 +228,14 @@ def overall_loss(
     )
 
 
-def _old_log_posteriors(snapshot: ModelState, records: FeatureRecords) -> np.ndarray:
+def _old_log_posteriors(snapshot: ModelState, feats: np.ndarray) -> np.ndarray:
     """Teacher log posteriors for the whole dataset, computed once per session.
 
-    One (n, K_old) array in the teacher bank's row order, log-softmax per class.
+    ``feats`` are the snapshot backbone's unit features of the records.
+    Returns one (n, K_old) array in the teacher bank's row order, log-softmax
+    per class.
     """
-    old_feats = bb.forward_batch(snapshot.params, records.x)
-    t = snapshot.bank.kappa * (old_feats @ snapshot.bank.means.T)
+    t = snapshot.bank.kappa * (feats @ snapshot.bank.means.T)
     mx.segment_log_softmax(t, snapshot.bank.layout)
     return t
 
@@ -267,15 +273,22 @@ def train_session(
     if memory is not None and len(memory) > 0:
         data = concat_records(incoming.records, memory.records)
 
+    # a backbone rate of exactly 0 leaves the layers as they are, so their
+    # gradient is not needed and their features stay valid all session
+    frozen = (cfg.loss.lr if cfg.loss.backbone_lr is None else cfg.loss.backbone_lr) == 0.0
+    # the snapshot's layers are these layers until the first step: one forward serves both
+    feats = bb.forward_batch(params, data.x)
     old_lp = None
     if snapshot is not None and cfg.loss.beta != 0.0:
-        old_lp = _old_log_posteriors(snapshot, data)
+        old_lp = _old_log_posteriors(snapshot, feats)
 
-    # a backbone rate of exactly 0 leaves the layers as they are, so their gradient is not needed
-    frozen = (cfg.loss.lr if cfg.loss.backbone_lr is None else cfg.loss.backbone_lr) == 0.0
     n = len(data)
     for epoch in range(cfg.loss.epochs):
-        z = _e_step_array(bank, bb.forward_batch(params, data.x), data.y)
+        if feats is None:
+            feats = bb.forward_batch(params, data.x)
+        z = _e_step_array(bank, feats, data.y)
+        if not frozen:
+            feats = None  # the layers step below
         lam = lambda_at(epoch, cfg.loss)
         factor = _lr_factor(epoch, cfg.loss.epochs)
         lr = cfg.loss.lr * factor
@@ -306,7 +319,8 @@ def train_session(
                 f"dis={dis:.6f} reg={reg:.6f} total={total:.6f}\n"
             )
 
-    feats = bb.forward_batch(params, data.x)
+    if feats is None:
+        feats = bb.forward_batch(params, data.x)
     if cfg.reduce_enabled:
         z = _e_step_array(bank, feats, data.y)
         stats = st.collect_stats(bank, data.y, z, feats)

@@ -3,8 +3,9 @@
 Every feature and component mean lives on the unit sphere S^{d-1}. All
 components share one concentration kappa, so the vMF normalizer cancels
 from every posterior and no density is evaluated: ``normalize`` and
-``normalize_rows`` project onto the sphere, and norms below
-``ZERO_NORM_EPS`` count as zero.
+``normalize_rows`` project onto the sphere. Norms below ``ZERO_NORM_EPS``
+count as zero, and an infinite norm (a vector whose squared entries
+overflow) is rejected too: dividing by it would give a zero vector.
 """
 
 from __future__ import annotations
@@ -25,13 +26,13 @@ def normalize(v) -> np.ndarray:
 
     Raises:
         DimensionError: fewer than 2 entries.
-        DegenerateFeature: (near-)zero norm.
+        DegenerateFeature: (near-)zero, infinite or NaN norm.
     """
     arr = np.asarray(v, dtype=np.float64)
     if arr.ndim != 1 or arr.shape[0] < 2:
         raise DimensionError(f"expected a vector with d >= 2 entries, got shape {arr.shape}")
     n = float(np.linalg.norm(arr))
-    if n < ZERO_NORM_EPS:
+    if not ZERO_NORM_EPS <= n < np.inf:  # NaN fails too
         raise DegenerateFeature(f"cannot normalize a vector with norm {n:.3e}")
     if abs(n - 1.0) < ZERO_NORM_EPS:
         return arr
@@ -50,13 +51,16 @@ def row_norms(x: np.ndarray) -> np.ndarray:
 def normalize_rows(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Row-wise unit projection of an (n, d) matrix, into ``out`` when given (may be ``x``).
 
-    Raises DegenerateFeature if any row has (near-)zero norm or is non-finite.
+    Raises DegenerateFeature if any row is non-finite or has a (near-)zero
+    or infinite norm.
     """
     x = np.asarray(x, dtype=np.float64)
-    if not np.isfinite(x).all():
-        raise DegenerateFeature("non-finite entries in feature rows")
     norms = row_norms(x)
-    if (norms < ZERO_NORM_EPS).any():
-        bad = int(np.argmin(norms))
-        raise DegenerateFeature(f"row {bad} has norm {float(norms[bad, 0]):.3e}")
+    # a NaN or infinite entry gives a NaN or infinite norm, so one test on the norms covers it
+    ok = (norms >= ZERO_NORM_EPS) & (norms < np.inf)
+    if not ok.all():
+        if not np.isfinite(x).all():
+            raise DegenerateFeature("non-finite entries in feature rows")
+        row = int(np.argmin(ok))
+        raise DegenerateFeature(f"row {row} has norm {float(norms[row, 0]):.3e}")
     return np.divide(x, norms, out=out)

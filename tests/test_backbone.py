@@ -138,6 +138,16 @@ class TestLossAndGrad:
         with pytest.raises(NumericalError):
             loss_and_grad(params, bank, x, y, zhat, lam=0.0, beta=0.0, eta=0.0)
 
+    def test_overflowing_feature_norm_raises_numerical_error(self):
+        # finite features whose squared norm overflows would divide to a zero feature
+        rng = np.random.default_rng(10)
+        _, bank, x, y, zhat = make_setup(rng, din=4, d=4)
+        for scale in (1e300, 1e160):
+            params = BackboneParams([(scale * np.eye(4), np.zeros(4))])
+            with np.errstate(over="ignore"), pytest.raises(NumericalError, match="infinite norm"):
+                loss_and_grad(params, bank, np.abs(x) + 1.0, y, zhat, lam=0.0, beta=0.0, eta=0.0,
+                              with_layers=False)
+
     def test_inputs_outside_the_bank_rejected(self):
         # packed columns would otherwise read a neighbouring class
         rng = np.random.default_rng(16)

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vmfcl.backbone import init_params, loss_and_grad, sgd_step
+from vmfcl.backbone import forward_batch, init_params, loss_and_grad, sgd_step
 from vmfcl.mixture import ClassMixture, ModelBank, assign_components_batch, predict_batch
 from vmfcl.streams import ROLE_TRAIN, FeatureRecords
 from vmfcl.structure import expand
@@ -74,6 +74,10 @@ def cases(draw):
     return bank, teacher, params, x, y, z
 
 
+def teacher_log_post(teacher: ModelState, x) -> np.ndarray:
+    return _old_log_posteriors(teacher, forward_batch(teacher.params, x))
+
+
 def records(x, y) -> FeatureRecords:
     n = len(y)
     return FeatureRecords(np.arange(n, dtype=np.uint64), x, y, np.full(n, -1, np.int32),
@@ -85,7 +89,7 @@ def records(x, y) -> FeatureRecords:
 def test_packed_terms_match_the_per_class_oracles(case):
     bank, teacher, params, x, y, z = case
     recs = records(x, y)
-    old_lp = None if teacher is None else (teacher.bank, _old_log_posteriors(teacher, recs))
+    old_lp = None if teacher is None else (teacher.bank, teacher_log_post(teacher, x))
     _, _, terms = loss_and_grad(params, bank, x, y, z, lam=1.0, beta=1.0, eta=1.0, old_log_post=old_lp)
     inter = clf_loss(bank, params, recs, z, 0.0)
     assert terms["inter"] == pytest.approx(inter, rel=TOL, abs=TOL)
@@ -99,7 +103,7 @@ def test_packed_terms_match_the_per_class_oracles(case):
 @given(cases(), st.sampled_from([0.01, 0.5]))
 def test_packed_sgd_step_is_a_per_class_normalized_update(case, lr):
     bank, teacher, params, x, y, z = case
-    old_lp = None if teacher is None else (teacher.bank, _old_log_posteriors(teacher, records(x, y)))
+    old_lp = None if teacher is None else (teacher.bank, teacher_log_post(teacher, x))
     _, grad, _ = loss_and_grad(params, bank, x, y, z, lam=0.1, beta=1.0, eta=0.1, old_log_post=old_lp)
     _, new_bank = sgd_step(params, bank, grad, lr)
     assert new_bank.class_ids == bank.class_ids

@@ -7,7 +7,9 @@ frozen backbone as it is. ``reference_sgd`` is the same step written with
 every array rebuilt and freshly allocated, so the two must agree on every
 byte of the loss, the terms and the gradients. The frozen path
 (``with_layers=False``) must return what the full path returns, minus the
-layer gradient.
+layer gradient. Teachers are drawn whose classes all kept their component
+count (``loss_and_grad`` then reuses the step's own posteriors), some of
+which grew, or all of which grew.
 """
 
 import numpy as np
@@ -31,14 +33,19 @@ def teacher_log_post(teacher: ModelState, x):
 
 
 @st.composite
-def steps(draw):
-    """A bank of 1-8 classes (K 1-12, d 2-8), an optional teacher it grew from, a batch and coefficients."""
+def steps(draw, teacher_growth=st.sampled_from(["kept", "some", "all"]), min_old=0):
+    """A bank of 1-8 classes (K 1-12, d 2-8), an optional teacher it grew from, a batch and coefficients.
+
+    The bank adds the classes the teacher lacks. Of the teacher's own
+    classes none grows (``kept``, a session that only adds classes), a drawn
+    subset grows (``some``) or every one grows (``all``).
+    """
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     d = draw(st.integers(2, 8))
     kappa = draw(st.sampled_from([0.0, 1.0, 16.0, 100.0]))
-    n_classes = draw(st.integers(1, 8))
+    n_classes = draw(st.integers(max(1, min_old), 8))
     ids = sorted(draw(st.sets(st.integers(0, 50), min_size=n_classes, max_size=n_classes)))
-    n_old = draw(st.integers(0, n_classes))
+    n_old = draw(st.integers(min_old, n_classes))
     old_ids = sorted(draw(st.permutations(ids))[:n_old])
     hidden = draw(st.sampled_from([0, 3]))
     teacher = None
@@ -47,7 +54,9 @@ def steps(draw):
             c: ClassMixture(c, normalize_rows(rng.standard_normal((draw(st.integers(1, 6)), d))))
             for c in old_ids
         })
-        grown = [c for c in ids if c not in old_ids or draw(st.booleans())]
+        growth = draw(teacher_growth)
+        grown = [c for c in ids
+                 if c not in old_ids or growth == "all" or (growth == "some" and draw(st.booleans()))]
         bank = expand(old, grown, draw(st.integers(1, 6)), rng) if grown else old.copy()
         teacher = ModelState(init_params(d + 1, d, hidden, rng), old)
     else:
@@ -120,6 +129,30 @@ def test_sgd_step_matches_the_reference_byte_for_byte(case, lr, backbone_lr, wei
         assert same_bytes(frozen_bank.means, want_bank.means)
 
 
+@settings(max_examples=200, deadline=None, database=None)
+@given(steps(min_old=1), st.sampled_from([0.07, 1.0]), st.integers(0, 2**32 - 1))
+def test_teacher_reuse_matches_the_reference_byte_for_byte(case, beta, seed):
+    params, bank, x, y, z, coef, (old, log_r) = case
+    coef["beta"] = beta
+    cols, kept = bank.layout.teacher_columns(old.layout)
+    assert kept == all(bank.mixture(c).num_components == old.mixture(c).num_components
+                       for c in old.class_ids)
+    # a second teacher layout, recomputed: the first class loses a component where it can
+    first = old.class_ids[0]
+    mixtures = {c: old.mixture(c).copy() for c in old.class_ids}
+    mixtures[first].means = mixtures[first].means[: max(1, old.sizes[0] - 1)]
+    other = ModelBank(old.dim, old.kappa, mixtures)
+    rng = np.random.default_rng(seed)
+    other_lp = ref.segment_log_softmax(rng.standard_normal((len(y), other.means.shape[0])), other.offsets)[1]
+    for teacher in ((old, log_r), (old, log_r), (other, other_lp), (other, other_lp), (old, log_r)):
+        want = ref.loss_and_grad(params, bank, x, y, z, old_log_post=teacher, **coef)
+        assert_same_result(loss_and_grad(params, bank, x, y, z, old_log_post=teacher, **coef), want)
+        frozen = loss_and_grad(params, bank, x, y, z, old_log_post=teacher, with_layers=False, **coef)
+        assert_same_result(frozen, want, layers=False)
+    # the map of the last teacher asked for is the cached one
+    assert bank.layout.teacher_columns(old.layout)[0] is bank.layout.teacher_columns(old.layout)[0]
+
+
 def test_frozen_gradient_cannot_train_the_backbone():
     rng = np.random.default_rng(3)
     params = init_params(4, 3, 0, rng)
@@ -150,28 +183,31 @@ def test_set_mixture_repacks_like_a_fresh_bank(case, k, seed):
 
 
 def test_mismatched_teacher_after_a_cached_hit_still_raises():
-    rng = np.random.default_rng(11)
-    d = 4
-    old = ModelBank(d, 16.0, {
-        c: ClassMixture(c, normalize_rows(rng.standard_normal((2, d)))) for c in (1, 5)
-    })
-    bank = expand(old, [1, 5, 8], 3, rng)
-    params = init_params(d + 1, d, 0, rng)
-    x = rng.standard_normal((6, d + 1))
-    y, z = np.array([1, 5, 8, 1, 5, 8]), np.zeros(6, np.int64)
-    teacher = ModelState(params, old)
-    args = dict(lam=0.1, beta=1.0, eta=0.1)
-    old_lp = (old, teacher_log_post(teacher, x))
-    for _ in range(2):  # the second call hits the cached teacher map
-        want = ref.loss_and_grad(params, bank, x, y, z, old_log_post=old_lp, **args)
+    # every teacher class grows, one grows, or none does (the session only adds class 8)
+    for grown in ([1, 5, 8], [5, 8], [8]):
+        rng = np.random.default_rng(11)
+        d = 4
+        old = ModelBank(d, 16.0, {
+            c: ClassMixture(c, normalize_rows(rng.standard_normal((2, d)))) for c in (1, 5)
+        })
+        bank = expand(old, grown, 3, rng)
+        assert bank.layout.teacher_columns(old.layout)[1] == (grown == [8])
+        params = init_params(d + 1, d, 0, rng)
+        x = rng.standard_normal((6, d + 1))
+        y, z = np.array([1, 5, 8, 1, 5, 8]), np.zeros(6, np.int64)
+        teacher = ModelState(params, old)
+        args = dict(lam=0.1, beta=1.0, eta=0.1)
+        old_lp = (old, teacher_log_post(teacher, x))
+        for _ in range(2):  # the second call hits the cached teacher map
+            want = ref.loss_and_grad(params, bank, x, y, z, old_log_post=old_lp, **args)
+            assert_same_result(loss_and_grad(params, bank, x, y, z, old_log_post=old_lp, **args), want)
+        lost_class = ModelBank(d, 16.0, {c: ClassMixture(c, old.mixture(1).means) for c in (1, 3)})
+        more_components = ModelBank(d, 16.0, {1: ClassMixture(1, normalize_rows(rng.standard_normal((6, d))))})
+        for bad in (lost_class, more_components):
+            log_r = np.zeros((len(y), bad.means.shape[0]))
+            with pytest.raises(ModelRegression):
+                ref.loss_and_grad(params, bank, x, y, z, old_log_post=(bad, log_r), **args)
+            with pytest.raises(ModelRegression):
+                loss_and_grad(params, bank, x, y, z, old_log_post=(bad, log_r), **args)
+        # the valid teacher still works after the failures
         assert_same_result(loss_and_grad(params, bank, x, y, z, old_log_post=old_lp, **args), want)
-    lost_class = ModelBank(d, 16.0, {c: ClassMixture(c, old.mixture(1).means) for c in (1, 3)})
-    more_components = ModelBank(d, 16.0, {1: ClassMixture(1, normalize_rows(rng.standard_normal((6, d))))})
-    for bad in (lost_class, more_components):
-        log_r = np.zeros((len(y), bad.means.shape[0]))
-        with pytest.raises(ModelRegression):
-            ref.loss_and_grad(params, bank, x, y, z, old_log_post=(bad, log_r), **args)
-        with pytest.raises(ModelRegression):
-            loss_and_grad(params, bank, x, y, z, old_log_post=(bad, log_r), **args)
-    # the valid teacher still works after the failures
-    assert_same_result(loss_and_grad(params, bank, x, y, z, old_log_post=old_lp, **args), want)

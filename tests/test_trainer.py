@@ -264,7 +264,7 @@ class TestLossTerms:
         z = e_step(bank, forward_batch(params, recs.x), recs.y)
         lam, beta, eta = 0.08, 1.0, 0.1
         scalar = overall_loss(bank, params, snap, recs, z, lam, beta, eta)
-        old_lp = _old_log_posteriors(snap, recs)
+        old_lp = _old_log_posteriors(snap, forward_batch(snap.params, recs.x))
         vectorized, _, terms = loss_and_grad(params, bank, x, y, z, lam=lam, beta=beta, eta=eta,
                                              old_log_post=(old, old_lp))
         assert vectorized == pytest.approx(scalar, abs=1e-9)
@@ -357,9 +357,8 @@ class TestTrainSession:
         reduce_lines = [l for l in log.getvalue().splitlines() if l.startswith("reduce ")]
         assert reduce_lines and "k_before=" in reduce_lines[0]
 
-    def test_one_full_data_forward_per_epoch(self, monkeypatch):
-        # one forward per epoch E-step, one for the teacher, and one shared by
-        # the reduction and final E-steps; the epoch log reuses the batches
+    def forward_rows(self, monkeypatch, losses):
+        """Row counts of the forwards in one session per loss config, from a teacher and from scratch."""
         import vmfcl.backbone
 
         session, _ = synthetic_session()
@@ -372,12 +371,30 @@ class TestTrainSession:
             return original(params, x)
 
         monkeypatch.setattr(vmfcl.backbone, "forward_batch", counting)
+        out = []
+        for loss in losses:
+            for state in (teacher, self.base_state()):
+                rows.clear()
+                train_session(state, session, None, TrainConfig(loss=loss, m=30, seed=3), log=io.StringIO())
+                out.append(rows.copy())
+        return len(session), out
+
+    def test_one_full_data_forward_per_epoch(self, monkeypatch):
+        # a trained backbone: one forward per epoch E-step plus one shared by
+        # the reduction and final E-steps; the teacher reuses the epoch-0
+        # features and the epoch log reuses the batches
         epochs = 3
-        train_session(teacher, session, None, self.cfg(epochs=epochs), log=io.StringIO())
-        assert rows == [len(session)] * (epochs + 2)
-        rows.clear()
-        train_session(self.base_state(), session, None, self.cfg(epochs=epochs), log=io.StringIO())
-        assert rows == [len(session)] * (epochs + 1)
+        trained = LossConfig(epochs=epochs, batch_size=32, lr=0.05, backbone_lr=0.02)
+        n, rows = self.forward_rows(monkeypatch, [trained])
+        assert rows == [[n] * (epochs + 1)] * 2
+
+    def test_one_full_data_forward_per_frozen_session(self, monkeypatch):
+        # a backbone rate of exactly 0 cannot change the features, so one
+        # forward serves the teacher and every E-step
+        frozen = [LossConfig(epochs=3, batch_size=32, lr=0.05, backbone_lr=0.0),
+                  LossConfig(epochs=3, batch_size=32, lr=0.0)]
+        n, rows = self.forward_rows(monkeypatch, frozen)
+        assert rows == [[n]] * 4
 
     def test_epoch_log_matches_the_loss_oracles(self):
         # with lr = 0 the model stays put, so the batch means an epoch line

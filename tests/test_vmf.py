@@ -40,3 +40,13 @@ class TestNormalize:
     def test_rows_variant_rejects_zero_row(self):
         with pytest.raises(DegenerateFeature):
             normalize_rows(np.array([[1.0, 0.0], [0.0, 0.0]]))
+
+    def test_rows_variant_rejects_an_infinite_norm(self):
+        # finite entries whose squares overflow: dividing by the inf norm gave zeros
+        for row in ([1e300, 1e300], [1e160, 1.0]):
+            with np.errstate(over="ignore"), pytest.raises(DegenerateFeature, match="row 1 has norm inf"):
+                normalize_rows(np.array([[0.6, 0.8], row]))
+
+    def test_infinite_norm_rejected(self):
+        with np.errstate(over="ignore"), pytest.raises(DegenerateFeature):
+            normalize([1e160, 1.0])

@@ -23,6 +23,7 @@ inputs.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import os
 import subprocess
@@ -64,6 +65,19 @@ def run(tree: Path, config: str, method: str | None, seed: int, out: Path) -> bo
     return done.returncode == 0
 
 
+@contextlib.contextmanager
+def worktree(rev: str):
+    """Yield the path of REV checked out in a temporary git worktree, removed on exit."""
+    with tempfile.TemporaryDirectory(prefix="worktree-") as tmp:
+        path = Path(tmp) / "base"
+        subprocess.run(["git", "worktree", "add", "--detach", "--quiet", str(path), rev],
+                       cwd=ROOT, check=True)
+        try:
+            yield path
+        finally:
+            subprocess.run(["git", "worktree", "remove", "--force", str(path)], cwd=ROOT, check=False)
+
+
 def digest(path: Path) -> str | None:
     return hashlib.sha256(path.read_bytes()).hexdigest() if path.is_file() else None
 
@@ -76,26 +90,20 @@ def main(argv=None) -> int:
     seeds = parse_seeds(args.seeds)
 
     differ = 0
-    with tempfile.TemporaryDirectory(prefix="check_identical-") as tmp:
-        base = Path(tmp) / "base"
-        subprocess.run(["git", "worktree", "add", "--detach", "--quiet", str(base), args.rev],
-                       cwd=ROOT, check=True)
-        try:
-            for config, method in RUNS:
-                for seed in seeds:
-                    label = f"{Path(config).stem}.{method or 'configured'}.seed{seed}"
-                    outs = {name: Path(tmp) / name / label for name in ("base", "this")}
-                    ok = run(base, config, method, seed, outs["base"])
-                    ok = run(ROOT, config, method, seed, outs["this"]) and ok
-                    for name in OUTPUTS:
-                        a, b = digest(outs["base"] / name), digest(outs["this"] / name)
-                        same = ok and a is not None and a == b
-                        differ += not same
-                        verdict = "identical" if same else "DIFFERENT"
-                        print(f"{label:42s} {name:12s} {verdict:9s} {a or 'missing'}"
-                              + ("" if same else f" vs {b or 'missing'}"))
-        finally:
-            subprocess.run(["git", "worktree", "remove", "--force", str(base)], cwd=ROOT, check=False)
+    with worktree(args.rev) as base, tempfile.TemporaryDirectory(prefix="check_identical-") as tmp:
+        for config, method in RUNS:
+            for seed in seeds:
+                label = f"{Path(config).stem}.{method or 'configured'}.seed{seed}"
+                outs = {name: Path(tmp) / name / label for name in ("base", "this")}
+                ok = run(base, config, method, seed, outs["base"])
+                ok = run(ROOT, config, method, seed, outs["this"]) and ok
+                for name in OUTPUTS:
+                    a, b = digest(outs["base"] / name), digest(outs["this"] / name)
+                    same = ok and a is not None and a == b
+                    differ += not same
+                    verdict = "identical" if same else "DIFFERENT"
+                    print(f"{label:42s} {name:12s} {verdict:9s} {a or 'missing'}"
+                          + ("" if same else f" vs {b or 'missing'}"))
     total = len(RUNS) * len(seeds) * len(OUTPUTS)
     print(f"{total - differ} of {total} files identical to {args.rev}")
     return 1 if differ else 0
