@@ -37,7 +37,7 @@ from .streams import (
     sample_vmf,
     write_stream,
 )
-from .structure import ComponentStats, ReductionConfig, expand, merge_pair, reduce
+from .structure import ReductionConfig, collect_stats, expand, merge_pair, reduce
 from .trainer import (
     _e_step_array as e_step,
     LossConfig,
@@ -61,7 +61,7 @@ __all__ = [
     "load_snapshot", "predict", "save_snapshot",
     "FeatureRecords", "SessionDataset", "SplitPlan", "SynthConfig", "generate_synthetic",
     "make_splits", "read_stream", "sample_vmf", "write_stream",
-    "ComponentStats", "ReductionConfig", "expand", "merge_pair", "reduce",
+    "ReductionConfig", "collect_stats", "expand", "merge_pair", "reduce",
     "LossConfig", "ModelState", "TrainConfig", "clf_loss", "distill_loss",
     "e_step", "lambda_at", "overall_loss", "reg_loss", "train_session",
     "normalize",

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ModelRegression, NumericalError, UnknownClass
+from .errors import ModelRegression, NumericalError
 from .mixture import ModelBank, segment_log_softmax
 from .vmf import ZERO_NORM_EPS, normalize_rows, row_norms
 
@@ -182,12 +182,10 @@ def loss_and_grad(
     v = v_raw / norms
 
     layout, means, kappa = bank.layout, bank.means, bank.kappa
-    ids, offsets, sizes = layout.ids, layout.offsets, layout.sizes
-    n_classes = ids.size
+    offsets, sizes = layout.offsets, layout.sizes
+    n_classes = layout.ids.size
     rows = np.arange(n)
-    y_cols = np.searchsorted(ids, y)
-    if not (ids.take(y_cols, mode="clip") == y).all():
-        raise UnknownClass("batch has a label the bank has never observed")
+    y_cols = layout.positions(y)  # raises UnknownClass
 
     if lam != 0.0 and ((zhat < 0) | (zhat >= sizes[y_cols])).any():
         raise ValueError("assignments must index a component of the example's class")

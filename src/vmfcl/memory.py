@@ -7,6 +7,8 @@ Sampling inside a component is uniform without replacement. A component that
 cannot fill its quota spills the shortfall to its siblings, largest
 remaining pool first, so a class uses its whole quota whenever it has
 enough examples overall.
+Every record maps to the packed bank row of its (class, component); one
+stable sort of those rows lists each component's candidates in record order.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ class MemoryBuffer:
     budget: int
     records: FeatureRecords
     components: np.ndarray  # component index each record was selected from
-    insufficient_budget: bool = False
 
     def __post_init__(self):
         self.components = np.asarray(self.components, dtype=np.int64)
@@ -57,11 +58,6 @@ class MemoryBuffer:
         return out
 
 
-def _class_quotas(class_ids: list[int], budget: int) -> dict[int, int]:
-    base, rem = divmod(budget, len(class_ids))
-    return {c: base + (1 if i < rem else 0) for i, c in enumerate(class_ids)}
-
-
 def select_memory(
     bank: ModelBank,
     records: FeatureRecords,
@@ -74,7 +70,8 @@ def select_memory(
     ``assignments[i]`` is the component index of ``records[i]``, from the
     final post-reduction E-step. When the budget is smaller than the number
     of classes an InsufficientBudget warning is emitted and the lowest class
-    ids receive quota 1 each.
+    ids receive quota 1 each. A record whose class or component the bank
+    lacks raises UnknownClass or ValueError.
     """
     z = np.asarray(assignments, dtype=np.int64)
     if z.shape != (len(records),):
@@ -82,54 +79,40 @@ def select_memory(
     class_ids = bank.class_ids
     if not class_ids:
         raise ValueError("cannot select memory before any class was observed")
-    quotas = _class_quotas(class_ids, budget)
-    short = budget < len(class_ids)
-    if short:
+    if budget < len(class_ids):
         warnings.warn(
             f"memory budget {budget} is below the class count {len(class_ids)}",
             InsufficientBudget,
         )
 
-    picked: list[np.ndarray] = []
-    picked_comp: list[np.ndarray] = []
-    for c, k_c in zip(class_ids, bank.sizes.tolist()):
-        quota = quotas[c]
+    # one stable sort of the bank row index lists every row's candidates, ascending
+    rows = bank.layout.rows_of(records.y, z)
+    by_row = np.argsort(rows, kind="stable")
+    sizes = np.bincount(rows, minlength=bank.means.shape[0])
+    bounds = np.concatenate(([0], np.cumsum(sizes))).tolist()
+    picked, picked_comp = [], []
+    base_quota, rem_quota = divmod(budget, len(class_ids))
+    for i, (lo, hi) in enumerate(zip(bank.offsets[:-1].tolist(), bank.offsets[1:].tolist())):
+        quota = base_quota + (i < rem_quota)
         if quota == 0:
             continue
-        rows = np.flatnonzero(records.y == c)
-        cands = [rows[z[rows] == k] for k in range(k_c)]
-        base, rem = divmod(quota, k_c)
-        take = np.full(k_c, base, dtype=np.int64)
-        by_size = sorted(range(k_c), key=lambda k: (-cands[k].size, k))
-        for k in by_size[:rem]:
-            take[k] += 1
+        avail = sizes[lo:hi]
+        base, rem = divmod(quota, hi - lo)
+        take = np.full(hi - lo, base, dtype=np.int64)
+        take[np.argsort(-avail, kind="stable")[:rem]] += 1  # most candidates first, then lowest k
         # cap by availability, then spill the shortfall largest-pool-first
-        shortfall = 0
-        for k in range(k_c):
-            over = take[k] - cands[k].size
-            if over > 0:
-                take[k] = cands[k].size
-                shortfall += int(over)
-        while shortfall > 0:
-            spare = [(cands[k].size - take[k], k) for k in range(k_c) if cands[k].size > take[k]]
-            if not spare:
-                break
-            k = max(spare, key=lambda sk: (sk[0], -sk[1]))[1]
-            take[k] += 1
+        shortfall = int(np.sum(np.maximum(take - avail, 0)))
+        np.minimum(take, avail, out=take)
+        while shortfall > 0 and np.any(take < avail):
+            take[np.argmax(avail - take)] += 1  # ties to the lowest k
             shortfall -= 1
-        for k in range(k_c):
-            if take[k] == 0:
-                continue
-            chosen = rng.choice(cands[k], size=int(take[k]), replace=False)
-            picked.append(np.sort(chosen))
+        for k in np.flatnonzero(take).tolist():
+            cands = by_row[bounds[lo + k] : bounds[lo + k + 1]]
+            picked.append(np.sort(rng.choice(cands, size=int(take[k]), replace=False)))
             picked_comp.append(np.full(int(take[k]), k, dtype=np.int64))
 
-    if picked:
-        idx = np.concatenate(picked)
-        comps = np.concatenate(picked_comp)
-    else:
-        idx = np.zeros(0, dtype=np.int64)
-        comps = np.zeros(0, dtype=np.int64)
+    idx = np.concatenate([np.zeros(0, np.int64), *picked])
+    comps = np.concatenate([np.zeros(0, np.int64), *picked_comp])
     subset = records.subset(idx)
     subset.role = np.full(len(subset), ROLE_MEMORY, np.uint8)
-    return MemoryBuffer(budget, subset, comps, insufficient_budget=short)
+    return MemoryBuffer(budget, subset, comps)

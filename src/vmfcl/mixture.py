@@ -99,6 +99,22 @@ class BankLayout:
             arr.flags.writeable = False
         self._teacher: tuple[BankLayout, np.ndarray, bool] | None = None
 
+    def positions(self, y: np.ndarray) -> np.ndarray:
+        """Position in ``ids`` of each label; UnknownClass for a label outside the layout."""
+        at = np.searchsorted(self.ids, y)
+        if at.size and not (self.ids.size and (self.ids.take(at, mode="clip") == y).all()):
+            raise UnknownClass("a label the bank has never observed")
+        return at
+
+    def rows_of(self, y: np.ndarray, z: np.ndarray) -> np.ndarray:
+        """Row of component ``z[i]`` of class ``y[i]`` for every i; ValueError for a
+        component index outside its class."""
+        at = self.positions(y)
+        z = np.asarray(z, dtype=np.int64)
+        if ((z < 0) | (z >= self.sizes[at])).any():
+            raise ValueError("assignments must index a component of the record's class")
+        return self.offsets[at] + z
+
     def teacher_columns(self, old: "BankLayout") -> tuple[np.ndarray, bool]:
         """This layout's columns of ``old``'s components, in ``old``'s column order,
         and whether every class of ``old`` kept its component count here.
@@ -127,15 +143,14 @@ class ModelBank:
 
     Rows ``offsets[i]:offsets[i + 1]`` of the (K, d) ``means`` belong to
     ``class_ids[i]`` (ascending); ``mixtures`` and ``mixture(c)`` are views.
-    ``layout`` holds the index arrays of that packing.
+    ``layout`` holds the index arrays of that packing. The constructor packs
+    ``ClassMixture``s; ``from_packed`` takes means that are packed already.
     """
 
     def __init__(self, dim: int, kappa: float, mixtures: dict[int, ClassMixture] | None = None):
         self.dim = dim
         self.kappa = kappa
-        self._pack(mixtures or {})
-
-    def _pack(self, mixtures: dict[int, ClassMixture]):
+        mixtures = mixtures or {}
         for mix in mixtures.values():
             if mix.means.shape[1] != self.dim:
                 raise DimensionError(
@@ -145,6 +160,19 @@ class ModelBank:
         blocks = [mixtures[c].means for c in self.class_ids]
         self.layout = BankLayout(self.class_ids, [b.shape[0] for b in blocks])
         self.means = np.vstack(blocks) if blocks else np.zeros((0, self.dim))
+
+    @classmethod
+    def from_packed(cls, dim: int, kappa: float, layout: BankLayout, means: np.ndarray) -> "ModelBank":
+        """A bank of (K, d) ``means`` packed in ``layout``'s class blocks, checked as
+        ``ClassMixture`` checks them: DimensionError unless every block is
+        nonempty and every row unit length within 1e-9."""
+        if means.shape != (layout.offsets[-1], dim) or np.any(layout.sizes < 1):
+            raise DimensionError(f"means of shape {means.shape} do not fill the layout's blocks")
+        if not np.all(np.abs(np.linalg.norm(means, axis=1) - 1.0) <= 1e-9):  # NaN fails too
+            raise DimensionError("all component means must be unit length within 1e-9")
+        bank = cls(dim, kappa)
+        bank.class_ids, bank.layout, bank.means = layout.ids.tolist(), layout, means
+        return bank
 
     @property
     def offsets(self) -> np.ndarray:
@@ -169,9 +197,6 @@ class ModelBank:
         view = object.__new__(ClassMixture)
         view.class_id, view.means = class_id, self.means[self.offsets[i] : self.offsets[i + 1]]
         return view
-
-    def set_mixture(self, mix: ClassMixture):
-        self._pack({**self.mixtures, mix.class_id: mix})
 
     def with_means(self, means: np.ndarray) -> "ModelBank":
         """A bank with this one's classes and layout and new (K, d) means."""

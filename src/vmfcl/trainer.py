@@ -323,8 +323,8 @@ def train_session(
         feats = bb.forward_batch(params, data.x)
     if cfg.reduce_enabled:
         z = _e_step_array(bank, feats, data.y)
-        stats = st.collect_stats(bank, data.y, z, feats)
-        bank, reduction = st.reduce(bank, stats, cfg.reduction)
+        counts, sums = st.collect_stats(bank, data.y, z, feats)
+        bank, reduction = st.reduce(bank, counts, sums, cfg.reduction)
         if log is not None:
             for c in sorted(reduction):
                 rec = reduction[c]

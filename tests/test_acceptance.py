@@ -23,7 +23,7 @@ from vmfcl.mixture import (
     predict,
 )
 from vmfcl.streams import ROLE_TRAIN, FeatureRecords, SynthConfig, generate_synthetic, make_splits
-from vmfcl.structure import ComponentStats, ReductionConfig, collect_stats, reduce as reduce_bank
+from vmfcl.structure import ReductionConfig, collect_stats, reduce as reduce_bank
 from vmfcl.trainer import LossConfig, ModelState, TrainConfig, _e_step_array, train_session
 from vmfcl.vmf import normalize, normalize_rows
 
@@ -120,11 +120,13 @@ def test_criterion_1_gradient_correctness():
         for name, lam, beta, eta, with_old in term_configs:
             din, d, hidden = 4, 3, 5
             params = init_params(din, d, hidden, rng)
-            bank = ModelBank(d, float(rng.uniform(4, 24)))
+            kappa = float(rng.uniform(4, 24))
             n_classes = int(rng.integers(2, 4))
+            mixtures = {}
             for c in range(n_classes):
                 k = int(rng.integers(1, 4))
-                bank.set_mixture(ClassMixture(c, normalize_rows(rng.standard_normal((k, d)))))
+                mixtures[c] = ClassMixture(c, normalize_rows(rng.standard_normal((k, d))))
+            bank = ModelBank(d, kappa, mixtures)
             n = int(rng.integers(2, 7))
             x = rng.standard_normal((n, din))
             y = rng.integers(0, n_classes, size=n)
@@ -132,15 +134,15 @@ def test_criterion_1_gradient_correctness():
             old_lp = None
             if with_old:
                 feats = forward_batch(params, x)
-                old = ModelBank(d, bank.kappa)
+                old_mixtures = {}
                 old_lp = []
                 for c in range(min(2, n_classes)):
                     k_old = max(1, bank.mixtures[c].num_components - 1)
-                    old.set_mixture(ClassMixture(c, bank.mixtures[c].means[:k_old].copy()))
+                    old_mixtures[c] = ClassMixture(c, bank.mixtures[c].means[:k_old].copy())
                     t = bank.kappa * (feats @ bank.mixtures[c].means[:k_old].T)
                     m = np.max(t, axis=1, keepdims=True)
                     old_lp.append(t - (m + np.log(np.sum(np.exp(t - m), axis=1, keepdims=True))))
-                old_lp = (old, np.hstack(old_lp))
+                old_lp = (ModelBank(d, bank.kappa, old_mixtures), np.hstack(old_lp))
             worst = max(worst, _fd_worst(params, bank, x, y, zhat, lam, beta, eta, old_lp))
             draws += 1
     elapsed = time.perf_counter() - t0
@@ -196,10 +198,11 @@ def test_criterion_2_oracle_equivalence():
 
     for _ in range(100):  # predict against a max-over-all-components scan
         d = int(rng.integers(2, 6))
-        bank = ModelBank(d, 16.0)
+        mixtures = {}
         for c in range(int(rng.integers(1, 6))):
             k = int(rng.integers(1, 9))
-            bank.set_mixture(ClassMixture(c, normalize_rows(rng.standard_normal((k, d)))))
+            mixtures[c] = ClassMixture(c, normalize_rows(rng.standard_normal((k, d))))
+        bank = ModelBank(d, 16.0, mixtures)
         v = normalize(rng.standard_normal(d))
         best_c, best_dot = -1, -np.inf
         for c in bank.class_ids:
@@ -218,8 +221,7 @@ def test_criterion_2_oracle_equivalence():
         sums = [means[i] * counts[i] for i in range(k)]
         delta = float(rng.uniform(0.2, 1.3))
         bank = ModelBank(d, 16.0, {0: ClassMixture(0, means)})
-        stats = {0: [ComponentStats(int(counts[i]), sums[i]) for i in range(k)]}
-        got = reduce_bank(bank, stats, ReductionConfig(delta=delta))[0].mixtures[0].means
+        got = reduce_bank(bank, counts, np.array(sums), ReductionConfig(delta=delta))[0].mixtures[0].means
         want = _oracle_reduce(means, counts, sums, delta)
         assert got.shape[0] == len(want), trial
         for a, b in zip(got, want):
@@ -231,14 +233,14 @@ def test_criterion_2_oracle_equivalence():
         trial += 1
         d = 4
         n_classes = int(rng.integers(1, 6))
-        bank = ModelBank(d, 16.0)
+        mixtures = {}
         ids, xs, ys, zs = [], [], [], []
         assigned = []
         supply = {}
         next_id = 0
         for c in range(n_classes):
             k = int(rng.integers(1, 9))
-            bank.set_mixture(ClassMixture(c, normalize_rows(rng.standard_normal((k, d)))))
+            mixtures[c] = ClassMixture(c, normalize_rows(rng.standard_normal((k, d))))
             for kk in range(k):
                 cnt = int(rng.integers(0, 9))
                 supply[(c, kk)] = cnt
@@ -251,6 +253,7 @@ def test_criterion_2_oracle_equivalence():
                     next_id += 1
         if next_id == 0 or next_id > 200:
             continue
+        bank = ModelBank(d, 16.0, mixtures)
         records = FeatureRecords(
             np.array(ids, np.uint64), np.array(xs), np.array(ys),
             np.array(zs, np.int32), np.full(next_id, ROLE_TRAIN, np.uint8),
@@ -283,10 +286,11 @@ def test_criterion_3_normalization():
     worst = 0.0
     total = 0
     for kappa in (0.0, 1.0, 16.0, 100.0):
-        bank = ModelBank(6, kappa)
+        mixtures = {}
         for c in range(4):
             k = int(rng.integers(1, 6))
-            bank.set_mixture(ClassMixture(c, normalize_rows(rng.standard_normal((k, 6)))))
+            mixtures[c] = ClassMixture(c, normalize_rows(rng.standard_normal((k, 6))))
+        bank = ModelBank(6, kappa, mixtures)
         for _ in range(2500):
             v = normalize(rng.standard_normal(6))
             comp = component_posterior(bank, int(rng.integers(4)), v)
@@ -337,11 +341,11 @@ def test_criterion_5_reduction_sensitivity():
     data = sessions[1].records
     z = _e_step_array(state.bank, forward_batch(state.params, data.x), data.y)
     feats = forward_batch(state.params, data.x)
-    stats = collect_stats(state.bank, data.y, z, feats)
+    counts, sums = collect_stats(state.bank, data.y, z, feats)
 
     mean_k = []
     for delta in (0.5, 0.6, 0.7, 0.8, 0.9):
-        red, _ = reduce_bank(state.bank, stats, ReductionConfig(delta=delta))
+        red, _ = reduce_bank(state.bank, counts, sums, ReductionConfig(delta=delta))
         mean_k.append(float(np.mean([red.mixtures[c].num_components for c in red.class_ids])))
     non_increasing = all(a >= b - 1e-12 for a, b in zip(mean_k, mean_k[1:]))
     strict = mean_k[-1] < mean_k[0]

@@ -18,10 +18,11 @@ from vmfcl.vmf import normalize_rows
 
 def make_setup(rng, n_classes=3, d=4, din=5, hidden=6, kappa=16.0, n=7):
     params = init_params(din, d, hidden, rng)
-    bank = ModelBank(d, kappa)
+    mixtures = {}
     for c in range(n_classes):
         k = int(rng.integers(1, 4))
-        bank.set_mixture(ClassMixture(c, normalize_rows(rng.standard_normal((k, d)))))
+        mixtures[c] = ClassMixture(c, normalize_rows(rng.standard_normal((k, d))))
+    bank = ModelBank(d, kappa, mixtures)
     x = rng.standard_normal((n, din))
     y = rng.integers(0, n_classes, size=n)
     zhat = np.array([int(rng.integers(bank.mixtures[int(c)].num_components)) for c in y])
@@ -31,14 +32,14 @@ def make_setup(rng, n_classes=3, d=4, din=5, hidden=6, kappa=16.0, n=7):
 def old_posteriors(params, bank, x, inherited):
     """Teacher bank of the first ``inherited[c]`` components and its log posteriors."""
     feats = forward_batch(params, x)
-    old = ModelBank(bank.dim, bank.kappa)
+    mixtures = {}
     out = []
     for c, k in sorted(inherited.items()):
-        old.set_mixture(ClassMixture(c, bank.mixtures[c].means[:k].copy()))
+        mixtures[c] = ClassMixture(c, bank.mixtures[c].means[:k].copy())
         t = bank.kappa * (feats @ bank.mixtures[c].means[:k].T)
         m = np.max(t, axis=1, keepdims=True)
         out.append(t - (m + np.log(np.sum(np.exp(t - m), axis=1, keepdims=True))))
-    return old, np.hstack(out)
+    return ModelBank(bank.dim, bank.kappa, mixtures), np.hstack(out)
 
 
 def fd_check(params, bank, x, y, zhat, lam, beta, eta, old_lp, h=1e-5, tol=1e-4):

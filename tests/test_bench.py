@@ -84,11 +84,11 @@ class TestAccuracy:
 
     def test_matches_hand_count(self):
         rng = np.random.default_rng(1)
-        bank = ModelBank(3, 16.0)
         from vmfcl.vmf import normalize_rows
 
-        for c in range(3):
-            bank.set_mixture(ClassMixture(c, normalize_rows(rng.standard_normal((2, 3)))))
+        bank = ModelBank(3, 16.0, {
+            c: ClassMixture(c, normalize_rows(rng.standard_normal((2, 3)))) for c in range(3)
+        })
         x = rng.standard_normal((60, 3))
         y = rng.integers(0, 3, size=60)
         recs = tiny_records(x, y)

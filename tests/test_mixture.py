@@ -9,6 +9,7 @@ import pytest
 from vmfcl.errors import DimensionError, EmptyModel, ParseError, UnknownClass
 from vmfcl.mixture import (
     PREDICT_BLOCK_ROWS,
+    BankLayout,
     ClassMixture,
     ModelBank,
     assign_component,
@@ -29,11 +30,11 @@ def bank_2d(kappa=1.0) -> ModelBank:
 
 
 def random_bank(rng, n_classes=3, max_k=5, d=4, kappa=16.0) -> ModelBank:
-    bank = ModelBank(d, kappa)
+    mixtures = {}
     for c in range(n_classes):
         k = int(rng.integers(1, max_k + 1))
-        bank.set_mixture(ClassMixture(c, normalize_rows(rng.standard_normal((k, d)))))
-    return bank
+        mixtures[c] = ClassMixture(c, normalize_rows(rng.standard_normal((k, d))))
+    return ModelBank(d, kappa, mixtures)
 
 
 class TestComponentPosterior:
@@ -303,3 +304,30 @@ class TestClassMixture:
     def test_nonfinite_mean_rejected(self, bad):
         with pytest.raises(DimensionError):
             ClassMixture(0, np.array([[bad, 0.0]]))
+
+
+class TestPackedBank:
+    def test_from_packed_checks_its_rows(self):
+        layout = BankLayout([0, 3], [1, 2])
+        good = np.array([[1.0, 0.0], [0.0, 1.0], [0.6, 0.8]])
+        bank = ModelBank.from_packed(2, 16.0, layout, good)
+        assert bank.class_ids == [0, 3]
+        np.testing.assert_array_equal(bank.mixtures[3].means, good[1:])
+        for bad in (good[:2], np.array([[1.0, 0.0], [0.0, 1.0], [0.6, 0.9]]), np.full((3, 2), np.nan)):
+            with pytest.raises(DimensionError):
+                ModelBank.from_packed(2, 16.0, layout, bad)
+        with np.errstate(divide="ignore"):  # the layout's log(0)
+            empty_class = BankLayout([0, 3], [2, 0])
+        with pytest.raises(DimensionError):
+            ModelBank.from_packed(2, 16.0, empty_class, good[:2])
+
+    def test_rows_of_maps_class_and_component_to_the_packed_row(self):
+        layout = BankLayout([0, 3], [1, 2])
+        assert layout.rows_of(np.array([3, 0, 3]), np.array([1, 0, 0])).tolist() == [2, 0, 1]
+        with pytest.raises(UnknownClass):
+            layout.rows_of(np.array([1]), np.array([0]))
+        with pytest.raises(UnknownClass):
+            BankLayout([], []).rows_of(np.array([0]), np.array([0]))
+        for z in (-1, 2):
+            with pytest.raises(ValueError):
+                layout.rows_of(np.array([3]), np.array([z]))

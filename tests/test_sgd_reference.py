@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 from vmfcl.backbone import init_params, loss_and_grad, sgd_step
 from vmfcl.errors import ModelRegression
-from vmfcl.mixture import ClassMixture, ModelBank
+from vmfcl.mixture import BankLayout, ClassMixture, ModelBank
 from vmfcl.structure import expand
 from vmfcl.trainer import ModelState
 from vmfcl.vmf import normalize_rows
@@ -165,20 +165,25 @@ def test_frozen_gradient_cannot_train_the_backbone():
 
 @settings(max_examples=100, deadline=None, database=None)
 @given(steps(), st.integers(1, 12), st.integers(0, 2**32 - 1))
-def test_set_mixture_repacks_like_a_fresh_bank(case, k, seed):
+def test_from_packed_equals_a_fresh_pack(case, k, seed):
     params, bank, x, y, z, coef, _ = case
     c = bank.class_ids[seed % len(bank.class_ids)]
-    # read the layout (and warm the teacher cache) before the repack
-    loss_and_grad(params, bank, x, y, np.zeros_like(z), old_log_post=None, **coef)
+    # one class replaced by k new means, packed by hand and from ClassMixtures
     means = normalize_rows(np.random.default_rng(seed).standard_normal((k, bank.dim)))
-    bank.set_mixture(ClassMixture(c, means))
-    fresh = ModelBank(bank.dim, bank.kappa, {m.class_id: m.copy() for m in bank.mixtures.values()})
+    mixtures = {**{m.class_id: m.copy() for m in bank.mixtures.values()}, c: ClassMixture(c, means)}
+    layout = BankLayout(bank.class_ids, [mixtures[i].num_components for i in bank.class_ids])
+    packed = ModelBank.from_packed(
+        bank.dim, bank.kappa, layout, np.vstack([mixtures[i].means for i in bank.class_ids])
+    )
+    fresh = ModelBank(bank.dim, bank.kappa, mixtures)
+    assert packed.class_ids == fresh.class_ids
+    assert same_bytes(packed.means, fresh.means)
     for name, arr in vars(fresh.layout).items():
         if isinstance(arr, np.ndarray):
-            assert same_bytes(getattr(bank.layout, name), arr), name
-    z = np.minimum(z, bank.sizes[np.searchsorted(bank.class_ids, y)] - 1)
+            assert same_bytes(getattr(packed.layout, name), arr), name
+    z = np.minimum(z, packed.sizes[np.searchsorted(packed.class_ids, y)] - 1)
     want = ref.loss_and_grad(params, fresh, x, y, z, **coef)
-    assert_same_result(loss_and_grad(params, bank, x, y, z, **coef), want)
+    assert_same_result(loss_and_grad(params, packed, x, y, z, **coef), want)
     assert_same_result(loss_and_grad(params, fresh, x, y, z, **coef), want)
 
 

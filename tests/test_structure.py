@@ -5,20 +5,14 @@ import pytest
 
 from vmfcl.errors import ConfigError, DegenerateMerge
 from vmfcl.mixture import ClassMixture, ModelBank
-from vmfcl.structure import (
-    ComponentStats,
-    ReductionConfig,
-    collect_stats,
-    expand,
-    merge_pair,
-    reduce,
-)
+from vmfcl.structure import ReductionConfig, collect_stats, expand, merge_pair, reduce
 from vmfcl.vmf import normalize, normalize_rows
 
 
 def stats_for(means, counts):
-    """Component stats whose sums point exactly at the given means."""
-    return [ComponentStats(int(n), np.asarray(m, dtype=float) * n) for m, n in zip(means, counts)]
+    """Per-row counts and feature sums whose sums point exactly at the given means."""
+    counts = np.asarray(counts)
+    return counts, np.asarray(means, dtype=float) * counts[:, None]
 
 
 class TestExpand:
@@ -58,27 +52,27 @@ class TestExpand:
 
 class TestMergePair:
     def test_pooled_mean(self):
-        mean, stats = merge_pair(ComponentStats(2, [2.0, 0.0]), ComponentStats(1, [0.0, 1.0]))
+        mean, (count, vec_sum) = merge_pair((2, [2.0, 0.0]), (1, [0.0, 1.0]))
         np.testing.assert_allclose(mean, np.array([2.0, 1.0]) / np.sqrt(5.0), atol=1e-15)
-        assert stats.count == 3
-        np.testing.assert_array_equal(stats.vec_sum, [2.0, 1.0])
+        assert count == 3
+        np.testing.assert_array_equal(vec_sum, [2.0, 1.0])
 
     def test_commutative(self):
-        a = ComponentStats(3, [1.5, -0.5])
-        b = ComponentStats(5, [0.2, 4.0])
+        a = (3, [1.5, -0.5])
+        b = (5, [0.2, 4.0])
         m1, s1 = merge_pair(a, b)
         m2, s2 = merge_pair(b, a)
         np.testing.assert_array_equal(m1, m2)
-        assert s1.count == s2.count
+        assert s1[0] == s2[0]
 
     def test_duplicate_merge_keeps_direction(self):
-        a = ComponentStats(4, [3.0, 4.0])
-        m1, _ = merge_pair(a, ComponentStats(4, [3.0, 4.0]))
+        a = (4, [3.0, 4.0])
+        m1, _ = merge_pair(a, (4, [3.0, 4.0]))
         np.testing.assert_allclose(m1, [0.6, 0.8], atol=1e-15)
 
     def test_antipodal_cancellation(self):
         with pytest.raises(DegenerateMerge):
-            merge_pair(ComponentStats(1, [1.0, 0.0]), ComponentStats(1, [-1.0, 0.0]))
+            merge_pair((1, [1.0, 0.0]), (1, [-1.0, 0.0]))
 
 
 def brute_force_reduce(means, counts, sums, delta, min_components=1, min_count=1):
@@ -112,36 +106,31 @@ class TestReduce:
     def test_identical_means_merge(self):
         mu = normalize([1.0, 1.0])
         bank = ModelBank(2, 16.0, {0: ClassMixture(0, np.vstack([mu, mu]))})
-        stats = {0: stats_for([mu, mu], [5, 3])}
-        out, recs = reduce(bank, stats, ReductionConfig(delta=0.7))
+        out, recs = reduce(bank, *stats_for([mu, mu], [5, 3]), ReductionConfig(delta=0.7))
         assert out.mixtures[0].num_components == 1
         assert recs[0].k_before == 2 and recs[0].k_after == 1
         assert recs[0].merge_map == [0, 0]
 
     def test_orthogonal_means_kept(self):
         bank = ModelBank(2, 16.0, {0: ClassMixture(0, np.eye(2))})
-        stats = {0: stats_for(np.eye(2), [4, 4])}
-        out, _ = reduce(bank, stats, ReductionConfig(delta=0.7))
+        out, _ = reduce(bank, *stats_for(np.eye(2), [4, 4]), ReductionConfig(delta=0.7))
         assert out.mixtures[0].num_components == 2
 
     def test_empty_components_dropped(self):
         bank = ModelBank(2, 16.0, {0: ClassMixture(0, np.eye(2))})
-        stats = {0: stats_for(np.eye(2), [4, 0])}
-        out, recs = reduce(bank, stats, ReductionConfig(delta=0.7))
+        out, recs = reduce(bank, *stats_for(np.eye(2), [4, 0]), ReductionConfig(delta=0.7))
         assert out.mixtures[0].num_components == 1
         assert recs[0].merge_map == [0, -1]
 
     def test_all_empty_keeps_one(self):
         bank = ModelBank(2, 16.0, {0: ClassMixture(0, np.eye(2))})
-        stats = {0: stats_for(np.eye(2), [0, 0])}
-        out, recs = reduce(bank, stats, ReductionConfig(delta=0.7))
+        out, recs = reduce(bank, *stats_for(np.eye(2), [0, 0]), ReductionConfig(delta=0.7))
         assert out.mixtures[0].num_components == 1
         np.testing.assert_array_equal(out.mixtures[0].means[0], np.eye(2)[0])
 
     def test_min_count_drops_starved_components(self):
         bank = ModelBank(2, 16.0, {0: ClassMixture(0, np.eye(2))})
-        stats = {0: stats_for(np.eye(2), [40, 2])}
-        out, recs = reduce(bank, stats, ReductionConfig(delta=0.7, min_count=5))
+        out, recs = reduce(bank, *stats_for(np.eye(2), [40, 2]), ReductionConfig(delta=0.7, min_count=5))
         assert out.mixtures[0].num_components == 1
         assert recs[0].merge_map == [0, -1]
 
@@ -149,8 +138,7 @@ class TestReduce:
         mu = normalize([1.0, 1.0])
         near = normalize([1.0, 1.1])
         bank = ModelBank(2, 16.0, {0: ClassMixture(0, np.vstack([mu, near]))})
-        stats = {0: stats_for([mu, near], [5, 5])}
-        out, _ = reduce(bank, stats, ReductionConfig(delta=0.7, min_components=2))
+        out, _ = reduce(bank, *stats_for([mu, near], [5, 5]), ReductionConfig(delta=0.7, min_components=2))
         assert out.mixtures[0].num_components == 2
 
     def test_never_crosses_classes(self):
@@ -159,8 +147,7 @@ class TestReduce:
             0: ClassMixture(0, mu[None, :]),
             1: ClassMixture(1, mu[None, :]),
         })
-        stats = {0: stats_for([mu], [3]), 1: stats_for([mu], [3])}
-        out, _ = reduce(bank, stats, ReductionConfig(delta=0.7))
+        out, _ = reduce(bank, *stats_for([mu, mu], [3, 3]), ReductionConfig(delta=0.7))
         assert out.mixtures[0].num_components == 1
         assert out.mixtures[1].num_components == 1
 
@@ -177,8 +164,7 @@ class TestReduce:
             means = normalize_rows(pts)
             delta = float(rng.uniform(0.2, 1.2))
             bank = ModelBank(d, 16.0, {0: ClassMixture(0, means)})
-            stats = {0: [ComponentStats(int(counts[i]), sums[i]) for i in range(k)]}
-            out, _ = reduce(bank, stats, ReductionConfig(delta=delta))
+            out, _ = reduce(bank, counts, np.array(sums), ReductionConfig(delta=delta))
             expected = brute_force_reduce(means, counts, sums, delta)
             got = out.mixtures[0].means
             assert got.shape[0] == len(expected), trial
@@ -200,13 +186,12 @@ class TestReduce:
         assert bank.mixtures[0].num_components == 32
         means = bank.mixtures[0].means
         z = np.argmax(x @ means.T, axis=1)
-        stats = []
+        counts, sums = [], []
         for k in range(32):
             rows = np.flatnonzero(z == k)
-            stats.append(ComponentStats(int(rows.size), np.sum(x[rows], axis=0) if rows.size else np.zeros(d)))
-        out, _ = reduce(bank, {0: stats}, ReductionConfig(delta=0.7))
-        counts = [s.count for s in stats]
-        sums = [s.vec_sum for s in stats]
+            counts.append(rows.size)
+            sums.append(np.sum(x[rows], axis=0) if rows.size else np.zeros(d))
+        out, _ = reduce(bank, np.array(counts), np.array(sums), ReductionConfig(delta=0.7))
         expected = brute_force_reduce(means, counts, sums, 0.7)
         got = out.mixtures[0].means
         assert got.shape[0] == len(expected)
@@ -222,9 +207,8 @@ class TestReduce:
             counts = rng.integers(0, 5, size=k)
             if not np.any(counts > 0):
                 counts[0] = 2
-            stats = {0: [ComponentStats(int(counts[i]), means[i] * counts[i]) for i in range(k)]}
             bank = ModelBank(3, 16.0, {0: ClassMixture(0, means)})
-            out, recs = reduce(bank, stats, ReductionConfig(delta=0.7))
+            out, recs = reduce(bank, *stats_for(means, counts), ReductionConfig(delta=0.7))
             rec = recs[0]
             k_out = out.mixtures[0].num_components
             mapped = [m for m in rec.merge_map if m >= 0]
@@ -240,18 +224,17 @@ class TestReduce:
             k = int(rng.integers(3, 12))
             means = normalize_rows(rng.standard_normal((k, 4)))
             counts = rng.integers(1, 7, size=k)
-            stats = {0: [ComponentStats(int(counts[i]), means[i] * counts[i]) for i in range(k)]}
             bank = ModelBank(4, 16.0, {0: ClassMixture(0, means)})
             ks = []
             for delta in (0.5, 0.6, 0.7, 0.8, 0.9):
-                out, _ = reduce(bank, stats, ReductionConfig(delta=delta))
+                out, _ = reduce(bank, *stats_for(means, counts), ReductionConfig(delta=delta))
                 ks.append(out.mixtures[0].num_components)
             assert all(a >= b for a, b in zip(ks, ks[1:])), ks
 
     def test_missing_stats_rejected(self):
         bank = ModelBank(2, 16.0, {0: ClassMixture(0, np.eye(2))})
         with pytest.raises(ValueError):
-            reduce(bank, {0: stats_for([np.eye(2)[0]], [1])}, ReductionConfig())
+            reduce(bank, *stats_for([np.eye(2)[0]], [1]), ReductionConfig())
 
 
 class TestCollectStats:
@@ -260,10 +243,9 @@ class TestCollectStats:
         y = np.array([0, 0, 0, 1])
         z = np.array([0, 1, 1, 0])
         feats = normalize_rows(np.array([[1.0, 0.1], [0.1, 1.0], [0.2, 1.0], [1.0, 0.0]]))
-        stats = collect_stats(bank, y, z, feats)
-        assert [s.count for s in stats[0]] == [1, 2]
-        np.testing.assert_allclose(stats[0][1].vec_sum, feats[1] + feats[2], atol=1e-15)
-        assert [s.count for s in stats[1]] == [1]
+        counts, sums = collect_stats(bank, y, z, feats)
+        assert counts.tolist() == [1, 2, 1]  # rows: class 0's two components, then class 1's
+        np.testing.assert_allclose(sums[1], feats[1] + feats[2], atol=1e-15)
 
     def test_config_validation(self):
         with pytest.raises(ConfigError):

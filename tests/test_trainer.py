@@ -206,10 +206,11 @@ class TestLossTerms:
     def test_reg_matches_direct_recomputation(self):
         rng = np.random.default_rng(44)
         for _ in range(20):
-            bank = ModelBank(4, 16.0)
+            mixtures = {}
             for c in range(3):
                 k = int(rng.integers(1, 5))
-                bank.set_mixture(ClassMixture(c, normalize_rows(rng.standard_normal((k, 4)))))
+                mixtures[c] = ClassMixture(c, normalize_rows(rng.standard_normal((k, 4))))
+            bank = ModelBank(4, 16.0, mixtures)
             direct = 0.0
             for c in bank.class_ids:
                 m = bank.mixtures[c].means
@@ -250,13 +251,14 @@ class TestLossTerms:
         from vmfcl.trainer import _old_log_posteriors
 
         params = init_params(5, 4, 6, rng)
-        bank = ModelBank(4, 16.0)
-        old = ModelBank(4, 16.0)
+        mixtures, old_mixtures = {}, {}
         for c in range(3):
             k = int(rng.integers(2, 5))
             means = normalize_rows(rng.standard_normal((k, 4)))
-            bank.set_mixture(ClassMixture(c, means))
-            old.set_mixture(ClassMixture(c, means[: max(1, k - 1)].copy()))
+            mixtures[c] = ClassMixture(c, means)
+            old_mixtures[c] = ClassMixture(c, means[: max(1, k - 1)].copy())
+        bank = ModelBank(4, 16.0, mixtures)
+        old = ModelBank(4, 16.0, old_mixtures)
         snap = ModelState(params.copy(), old)
         x = rng.standard_normal((12, 5))
         y = rng.integers(0, 3, size=12)
