@@ -20,8 +20,6 @@ from .mixture import (
     ClassMixture,
     ModelBank,
     assign_component,
-    class_posterior,
-    component_posterior,
     load_snapshot,
     predict,
     save_snapshot,
@@ -46,7 +44,6 @@ from .trainer import (
     clf_loss,
     distill_loss,
     lambda_at,
-    overall_loss,
     reg_loss,
     train_session,
 )
@@ -57,13 +54,13 @@ __all__ = [
     "RunConfig", "SessionReport", "accuracy", "forgetting", "load_run_config", "purity",
     "run_experiment",
     "MemoryBuffer", "select_memory",
-    "ClassMixture", "ModelBank", "assign_component", "class_posterior", "component_posterior",
+    "ClassMixture", "ModelBank", "assign_component",
     "load_snapshot", "predict", "save_snapshot",
     "FeatureRecords", "SessionDataset", "SplitPlan", "SynthConfig", "generate_synthetic",
     "make_splits", "read_stream", "sample_vmf", "write_stream",
     "ReductionConfig", "collect_stats", "expand", "merge_pair", "reduce",
     "LossConfig", "ModelState", "TrainConfig", "clf_loss", "distill_loss",
-    "e_step", "lambda_at", "overall_loss", "reg_loss", "train_session",
+    "e_step", "lambda_at", "reg_loss", "train_session",
     "normalize",
 ]
 

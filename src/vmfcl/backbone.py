@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ModelRegression, NumericalError
-from .mixture import ModelBank, segment_log_softmax
+from .mixture import ModelBank, log_posteriors, segment_log_softmax
 from .vmf import ZERO_NORM_EPS, normalize_rows, row_norms
 
 
@@ -107,13 +107,6 @@ def forward(params: BackboneParams, x: np.ndarray) -> np.ndarray:
     return forward_batch(params, np.asarray(x, dtype=np.float64)[None, :])[0]
 
 
-def _log_softmax(t: np.ndarray) -> np.ndarray:
-    """Row-wise log-softmax of ``t``, computed in place."""
-    t -= np.maximum.reduce(t, axis=1, keepdims=True)
-    t -= np.log(np.add.reduce(np.exp(t), axis=1, keepdims=True))
-    return t
-
-
 def loss_and_grad(
     params: BackboneParams,
     bank: ModelBank,
@@ -198,9 +191,8 @@ def loss_and_grad(
     t *= kappa  # (n, K) scores, class blocks at the offsets
     if distilling and not kept:
         log_q = t[:, cols]
-    lse, comp_post = segment_log_softmax(t, layout)
+    log_p, comp_post = log_posteriors(t, layout)
     log_comp = t  # within-class log-softmax
-    log_p = _log_softmax(lse - layout.log_sizes)
     np.exp(log_comp, out=comp_post)  # softmax within each class
     if distilling and kept:
         # each teacher class is a whole class block here, so its restricted

@@ -117,6 +117,8 @@ class RunConfig:
             raise ConfigError("memory_budget must be positive")
         if self.m < 1:
             raise ConfigError("m must be at least 1")
+        if self.sessions is not None and self.sessions < 1:
+            raise ConfigError(f"sessions must be at least 1, got {self.sessions}")
         if not self.kappa >= 0 or self.hidden_dim < 0 or self.seed < 0:
             raise ConfigError(
                 f"kappa, hidden_dim and seed must be nonnegative, got {self.kappa}, "
@@ -203,6 +205,15 @@ def load_run_config(path) -> RunConfig:
     return cfg
 
 
+def _str_keys(value):
+    """``value`` with the keys of every dict in it, at any depth, made strings (JSON's keys)."""
+    if isinstance(value, dict):
+        return {str(k): _str_keys(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_str_keys(v) for v in value]
+    return value
+
+
 @dataclass
 class SessionReport:
     """Deterministic per-run metrics; ``to_dict`` is the JSON contract."""
@@ -224,26 +235,7 @@ class SessionReport:
     incomplete: bool = False
 
     def to_dict(self) -> dict:
-        def keyed(d):
-            return {str(k): v for k, v in d.items()}
-
-        return {
-            "per_session_acc": self.per_session_acc,
-            "avg_inc_acc": self.avg_inc_acc,
-            "final_acc": self.final_acc,
-            "forgetting": self.forgetting,
-            "purity_per_session": self.purity_per_session,
-            "components_per_class": keyed(self.components_per_class),
-            "components_per_class_history": [keyed(h) for h in self.components_per_class_history],
-            "per_class_domain_acc": {str(c): keyed(v) for c, v in self.per_class_domain_acc.items()},
-            "acc_matrix": self.acc_matrix,
-            "memory_class_counts": [keyed(h) for h in self.memory_class_counts],
-            "memory_component_counts": [keyed(h) for h in self.memory_component_counts],
-            "seed": self.seed,
-            "session_seeds": self.session_seeds,
-            "config_echo": self.config_echo,
-            "incomplete": self.incomplete,
-        }
+        return {f.name: _str_keys(getattr(self, f.name)) for f in fields(self)}
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
@@ -318,6 +310,8 @@ def run_experiment_full(cfg: RunConfig, out_dir=None) -> RunResult:
         test_pool = read_stream(cfg.test_path)
         if train_pool.dim != test_pool.dim:
             raise ConfigError("train and test streams disagree on dimension")
+        if len(train_pool) == 0:
+            raise ConfigError(f"train stream {cfg.train_path} has no records")
     input_dim = train_pool.dim
     embed_dim = cfg.embed_dim or input_dim
 

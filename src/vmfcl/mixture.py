@@ -5,13 +5,13 @@ uniform component prior 1/K_y. All components across all classes share one
 concentration kappa. Two inference rules are exposed and they are not the
 same thing:
 
-* ``class_posterior`` mean-pools components per class (used inside the
-  training loss),
+* ``log_posteriors`` mean-pools components per class (the training loss,
+  ``loss_and_grad``, calls it),
 * ``predict`` max-pools over components (used for label prediction; the
   run's evaluation calls ``predict_batch`` once per session on every seen
   test record).
 
-For a given input the argmax of ``class_posterior`` can legitimately differ
+For a given input the argmax of the class posterior can legitimately differ
 from ``predict``; both paths are part of the contract.
 
 The shared kappa cancels from every hard decision, so each is an argmax of
@@ -80,6 +80,8 @@ class BankLayout:
     * ``half_pair_weight`` (half of 1 / (K_c (K_c - 1)) per class, 0 for a
       single component) and ``column_pair_weight`` (-1 / (K_c (K_c - 1) C)
       per column), the spread penalty's weights.
+
+    Raises DimensionError for a class size below 1.
     """
 
     def __init__(self, class_ids: list[int], sizes: list[int]):
@@ -87,6 +89,8 @@ class BankLayout:
         self.offsets = np.cumsum([0] + sizes, dtype=np.int64)
         self.starts = self.offsets[:-1]
         self.sizes = np.diff(self.offsets)
+        if np.any(self.sizes < 1):
+            raise DimensionError(f"every class needs at least one component, got sizes {sizes}")
         self.log_sizes = np.log(self.sizes)
         n_classes = self.ids.size
         self.column_index = np.repeat(np.arange(n_classes), self.sizes)
@@ -164,9 +168,9 @@ class ModelBank:
     @classmethod
     def from_packed(cls, dim: int, kappa: float, layout: BankLayout, means: np.ndarray) -> "ModelBank":
         """A bank of (K, d) ``means`` packed in ``layout``'s class blocks, checked as
-        ``ClassMixture`` checks them: DimensionError unless every block is
-        nonempty and every row unit length within 1e-9."""
-        if means.shape != (layout.offsets[-1], dim) or np.any(layout.sizes < 1):
+        ``ClassMixture`` checks them: DimensionError unless they fill the
+        blocks and every row is unit length within 1e-9."""
+        if means.shape != (layout.offsets[-1], dim):
             raise DimensionError(f"means of shape {means.shape} do not fill the layout's blocks")
         if not np.all(np.abs(np.linalg.norm(means, axis=1) - 1.0) <= 1e-9):  # NaN fails too
             raise DimensionError("all component means must be unit length within 1e-9")
@@ -225,12 +229,19 @@ def segment_log_softmax(t: np.ndarray, layout: BankLayout) -> tuple[np.ndarray, 
     return m, scratch
 
 
-def component_posterior(bank: ModelBank, class_id: int, v: np.ndarray) -> np.ndarray:
-    """Softmax over a class's kappa-scaled component scores (max-subtracted for stability)."""
-    s = bank.kappa * (bank.mixture(class_id).means @ np.asarray(v, dtype=np.float64))
-    s = s - np.max(s)
-    e = np.exp(s)
-    return e / np.sum(e)
+def log_posteriors(t: np.ndarray, layout: BankLayout) -> tuple[np.ndarray, np.ndarray]:
+    """Class and within-class log posteriors of kappa-scaled (n, K) scores ``t``.
+
+    Overwrites ``t`` with the within-class log posteriors (``segment_log_softmax``)
+    and returns the (n, C) class log posteriors, the log-softmax over classes
+    of each block's log-sum-exp minus ``log K_c`` (components weighted 1/K_c),
+    with the (n, K) scratch array of ``segment_log_softmax``.
+    """
+    lse, scratch = segment_log_softmax(t, layout)
+    lse -= layout.log_sizes
+    lse -= np.maximum.reduce(lse, axis=1, keepdims=True)
+    lse -= np.log(np.add.reduce(np.exp(lse), axis=1, keepdims=True))
+    return lse, scratch
 
 
 def _dots(vs: np.ndarray, means: np.ndarray) -> np.ndarray:
@@ -253,27 +264,6 @@ def assign_component(bank: ModelBank, class_id: int, v: np.ndarray) -> int:
 def assign_components_batch(bank: ModelBank, class_id: int, vs: np.ndarray) -> np.ndarray:
     """``assign_component`` for every row of an (n, d) matrix."""
     return np.argmax(_dots(vs, bank.mixture(class_id).means), axis=1)
-
-
-def class_log_scores(bank: ModelBank, v: np.ndarray) -> np.ndarray:
-    """Per-class log of the 1/K_y-weighted sum of exponentiated component scores.
-
-    Entries are ordered by ascending class id. These are unnormalized
-    class-posterior logits.
-    """
-    if not bank.class_ids:
-        raise EmptyModel("model bank has no classes")
-    t = bank.kappa * (bank.means @ np.asarray(v, dtype=np.float64))
-    lse, _ = segment_log_softmax(t[None, :], bank.layout)
-    return lse[0] - bank.layout.log_sizes
-
-
-def class_posterior(bank: ModelBank, v: np.ndarray) -> np.ndarray:
-    """Posterior over classes (ascending class-id order), computed in log space."""
-    a = class_log_scores(bank, v)
-    a = a - np.max(a)
-    e = np.exp(a)
-    return e / np.sum(e)
 
 
 def predict(bank: ModelBank, v: np.ndarray) -> int:

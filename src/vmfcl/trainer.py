@@ -210,24 +210,6 @@ def reg_loss(bank: mx.ModelBank) -> float:
     return total / len(bank.mixtures)
 
 
-def overall_loss(
-    bank: mx.ModelBank,
-    params: bb.BackboneParams,
-    snapshot: ModelState | None,
-    records: FeatureRecords,
-    assignments: np.ndarray,
-    lam: float,
-    beta: float,
-    eta: float,
-) -> float:
-    """clf + beta * distillation + eta * regularization."""
-    return (
-        clf_loss(bank, params, records, assignments, lam)
-        + beta * distill_loss(bank, params, snapshot, records)
-        + eta * reg_loss(bank)
-    )
-
-
 def _old_log_posteriors(snapshot: ModelState, feats: np.ndarray) -> np.ndarray:
     """Teacher log posteriors for the whole dataset, computed once per session.
 

@@ -18,8 +18,7 @@ from vmfcl.mixture import (
     ClassMixture,
     ModelBank,
     assign_component,
-    class_posterior,
-    component_posterior,
+    log_posteriors,
     predict,
 )
 from vmfcl.streams import ROLE_TRAIN, FeatureRecords, SynthConfig, generate_synthetic, make_splits
@@ -291,14 +290,16 @@ def test_criterion_3_normalization():
             k = int(rng.integers(1, 6))
             mixtures[c] = ClassMixture(c, normalize_rows(rng.standard_normal((k, 6))))
         bank = ModelBank(6, kappa, mixtures)
-        for _ in range(2500):
-            v = normalize(rng.standard_normal(6))
-            comp = component_posterior(bank, int(rng.integers(4)), v)
-            cls = class_posterior(bank, v)
-            worst = max(worst, abs(float(np.sum(comp)) - 1.0), abs(float(np.sum(cls)) - 1.0))
-            total += 1
+        # the posteriors loss_and_grad trains with: within each class and over classes
+        t = kappa * (normalize_rows(rng.standard_normal((2500, 6))) @ bank.means.T)
+        log_p, _ = log_posteriors(t, bank.layout)
+        comp = np.add.reduceat(np.exp(t), bank.layout.starts, axis=1)  # (2500, 4) class sums
+        cls = np.add.reduce(np.exp(log_p), axis=1)
+        worst = max(worst, float(np.max(np.abs(comp - 1.0))), float(np.max(np.abs(cls - 1.0))))
+        total += t.shape[0]
     verdict(3, "posterior-normalization", worst <= 1e-9,
-            f"{total} inputs over kappa in {{0,1,16,100}}, worst |sum-1| = {worst:.2e}")
+            f"{total} inputs over kappa in {{0,1,16,100}}, every class's within-class and the "
+            f"class posterior, worst |sum-1| = {worst:.2e}")
 
 
 # ---------------------------------------------------------------------------

@@ -106,10 +106,10 @@ class TestLossAndGrad:
         rng = np.random.default_rng(7)
         params, bank, x, y, zhat = make_setup(rng, n=1)
         loss, _, _ = loss_and_grad(params, bank, x, y, zhat, lam=0.0, beta=0.0, eta=0.0)
-        from vmfcl.mixture import class_posterior
-
         v = forward(params, x[0])
-        post = class_posterior(bank, v)
+        # class posterior: each class's mean of exp(kappa mu . v) over its components, normalized
+        scores = np.array([np.mean(np.exp(bank.kappa * (m.means @ v))) for m in bank.mixtures.values()])
+        post = scores / np.sum(scores)
         assert loss == pytest.approx(-np.log(post[list(bank.class_ids).index(int(y[0]))]), rel=1e-9)
 
     def test_duplicated_example_same_mean_gradient(self):

@@ -483,6 +483,28 @@ test = {out}/test.vmfs
         assert "has no test records" in err and "[(1, 0)]" in err
         assert not (out / "report.json").exists()
 
+    @pytest.mark.parametrize("sessions", ["0", "-1", "-3"])
+    def test_session_count_below_one_exit_code(self, tmp_path, capsys, sessions):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(config_with("run", "sessions", sessions))
+        out = tmp_path / "x"
+        assert cli_main(["run", "--config", str(bad), "--out", str(out)]) == 1
+        assert "sessions must be at least 1" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_data_train_stream_without_records_exit_code(self, tmp_path, capsys):
+        from vmfcl.streams import write_stream
+
+        tr, te = data_files(tmp_path, SynthConfig(2, 2, 8, 30.0, 30, 10, seed=7), lambda test: test.y >= 0)
+        write_stream(tr, read_stream(tr).subset(slice(0, 0)))
+        path = tmp_path / "data.cfg"
+        path.write_text(f"[run]\nsplit = ND\n\n[data]\ntrain = {tr}\ntest = {te}\n")
+        out = tmp_path / "x"
+        assert cli_main(["run", "--config", str(path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "config error" in err and "has no records" in err
+        assert not out.exists()
+
     def test_python_m_vmfcl_entry_point(self):
         src = os.path.dirname(os.path.dirname(vmfcl.__file__))
         done = subprocess.run([sys.executable, "-m", "vmfcl", "run", "--help"], capture_output=True,

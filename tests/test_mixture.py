@@ -13,9 +13,8 @@ from vmfcl.mixture import (
     ClassMixture,
     ModelBank,
     assign_component,
-    class_posterior,
-    component_posterior,
     load_snapshot,
+    log_posteriors,
     predict,
     predict_batch,
     save_snapshot,
@@ -29,6 +28,25 @@ def bank_2d(kappa=1.0) -> ModelBank:
     })
 
 
+def posteriors(bank: ModelBank, vs) -> tuple[np.ndarray, np.ndarray]:
+    """Within-class (n, K) and class (n, C) posteriors of the rows of ``vs``, as
+    ``loss_and_grad`` computes them."""
+    t = bank.kappa * (np.atleast_2d(np.asarray(vs, dtype=np.float64)) @ bank.means.T)
+    log_p, _ = log_posteriors(t, bank.layout)
+    return np.exp(t), np.exp(log_p)
+
+
+def component_post(bank: ModelBank, class_id: int, v) -> np.ndarray:
+    """The within-class posterior of one class for one input."""
+    i = bank.class_ids.index(class_id)
+    return posteriors(bank, v)[0][0, bank.offsets[i] : bank.offsets[i + 1]]
+
+
+def class_post(bank: ModelBank, v) -> np.ndarray:
+    """The class posterior (ascending class ids) for one input."""
+    return posteriors(bank, v)[1][0]
+
+
 def random_bank(rng, n_classes=3, max_k=5, d=4, kappa=16.0) -> ModelBank:
     mixtures = {}
     for c in range(n_classes):
@@ -40,21 +58,17 @@ def random_bank(rng, n_classes=3, max_k=5, d=4, kappa=16.0) -> ModelBank:
 class TestComponentPosterior:
     def test_single_component(self):
         bank = ModelBank(2, 16.0, {5: ClassMixture(5, np.array([[0.0, 1.0]]))})
-        np.testing.assert_array_equal(component_posterior(bank, 5, [1.0, 0.0]), [1.0])
+        np.testing.assert_array_equal(component_post(bank, 5, [1.0, 0.0]), [1.0])
 
     def test_two_term_softmax(self):
-        post = component_posterior(bank_2d(kappa=1.0), 0, np.array([1.0, 0.0]))
+        post = component_post(bank_2d(kappa=1.0), 0, np.array([1.0, 0.0]))
         e = math.e
         np.testing.assert_allclose(post, [e / (e + 1), 1 / (e + 1)], rtol=1e-12)
 
     def test_symmetric_input_splits_evenly(self):
         v = normalize([1.0, 1.0])
-        post = component_posterior(bank_2d(kappa=16.0), 0, v)
+        post = component_post(bank_2d(kappa=16.0), 0, v)
         np.testing.assert_allclose(post, [0.5, 0.5], rtol=1e-12)
-
-    def test_unknown_class(self):
-        with pytest.raises(UnknownClass):
-            component_posterior(bank_2d(), 9, [1.0, 0.0])
 
     @pytest.mark.parametrize("kappa", [0.0, 1.0, 16.0, 100.0])
     def test_sums_to_one(self, kappa):
@@ -62,7 +76,7 @@ class TestComponentPosterior:
         bank = random_bank(rng, kappa=kappa)
         for _ in range(100):
             v = normalize(rng.standard_normal(4))
-            post = component_posterior(bank, int(rng.integers(3)), v)
+            post = component_post(bank, int(rng.integers(3)), v)
             assert np.all(post >= 0)
             assert abs(float(np.sum(post)) - 1.0) < 1e-9
 
@@ -94,13 +108,13 @@ class TestAssignComponent:
             bank = random_bank(rng, n_classes=2, max_k=6)
             c = int(rng.integers(2))
             v = normalize(rng.standard_normal(4))
-            assert assign_component(bank, c, v) == int(np.argmax(component_posterior(bank, c, v)))
+            assert assign_component(bank, c, v) == int(np.argmax(component_post(bank, c, v)))
 
 
 class TestClassPosterior:
     def test_single_class(self):
         bank = ModelBank(2, 16.0, {3: ClassMixture(3, np.array([[1.0, 0.0]]))})
-        np.testing.assert_array_equal(class_posterior(bank, [0.0, 1.0]), [1.0])
+        np.testing.assert_array_equal(class_post(bank, [0.0, 1.0]), [1.0])
 
     def test_two_class_softmax(self):
         bank = ModelBank(2, 1.0, {
@@ -109,7 +123,7 @@ class TestClassPosterior:
         })
         e = math.e
         np.testing.assert_allclose(
-            class_posterior(bank, [1.0, 0.0]), [e / (e + 1), 1 / (e + 1)], rtol=1e-12
+            class_post(bank, [1.0, 0.0]), [e / (e + 1), 1 / (e + 1)], rtol=1e-12
         )
 
     def test_duplicate_components_cancel(self):
@@ -122,18 +136,14 @@ class TestClassPosterior:
         rng = np.random.default_rng(0)
         for _ in range(20):
             v = normalize(rng.standard_normal(2))
-            np.testing.assert_allclose(class_posterior(bank, v), [0.5, 0.5], rtol=1e-12)
-
-    def test_empty_bank(self):
-        with pytest.raises(EmptyModel):
-            class_posterior(ModelBank(2, 16.0), [1.0, 0.0])
+            np.testing.assert_allclose(class_post(bank, v), [0.5, 0.5], rtol=1e-12)
 
     @pytest.mark.parametrize("kappa", [0.0, 1.0, 16.0, 100.0])
     def test_sums_to_one(self, kappa):
         rng = np.random.default_rng(10)
         bank = random_bank(rng, kappa=kappa)
         for _ in range(100):
-            post = class_posterior(bank, normalize(rng.standard_normal(4)))
+            post = class_post(bank, normalize(rng.standard_normal(4)))
             assert np.all(post >= 0)
             assert abs(float(np.sum(post)) - 1.0) < 1e-9
 
@@ -158,6 +168,10 @@ class TestPredict:
                 key=lambda t: (t[1], -t[0]),
             )
             assert predict(bank, v) == best[0]
+
+    def test_empty_bank_raises(self):
+        with pytest.raises(EmptyModel):
+            predict_batch(ModelBank(2, 16.0), np.eye(2))
 
     def test_exact_tie_goes_to_lower_class(self):
         mu = normalize([1.0, 3.0])
@@ -194,7 +208,7 @@ class TestPredict:
             np.testing.assert_array_equal(predict_batch(bank, vs), expected)
 
     def test_max_pooling_can_disagree_with_mean_pooling(self):
-        # predict max-pools components; class_posterior mean-pools. Both are
+        # predict max-pools components; log_posteriors mean-pools. Both are
         # part of the contract and they genuinely diverge on inputs like this.
         v = np.array([1.0, 0.0])
         near, far = normalize([0.95, np.sqrt(1 - 0.95**2)]), np.array([-1.0, 0.0])
@@ -203,7 +217,7 @@ class TestPredict:
             1: ClassMixture(1, np.vstack([near, far])),
         })
         assert predict(bank, v) == 1
-        assert int(np.argmax(class_posterior(bank, v))) == 0
+        assert int(np.argmax(class_post(bank, v))) == 0
 
 
 class TestSnapshots:
@@ -316,10 +330,11 @@ class TestPackedBank:
         for bad in (good[:2], np.array([[1.0, 0.0], [0.0, 1.0], [0.6, 0.9]]), np.full((3, 2), np.nan)):
             with pytest.raises(DimensionError):
                 ModelBank.from_packed(2, 16.0, layout, bad)
-        with np.errstate(divide="ignore"):  # the layout's log(0)
-            empty_class = BankLayout([0, 3], [2, 0])
+
+    @pytest.mark.parametrize("sizes", [[2, 0], [0, 1], [3, -1]])
+    def test_layout_rejects_a_class_without_components(self, sizes):
         with pytest.raises(DimensionError):
-            ModelBank.from_packed(2, 16.0, empty_class, good[:2])
+            BankLayout([0, 3], sizes)
 
     def test_rows_of_maps_class_and_component_to_the_packed_row(self):
         layout = BankLayout([0, 3], [1, 2])

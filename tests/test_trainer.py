@@ -6,10 +6,10 @@ import math
 import numpy as np
 import pytest
 
-from vmfcl.backbone import BackboneParams, forward_batch, init_params
+from vmfcl.backbone import BackboneParams, forward_batch, init_params, loss_and_grad
 from vmfcl.errors import ModelRegression, NumericalError, VmfclError
 from vmfcl.memory import MemoryBuffer
-from vmfcl.mixture import ClassMixture, ModelBank, class_posterior, component_posterior
+from vmfcl.mixture import ClassMixture, ModelBank
 from vmfcl.streams import (
     ROLE_TRAIN,
     FeatureRecords,
@@ -24,10 +24,10 @@ from vmfcl.trainer import (
     LossConfig,
     ModelState,
     TrainConfig,
+    _old_log_posteriors,
     clf_loss,
     distill_loss,
     lambda_at,
-    overall_loss,
     reg_loss,
     train_session,
 )
@@ -130,9 +130,11 @@ class TestLossTerms:
         expected = 0.0
         for i in range(2):
             v = x[i]
-            cp = class_posterior(bank, v)
+            # each class's mean of exp(kappa mu . v) over its components, and each component's share
+            e = {c: np.exp(bank.kappa * (mix.means @ v)) for c, mix in bank.mixtures.items()}
+            cp = {c: np.mean(ec) / sum(np.mean(ek) for ek in e.values()) for c, ec in e.items()}
             expected -= math.log(cp[int(recs.y[i])])
-            comp = component_posterior(bank, int(recs.y[i]), v)
+            comp = e[int(recs.y[i])] / np.sum(e[int(recs.y[i])])
             expected -= lam * math.log(comp[z[i]])
         expected /= 2
         assert clf_loss(bank, params, recs, z, lam) == pytest.approx(expected, abs=1e-9)
@@ -222,6 +224,7 @@ class TestLossTerms:
             assert reg_loss(bank) == pytest.approx(direct, abs=1e-12)
 
     def test_overall_composition(self):
+        # the training loss is clf + beta * distillation + eta * regularization
         bank, params = self.setup_bank()
         recs = records_from(normalize_rows(np.array([[0.9, 0.2], [-0.7, -0.6]])), np.array([0, 1]))
         z = e_step(bank, forward_batch(params, recs.x), recs.y)
@@ -232,24 +235,22 @@ class TestLossTerms:
             + beta * distill_loss(bank, params, snap, recs)
             + eta * reg_loss(bank)
         )
-        got = overall_loss(bank, params, snap, recs, z, lam, beta, eta)
+        old_lp = _old_log_posteriors(snap, forward_batch(snap.params, recs.x))
+        got, _, _ = loss_and_grad(params, bank, recs.x, recs.y, z, lam=lam, beta=beta, eta=eta,
+                                  old_log_post=(snap.bank, old_lp))
         assert got == pytest.approx(expected, rel=1e-12)
 
     def test_overall_without_terms_equals_clf(self):
         bank, params = self.setup_bank()
         recs = records_from(normalize_rows(np.array([[0.9, 0.2]])), np.array([0]))
         z = e_step(bank, forward_batch(params, recs.x), recs.y)
-        assert overall_loss(bank, params, None, recs, z, 0.05, 0.0, 0.0) == pytest.approx(
-            clf_loss(bank, params, recs, z, 0.05)
-        )
+        got, _, _ = loss_and_grad(params, bank, recs.x, recs.y, z, lam=0.05, beta=0.0, eta=0.0)
+        assert got == pytest.approx(clf_loss(bank, params, recs, z, 0.05))
 
     def test_scalar_path_matches_gradient_path(self):
         # the per-example scalar losses and the vectorized value inside
         # loss_and_grad are independent implementations of the same objective
         rng = np.random.default_rng(47)
-        from vmfcl.backbone import init_params, loss_and_grad
-        from vmfcl.trainer import _old_log_posteriors
-
         params = init_params(5, 4, 6, rng)
         mixtures, old_mixtures = {}, {}
         for c in range(3):
@@ -265,7 +266,11 @@ class TestLossTerms:
         recs = records_from(x, y)
         z = e_step(bank, forward_batch(params, recs.x), recs.y)
         lam, beta, eta = 0.08, 1.0, 0.1
-        scalar = overall_loss(bank, params, snap, recs, z, lam, beta, eta)
+        scalar = (
+            clf_loss(bank, params, recs, z, lam)
+            + beta * distill_loss(bank, params, snap, recs)
+            + eta * reg_loss(bank)
+        )
         old_lp = _old_log_posteriors(snap, forward_batch(snap.params, recs.x))
         vectorized, _, terms = loss_and_grad(params, bank, x, y, z, lam=lam, beta=beta, eta=eta,
                                              old_log_post=(old, old_lp))

@@ -26,6 +26,7 @@ import argparse
 import contextlib
 import hashlib
 import os
+import signal
 import subprocess
 import sys
 import tempfile
@@ -65,17 +66,31 @@ def run(tree: Path, config: str, method: str | None, seed: int, out: Path) -> bo
     return done.returncode == 0
 
 
+def _exit_on_sigterm(signum, frame):
+    raise SystemExit(128 + signum)
+
+
 @contextlib.contextmanager
 def worktree(rev: str):
-    """Yield the path of REV checked out in a temporary git worktree, removed on exit."""
-    with tempfile.TemporaryDirectory(prefix="worktree-") as tmp:
-        path = Path(tmp) / "base"
-        subprocess.run(["git", "worktree", "add", "--detach", "--quiet", str(path), rev],
-                       cwd=ROOT, check=True)
-        try:
-            yield path
-        finally:
-            subprocess.run(["git", "worktree", "remove", "--force", str(path)], cwd=ROOT, check=False)
+    """Yield the path of REV checked out in a temporary git worktree, removed on exit.
+
+    SIGTERM raises SystemExit while the worktree exists, so a killed run
+    removes it too; worktrees whose directory is gone (a SIGKILLed run's)
+    are pruned before the new one is added.
+    """
+    previous = signal.signal(signal.SIGTERM, _exit_on_sigterm)
+    try:
+        with tempfile.TemporaryDirectory(prefix="worktree-") as tmp:
+            path = Path(tmp) / "base"
+            subprocess.run(["git", "worktree", "prune"], cwd=ROOT, check=True)
+            subprocess.run(["git", "worktree", "add", "--detach", "--quiet", str(path), rev],
+                           cwd=ROOT, check=True)
+            try:
+                yield path
+            finally:
+                subprocess.run(["git", "worktree", "remove", "--force", str(path)], cwd=ROOT, check=False)
+    finally:
+        signal.signal(signal.SIGTERM, previous)
 
 
 def digest(path: Path) -> str | None:
