@@ -1,12 +1,13 @@
 """Metrics, experiment orchestration and machine-readable run reports.
 
 ``run_experiment`` drives the full incremental protocol: train a session,
-evaluate on everything seen so far (``seen_accuracies``, one pass over the
-seen test records), rebuild the replay memory, repeat. The
-``replay_baseline`` method pins every class to a single component and turns
-off expansion, reduction and the intra-class/distillation/regularization
-terms, leaving plain replay fine-tuning of the same architecture, so the
-delta against ``domain_aware`` isolates the mixture machinery.
+evaluate on everything seen so far (``seen_accuracies``, which scores each
+seen test record once, in blocks of ``PREDICT_BLOCK_ROWS`` rows), rebuild
+the replay memory, repeat. The ``replay_baseline`` method pins every class
+to a single component and turns off expansion, reduction and the
+intra-class/distillation/regularization terms, leaving plain replay
+fine-tuning of the same architecture, so the delta against
+``domain_aware`` isolates the mixture machinery.
 
 Report JSON is fully deterministic for a fixed config and seed: volatile
 metadata (wall clock) goes to the text log instead.
@@ -26,10 +27,11 @@ from . import config as cfgfile
 from .backbone import BackboneParams, forward_batch, init_params
 from .errors import ConfigError, PurityUnavailable
 from .memory import MemoryBuffer, select_memory
-from .mixture import ModelBank, predict_batch, save_snapshot
+from .mixture import PREDICT_BLOCK_ROWS, ModelBank, predict_batch, save_snapshot
 from .streams import (
     FeatureRecords,
     SynthConfig,
+    check_session_count,
     concat_records,
     generate_synthetic,
     make_splits,
@@ -268,14 +270,19 @@ def seen_accuracies(
 
     Returns the accuracy on each session's pairs (one ``acc_matrix`` row),
     on all of them, and on each pair that has test records. Every record is
-    forwarded and predicted once. Each entry is 100 * hits / records of
-    integer counts, so it equals ``accuracy`` on the same records bit for
-    bit; a pair listed twice counts once.
+    forwarded and predicted once, in blocks of ``PREDICT_BLOCK_ROWS`` rows, so
+    the features held at any time are one block's, however many records have
+    been seen. Each entry is 100 * hits / records of integer counts, so it
+    equals ``accuracy`` on the same records bit for bit; a pair listed twice
+    counts once.
     """
     pairs = sorted({p for s in sessions for p in s})
     codes = _pair_codes(test_pool, pairs)
     rows = np.flatnonzero(codes >= 0)
-    pred = predict_batch(bank, forward_batch(params, test_pool.x[rows]))
+    pred = np.empty(len(rows), dtype=np.int64)
+    for lo in range(0, len(rows), PREDICT_BLOCK_ROWS):
+        block = rows[lo : lo + PREDICT_BLOCK_ROWS]
+        pred[lo : lo + len(block)] = predict_batch(bank, forward_batch(params, test_pool.x[block]))
     codes = codes[rows]
     totals = np.bincount(codes, minlength=len(pairs))
     hits = np.bincount(codes[pred == test_pool.y[rows]], minlength=len(pairs))
@@ -320,6 +327,7 @@ def run_experiment_full(cfg: RunConfig, out_dir=None) -> RunResult:
     else:  # ND: one new domain per class per session
         first_class = int(np.min(train_pool.y))
         n_sessions = int(np.unique(train_pool.domain[train_pool.y == first_class]).size)
+    check_session_count(train_pool, n_sessions)  # before anything is sized by it
 
     master = np.random.default_rng(cfg.seed)
     seeds = master.integers(0, 2**63, size=2 + 2 * n_sessions).tolist()

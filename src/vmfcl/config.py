@@ -17,34 +17,36 @@ def parse_sections(path) -> dict[str, dict[str, str]]:
     sections: dict[str, dict[str, str]] = {}
     current: str | None = None
     try:
-        fh = open(path, encoding="utf-8")
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
     except OSError as e:
         raise ConfigError(f"cannot read config file {path}: {e}") from None
-    with fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if line.startswith("[") and line.endswith("]"):
-                current = line[1:-1].strip()
-                if not current:
-                    raise ConfigError(f"{path}:{lineno}: empty section name")
-                if current in sections:
-                    raise ConfigError(f"{path}:{lineno}: duplicate section [{current}]")
-                sections[current] = {}
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected key = value, got {line!r}")
-            if current is None:
-                raise ConfigError(f"{path}:{lineno}: key outside any [section]")
-            key, _, value = line.partition("=")
-            key = key.strip()
-            value = value.strip()
-            if not key:
-                raise ConfigError(f"{path}:{lineno}: empty key")
-            if key in sections[current]:
-                raise ConfigError(f"{path}:{lineno}: duplicate key {key!r} in [{current}]")
-            sections[current][key] = value
+    except UnicodeDecodeError as e:
+        raise ConfigError(f"{path}: not valid UTF-8 ({e.reason})") from None
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if line.startswith("[") and line.endswith("]"):
+            current = line[1:-1].strip()
+            if not current:
+                raise ConfigError(f"{path}:{lineno}: empty section name")
+            if current in sections:
+                raise ConfigError(f"{path}:{lineno}: duplicate section [{current}]")
+            sections[current] = {}
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}:{lineno}: expected key = value, got {line!r}")
+        if current is None:
+            raise ConfigError(f"{path}:{lineno}: key outside any [section]")
+        key, _, value = line.partition("=")
+        key = key.strip()
+        value = value.strip()
+        if not key:
+            raise ConfigError(f"{path}:{lineno}: empty key")
+        if key in sections[current]:
+            raise ConfigError(f"{path}:{lineno}: duplicate key {key!r} in [{current}]")
+        sections[current][key] = value
     return sections
 
 

@@ -39,7 +39,9 @@ SNAPSHOT_MAGIC = b"VMFB"
 SNAPSHOT_VERSION = 1
 BACKBONE_TAG = b"THET"
 
-# Rows that predict_batch scores at once: bounds its (rows, K) block of dots.
+# Rows that predict_batch scores at once, bounding its (rows, K) block of dots; the
+# run's evaluation (bench.seen_accuracies) forwards and predicts seen records in blocks
+# of the same size.
 PREDICT_BLOCK_ROWS = 1024
 
 

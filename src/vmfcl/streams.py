@@ -268,6 +268,24 @@ def _grid(pool: FeatureRecords) -> dict[int, list[int]]:
     return grid
 
 
+def check_session_count(pool: FeatureRecords, num_sessions: int):
+    """Raise ConfigError unless some split of ``pool`` could fill ``num_sessions`` sessions.
+
+    Every session of every regime holds at least one (class, domain) pair of
+    its own, so a pool fills at most as many sessions as it has pairs.
+    """
+    if num_sessions < 1:
+        raise ConfigError("need at least one session")
+    # one int64 key per (class, domain) pair: a 1-D unique is far cheaper than one over rows
+    keys = (pool.y.astype(np.int64) << 32) | (pool.domain.astype(np.int64) & 0xFFFFFFFF)
+    n_pairs = np.unique(keys).size
+    if num_sessions > n_pairs:
+        raise ConfigError(
+            f"{num_sessions} sessions, but the train pool has {n_pairs} (class, domain) pairs "
+            "and each session needs one of its own"
+        )
+
+
 def make_splits(pool: FeatureRecords, mode: str, num_sessions: int, seed: int):
     """Partition a pool into per-session datasets for one of the three regimes.
 
@@ -280,8 +298,7 @@ def make_splits(pool: FeatureRecords, mode: str, num_sessions: int, seed: int):
     Returns (SplitPlan, list of SessionDataset). Raises ConfigError when the
     pool's grid cannot satisfy the requested regime.
     """
-    if num_sessions < 1:
-        raise ConfigError("need at least one session")
+    check_session_count(pool, num_sessions)
     rng = np.random.default_rng(seed)
     grid = _grid(pool)
     classes = list(grid)
@@ -394,13 +411,12 @@ def read_stream(path) -> FeatureRecords:
         rec_dtype = _record_dtype(dim)
     except ValueError:  # the record size overflows a C int
         raise ParseError(f"record dimension {dim} is too large", offset=8) from None
-    body = data[_HEADER.size :]
-    whole, tail = divmod(len(body), rec_dtype.itemsize)
+    whole, tail = divmod(len(data) - _HEADER.size, rec_dtype.itemsize)
     if tail != 0:
         raise ParseError("truncated record", offset=_HEADER.size + whole * rec_dtype.itemsize)
     if whole != count:
         raise ParseError(f"record count mismatch: header says {count}, file holds {whole}")
-    arr = np.frombuffer(body, dtype=rec_dtype)
+    arr = np.frombuffer(data, dtype=rec_dtype, count=whole, offset=_HEADER.size)
     order = np.argsort(arr["id"], kind="stable")
     repeats = order[1:][arr["id"][order[1:]] == arr["id"][order[:-1]]]
     if repeats.size:

@@ -492,6 +492,25 @@ test = {out}/test.vmfs
         assert "sessions must be at least 1" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_config_that_is_not_utf8_exit_code(self, tmp_path, capsys):
+        bad = tmp_path / "bad.cfg"
+        bad.write_bytes(CONFIG_TEXT.replace("seed = 4", "seed = 4\xff").encode("latin-1"))
+        out = tmp_path / "x"
+        assert cli_main(["run", "--config", str(bad), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "config error" in err and "not valid UTF-8" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("sessions", ["5", "100000000000000000000"])
+    def test_more_sessions_than_pairs_exit_code(self, tmp_path, capsys, sessions):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(config_with("run", "sessions", sessions))  # 2 classes x 2 domains
+        out = tmp_path / "x"
+        assert cli_main(["run", "--config", str(bad), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "config error" in err and f"{sessions} sessions" in err and "4 (class, domain) pairs" in err
+        assert not out.exists()
+
     def test_data_train_stream_without_records_exit_code(self, tmp_path, capsys):
         from vmfcl.streams import write_stream
 

@@ -1,13 +1,17 @@
 """Per-session evaluation: one scoring pass against per-slice ``accuracy`` oracles.
 
-``seen_accuracies`` forwards and predicts every seen test record once and
-derives the ``acc_matrix`` row, the per-session accuracy and the
-per-(class, domain) table from integer hit and record counts. The oracle is
-what the run computed before: ``accuracy`` on each slice of the test pool,
-with each slice masked out by ``_test_slice``. The two must agree exactly.
+``seen_accuracies`` forwards and predicts every seen test record once, in
+blocks of ``PREDICT_BLOCK_ROWS`` rows, and derives the ``acc_matrix`` row,
+the per-session accuracy and the per-(class, domain) table from integer hit
+and record counts. The oracle is what the run computed before: ``accuracy``
+on each slice of the test pool, with each slice masked out by
+``_test_slice``. The two must agree exactly.
 """
 
+import tracemalloc
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -81,6 +85,29 @@ def test_one_pass_tables_equal_per_slice_accuracy(case):
     assert per_pair == expected
 
 
+@pytest.mark.parametrize("hidden_dim", [0, 32])
+def test_evaluation_memory_does_not_grow_with_the_seen_set(hidden_dim):
+    rng = np.random.default_rng(0)
+    n, d = 24_000, 16
+    bank = ModelBank(d, 16.0, {
+        c: ClassMixture(c, normalize_rows(rng.standard_normal((3, d)))) for c in range(4)
+    })
+    params = init_params(d, d, hidden_dim, rng)
+    y = rng.integers(0, 4, size=n)
+    domain = rng.integers(0, 2, size=n).astype(np.int32)
+    pool = FeatureRecords(np.arange(n, dtype=np.uint64), rng.standard_normal((n, d)), y, domain,
+                          np.full(n, ROLE_TEST, np.uint8))
+    sessions = [[(c, z) for c in classes for z in range(2)] for classes in ((0, 1), (2, 3))]
+
+    tracemalloc.start()
+    try:
+        seen_accuracies(bank, params, pool, sessions)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < n * d * 8  # less than one (n_seen, d) float64 array: features are held a block at a time
+
+
 def test_each_session_predicts_its_seen_test_records_once(monkeypatch):
     events = []
     real_forward, real_predict = bench.forward_batch, bench.predict_batch
@@ -96,19 +123,29 @@ def test_each_session_predicts_its_seen_test_records_once(monkeypatch):
 
     monkeypatch.setattr(bench, "forward_batch", forward)
     monkeypatch.setattr(bench, "predict_batch", predict)
-    cfg = RunConfig(
-        split="NCD", sessions=3, memory_budget=24, seed=3, hidden_dim=0,
-        synth=SynthConfig(3, 2, 8, 30.0, 40, 10, min_angle_deg=60.0, seed=5),
-        loss=LossConfig(epochs=2, batch_size=32, lr=0.05, backbone_lr=0.0),
-        reduction=ReductionConfig(min_count=6),
-    )
-    result = bench.run_experiment_full(cfg)
+    for test_per_pair in (10, 400):  # 60 test records, then 2,400: more than two blocks
+        events.clear()
+        cfg = RunConfig(
+            split="NCD", sessions=3, memory_budget=24, seed=3, hidden_dim=0,
+            synth=SynthConfig(3, 2, 8, 30.0, 40, test_per_pair, min_angle_deg=60.0, seed=5),
+            loss=LossConfig(epochs=2, batch_size=32, lr=0.05, backbone_lr=0.0),
+            reduction=ReductionConfig(min_count=6),
+        )
+        result = bench.run_experiment_full(cfg)
 
-    assert [kind for kind, _, _ in events] == ["forward", "predict"] * len(result.plan.sessions)
-    pool = result.test_pool
-    for t in range(len(result.plan.sessions)):
-        seen = _test_slice(pool, [p for s in result.plan.sessions[: t + 1] for p in s])
-        (_, x, feats), (_, vs, _) = events[2 * t], events[2 * t + 1]
-        assert np.array_equal(x, seen.x)
-        assert vs is feats
-    assert len(events[-1][1]) == len(pool)  # the last session has seen every test record
+        pool = result.test_pool
+        assert len(pool) == 6 * test_per_pair
+        at = 0
+        for t in range(len(result.plan.sessions)):
+            seen = _test_slice(pool, [p for s in result.plan.sessions[: t + 1] for p in s])
+            n_blocks = -(-len(seen) // PREDICT_BLOCK_ROWS)
+            session = events[at : at + 2 * n_blocks]
+            at += 2 * n_blocks
+            assert [kind for kind, _, _ in session] == ["forward", "predict"] * n_blocks
+            blocks = [x for _, x, _ in session[::2]]
+            assert all(len(x) <= PREDICT_BLOCK_ROWS for x in blocks)
+            assert np.array_equal(np.concatenate(blocks), seen.x)  # each seen record once, in pool order
+            for (_, _, feats), (_, vs, _) in zip(session[::2], session[1::2]):
+                assert vs is feats
+        assert at == len(events)
+        assert len(seen) == len(pool)  # the last session has seen every test record

@@ -196,6 +196,12 @@ class TestMakeSplits:
         with pytest.raises(ConfigError):
             make_splits(small_pool(2, 1), "XX", 1, seed=8)
 
+    @pytest.mark.parametrize("mode", ["NC", "ND", "NCD"])
+    def test_more_sessions_than_pairs_rejected_before_planning(self, mode):
+        # 4 (class, domain) pairs fill at most 4 sessions, and NCD sizes its plan by the count
+        with pytest.raises(ConfigError, match=r"5 sessions, but the train pool has 4 \(class, domain\) pairs"):
+            make_splits(small_pool(2, 2), mode, 5, seed=10)
+
     def test_deterministic_under_seed(self):
         pool = small_pool(4, 2)
         p1, _ = make_splits(pool, "NCD", 3, seed=9)

@@ -13,11 +13,13 @@ every seed on:
 * ``perfbench/configs/nd_wide.cfg`` and ``perfbench/configs/nc_eval.cfg``,
   read as they are, under their configured method.
 
-For each run the sha256 of ``report.json`` and ``model.vmfb`` are compared
-and one line is printed. The exit code is 1 when any file differs, is
-missing, or a run fails in either tree, and 0 when everything is identical.
-The configs are read from this checkout in both trees, so both run the same
-inputs.
+For each run the sha256 of ``report.json``, ``model.vmfb`` and ``train.log``
+are compared and one line is printed per file. ``train.log`` is hashed
+without its ``wall_clock_sec=`` line, so the per-epoch loss terms and the
+merge maps it logs are compared but the wall time is not. The exit code is 1
+when any file differs, is missing, or a run fails in either tree, and 0 when
+everything is identical. The configs are read from this checkout in both
+trees, so both run the same inputs.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ RUNS = [
     ("perfbench/configs/nd_wide.cfg", None),
     ("perfbench/configs/nc_eval.cfg", None),
 ]
-OUTPUTS = ("report.json", "model.vmfb")
+OUTPUTS = ("report.json", "model.vmfb", "train.log")
 
 
 def parse_seeds(text: str) -> list[int]:
@@ -94,7 +96,14 @@ def worktree(rev: str):
 
 
 def digest(path: Path) -> str | None:
-    return hashlib.sha256(path.read_bytes()).hexdigest() if path.is_file() else None
+    """sha256 of a file, a ``train.log`` without its wall-clock line; None when it is missing."""
+    if not path.is_file():
+        return None
+    data = path.read_bytes()
+    if path.name == "train.log":  # its wall_clock_sec= line differs between identical runs
+        lines = data.splitlines(keepends=True)
+        data = b"".join(line for line in lines if not line.startswith(b"wall_clock_sec="))
+    return hashlib.sha256(data).hexdigest()
 
 
 def main(argv=None) -> int:
