@@ -40,7 +40,7 @@ print("training one session on", len(session), "examples ...")
 state, z = train_session(state, session, None, train_cfg, log=sys.stdout)
 
 print("\nfinal component counts per class:")
-for c in state.bank.class_ids:
-    print(f"  class {c}: K = {state.bank.mixtures[c].num_components}")
+for c, k in zip(state.bank.class_ids, state.bank.sizes.tolist()):
+    print(f"  class {c}: K = {k}")
 
 print("component purity against hidden domains:", round(purity(train.y, z, train.domain), 3))

@@ -5,7 +5,7 @@ with session-wise component expansion and reduction, intra-class
 distillation, and a class/component-balanced replay memory.
 """
 
-from .backbone import BackboneParams, Gradient, forward, init_params, loss_and_grad, sgd_step
+from .backbone import BackboneParams, Gradient, init_params, loss_and_grad, sgd_step
 from .bench import (
     RunConfig,
     SessionReport,
@@ -19,9 +19,7 @@ from .memory import MemoryBuffer, select_memory
 from .mixture import (
     ClassMixture,
     ModelBank,
-    assign_component,
     load_snapshot,
-    predict,
     save_snapshot,
 )
 from .streams import (
@@ -50,12 +48,12 @@ from .trainer import (
 from .vmf import normalize
 
 __all__ = [
-    "BackboneParams", "Gradient", "forward", "init_params", "loss_and_grad", "sgd_step",
+    "BackboneParams", "Gradient", "init_params", "loss_and_grad", "sgd_step",
     "RunConfig", "SessionReport", "accuracy", "forgetting", "load_run_config", "purity",
     "run_experiment",
     "MemoryBuffer", "select_memory",
-    "ClassMixture", "ModelBank", "assign_component",
-    "load_snapshot", "predict", "save_snapshot",
+    "ClassMixture", "ModelBank",
+    "load_snapshot", "save_snapshot",
     "FeatureRecords", "SessionDataset", "SplitPlan", "SynthConfig", "generate_synthetic",
     "make_splits", "read_stream", "sample_vmf", "write_stream",
     "ReductionConfig", "collect_stats", "expand", "merge_pair", "reduce",

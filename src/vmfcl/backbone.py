@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ModelRegression, NumericalError
-from .mixture import ModelBank, log_posteriors, segment_log_softmax
+from .mixture import ModelBank, log_posteriors, segment_log_softmax, spread_penalty
 from .vmf import ZERO_NORM_EPS, normalize_rows, row_norms
 
 
@@ -102,11 +102,6 @@ def forward_batch(params: BackboneParams, x: np.ndarray) -> np.ndarray:
     return normalize_rows(v)
 
 
-def forward(params: BackboneParams, x: np.ndarray) -> np.ndarray:
-    """Unit embedding of a single input vector."""
-    return forward_batch(params, np.asarray(x, dtype=np.float64)[None, :])[0]
-
-
 def loss_and_grad(
     params: BackboneParams,
     bank: ModelBank,
@@ -176,7 +171,6 @@ def loss_and_grad(
 
     layout, means, kappa = bank.layout, bank.means, bank.kappa
     offsets, sizes = layout.offsets, layout.sizes
-    n_classes = layout.ids.size
     rows = np.arange(n)
     y_cols = layout.positions(y)  # raises UnknownClass
 
@@ -240,11 +234,7 @@ def loss_and_grad(
     mean_grad = d_t.T @ v
     mean_grad *= kappa
     if eta != 0.0:
-        sm = np.add.reduceat(means, layout.starts, axis=0)  # (C, d) per-class sums
-        # sum_{i<j} mu_i . mu_j, written so it stays exact off-sphere too
-        sq_norms = np.add.reduceat(np.add.reduce(means * means, axis=1), layout.starts)
-        pairs = np.add.reduce(sm * sm, axis=1) - sq_norms
-        reg = -float(np.add.reduce(layout.half_pair_weight * pairs)) / n_classes
+        reg, sm = spread_penalty(means, layout)
         spread = np.repeat(sm, sizes, axis=0)
         spread -= means
         spread *= (eta * layout.column_pair_weight)[:, None]

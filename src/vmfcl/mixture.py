@@ -2,27 +2,27 @@
 
 Each class y owns K_y components with unit mean directions and an implicit
 uniform component prior 1/K_y. All components across all classes share one
-concentration kappa. Two inference rules are exposed and they are not the
-same thing:
+concentration kappa. A ``ModelBank`` packs every class's means in one (K, d)
+array; a ``ClassMixture`` is a view of one class's rows. Two inference rules
+are exposed and they are not the same thing:
 
 * ``log_posteriors`` mean-pools components per class (the training loss,
   ``loss_and_grad``, calls it),
-* ``predict`` max-pools over components (used for label prediction; the
-  run's evaluation calls ``predict_batch`` once per session on every seen
-  test record).
+* ``predict_batch`` max-pools over components (used for label prediction;
+  the run's evaluation calls it once per session on every seen test record).
 
 For a given input the argmax of the class posterior can legitimately differ
-from ``predict``; both paths are part of the contract.
+from ``predict_batch``; both paths are part of the contract.
 
 The shared kappa cancels from every hard decision, so each is an argmax of
 dot products, and one BLAS-free kernel, ``_dots``, defines them all: an
 exact tie goes to the lowest class id or component index.
-``assign_components_batch`` (and ``assign_component``) take the argmax of
-``_dots`` directly. ``predict_batch`` (and ``predict``) take one argmax
-over all the bank's columns, which ascend by class id, and map the winning
-column to its class; they score with BLAS and rescore with ``_dots`` every
-row whose margin does not certify that both kernels pick the same column,
-so they return the ``_dots`` answer on every row.
+``assign_components_batch`` takes the argmax of ``_dots`` directly.
+``predict_batch`` takes one argmax over all the bank's columns, which
+ascend by class id, and maps the winning column to its class; it scores
+with BLAS and rescores with ``_dots`` every row whose margin does not
+certify that both kernels pick the same column, so it returns the ``_dots``
+answer on every row.
 """
 
 from __future__ import annotations
@@ -47,25 +47,14 @@ PREDICT_BLOCK_ROWS = 1024
 
 @dataclass
 class ClassMixture:
-    """One class's vMF components; rows of ``means`` are unit vectors."""
+    """A view of one class's vMF components: its rows of a bank's packed means."""
 
     class_id: int
     means: np.ndarray  # (K, d)
 
-    def __post_init__(self):
-        self.means = np.asarray(self.means, dtype=np.float64)
-        if self.means.ndim != 2 or self.means.shape[0] < 1:
-            raise DimensionError(f"means must be a nonempty (K, d) matrix, got {self.means.shape}")
-        norms = np.linalg.norm(self.means, axis=1)
-        if not np.all(np.abs(norms - 1.0) <= 1e-9):  # NaN fails too
-            raise DimensionError("all component means must be unit length within 1e-9")
-
     @property
     def num_components(self) -> int:
         return self.means.shape[0]
-
-    def copy(self) -> "ClassMixture":
-        return ClassMixture(self.class_id, self.means.copy())
 
 
 class BankLayout:
@@ -83,11 +72,14 @@ class BankLayout:
       single component) and ``column_pair_weight`` (-1 / (K_c (K_c - 1) C)
       per column), the spread penalty's weights.
 
-    Raises DimensionError for a class size below 1.
+    Raises DimensionError for a class size below 1 or class ids that do not
+    strictly ascend.
     """
 
     def __init__(self, class_ids: list[int], sizes: list[int]):
         self.ids = np.asarray(class_ids, dtype=np.int64)
+        if np.any(self.ids[1:] <= self.ids[:-1]):
+            raise DimensionError(f"class ids must strictly ascend, got {class_ids}")
         self.offsets = np.cumsum([0] + sizes, dtype=np.int64)
         self.starts = self.offsets[:-1]
         self.sizes = np.diff(self.offsets)
@@ -149,29 +141,21 @@ class ModelBank:
 
     Rows ``offsets[i]:offsets[i + 1]`` of the (K, d) ``means`` belong to
     ``class_ids[i]`` (ascending); ``mixtures`` and ``mixture(c)`` are views.
-    ``layout`` holds the index arrays of that packing. The constructor packs
-    ``ClassMixture``s; ``from_packed`` takes means that are packed already.
+    ``layout`` holds the index arrays of that packing. The constructor builds
+    the empty bank; ``from_packed`` builds every other one.
     """
 
-    def __init__(self, dim: int, kappa: float, mixtures: dict[int, ClassMixture] | None = None):
+    def __init__(self, dim: int, kappa: float):
         self.dim = dim
         self.kappa = kappa
-        mixtures = mixtures or {}
-        for mix in mixtures.values():
-            if mix.means.shape[1] != self.dim:
-                raise DimensionError(
-                    f"class {mix.class_id} has dimension {mix.means.shape[1]}, bank has {self.dim}"
-                )
-        self.class_ids = sorted(mixtures)
-        blocks = [mixtures[c].means for c in self.class_ids]
-        self.layout = BankLayout(self.class_ids, [b.shape[0] for b in blocks])
-        self.means = np.vstack(blocks) if blocks else np.zeros((0, self.dim))
+        self.class_ids: list[int] = []
+        self.layout = BankLayout([], [])
+        self.means = np.zeros((0, dim))
 
     @classmethod
     def from_packed(cls, dim: int, kappa: float, layout: BankLayout, means: np.ndarray) -> "ModelBank":
-        """A bank of (K, d) ``means`` packed in ``layout``'s class blocks, checked as
-        ``ClassMixture`` checks them: DimensionError unless they fill the
-        blocks and every row is unit length within 1e-9."""
+        """A bank of (K, d) ``means`` packed in ``layout``'s class blocks: DimensionError
+        unless they fill the blocks and every row is unit length within 1e-9."""
         if means.shape != (layout.offsets[-1], dim):
             raise DimensionError(f"means of shape {means.shape} do not fill the layout's blocks")
         if not np.all(np.abs(np.linalg.norm(means, axis=1) - 1.0) <= 1e-9):  # NaN fails too
@@ -200,9 +184,7 @@ class ModelBank:
         if class_id not in self.class_ids:
             raise UnknownClass(f"class {class_id} has never been observed")
         i = self.class_ids.index(class_id)
-        view = object.__new__(ClassMixture)
-        view.class_id, view.means = class_id, self.means[self.offsets[i] : self.offsets[i + 1]]
-        return view
+        return ClassMixture(class_id, self.means[self.offsets[i] : self.offsets[i + 1]])
 
     def with_means(self, means: np.ndarray) -> "ModelBank":
         """A bank with this one's classes and layout and new (K, d) means."""
@@ -246,6 +228,20 @@ def log_posteriors(t: np.ndarray, layout: BankLayout) -> tuple[np.ndarray, np.nd
     return lse, scratch
 
 
+def spread_penalty(means: np.ndarray, layout: BankLayout) -> tuple[float, np.ndarray]:
+    """The spread penalty of packed (K, d) ``means`` and their (C, d) per-class sums.
+
+    The penalty is the negated mean over classes of each class's mean
+    pairwise dot product of its component means; a single component adds 0.
+    Every class block of ``layout`` must be nonempty, and there must be one.
+    """
+    sm = np.add.reduceat(means, layout.starts, axis=0)  # (C, d) per-class sums
+    # sum_{i<j} mu_i . mu_j, written so it stays exact off-sphere too
+    sq_norms = np.add.reduceat(np.add.reduce(means * means, axis=1), layout.starts)
+    pairs = np.add.reduce(sm * sm, axis=1) - sq_norms
+    return -float(np.add.reduce(layout.half_pair_weight * pairs)) / layout.ids.size, sm
+
+
 def _dots(vs: np.ndarray, means: np.ndarray) -> np.ndarray:
     """(n, K) dot products of the rows of ``vs`` with the rows of ``means``, without BLAS.
 
@@ -258,23 +254,15 @@ def _dots(vs: np.ndarray, means: np.ndarray) -> np.ndarray:
     return np.einsum("nd,kd->nk", vs, means, optimize=False)
 
 
-def assign_component(bank: ModelBank, class_id: int, v: np.ndarray) -> int:
-    """Hard assignment: index of the component mean closest to v, ties to lowest index."""
-    return int(assign_components_batch(bank, class_id, np.atleast_2d(v))[0])
-
-
 def assign_components_batch(bank: ModelBank, class_id: int, vs: np.ndarray) -> np.ndarray:
-    """``assign_component`` for every row of an (n, d) matrix."""
+    """Hard assignment of every row of an (n, d) matrix: index of the class's component
+    mean closest to the row, ties to the lowest index."""
     return np.argmax(_dots(vs, bank.mixture(class_id).means), axis=1)
 
 
-def predict(bank: ModelBank, v: np.ndarray) -> int:
-    """Class of the single closest component mean; ties go to the lowest class id."""
-    return int(predict_batch(bank, np.atleast_2d(v))[0])
-
-
 def predict_batch(bank: ModelBank, vs: np.ndarray) -> np.ndarray:
-    """``predict`` for every row of an (n, d) matrix, scored in blocks of rows.
+    """Class of the single closest component mean for every row of an (n, d) matrix,
+    ties to the lowest class id, scored in blocks of rows.
 
     Each block is scored with one BLAS product. In any summation order, with
     or without FMA, a computed d-term dot product v . mu lies within
@@ -284,7 +272,7 @@ def predict_batch(bank: ModelBank, vs: np.ndarray) -> np.ndarray:
     same unique argmax; the check below asks for twice that, which also covers
     the rounding in the check itself. Every other row (an exact or near tie,
     NaN, overflow) is rescored with ``_dots``. So every row gets the argmax
-    of ``_dots``, ties to the lowest class id, as ``predict`` defines it.
+    of ``_dots``, ties to the lowest class id.
     """
     if not bank.class_ids:
         raise EmptyModel("model bank has no classes")
@@ -378,11 +366,11 @@ def load_snapshot(path):
         raise ParseError(f"dimension must be at least 2, got {dim}", offset=8)
     if not 0.0 <= kappa < np.inf:  # NaN fails too
         raise ParseError(f"kappa must be finite and nonnegative, got {kappa}", offset=12)
-    mixtures = {}
+    blocks = {}
     for _ in range(n_classes):
         header_at = cur.pos
         class_id, k = cur.unpack("<II")
-        if class_id in mixtures:
+        if class_id in blocks:
             raise ParseError(f"duplicate class id {class_id}", offset=header_at)
         if k == 0:
             raise ParseError(f"class {class_id} has no components", offset=header_at + 4)
@@ -397,8 +385,11 @@ def load_snapshot(path):
                 offset=means_at + 4 * dim * int(bad[0]),
             )
         # float32 quantization leaves norms ~1e-8 off unit; re-project.
-        mixtures[class_id] = ClassMixture(class_id, means / norms)
-    bank = ModelBank(dim, float(kappa), mixtures)
+        blocks[class_id] = means / norms
+    ids = sorted(blocks)
+    layout = BankLayout(ids, [blocks[c].shape[0] for c in ids])
+    means = np.vstack([blocks[c] for c in ids]) if ids else np.zeros((0, dim))
+    bank = ModelBank.from_packed(dim, float(kappa), layout, means)
     layers = None
     if cur.pos < len(cur.data):
         tag_at = cur.pos

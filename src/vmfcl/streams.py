@@ -383,8 +383,8 @@ def write_stream(path, records: FeatureRecords):
     """Serialize records to a VMFS file (features quantized to float32)."""
     dim = records.dim
     rec_dtype = _record_dtype(dim)
-    if np.any(records.y < 0):
-        raise ValueError("class labels must be nonnegative")
+    if np.any((records.y < 0) | (records.y > np.iinfo(np.uint32).max)):
+        raise ValueError("class labels must be nonnegative and fit in 32 bits")
     arr = np.empty(len(records), dtype=rec_dtype)
     arr["id"] = records.ids
     arr["y"] = records.y
@@ -393,7 +393,7 @@ def write_stream(path, records: FeatureRecords):
     arr["x"] = records.x
     with open(path, "wb") as fh:
         fh.write(_HEADER.pack(STREAM_MAGIC, STREAM_VERSION, dim, len(records)))
-        fh.write(arr.tobytes())
+        fh.write(arr)
 
 
 def read_stream(path) -> FeatureRecords:

@@ -192,22 +192,15 @@ def distill_loss(
 
 
 def reg_loss(bank: mx.ModelBank) -> float:
-    """Negated mean pairwise dot product of each class's component means.
+    """The spread penalty of the bank's means (``mixture.spread_penalty``), for the epoch log.
 
-    Classes with a single component contribute zero; every class's value is
-    bounded in [-0.5, 0.5] because the pair weights sum to one half.
+    Classes with a single component contribute zero, and a zero penalty
+    reads +0.0; every class's value is bounded in [-0.5, 0.5] because the
+    pair weights sum to one half.
     """
-    if not bank.mixtures:
+    if not bank.class_ids:
         raise ValueError("bank must have at least one class")
-    total = 0.0
-    for mix in bank.mixtures.values():
-        m = mix.means
-        k = m.shape[0]
-        if k < 2:
-            continue
-        sm = np.sum(m, axis=0)
-        total -= (float(sm @ sm) - float(np.sum(m * m))) * 0.5 / (k * (k - 1))
-    return total / len(bank.mixtures)
+    return mx.spread_penalty(bank.means, bank.layout)[0] + 0.0  # -0.0 + 0.0 is +0.0
 
 
 def _old_log_posteriors(snapshot: ModelState, feats: np.ndarray) -> np.ndarray:

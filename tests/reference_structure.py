@@ -3,7 +3,7 @@
 These are ``vmfcl.structure`` and ``vmfcl.memory`` as written before they
 worked on the bank's packed arrays: ``collect_stats`` builds one
 ``ComponentStats`` per component in a Python loop, ``reduce`` and
-``expand`` round-trip through a dict of ``ClassMixture``, and
+``expand`` round-trip through a dict of per-class means, and
 ``select_memory`` rebuilds each class's candidate lists. The package must
 return the same bytes; ``test_structure_reference.py`` checks that. Nothing
 here imports the package's structure or memory code, only its data types
@@ -16,6 +16,7 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
+from helpers import make_bank
 
 from vmfcl.errors import ConfigError, DegenerateMerge, InsufficientBudget
 from vmfcl.memory import MemoryBuffer
@@ -47,13 +48,13 @@ class ReductionRecord:
 def expand(bank: ModelBank, incoming_classes, m: int, rng: np.random.Generator) -> ModelBank:
     if m < 1:
         raise ConfigError(f"expansion size m must be at least 1, got {m}")
-    mixtures = dict(bank.mixtures)
+    mixtures = {c: mix.means for c, mix in bank.mixtures.items()}
     for c in sorted(set(int(c) for c in incoming_classes)):
         means = normalize_rows(rng.standard_normal((m, bank.dim)))
         if c in mixtures:
-            means = np.vstack([mixtures[c].means, means])
-        mixtures[c] = ClassMixture(c, means)
-    return ModelBank(bank.dim, bank.kappa, mixtures)
+            means = np.vstack([mixtures[c], means])
+        mixtures[c] = means
+    return make_bank(bank.dim, bank.kappa, mixtures)
 
 
 def merge_pair(a: ComponentStats, b: ComponentStats) -> tuple[np.ndarray, ComponentStats]:
@@ -83,7 +84,7 @@ def collect_stats(
     return stats
 
 
-def _reduce_class(mix: ClassMixture, stats: list[ComponentStats], cfg) -> tuple[ClassMixture, ReductionRecord]:
+def _reduce_class(mix: ClassMixture, stats: list[ComponentStats], cfg) -> tuple[np.ndarray, ReductionRecord]:
     k_before = mix.num_components
     record = ReductionRecord(k_before=k_before, k_after=0, merge_map=[-1] * k_before)
 
@@ -92,7 +93,7 @@ def _reduce_class(mix: ClassMixture, stats: list[ComponentStats], cfg) -> tuple[
         keep = int(np.argmax([s.count for s in stats]))
         record.merge_map[keep] = 0
         record.k_after = 1
-        return ClassMixture(mix.class_id, mix.means[keep : keep + 1].copy()), record
+        return mix.means[keep : keep + 1].copy(), record
 
     means = [mix.means[k].copy() for k in alive]
     cstats = [ComponentStats(stats[k].count, stats[k].vec_sum.copy()) for k in alive]
@@ -118,19 +119,19 @@ def _reduce_class(mix: ClassMixture, stats: list[ComponentStats], cfg) -> tuple[
         for k in orig:
             record.merge_map[k] = out_idx
     record.k_after = len(means)
-    return ClassMixture(mix.class_id, np.vstack(means)), record
+    return np.vstack(means), record
 
 
 def reduce(
     bank: ModelBank, stats: dict[int, list[ComponentStats]], cfg
 ) -> tuple[ModelBank, dict[int, ReductionRecord]]:
-    reduced: dict[int, ClassMixture] = {}
+    reduced: dict[int, np.ndarray] = {}
     records: dict[int, ReductionRecord] = {}
     for c, mix in bank.mixtures.items():
         if c not in stats or len(stats[c]) != mix.num_components:
             raise ValueError(f"stats for class {c} do not cover its {mix.num_components} components")
         reduced[c], records[c] = _reduce_class(mix, stats[c], cfg)
-    return ModelBank(bank.dim, bank.kappa, reduced), records
+    return make_bank(bank.dim, bank.kappa, reduced), records
 
 
 def _class_quotas(class_ids: list[int], budget: int) -> dict[int, int]:

@@ -10,17 +10,12 @@ import time
 
 import numpy as np
 import pytest
+from helpers import assign_one, make_bank, predict_one
 
 from vmfcl.backbone import BackboneParams, forward_batch, init_params, loss_and_grad
 from vmfcl.bench import RunConfig, load_run_config, run_experiment, run_experiment_full
 from vmfcl.memory import select_memory
-from vmfcl.mixture import (
-    ClassMixture,
-    ModelBank,
-    assign_component,
-    log_posteriors,
-    predict,
-)
+from vmfcl.mixture import ModelBank, log_posteriors
 from vmfcl.streams import ROLE_TRAIN, FeatureRecords, SynthConfig, generate_synthetic, make_splits
 from vmfcl.structure import ReductionConfig, collect_stats, reduce as reduce_bank
 from vmfcl.trainer import LossConfig, ModelState, TrainConfig, _e_step_array, train_session
@@ -124,8 +119,8 @@ def test_criterion_1_gradient_correctness():
             mixtures = {}
             for c in range(n_classes):
                 k = int(rng.integers(1, 4))
-                mixtures[c] = ClassMixture(c, normalize_rows(rng.standard_normal((k, d))))
-            bank = ModelBank(d, kappa, mixtures)
+                mixtures[c] = normalize_rows(rng.standard_normal((k, d)))
+            bank = make_bank(d, kappa, mixtures)
             n = int(rng.integers(2, 7))
             x = rng.standard_normal((n, din))
             y = rng.integers(0, n_classes, size=n)
@@ -137,11 +132,11 @@ def test_criterion_1_gradient_correctness():
                 old_lp = []
                 for c in range(min(2, n_classes)):
                     k_old = max(1, bank.mixtures[c].num_components - 1)
-                    old_mixtures[c] = ClassMixture(c, bank.mixtures[c].means[:k_old].copy())
+                    old_mixtures[c] = bank.mixtures[c].means[:k_old].copy()
                     t = bank.kappa * (feats @ bank.mixtures[c].means[:k_old].T)
                     m = np.max(t, axis=1, keepdims=True)
                     old_lp.append(t - (m + np.log(np.sum(np.exp(t - m), axis=1, keepdims=True))))
-                old_lp = (ModelBank(d, bank.kappa, old_mixtures), np.hstack(old_lp))
+                old_lp = (make_bank(d, bank.kappa, old_mixtures), np.hstack(old_lp))
             worst = max(worst, _fd_worst(params, bank, x, y, zhat, lam, beta, eta, old_lp))
             draws += 1
     elapsed = time.perf_counter() - t0
@@ -187,28 +182,28 @@ def test_criterion_2_oracle_equivalence():
     rng = np.random.default_rng(2002)
     t0 = time.perf_counter()
 
-    for _ in range(100):  # assign_component against an exhaustive dot scan
+    for _ in range(100):  # assign_components_batch on one row against an exhaustive dot scan
         d = int(rng.integers(2, 6))
         k = int(rng.integers(1, 9))
-        bank = ModelBank(d, 16.0, {0: ClassMixture(0, normalize_rows(rng.standard_normal((k, d))))})
+        bank = make_bank(d, 16.0, {0: normalize_rows(rng.standard_normal((k, d)))})
         v = normalize(rng.standard_normal(d))
         dots = [float(np.sum(m * v)) for m in bank.mixtures[0].means]
-        assert assign_component(bank, 0, v) == int(np.argmax(dots))
+        assert assign_one(bank, 0, v) == int(np.argmax(dots))
 
-    for _ in range(100):  # predict against a max-over-all-components scan
+    for _ in range(100):  # predict_batch on one row against a max-over-all-components scan
         d = int(rng.integers(2, 6))
         mixtures = {}
         for c in range(int(rng.integers(1, 6))):
             k = int(rng.integers(1, 9))
-            mixtures[c] = ClassMixture(c, normalize_rows(rng.standard_normal((k, d))))
-        bank = ModelBank(d, 16.0, mixtures)
+            mixtures[c] = normalize_rows(rng.standard_normal((k, d)))
+        bank = make_bank(d, 16.0, mixtures)
         v = normalize(rng.standard_normal(d))
         best_c, best_dot = -1, -np.inf
         for c in bank.class_ids:
             top = float(np.max(np.sum(bank.mixtures[c].means * v, axis=1)))
             if top > best_dot:
                 best_c, best_dot = c, top
-        assert predict(bank, v) == best_c
+        assert predict_one(bank, v) == best_c
 
     for trial in range(100):  # reduce against naive closest-pair agglomeration
         d = int(rng.integers(2, 5))
@@ -219,7 +214,7 @@ def test_criterion_2_oracle_equivalence():
             counts[0] = 1
         sums = [means[i] * counts[i] for i in range(k)]
         delta = float(rng.uniform(0.2, 1.3))
-        bank = ModelBank(d, 16.0, {0: ClassMixture(0, means)})
+        bank = make_bank(d, 16.0, {0: means})
         got = reduce_bank(bank, counts, np.array(sums), ReductionConfig(delta=delta))[0].mixtures[0].means
         want = _oracle_reduce(means, counts, sums, delta)
         assert got.shape[0] == len(want), trial
@@ -239,7 +234,7 @@ def test_criterion_2_oracle_equivalence():
         next_id = 0
         for c in range(n_classes):
             k = int(rng.integers(1, 9))
-            mixtures[c] = ClassMixture(c, normalize_rows(rng.standard_normal((k, d))))
+            mixtures[c] = normalize_rows(rng.standard_normal((k, d)))
             for kk in range(k):
                 cnt = int(rng.integers(0, 9))
                 supply[(c, kk)] = cnt
@@ -252,7 +247,7 @@ def test_criterion_2_oracle_equivalence():
                     next_id += 1
         if next_id == 0 or next_id > 200:
             continue
-        bank = ModelBank(d, 16.0, mixtures)
+        bank = make_bank(d, 16.0, mixtures)
         records = FeatureRecords(
             np.array(ids, np.uint64), np.array(xs), np.array(ys),
             np.array(zs, np.int32), np.full(next_id, ROLE_TRAIN, np.uint8),
@@ -288,8 +283,8 @@ def test_criterion_3_normalization():
         mixtures = {}
         for c in range(4):
             k = int(rng.integers(1, 6))
-            mixtures[c] = ClassMixture(c, normalize_rows(rng.standard_normal((k, 6))))
-        bank = ModelBank(6, kappa, mixtures)
+            mixtures[c] = normalize_rows(rng.standard_normal((k, 6)))
+        bank = make_bank(6, kappa, mixtures)
         # the posteriors loss_and_grad trains with: within each class and over classes
         t = kappa * (normalize_rows(rng.standard_normal((2500, 6))) @ bank.means.T)
         log_p, _ = log_posteriors(t, bank.layout)

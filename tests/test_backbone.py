@@ -2,17 +2,16 @@
 
 import numpy as np
 import pytest
+from helpers import forward_one, make_bank
 
 from vmfcl.backbone import (
     BackboneParams,
-    forward,
     forward_batch,
     init_params,
     loss_and_grad,
     sgd_step,
 )
 from vmfcl.errors import DegenerateFeature, ModelRegression, NumericalError, UnknownClass
-from vmfcl.mixture import ClassMixture, ModelBank
 from vmfcl.vmf import normalize_rows
 
 
@@ -21,8 +20,8 @@ def make_setup(rng, n_classes=3, d=4, din=5, hidden=6, kappa=16.0, n=7):
     mixtures = {}
     for c in range(n_classes):
         k = int(rng.integers(1, 4))
-        mixtures[c] = ClassMixture(c, normalize_rows(rng.standard_normal((k, d))))
-    bank = ModelBank(d, kappa, mixtures)
+        mixtures[c] = normalize_rows(rng.standard_normal((k, d)))
+    bank = make_bank(d, kappa, mixtures)
     x = rng.standard_normal((n, din))
     y = rng.integers(0, n_classes, size=n)
     zhat = np.array([int(rng.integers(bank.mixtures[int(c)].num_components)) for c in y])
@@ -35,11 +34,11 @@ def old_posteriors(params, bank, x, inherited):
     mixtures = {}
     out = []
     for c, k in sorted(inherited.items()):
-        mixtures[c] = ClassMixture(c, bank.mixtures[c].means[:k].copy())
+        mixtures[c] = bank.mixtures[c].means[:k].copy()
         t = bank.kappa * (feats @ bank.mixtures[c].means[:k].T)
         m = np.max(t, axis=1, keepdims=True)
         out.append(t - (m + np.log(np.sum(np.exp(t - m), axis=1, keepdims=True))))
-    return ModelBank(bank.dim, bank.kappa, mixtures), np.hstack(out)
+    return make_bank(bank.dim, bank.kappa, mixtures), np.hstack(out)
 
 
 def fd_check(params, bank, x, y, zhat, lam, beta, eta, old_lp, h=1e-5, tol=1e-4):
@@ -78,12 +77,12 @@ def fd_check(params, bank, x, y, zhat, lam, beta, eta, old_lp, h=1e-5, tol=1e-4)
 class TestForward:
     def test_identity_layer_reduces_to_normalize(self):
         params = BackboneParams([(np.eye(2), np.zeros(2))])
-        np.testing.assert_allclose(forward(params, [3.0, 4.0]), [0.6, 0.8], atol=1e-15)
+        np.testing.assert_allclose(forward_one(params, [3.0, 4.0]), [0.6, 0.8], atol=1e-15)
 
     def test_zero_weights_degenerate(self):
         params = BackboneParams([(np.zeros((2, 2)), np.zeros(2))])
         with pytest.raises(DegenerateFeature):
-            forward(params, [1.0, 2.0])
+            forward_one(params, [1.0, 2.0])
 
     def test_matches_independent_reimplementation(self):
         rng = np.random.default_rng(5)
@@ -91,7 +90,7 @@ class TestForward:
         x = rng.standard_normal(6)
         (w1, b1), (w2, b2) = params.layers
         v = w2 @ np.tanh(w1 @ x + b1) + b2
-        np.testing.assert_allclose(forward(params, x), v / np.linalg.norm(v), atol=1e-12)
+        np.testing.assert_allclose(forward_one(params, x), v / np.linalg.norm(v), atol=1e-12)
 
     def test_output_unit_norm(self):
         rng = np.random.default_rng(6)
@@ -106,7 +105,7 @@ class TestLossAndGrad:
         rng = np.random.default_rng(7)
         params, bank, x, y, zhat = make_setup(rng, n=1)
         loss, _, _ = loss_and_grad(params, bank, x, y, zhat, lam=0.0, beta=0.0, eta=0.0)
-        v = forward(params, x[0])
+        v = forward_one(params, x[0])
         # class posterior: each class's mean of exp(kappa mu . v) over its components, normalized
         scores = np.array([np.mean(np.exp(bank.kappa * (m.means @ v))) for m in bank.mixtures.values()])
         post = scores / np.sum(scores)
@@ -160,7 +159,7 @@ class TestLossAndGrad:
             z[0] = bad
             with pytest.raises(ValueError):
                 loss_and_grad(params, bank, x, y, z, lam=0.1, beta=0.0, eta=0.0)
-        old = ModelBank(bank.dim, bank.kappa, {9: ClassMixture(9, np.eye(bank.dim)[:1])})
+        old = make_bank(bank.dim, bank.kappa, {9: np.eye(bank.dim)[:1]})
         with pytest.raises(ModelRegression):
             loss_and_grad(params, bank, x, y, zhat, lam=0.0, beta=1.0, eta=0.0,
                           old_log_post=(old, np.zeros((len(y), 1))))
@@ -196,7 +195,7 @@ class TestLossAndGrad:
 class TestSgdStep:
     def _singleton(self, w):
         params = BackboneParams([(np.array([[w, 0.0]]), np.zeros(1))])
-        bank = ModelBank(2, 16.0, {0: ClassMixture(0, np.array([[1.0, 0.0]]))})
+        bank = make_bank(2, 16.0, {0: np.array([[1.0, 0.0]])})
         return params, bank
 
     def test_plain_step(self):

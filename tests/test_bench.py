@@ -7,6 +7,7 @@ import sys
 
 import numpy as np
 import pytest
+from helpers import forward_one, make_bank, predict_one
 
 import vmfcl
 from vmfcl.backbone import BackboneParams
@@ -22,7 +23,7 @@ from vmfcl.bench import (
 from vmfcl.cli import main as cli_main
 from vmfcl.config import parse_sections
 from vmfcl.errors import ConfigError, PurityUnavailable
-from vmfcl.mixture import ClassMixture, ModelBank, load_snapshot
+from vmfcl.mixture import load_snapshot
 from vmfcl.streams import ROLE_TEST, FeatureRecords, SynthConfig, read_stream
 from vmfcl.structure import ReductionConfig
 from vmfcl.trainer import LossConfig
@@ -73,12 +74,12 @@ class TestAccuracy:
         return BackboneParams([(np.eye(d), np.zeros(d))])
 
     def test_all_correct(self):
-        bank = ModelBank(2, 16.0, {0: ClassMixture(0, np.eye(2)[:1]), 1: ClassMixture(1, np.eye(2)[1:])})
+        bank = make_bank(2, 16.0, {0: np.eye(2)[:1], 1: np.eye(2)[1:]})
         recs = tiny_records(np.array([[5.0, 0.1], [0.1, 5.0]]), np.array([0, 1]))
         assert accuracy(bank, self.identity(2), recs) == 100.0
 
     def test_perfectly_wrong(self):
-        bank = ModelBank(2, 16.0, {0: ClassMixture(0, np.eye(2)[:1]), 1: ClassMixture(1, np.eye(2)[1:])})
+        bank = make_bank(2, 16.0, {0: np.eye(2)[:1], 1: np.eye(2)[1:]})
         recs = tiny_records(np.array([[5.0, 0.1], [0.1, 5.0]]), np.array([1, 0]))
         assert accuracy(bank, self.identity(2), recs) == 0.0
 
@@ -86,20 +87,18 @@ class TestAccuracy:
         rng = np.random.default_rng(1)
         from vmfcl.vmf import normalize_rows
 
-        bank = ModelBank(3, 16.0, {
-            c: ClassMixture(c, normalize_rows(rng.standard_normal((2, 3)))) for c in range(3)
+        bank = make_bank(3, 16.0, {
+            c: normalize_rows(rng.standard_normal((2, 3))) for c in range(3)
         })
         x = rng.standard_normal((60, 3))
         y = rng.integers(0, 3, size=60)
         recs = tiny_records(x, y)
-        from vmfcl.backbone import forward
-        from vmfcl.mixture import predict
 
-        hits = sum(predict(bank, forward(self.identity(3), xi)) == yi for xi, yi in zip(x, y))
+        hits = sum(predict_one(bank, forward_one(self.identity(3), xi)) == yi for xi, yi in zip(x, y))
         assert accuracy(bank, self.identity(3), recs) == pytest.approx(100.0 * hits / 60)
 
     def test_empty_pool_rejected(self):
-        bank = ModelBank(2, 16.0, {0: ClassMixture(0, np.eye(2)[:1])})
+        bank = make_bank(2, 16.0, {0: np.eye(2)[:1]})
         with pytest.raises(ValueError):
             accuracy(bank, self.identity(2), FeatureRecords.empty(2))
 

@@ -12,13 +12,14 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from helpers import make_bank
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import vmfcl.bench as bench
 from vmfcl.backbone import init_params
 from vmfcl.bench import RunConfig, accuracy, seen_accuracies
-from vmfcl.mixture import PREDICT_BLOCK_ROWS, ClassMixture, ModelBank
+from vmfcl.mixture import PREDICT_BLOCK_ROWS
 from vmfcl.streams import ROLE_TEST, FeatureRecords, SynthConfig
 from vmfcl.structure import ReductionConfig
 from vmfcl.trainer import LossConfig
@@ -47,8 +48,8 @@ def cases(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     d = draw(st.integers(2, 6))
     ids = sorted(draw(st.sets(st.sampled_from(CLASSES), min_size=1, max_size=4)))
-    bank = ModelBank(d, 16.0, {
-        c: ClassMixture(c, normalize_rows(rng.standard_normal((draw(st.integers(1, 4)), d))))
+    bank = make_bank(d, 16.0, {
+        c: normalize_rows(rng.standard_normal((draw(st.integers(1, 4)), d)))
         for c in ids
     })
     params = init_params(d + 2, d, draw(st.sampled_from([0, 3])), rng)
@@ -89,8 +90,8 @@ def test_one_pass_tables_equal_per_slice_accuracy(case):
 def test_evaluation_memory_does_not_grow_with_the_seen_set(hidden_dim):
     rng = np.random.default_rng(0)
     n, d = 24_000, 16
-    bank = ModelBank(d, 16.0, {
-        c: ClassMixture(c, normalize_rows(rng.standard_normal((3, d)))) for c in range(4)
+    bank = make_bank(d, 16.0, {
+        c: normalize_rows(rng.standard_normal((3, d))) for c in range(4)
     })
     params = init_params(d, d, hidden_dim, rng)
     y = rng.integers(0, 4, size=n)

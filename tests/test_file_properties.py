@@ -16,13 +16,14 @@ import tempfile
 
 import numpy as np
 import pytest
+from helpers import make_bank
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from vmfcl.backbone import BackboneParams
 from vmfcl.errors import ParseError
-from vmfcl.mixture import ClassMixture, ModelBank, load_snapshot, save_snapshot
+from vmfcl.mixture import load_snapshot, save_snapshot
 from vmfcl.streams import FeatureRecords, read_stream, write_stream
 from vmfcl.vmf import normalize_rows
 
@@ -74,10 +75,10 @@ def every_single_corruption(raw: bytes):
 
 SNAPSHOT = _file_bytes(
     save_snapshot,
-    ModelBank(3, 16.0, {
-        0: ClassMixture(0, np.eye(3)[:2]),
-        1: ClassMixture(1, np.eye(3)[2:]),
-        2: ClassMixture(2, np.array([[0.6, 0.0, 0.8]])),
+    make_bank(3, 16.0, {
+        0: np.eye(3)[:2],
+        1: np.eye(3)[2:],
+        2: np.array([[0.6, 0.0, 0.8]]),
     }),
     [(np.full((2, 3), 0.5), np.zeros(2)), (np.eye(3, 2), np.ones(3))],
 )
@@ -184,8 +185,8 @@ def snapshots(draw):
     d = draw(st.integers(2, 6))
     ids = draw(st.sets(st.integers(0, 2**32 - 1), min_size=1, max_size=5))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    bank = ModelBank(d, draw(st.floats(0.0, 1e6, width=32)), {
-        c: ClassMixture(c, normalize_rows(rng.standard_normal((draw(st.integers(1, 4)), d))))
+    bank = make_bank(d, draw(st.floats(0.0, 1e6, width=32)), {
+        c: normalize_rows(rng.standard_normal((draw(st.integers(1, 4)), d)))
         for c in ids
     })
     layers = None

@@ -2,10 +2,11 @@
 
 import numpy as np
 import pytest
+from helpers import make_bank
 
 from vmfcl.errors import InsufficientBudget
 from vmfcl.memory import MemoryBuffer, select_memory
-from vmfcl.mixture import ClassMixture, ModelBank
+from vmfcl.mixture import ModelBank
 from vmfcl.streams import ROLE_MEMORY, ROLE_TRAIN, FeatureRecords
 from vmfcl.vmf import normalize_rows
 
@@ -21,7 +22,7 @@ def build_case(rng, class_components, per_component):
     ids, xs, ys, zs = [], [], [], []
     next_id = 0
     for c, k_c in class_components.items():
-        mixtures[c] = ClassMixture(c, normalize_rows(rng.standard_normal((k_c, d))))
+        mixtures[c] = normalize_rows(rng.standard_normal((k_c, d)))
         for k in range(k_c):
             for _ in range(per_component.get((c, k), 0)):
                 ids.append(next_id)
@@ -29,7 +30,7 @@ def build_case(rng, class_components, per_component):
                 ys.append(c)
                 zs.append(k)
                 next_id += 1
-    bank = ModelBank(d, 16.0, mixtures)
+    bank = make_bank(d, 16.0, mixtures)
     n = len(ids)
     records = FeatureRecords(
         np.array(ids, np.uint64), np.array(xs), np.array(ys),

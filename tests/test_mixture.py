@@ -5,17 +5,15 @@ import struct
 
 import numpy as np
 import pytest
+from helpers import assign_one, make_bank, predict_one
 
 from vmfcl.errors import DimensionError, EmptyModel, ParseError, UnknownClass
 from vmfcl.mixture import (
     PREDICT_BLOCK_ROWS,
     BankLayout,
-    ClassMixture,
     ModelBank,
-    assign_component,
     load_snapshot,
     log_posteriors,
-    predict,
     predict_batch,
     save_snapshot,
 )
@@ -23,8 +21,8 @@ from vmfcl.vmf import normalize, normalize_rows
 
 
 def bank_2d(kappa=1.0) -> ModelBank:
-    return ModelBank(2, kappa, {
-        0: ClassMixture(0, np.array([[1.0, 0.0], [0.0, 1.0]])),
+    return make_bank(2, kappa, {
+        0: np.array([[1.0, 0.0], [0.0, 1.0]]),
     })
 
 
@@ -51,13 +49,13 @@ def random_bank(rng, n_classes=3, max_k=5, d=4, kappa=16.0) -> ModelBank:
     mixtures = {}
     for c in range(n_classes):
         k = int(rng.integers(1, max_k + 1))
-        mixtures[c] = ClassMixture(c, normalize_rows(rng.standard_normal((k, d))))
-    return ModelBank(d, kappa, mixtures)
+        mixtures[c] = normalize_rows(rng.standard_normal((k, d)))
+    return make_bank(d, kappa, mixtures)
 
 
 class TestComponentPosterior:
     def test_single_component(self):
-        bank = ModelBank(2, 16.0, {5: ClassMixture(5, np.array([[0.0, 1.0]]))})
+        bank = make_bank(2, 16.0, {5: np.array([[0.0, 1.0]])})
         np.testing.assert_array_equal(component_post(bank, 5, [1.0, 0.0]), [1.0])
 
     def test_two_term_softmax(self):
@@ -83,16 +81,16 @@ class TestComponentPosterior:
 
 class TestAssignComponent:
     def test_larger_dot_wins(self):
-        assert assign_component(bank_2d(), 0, np.array([0.6, 0.8])) == 1
+        assert assign_one(bank_2d(), 0, np.array([0.6, 0.8])) == 1
 
     def test_single_component(self):
-        bank = ModelBank(2, 16.0, {0: ClassMixture(0, np.array([[0.0, 1.0]]))})
-        assert assign_component(bank, 0, [1.0, 0.0]) == 0
+        bank = make_bank(2, 16.0, {0: np.array([[0.0, 1.0]])})
+        assert assign_one(bank, 0, [1.0, 0.0]) == 0
 
     def test_tie_breaks_to_lowest_index(self):
         mu = normalize([1.0, 1.0])
-        bank = ModelBank(2, 16.0, {0: ClassMixture(0, np.vstack([mu, mu, mu]))})
-        assert assign_component(bank, 0, [1.0, 0.0]) == 0
+        bank = make_bank(2, 16.0, {0: np.vstack([mu, mu, mu])})
+        assert assign_one(bank, 0, [1.0, 0.0]) == 0
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(8)
@@ -100,7 +98,7 @@ class TestAssignComponent:
             bank = random_bank(rng, n_classes=1, max_k=5)
             v = normalize(rng.standard_normal(4))
             dots = [float(m @ v) for m in bank.mixtures[0].means]
-            assert assign_component(bank, 0, v) == dots.index(max(dots))
+            assert assign_one(bank, 0, v) == dots.index(max(dots))
 
     def test_agrees_with_posterior_argmax(self):
         rng = np.random.default_rng(9)
@@ -108,18 +106,18 @@ class TestAssignComponent:
             bank = random_bank(rng, n_classes=2, max_k=6)
             c = int(rng.integers(2))
             v = normalize(rng.standard_normal(4))
-            assert assign_component(bank, c, v) == int(np.argmax(component_post(bank, c, v)))
+            assert assign_one(bank, c, v) == int(np.argmax(component_post(bank, c, v)))
 
 
 class TestClassPosterior:
     def test_single_class(self):
-        bank = ModelBank(2, 16.0, {3: ClassMixture(3, np.array([[1.0, 0.0]]))})
+        bank = make_bank(2, 16.0, {3: np.array([[1.0, 0.0]])})
         np.testing.assert_array_equal(class_post(bank, [0.0, 1.0]), [1.0])
 
     def test_two_class_softmax(self):
-        bank = ModelBank(2, 1.0, {
-            0: ClassMixture(0, np.array([[1.0, 0.0]])),
-            1: ClassMixture(1, np.array([[0.0, 1.0]])),
+        bank = make_bank(2, 1.0, {
+            0: np.array([[1.0, 0.0]]),
+            1: np.array([[0.0, 1.0]]),
         })
         e = math.e
         np.testing.assert_allclose(
@@ -129,9 +127,9 @@ class TestClassPosterior:
     def test_duplicate_components_cancel(self):
         # 1/K_y weighting makes two identical components equal one
         mu = normalize([1.0, 2.0])
-        bank = ModelBank(2, 16.0, {
-            0: ClassMixture(0, np.vstack([mu, mu])),
-            1: ClassMixture(1, mu[None, :]),
+        bank = make_bank(2, 16.0, {
+            0: np.vstack([mu, mu]),
+            1: mu[None, :],
         })
         rng = np.random.default_rng(0)
         for _ in range(20):
@@ -151,12 +149,12 @@ class TestClassPosterior:
 class TestPredict:
     def test_exact_component_match(self):
         means = np.eye(4)
-        bank = ModelBank(4, 16.0, {
-            0: ClassMixture(0, means[0:2]),
-            1: ClassMixture(1, means[2:3]),
-            2: ClassMixture(2, means[3:4]),
+        bank = make_bank(4, 16.0, {
+            0: means[0:2],
+            1: means[2:3],
+            2: means[3:4],
         })
-        assert predict(bank, means[2]) == 1
+        assert predict_one(bank, means[2]) == 1
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(12)
@@ -167,7 +165,7 @@ class TestPredict:
                 ((c, float(np.max(bank.mixtures[c].means @ v))) for c in bank.class_ids),
                 key=lambda t: (t[1], -t[0]),
             )
-            assert predict(bank, v) == best[0]
+            assert predict_one(bank, v) == best[0]
 
     def test_empty_bank_raises(self):
         with pytest.raises(EmptyModel):
@@ -176,20 +174,20 @@ class TestPredict:
     def test_exact_tie_goes_to_lower_class(self):
         mu = normalize([1.0, 3.0])
         other = normalize([-3.0, 1.0])
-        bank = ModelBank(2, 16.0, {
-            4: ClassMixture(4, np.vstack([mu, other])),
-            7: ClassMixture(7, mu[None, :]),
+        bank = make_bank(2, 16.0, {
+            4: np.vstack([mu, other]),
+            7: mu[None, :],
         })
-        assert predict(bank, mu) == 4
+        assert predict_one(bank, mu) == 4
 
     def test_invariant_to_kappa_rescaling(self):
         rng = np.random.default_rng(13)
         bank = random_bank(rng, kappa=16.0)
         for kappa in (0.5, 4.0, 64.0):
-            scaled = ModelBank(4, kappa, {c: m.copy() for c, m in bank.mixtures.items()})
+            scaled = make_bank(4, kappa, {c: m.means.copy() for c, m in bank.mixtures.items()})
             for _ in range(25):
                 v = normalize(rng.standard_normal(4))
-                assert predict(bank, v) == predict(scaled, v)
+                assert predict_one(bank, v) == predict_one(scaled, v)
 
     def test_batch_variant_matches(self):
         # the second size spans two full blocks of predict_batch and a partial third
@@ -208,15 +206,15 @@ class TestPredict:
             np.testing.assert_array_equal(predict_batch(bank, vs), expected)
 
     def test_max_pooling_can_disagree_with_mean_pooling(self):
-        # predict max-pools components; log_posteriors mean-pools. Both are
+        # predict_batch max-pools components; log_posteriors mean-pools. Both are
         # part of the contract and they genuinely diverge on inputs like this.
         v = np.array([1.0, 0.0])
         near, far = normalize([0.95, np.sqrt(1 - 0.95**2)]), np.array([-1.0, 0.0])
-        bank = ModelBank(2, 1.0, {
-            0: ClassMixture(0, normalize([0.9, np.sqrt(1 - 0.81)])[None, :]),
-            1: ClassMixture(1, np.vstack([near, far])),
+        bank = make_bank(2, 1.0, {
+            0: normalize([0.9, np.sqrt(1 - 0.81)])[None, :],
+            1: np.vstack([near, far]),
         })
-        assert predict(bank, v) == 1
+        assert predict_one(bank, v) == 1
         assert int(np.argmax(class_post(bank, v))) == 0
 
 
@@ -239,7 +237,7 @@ class TestSnapshots:
             np.testing.assert_allclose(lb, b, atol=1e-6)
 
     def test_round_trip_without_backbone(self, tmp_path):
-        bank = ModelBank(3, 16.0, {0: ClassMixture(0, np.eye(3)[:2])})
+        bank = make_bank(3, 16.0, {0: np.eye(3)[:2]})
         path = tmp_path / "bankonly.vmfb"
         save_snapshot(path, bank)
         loaded, layers = load_snapshot(path)
@@ -254,7 +252,7 @@ class TestSnapshots:
         assert err.value.offset == 0
 
     def test_bad_version(self, tmp_path):
-        bank = ModelBank(2, 16.0, {0: ClassMixture(0, np.array([[1.0, 0.0]]))})
+        bank = make_bank(2, 16.0, {0: np.array([[1.0, 0.0]])})
         path = tmp_path / "v9.vmfb"
         save_snapshot(path, bank)
         raw = bytearray(path.read_bytes())
@@ -264,7 +262,7 @@ class TestSnapshots:
             load_snapshot(path)
 
     def test_truncated(self, tmp_path):
-        bank = ModelBank(2, 16.0, {0: ClassMixture(0, np.array([[1.0, 0.0]]))})
+        bank = make_bank(2, 16.0, {0: np.array([[1.0, 0.0]])})
         path = tmp_path / "cut.vmfb"
         save_snapshot(path, bank)
         path.write_bytes(path.read_bytes()[:-3])
@@ -297,9 +295,9 @@ class TestSnapshots:
         "nan-weight", "inf-bias", "layers-do-not-compose", "output-dim-mismatch",
     ])
     def test_corrupt_payload_raises_with_offset(self, tmp_path, at, fmt, value, offset):
-        bank = ModelBank(3, 16.0, {
-            0: ClassMixture(0, np.eye(3)[:2]),
-            5: ClassMixture(5, np.eye(3)[2:]),
+        bank = make_bank(3, 16.0, {
+            0: np.eye(3)[:2],
+            5: np.eye(3)[2:],
         })
         path = tmp_path / "bad.vmfb"
         save_snapshot(path, bank, [(np.ones((2, 3)), np.ones(2)), (np.ones((3, 2)), np.ones(3))])
@@ -317,7 +315,22 @@ class TestClassMixture:
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_nonfinite_mean_rejected(self, bad):
         with pytest.raises(DimensionError):
-            ClassMixture(0, np.array([[bad, 0.0]]))
+            make_bank(2, 16.0, {0: np.array([[bad, 0.0]])})
+
+    def test_means_of_another_dimension_rejected(self):
+        layout = BankLayout([0], [1])
+        for means in (np.array([[1.0, 0.0]]), np.array([1.0, 0.0, 0.0]), np.ones((1, 1, 3))):
+            with pytest.raises(DimensionError):
+                ModelBank.from_packed(3, 16.0, layout, means)
+
+    def test_mixture_is_a_view_of_the_packed_rows(self):
+        bank = make_bank(2, 16.0, {0: np.eye(2), 4: np.array([[0.6, 0.8]])})
+        view = bank.mixture(4)
+        assert view.class_id == 4 and view.num_components == 1
+        assert np.shares_memory(view.means, bank.means)
+        assert [m.num_components for m in bank.mixtures.values()] == bank.sizes.tolist()
+        with pytest.raises(UnknownClass):
+            bank.mixture(1)
 
 
 class TestPackedBank:
@@ -335,6 +348,11 @@ class TestPackedBank:
     def test_layout_rejects_a_class_without_components(self, sizes):
         with pytest.raises(DimensionError):
             BankLayout([0, 3], sizes)
+
+    @pytest.mark.parametrize("ids", [[3, 1], [1, 1], [0, 2, 2]])
+    def test_layout_rejects_class_ids_that_do_not_strictly_ascend(self, ids):
+        with pytest.raises(DimensionError):
+            BankLayout(ids, [1] * len(ids))
 
     def test_rows_of_maps_class_and_component_to_the_packed_row(self):
         layout = BankLayout([0, 3], [1, 2])

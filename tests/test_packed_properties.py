@@ -1,9 +1,9 @@
 """Property tests: the packed loss, gradient and SGD step against per-class oracles.
 
 ``loss_and_grad`` works on one (n, K) score matrix with segment reductions
-over the bank's class offsets. ``clf_loss``, ``distill_loss`` and
-``reg_loss`` in ``vmfcl.trainer`` loop over classes one mixture at a time
-and share none of that code, so agreement on random banks, batches and
+over the bank's class offsets. ``clf_loss`` and ``distill_loss`` in
+``vmfcl.trainer`` and ``reg_loss`` in ``oracles`` loop over classes one
+mixture at a time and share none of that code, so agreement on random banks, batches and
 teachers checks the packed indexing: the class blocks, the inherited
 columns of a teacher and classes with a single component.
 
@@ -14,12 +14,14 @@ exact tie must go to the lowest class id or component index.
 """
 
 import numpy as np
+import oracles
 import pytest
+from helpers import make_bank
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vmfcl.backbone import forward_batch, init_params, loss_and_grad, sgd_step
-from vmfcl.mixture import ClassMixture, ModelBank, assign_components_batch, predict_batch
+from vmfcl.mixture import assign_components_batch, predict_batch
 from vmfcl.streams import ROLE_TRAIN, FeatureRecords
 from vmfcl.structure import expand
 from vmfcl.trainer import (
@@ -28,7 +30,6 @@ from vmfcl.trainer import (
     _old_log_posteriors,
     clf_loss,
     distill_loss,
-    reg_loss,
 )
 from vmfcl.vmf import normalize_rows
 
@@ -51,8 +52,8 @@ def cases(draw):
     n_old = draw(st.integers(0, n_classes - 1))
     old_ids = sorted(draw(st.permutations(ids))[:n_old])
     if old_ids:
-        old = ModelBank(d, kappa, {
-            c: ClassMixture(c, normalize_rows(rng.standard_normal((draw(st.integers(1, 6)), d))))
+        old = make_bank(d, kappa, {
+            c: normalize_rows(rng.standard_normal((draw(st.integers(1, 6)), d)))
             for c in old_ids
         })
         m = draw(st.integers(1, 6))
@@ -60,8 +61,8 @@ def cases(draw):
         bank = expand(old, grown, m, rng)
     else:
         old = None
-        bank = ModelBank(d, kappa, {
-            c: ClassMixture(c, normalize_rows(rng.standard_normal((draw(st.integers(1, 12)), d))))
+        bank = make_bank(d, kappa, {
+            c: normalize_rows(rng.standard_normal((draw(st.integers(1, 12)), d)))
             for c in ids
         })
     n = draw(st.integers(1, 10))
@@ -96,7 +97,7 @@ def test_packed_terms_match_the_per_class_oracles(case):
     assert terms["inter"] + terms["intra"] == pytest.approx(clf_loss(bank, params, recs, z, 1.0),
                                                             rel=TOL, abs=TOL)
     assert terms["distill"] == pytest.approx(distill_loss(bank, params, teacher, recs), rel=TOL, abs=TOL)
-    assert terms["reg"] == pytest.approx(reg_loss(bank), rel=TOL, abs=TOL)
+    assert terms["reg"] == pytest.approx(oracles.reg_loss(bank), rel=TOL, abs=TOL)
 
 
 @settings(max_examples=100, deadline=None, database=None)
@@ -132,7 +133,7 @@ def tie_cases(draw):
         for c in rng.choice(ids, size=int(rng.integers(1, n_classes + 1)), replace=False):
             k = len(blocks[c])
             blocks[c][rng.choice(k, size=int(rng.integers(1, k + 1)), replace=False)] = mu
-    bank = ModelBank(d, 16.0, {c: ClassMixture(c, m) for c, m in blocks.items()})
+    bank = make_bank(d, 16.0, {c: m for c, m in blocks.items()})
     n = draw(st.integers(1, 40))
     near = shared[rng.integers(len(shared), size=n)]
     noise = draw(st.sampled_from([1e-9, 1e-6, 1e-3]))

@@ -13,11 +13,12 @@ lowest class id.
 from unittest import mock
 
 import numpy as np
+from helpers import make_bank
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from vmfcl import mixture
-from vmfcl.mixture import PREDICT_BLOCK_ROWS, ClassMixture, ModelBank, predict_batch
+from vmfcl.mixture import PREDICT_BLOCK_ROWS, ModelBank, predict_batch
 from vmfcl.vmf import normalize_rows
 
 SCALES = np.array([1e-310, 1e-200, 1e-3, 1.0, 7.5, 1e150, 1e306])
@@ -51,8 +52,8 @@ def scored_banks(draw):
             means[j] = means[rng.integers(j)]
         elif u < p_shared + p_ulps:
             means[j] = nudged(means[rng.integers(j)], rng)
-    bank = ModelBank(d, 16.0, {
-        c: ClassMixture(c, means[lo:hi]) for c, lo, hi in zip(ids, offsets[:-1], offsets[1:])
+    bank = make_bank(d, 16.0, {
+        c: means[lo:hi] for c, lo, hi in zip(ids, offsets[:-1], offsets[1:])
     })
     n = draw(st.one_of(st.integers(1, 40), st.integers(PREDICT_BLOCK_ROWS - 2, PREDICT_BLOCK_ROWS + 40)))
     # rows at a mean (where shared and ulp-apart means compete) or anywhere, at many scales
@@ -104,7 +105,7 @@ def test_both_paths_run_on_one_bank():
     d = 16
     base = normalize_rows(rng.standard_normal((40, d)))
     means = np.vstack([base, base[:10], [nudged(m, rng) for m in base[10:20]]])
-    bank = ModelBank(d, 16.0, {c: ClassMixture(c, means[c * 10 : c * 10 + 10]) for c in range(6)})
+    bank = make_bank(d, 16.0, {c: means[c * 10 : c * 10 + 10] for c in range(6)})
     vs = np.vstack([rng.standard_normal((1500, d)), means[rng.integers(60, size=600)]])
     vs[7] = np.nan
     pred, rescored = rescored_rows(bank, vs)

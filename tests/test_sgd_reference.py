@@ -15,12 +15,13 @@ which grew, or all of which grew.
 import numpy as np
 import pytest
 import reference_sgd as ref
+from helpers import make_bank
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vmfcl.backbone import init_params, loss_and_grad, sgd_step
 from vmfcl.errors import ModelRegression
-from vmfcl.mixture import BankLayout, ClassMixture, ModelBank
+from vmfcl.mixture import BankLayout, ModelBank
 from vmfcl.structure import expand
 from vmfcl.trainer import ModelState
 from vmfcl.vmf import normalize_rows
@@ -50,8 +51,8 @@ def steps(draw, teacher_growth=st.sampled_from(["kept", "some", "all"]), min_old
     hidden = draw(st.sampled_from([0, 3]))
     teacher = None
     if old_ids:
-        old = ModelBank(d, kappa, {
-            c: ClassMixture(c, normalize_rows(rng.standard_normal((draw(st.integers(1, 6)), d))))
+        old = make_bank(d, kappa, {
+            c: normalize_rows(rng.standard_normal((draw(st.integers(1, 6)), d)))
             for c in old_ids
         })
         growth = draw(teacher_growth)
@@ -60,8 +61,8 @@ def steps(draw, teacher_growth=st.sampled_from(["kept", "some", "all"]), min_old
         bank = expand(old, grown, draw(st.integers(1, 6)), rng) if grown else old.copy()
         teacher = ModelState(init_params(d + 1, d, hidden, rng), old)
     else:
-        bank = ModelBank(d, kappa, {
-            c: ClassMixture(c, normalize_rows(rng.standard_normal((draw(st.integers(1, 12)), d))))
+        bank = make_bank(d, kappa, {
+            c: normalize_rows(rng.standard_normal((draw(st.integers(1, 12)), d)))
             for c in ids
         })
     n = draw(st.integers(1, 16))
@@ -139,9 +140,9 @@ def test_teacher_reuse_matches_the_reference_byte_for_byte(case, beta, seed):
                        for c in old.class_ids)
     # a second teacher layout, recomputed: the first class loses a component where it can
     first = old.class_ids[0]
-    mixtures = {c: old.mixture(c).copy() for c in old.class_ids}
-    mixtures[first].means = mixtures[first].means[: max(1, old.sizes[0] - 1)]
-    other = ModelBank(old.dim, old.kappa, mixtures)
+    mixtures = {c: old.mixture(c).means for c in old.class_ids}
+    mixtures[first] = mixtures[first][: max(1, old.sizes[0] - 1)]
+    other = make_bank(old.dim, old.kappa, mixtures)
     rng = np.random.default_rng(seed)
     other_lp = ref.segment_log_softmax(rng.standard_normal((len(y), other.means.shape[0])), other.offsets)[1]
     for teacher in ((old, log_r), (old, log_r), (other, other_lp), (other, other_lp), (old, log_r)):
@@ -156,7 +157,7 @@ def test_teacher_reuse_matches_the_reference_byte_for_byte(case, beta, seed):
 def test_frozen_gradient_cannot_train_the_backbone():
     rng = np.random.default_rng(3)
     params = init_params(4, 3, 0, rng)
-    bank = ModelBank(3, 16.0, {0: ClassMixture(0, normalize_rows(rng.standard_normal((2, 3))))})
+    bank = make_bank(3, 16.0, {0: normalize_rows(rng.standard_normal((2, 3)))})
     x, y, z = rng.standard_normal((5, 4)), np.zeros(5, np.int64), np.zeros(5, np.int64)
     _, grad, _ = loss_and_grad(params, bank, x, y, z, 0.1, 0.0, 0.1, with_layers=False)
     with pytest.raises(ValueError):
@@ -167,20 +168,28 @@ def test_frozen_gradient_cannot_train_the_backbone():
 @given(steps(), st.integers(1, 12), st.integers(0, 2**32 - 1))
 def test_from_packed_equals_a_fresh_pack(case, k, seed):
     params, bank, x, y, z, coef, _ = case
-    c = bank.class_ids[seed % len(bank.class_ids)]
-    # one class replaced by k new means, packed by hand and from ClassMixtures
+    i = seed % len(bank.class_ids)
+    c = bank.class_ids[i]
+    # one class replaced by k new means: spliced into the packed rows by hand, and
+    # packed afresh from a {class: means} dict that lists that class last
     means = normalize_rows(np.random.default_rng(seed).standard_normal((k, bank.dim)))
-    mixtures = {**{m.class_id: m.copy() for m in bank.mixtures.values()}, c: ClassMixture(c, means)}
-    layout = BankLayout(bank.class_ids, [mixtures[i].num_components for i in bank.class_ids])
-    packed = ModelBank.from_packed(
-        bank.dim, bank.kappa, layout, np.vstack([mixtures[i].means for i in bank.class_ids])
-    )
-    fresh = ModelBank(bank.dim, bank.kappa, mixtures)
+    sizes = bank.sizes.tolist()
+    sizes[i] = k
+    rows = np.vstack([bank.means[: bank.offsets[i]], means, bank.means[bank.offsets[i + 1] :]])
+    packed = ModelBank.from_packed(bank.dim, bank.kappa, BankLayout(bank.class_ids, sizes), rows)
+    mixtures = {m.class_id: m.means for m in bank.mixtures.values() if m.class_id != c}
+    fresh = make_bank(bank.dim, bank.kappa, {**mixtures, c: means})
     assert packed.class_ids == fresh.class_ids
     assert same_bytes(packed.means, fresh.means)
     for name, arr in vars(fresh.layout).items():
         if isinstance(arr, np.ndarray):
             assert same_bytes(getattr(packed.layout, name), arr), name
+    # the spread penalty's weights, from their definition
+    w = [1.0 / (s * (s - 1)) if s > 1 else 0.0 for s in sizes]
+    assert packed.layout.half_pair_weight.tolist() == [0.5 * wc for wc in w]
+    assert packed.layout.column_pair_weight.tolist() == [
+        -(wc / len(sizes)) for wc, s in zip(w, sizes) for _ in range(s)
+    ]
     z = np.minimum(z, packed.sizes[np.searchsorted(packed.class_ids, y)] - 1)
     want = ref.loss_and_grad(params, fresh, x, y, z, **coef)
     assert_same_result(loss_and_grad(params, packed, x, y, z, **coef), want)
@@ -192,8 +201,8 @@ def test_mismatched_teacher_after_a_cached_hit_still_raises():
     for grown in ([1, 5, 8], [5, 8], [8]):
         rng = np.random.default_rng(11)
         d = 4
-        old = ModelBank(d, 16.0, {
-            c: ClassMixture(c, normalize_rows(rng.standard_normal((2, d)))) for c in (1, 5)
+        old = make_bank(d, 16.0, {
+            c: normalize_rows(rng.standard_normal((2, d))) for c in (1, 5)
         })
         bank = expand(old, grown, 3, rng)
         assert bank.layout.teacher_columns(old.layout)[1] == (grown == [8])
@@ -206,8 +215,8 @@ def test_mismatched_teacher_after_a_cached_hit_still_raises():
         for _ in range(2):  # the second call hits the cached teacher map
             want = ref.loss_and_grad(params, bank, x, y, z, old_log_post=old_lp, **args)
             assert_same_result(loss_and_grad(params, bank, x, y, z, old_log_post=old_lp, **args), want)
-        lost_class = ModelBank(d, 16.0, {c: ClassMixture(c, old.mixture(1).means) for c in (1, 3)})
-        more_components = ModelBank(d, 16.0, {1: ClassMixture(1, normalize_rows(rng.standard_normal((6, d))))})
+        lost_class = make_bank(d, 16.0, {c: old.mixture(1).means for c in (1, 3)})
+        more_components = make_bank(d, 16.0, {1: normalize_rows(rng.standard_normal((6, d)))})
         for bad in (lost_class, more_components):
             log_r = np.zeros((len(y), bad.means.shape[0]))
             with pytest.raises(ModelRegression):

@@ -1,6 +1,7 @@
 """Tests for synthetic stream generation, splits, and the VMFS file format."""
 
 import inspect
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -314,6 +315,32 @@ class TestStreamFiles:
         )
         with pytest.raises(ValueError):
             write_stream(tmp_path / "neg.vmfs", records)
+
+    def test_class_label_beyond_32_bits_rejected_on_write(self, tmp_path):
+        # a u32 field would keep only the low bits: 2**32 + 7 would read back as class 7
+        for y, fits in ((2**32 - 1, True), (2**32, False), (2**32 + 7, False)):
+            records = FeatureRecords(
+                np.arange(1, dtype=np.uint64), np.zeros((1, 2)), np.array([y]),
+                np.zeros(1, np.int32), np.zeros(1, np.uint8),
+            )
+            path = tmp_path / f"{y}.vmfs"
+            if fits:
+                write_stream(path, records)
+                assert read_stream(path).y.tolist() == [y]
+            else:
+                with pytest.raises(ValueError):
+                    write_stream(path, records)
+
+    def test_writing_holds_one_copy_of_the_records(self, tmp_path):
+        records = random_records(np.random.default_rng(27), n=20_000, d=16)
+        path = tmp_path / "big.vmfs"
+        tracemalloc.start()
+        try:
+            write_stream(path, records)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * path.stat().st_size
 
     def test_memory_role_round_trip(self, tmp_path):
         rng = np.random.default_rng(25)

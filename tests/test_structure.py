@@ -2,9 +2,10 @@
 
 import numpy as np
 import pytest
+from helpers import make_bank
 
 from vmfcl.errors import ConfigError, DegenerateMerge
-from vmfcl.mixture import ClassMixture, ModelBank
+from vmfcl.mixture import ModelBank
 from vmfcl.structure import ReductionConfig, collect_stats, expand, merge_pair, reduce
 from vmfcl.vmf import normalize, normalize_rows
 
@@ -17,7 +18,7 @@ def stats_for(means, counts):
 
 class TestExpand:
     def test_existing_class_grows_by_m(self):
-        bank = ModelBank(4, 16.0, {0: ClassMixture(0, np.eye(4)[:2])})
+        bank = make_bank(4, 16.0, {0: np.eye(4)[:2]})
         out = expand(bank, [0], 30, np.random.default_rng(0))
         assert out.mixtures[0].num_components == 32
         np.testing.assert_array_equal(out.mixtures[0].means[:2], np.eye(4)[:2])
@@ -29,18 +30,18 @@ class TestExpand:
         np.testing.assert_allclose(np.linalg.norm(out.mixtures[7].means, axis=1), 1.0, atol=1e-12)
 
     def test_absent_class_untouched(self):
-        bank = ModelBank(4, 16.0, {0: ClassMixture(0, np.eye(4)[:1]), 1: ClassMixture(1, np.eye(4)[1:2])})
+        bank = make_bank(4, 16.0, {0: np.eye(4)[:1], 1: np.eye(4)[1:2]})
         out = expand(bank, [0], 3, np.random.default_rng(0))
         assert out.mixtures[1].num_components == 1
         np.testing.assert_array_equal(out.mixtures[1].means, bank.mixtures[1].means)
 
     def test_does_not_mutate_input(self):
-        bank = ModelBank(4, 16.0, {0: ClassMixture(0, np.eye(4)[:1])})
+        bank = make_bank(4, 16.0, {0: np.eye(4)[:1]})
         expand(bank, [0], 4, np.random.default_rng(0))
         assert bank.mixtures[0].num_components == 1
 
     def test_deterministic_under_seed(self):
-        bank = ModelBank(4, 16.0, {0: ClassMixture(0, np.eye(4)[:1])})
+        bank = make_bank(4, 16.0, {0: np.eye(4)[:1]})
         a = expand(bank, [0], 8, np.random.default_rng(3))
         b = expand(bank, [0], 8, np.random.default_rng(3))
         np.testing.assert_array_equal(a.mixtures[0].means, b.mixtures[0].means)
@@ -105,31 +106,31 @@ def brute_force_reduce(means, counts, sums, delta, min_components=1, min_count=1
 class TestReduce:
     def test_identical_means_merge(self):
         mu = normalize([1.0, 1.0])
-        bank = ModelBank(2, 16.0, {0: ClassMixture(0, np.vstack([mu, mu]))})
+        bank = make_bank(2, 16.0, {0: np.vstack([mu, mu])})
         out, recs = reduce(bank, *stats_for([mu, mu], [5, 3]), ReductionConfig(delta=0.7))
         assert out.mixtures[0].num_components == 1
         assert recs[0].k_before == 2 and recs[0].k_after == 1
         assert recs[0].merge_map == [0, 0]
 
     def test_orthogonal_means_kept(self):
-        bank = ModelBank(2, 16.0, {0: ClassMixture(0, np.eye(2))})
+        bank = make_bank(2, 16.0, {0: np.eye(2)})
         out, _ = reduce(bank, *stats_for(np.eye(2), [4, 4]), ReductionConfig(delta=0.7))
         assert out.mixtures[0].num_components == 2
 
     def test_empty_components_dropped(self):
-        bank = ModelBank(2, 16.0, {0: ClassMixture(0, np.eye(2))})
+        bank = make_bank(2, 16.0, {0: np.eye(2)})
         out, recs = reduce(bank, *stats_for(np.eye(2), [4, 0]), ReductionConfig(delta=0.7))
         assert out.mixtures[0].num_components == 1
         assert recs[0].merge_map == [0, -1]
 
     def test_all_empty_keeps_one(self):
-        bank = ModelBank(2, 16.0, {0: ClassMixture(0, np.eye(2))})
+        bank = make_bank(2, 16.0, {0: np.eye(2)})
         out, recs = reduce(bank, *stats_for(np.eye(2), [0, 0]), ReductionConfig(delta=0.7))
         assert out.mixtures[0].num_components == 1
         np.testing.assert_array_equal(out.mixtures[0].means[0], np.eye(2)[0])
 
     def test_min_count_drops_starved_components(self):
-        bank = ModelBank(2, 16.0, {0: ClassMixture(0, np.eye(2))})
+        bank = make_bank(2, 16.0, {0: np.eye(2)})
         out, recs = reduce(bank, *stats_for(np.eye(2), [40, 2]), ReductionConfig(delta=0.7, min_count=5))
         assert out.mixtures[0].num_components == 1
         assert recs[0].merge_map == [0, -1]
@@ -137,15 +138,15 @@ class TestReduce:
     def test_min_components_respected(self):
         mu = normalize([1.0, 1.0])
         near = normalize([1.0, 1.1])
-        bank = ModelBank(2, 16.0, {0: ClassMixture(0, np.vstack([mu, near]))})
+        bank = make_bank(2, 16.0, {0: np.vstack([mu, near])})
         out, _ = reduce(bank, *stats_for([mu, near], [5, 5]), ReductionConfig(delta=0.7, min_components=2))
         assert out.mixtures[0].num_components == 2
 
     def test_never_crosses_classes(self):
         mu = normalize([1.0, 0.5])
-        bank = ModelBank(2, 16.0, {
-            0: ClassMixture(0, mu[None, :]),
-            1: ClassMixture(1, mu[None, :]),
+        bank = make_bank(2, 16.0, {
+            0: mu[None, :],
+            1: mu[None, :],
         })
         out, _ = reduce(bank, *stats_for([mu, mu], [3, 3]), ReductionConfig(delta=0.7))
         assert out.mixtures[0].num_components == 1
@@ -163,7 +164,7 @@ class TestReduce:
             sums = [pts[i] * counts[i] for i in range(k)]
             means = normalize_rows(pts)
             delta = float(rng.uniform(0.2, 1.2))
-            bank = ModelBank(d, 16.0, {0: ClassMixture(0, means)})
+            bank = make_bank(d, 16.0, {0: means})
             out, _ = reduce(bank, counts, np.array(sums), ReductionConfig(delta=delta))
             expected = brute_force_reduce(means, counts, sums, delta)
             got = out.mixtures[0].means
@@ -181,7 +182,7 @@ class TestReduce:
         d = 10
         centers = normalize_rows(rng.standard_normal((4, d)))
         x = np.vstack([sample_vmf(rng, c, 60.0, 50) for c in centers])
-        bank = ModelBank(d, 16.0, {0: ClassMixture(0, normalize_rows(rng.standard_normal((2, d))))})
+        bank = make_bank(d, 16.0, {0: normalize_rows(rng.standard_normal((2, d)))})
         bank = expand(bank, [0], 30, rng)
         assert bank.mixtures[0].num_components == 32
         means = bank.mixtures[0].means
@@ -207,7 +208,7 @@ class TestReduce:
             counts = rng.integers(0, 5, size=k)
             if not np.any(counts > 0):
                 counts[0] = 2
-            bank = ModelBank(3, 16.0, {0: ClassMixture(0, means)})
+            bank = make_bank(3, 16.0, {0: means})
             out, recs = reduce(bank, *stats_for(means, counts), ReductionConfig(delta=0.7))
             rec = recs[0]
             k_out = out.mixtures[0].num_components
@@ -224,7 +225,7 @@ class TestReduce:
             k = int(rng.integers(3, 12))
             means = normalize_rows(rng.standard_normal((k, 4)))
             counts = rng.integers(1, 7, size=k)
-            bank = ModelBank(4, 16.0, {0: ClassMixture(0, means)})
+            bank = make_bank(4, 16.0, {0: means})
             ks = []
             for delta in (0.5, 0.6, 0.7, 0.8, 0.9):
                 out, _ = reduce(bank, *stats_for(means, counts), ReductionConfig(delta=delta))
@@ -232,14 +233,14 @@ class TestReduce:
             assert all(a >= b for a, b in zip(ks, ks[1:])), ks
 
     def test_missing_stats_rejected(self):
-        bank = ModelBank(2, 16.0, {0: ClassMixture(0, np.eye(2))})
+        bank = make_bank(2, 16.0, {0: np.eye(2)})
         with pytest.raises(ValueError):
             reduce(bank, *stats_for([np.eye(2)[0]], [1]), ReductionConfig())
 
 
 class TestCollectStats:
     def test_counts_and_sums(self):
-        bank = ModelBank(2, 16.0, {0: ClassMixture(0, np.eye(2)), 1: ClassMixture(1, np.eye(2)[:1])})
+        bank = make_bank(2, 16.0, {0: np.eye(2), 1: np.eye(2)[:1]})
         y = np.array([0, 0, 0, 1])
         z = np.array([0, 1, 1, 0])
         feats = normalize_rows(np.array([[1.0, 0.1], [0.1, 1.0], [0.2, 1.0], [1.0, 0.0]]))

@@ -17,12 +17,13 @@ import warnings
 import numpy as np
 import pytest
 import reference_structure as ref
+from helpers import make_bank
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vmfcl import memory, structure
 from vmfcl.errors import DegenerateMerge
-from vmfcl.mixture import ClassMixture, ModelBank
+from vmfcl.mixture import ModelBank
 from vmfcl.streams import ROLE_TRAIN, FeatureRecords
 from vmfcl.vmf import normalize_rows
 
@@ -83,7 +84,7 @@ def sessions(draw):
             ys += [c] * (2 * reps)
             zs += [a] * reps + [b] * reps
             feats += [f] * reps + [-f] * reps
-        mixtures[c] = ClassMixture(c, means)
+        mixtures[c] = means
         n_c = int(rng.integers(0, 60)) if weights.sum() > 0 else 0
         z_c = rng.choice(k, size=n_c, p=weights / weights.sum()) if n_c else np.zeros(0, np.int64)
         ys += [c] * n_c
@@ -103,7 +104,7 @@ def sessions(draw):
         min_components=draw(st.integers(1, 3)),
         min_count=min_count,
     )
-    return ModelBank(d, kappa, mixtures), records, z, cfg
+    return make_bank(d, kappa, mixtures), records, z, cfg
 
 
 @settings(max_examples=150, deadline=None, database=None)
@@ -160,7 +161,7 @@ def test_memory_selection_equals_the_reference(case, budget, seed):
 
 def test_antipodal_merge_fails_in_both():
     f = np.array([0.6, 0.8])
-    bank = ModelBank(2, 16.0, {3: ClassMixture(3, np.vstack([f, f]))})
+    bank = make_bank(2, 16.0, {3: np.vstack([f, f])})
     y, z, x = np.array([3, 3]), np.array([0, 1]), np.vstack([f, -f])
     cfg = structure.ReductionConfig(delta=0.7)
     with pytest.raises(DegenerateMerge):

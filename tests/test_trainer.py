@@ -4,12 +4,14 @@ import io
 import math
 
 import numpy as np
+import oracles
 import pytest
+from helpers import make_bank
 
 from vmfcl.backbone import BackboneParams, forward_batch, init_params, loss_and_grad
 from vmfcl.errors import ModelRegression, NumericalError, VmfclError
 from vmfcl.memory import MemoryBuffer
-from vmfcl.mixture import ClassMixture, ModelBank
+from vmfcl.mixture import ModelBank
 from vmfcl.streams import (
     ROLE_TRAIN,
     FeatureRecords,
@@ -74,13 +76,13 @@ class TestLambdaAt:
 
 class TestEStep:
     def test_feature_on_mean_assigned_there(self):
-        bank = ModelBank(2, 16.0, {0: ClassMixture(0, np.eye(2))})
+        bank = make_bank(2, 16.0, {0: np.eye(2)})
         recs = records_from(np.array([[0.0, 5.0]]), np.array([0]))
         z = e_step(bank, forward_batch(identity_backbone(2), recs.x), recs.y)
         assert z.tolist() == [1]
 
     def test_equidistant_tie_goes_to_first(self):
-        bank = ModelBank(2, 16.0, {0: ClassMixture(0, np.eye(2))})
+        bank = make_bank(2, 16.0, {0: np.eye(2)})
         recs = records_from(np.array([[1.0, 1.0], [2.0, 2.0]]), np.array([0, 0]))
         z = e_step(bank, forward_batch(identity_backbone(2), recs.x), recs.y)
         assert z.tolist() == [0, 0]
@@ -92,7 +94,7 @@ class TestEStep:
         centers = np.eye(8)[:2]
         x = np.vstack([sample_vmf(rng, centers[0], 16.0, 50), sample_vmf(rng, centers[1], 16.0, 50)])
         true = np.repeat([0, 1], 50)
-        bank = ModelBank(8, 16.0, {0: ClassMixture(0, centers)})
+        bank = make_bank(8, 16.0, {0: centers})
         recs = records_from(x, np.zeros(100, dtype=int))
         got = e_step(bank, forward_batch(identity_backbone(8), recs.x), recs.y)
         agreement = max(np.mean(got == true), np.mean(got == 1 - true))
@@ -100,7 +102,7 @@ class TestEStep:
 
     def test_fixed_point(self):
         rng = np.random.default_rng(41)
-        bank = ModelBank(4, 16.0, {0: ClassMixture(0, normalize_rows(rng.standard_normal((3, 4))))})
+        bank = make_bank(4, 16.0, {0: normalize_rows(rng.standard_normal((3, 4)))})
         recs = records_from(rng.standard_normal((30, 4)), np.zeros(30, dtype=int))
         params = identity_backbone(4)
         first = e_step(bank, forward_batch(params, recs.x), recs.y)
@@ -110,14 +112,14 @@ class TestEStep:
 
 class TestLossTerms:
     def setup_bank(self):
-        bank = ModelBank(2, 16.0, {
-            0: ClassMixture(0, np.eye(2)),
-            1: ClassMixture(1, normalize(np.array([-1.0, -1.0]))[None, :]),
+        bank = make_bank(2, 16.0, {
+            0: np.eye(2),
+            1: normalize(np.array([-1.0, -1.0]))[None, :],
         })
         return bank, identity_backbone(2)
 
     def test_single_class_inter_is_zero(self):
-        bank = ModelBank(2, 16.0, {0: ClassMixture(0, np.eye(2))})
+        bank = make_bank(2, 16.0, {0: np.eye(2)})
         recs = records_from(np.array([[1.0, 0.2]]), np.array([0]))
         assert clf_loss(bank, identity_backbone(2), recs, [0], lam=0.0) == pytest.approx(0.0)
 
@@ -140,7 +142,7 @@ class TestLossTerms:
         assert clf_loss(bank, params, recs, z, lam) == pytest.approx(expected, abs=1e-9)
 
     def test_certain_assignment_kills_intra_term(self):
-        bank = ModelBank(2, 16.0, {0: ClassMixture(0, np.array([[1.0, 0.0]]))})
+        bank = make_bank(2, 16.0, {0: np.array([[1.0, 0.0]])})
         recs = records_from(np.array([[1.0, 0.0]]), np.array([0]))
         assert clf_loss(bank, identity_backbone(2), recs, [0], lam=0.7) == pytest.approx(0.0)
 
@@ -163,9 +165,9 @@ class TestLossTerms:
         mu2 = normalize([1.0 - gap, math.sqrt(1.0 - (1.0 - gap) ** 2)])
         # mu2 chosen so dot(v, mu2) = 1 - gap exactly
         mu2 = np.array([1.0 - gap, math.sqrt(1 - (1 - gap) ** 2)])
-        cur = ModelBank(2, kappa, {0: ClassMixture(0, np.vstack([v, mu2]))})
+        cur = make_bank(2, kappa, {0: np.vstack([v, mu2])})
         same = normalize([0.7, 0.7])
-        old = ModelBank(2, kappa, {0: ClassMixture(0, np.vstack([same, same]))})
+        old = make_bank(2, kappa, {0: np.vstack([same, same])})
         snap = ModelState(identity_backbone(2), old)
         recs = records_from(v[None, :], np.array([0]))
         q = np.array([0.9, 0.1])
@@ -176,9 +178,9 @@ class TestLossTerms:
         kappa = 16.0
         v = np.array([1.0, 0.0])
         old_means = np.vstack([v, normalize([0.6, 0.8])])
-        old = ModelBank(2, kappa, {0: ClassMixture(0, old_means)})
+        old = make_bank(2, kappa, {0: old_means})
         # current model inherited both components and gained an expansion one
-        cur = ModelBank(2, kappa, {0: ClassMixture(0, np.vstack([old_means, normalize([0.0, 1.0])]))})
+        cur = make_bank(2, kappa, {0: np.vstack([old_means, normalize([0.0, 1.0])])})
         snap = ModelState(identity_backbone(2), old)
         recs = records_from(v[None, :], np.array([0]))
         # identical inherited block and identical features: KL must vanish
@@ -186,23 +188,23 @@ class TestLossTerms:
 
     def test_distill_missing_class_raises(self):
         bank, params = self.setup_bank()
-        old = ModelBank(2, 16.0, {9: ClassMixture(9, np.eye(2)[:1])})
+        old = make_bank(2, 16.0, {9: np.eye(2)[:1]})
         snap = ModelState(params.copy(), old)
         recs = records_from(np.array([[1.0, 0.0]]), np.array([0]))
         with pytest.raises(ModelRegression):
             distill_loss(bank, params, snap, recs)
 
     def test_reg_all_singletons_zero(self):
-        bank = ModelBank(2, 16.0, {0: ClassMixture(0, np.eye(2)[:1]), 1: ClassMixture(1, np.eye(2)[1:])})
+        bank = make_bank(2, 16.0, {0: np.eye(2)[:1], 1: np.eye(2)[1:]})
         assert reg_loss(bank) == 0.0
 
     def test_reg_orthogonal_pair_zero(self):
-        bank = ModelBank(2, 16.0, {0: ClassMixture(0, np.eye(2))})
+        bank = make_bank(2, 16.0, {0: np.eye(2)})
         assert reg_loss(bank) == pytest.approx(0.0, abs=1e-15)
 
     def test_reg_identical_pair(self):
         mu = normalize([1.0, 2.0])
-        bank = ModelBank(2, 16.0, {0: ClassMixture(0, np.vstack([mu, mu]))})
+        bank = make_bank(2, 16.0, {0: np.vstack([mu, mu])})
         assert reg_loss(bank) == pytest.approx(-0.5, abs=1e-12)
 
     def test_reg_matches_direct_recomputation(self):
@@ -211,8 +213,8 @@ class TestLossTerms:
             mixtures = {}
             for c in range(3):
                 k = int(rng.integers(1, 5))
-                mixtures[c] = ClassMixture(c, normalize_rows(rng.standard_normal((k, 4))))
-            bank = ModelBank(4, 16.0, mixtures)
+                mixtures[c] = normalize_rows(rng.standard_normal((k, 4)))
+            bank = make_bank(4, 16.0, mixtures)
             direct = 0.0
             for c in bank.class_ids:
                 m = bank.mixtures[c].means
@@ -222,6 +224,19 @@ class TestLossTerms:
                         direct -= float(m[i] @ m[j]) / (k * (k - 1))
             direct /= len(bank.mixtures)
             assert reg_loss(bank) == pytest.approx(direct, abs=1e-12)
+            assert reg_loss(bank) == pytest.approx(oracles.reg_loss(bank), abs=1e-12)
+
+    def test_reg_zero_penalty_reads_positive_zero(self):
+        # the training step's segment sum gives -0.0 here; the epoch log prints +0.0
+        bank = make_bank(2, 16.0, {0: np.eye(2)[:1], 3: np.eye(2)[1:], 5: np.eye(2)[:1]})
+        _, _, terms = loss_and_grad(identity_backbone(2), bank, np.eye(2), np.array([0, 3]),
+                                    np.zeros(2, np.int64), lam=0.0, beta=0.0, eta=1.0)
+        assert terms["reg"] == 0.0
+        assert math.copysign(1.0, reg_loss(bank)) == 1.0
+
+    def test_reg_of_an_empty_bank_raises(self):
+        with pytest.raises(ValueError):
+            reg_loss(ModelBank(2, 16.0))
 
     def test_overall_composition(self):
         # the training loss is clf + beta * distillation + eta * regularization
@@ -233,7 +248,7 @@ class TestLossTerms:
         expected = (
             clf_loss(bank, params, recs, z, lam)
             + beta * distill_loss(bank, params, snap, recs)
-            + eta * reg_loss(bank)
+            + eta * oracles.reg_loss(bank)
         )
         old_lp = _old_log_posteriors(snap, forward_batch(snap.params, recs.x))
         got, _, _ = loss_and_grad(params, bank, recs.x, recs.y, z, lam=lam, beta=beta, eta=eta,
@@ -256,10 +271,10 @@ class TestLossTerms:
         for c in range(3):
             k = int(rng.integers(2, 5))
             means = normalize_rows(rng.standard_normal((k, 4)))
-            mixtures[c] = ClassMixture(c, means)
-            old_mixtures[c] = ClassMixture(c, means[: max(1, k - 1)].copy())
-        bank = ModelBank(4, 16.0, mixtures)
-        old = ModelBank(4, 16.0, old_mixtures)
+            mixtures[c] = means
+            old_mixtures[c] = means[: max(1, k - 1)].copy()
+        bank = make_bank(4, 16.0, mixtures)
+        old = make_bank(4, 16.0, old_mixtures)
         snap = ModelState(params.copy(), old)
         x = rng.standard_normal((12, 5))
         y = rng.integers(0, 3, size=12)
@@ -269,7 +284,7 @@ class TestLossTerms:
         scalar = (
             clf_loss(bank, params, recs, z, lam)
             + beta * distill_loss(bank, params, snap, recs)
-            + eta * reg_loss(bank)
+            + eta * oracles.reg_loss(bank)
         )
         old_lp = _old_log_posteriors(snap, forward_batch(snap.params, recs.x))
         vectorized, _, terms = loss_and_grad(params, bank, x, y, z, lam=lam, beta=beta, eta=eta,
@@ -279,7 +294,7 @@ class TestLossTerms:
             clf_loss(bank, params, recs, z, lam), abs=1e-9
         )
         assert terms["distill"] == pytest.approx(distill_loss(bank, params, snap, recs), abs=1e-9)
-        assert terms["reg"] == pytest.approx(reg_loss(bank), abs=1e-12)
+        assert terms["reg"] == pytest.approx(oracles.reg_loss(bank), abs=1e-12)
 
 
 def synthetic_session(seed=50, n_classes=3, domains=2, kt=60.0, per_pair=40, d=8):
@@ -417,7 +432,7 @@ class TestTrainSession:
         recs = session.records
         clf = clf_loss(state.bank, state.params, recs, z, loss.lambda_max)
         dis = distill_loss(state.bank, state.params, teacher, recs)
-        reg = reg_loss(state.bank)
+        reg = oracles.reg_loss(state.bank)
         assert clf > 0 and reg != 0
         for line in lines:
             got = dict(kv.split("=") for kv in line.split())
@@ -438,7 +453,7 @@ class TestTrainSession:
         centers = np.eye(6)[:2]
         x = np.vstack([sample_vmf(rng, centers[0], 40.0, 40), sample_vmf(rng, centers[1], 40.0, 40)])
         y = np.zeros(80, dtype=int)
-        bank = ModelBank(6, 16.0, {0: ClassMixture(0, normalize_rows(rng.standard_normal((4, 6))))})
+        bank = make_bank(6, 16.0, {0: normalize_rows(rng.standard_normal((4, 6)))})
         params = identity_backbone(6)
         recs = records_from(x, y)
         z = e_step(bank, forward_batch(params, recs.x), recs.y)
@@ -470,7 +485,7 @@ class TestTrainSession:
         np.testing.assert_array_equal(z, e_step(state.bank, forward_batch(state.params, data.x), data.y))
 
     def test_assignment_count_must_match_records(self):
-        bank = ModelBank(2, 16.0, {0: ClassMixture(0, np.eye(2))})
+        bank = make_bank(2, 16.0, {0: np.eye(2)})
         recs = records_from(np.array([[1.0, 0.0], [0.0, 1.0]]), np.array([0, 0]))
         with pytest.raises(ValueError):
             clf_loss(bank, identity_backbone(2), recs, [0], lam=0.1)
