@@ -40,8 +40,9 @@ SNAPSHOT_VERSION = 1
 BACKBONE_TAG = b"THET"
 
 # Rows that predict_batch scores at once, bounding its (rows, K) block of dots; the
-# run's evaluation (bench.seen_accuracies) forwards and predicts seen records in blocks
-# of the same size.
+# run's evaluation (bench.seen_accuracies) forwards and predicts seen records, the
+# teacher (trainer._old_log_posteriors) normalises its posteriors, and the VMFS reader
+# and writer (streams) decode and encode records in blocks of the same size.
 PREDICT_BLOCK_ROWS = 1024
 
 

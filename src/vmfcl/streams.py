@@ -9,16 +9,26 @@ VMFS file layout (all little-endian): magic "VMFS", u32 version, u32 dim,
 u64 record count, then per record u64 example id, u32 class, i32 domain
 (-1 = unknown), u8 role (0 train / 1 test / 2 memory) and dim float32
 feature entries. Payloads are float32 on disk; reads are bit-exact.
+``FeatureRecords`` casts each column to its dtype and raises ValueError
+where the cast would wrap or truncate a value.
+
+No full-size transient is held next to a pool: ``generate_synthetic`` draws
+each cluster into its slice of the preallocated pools, and ``write_stream``
+and ``read_stream`` encode and decode ``PREDICT_BLOCK_ROWS`` records at a
+time, the reader straight into the output columns. The reader rejects a
+record with a non-finite feature entry.
 """
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConfigError, ParseError
+from .mixture import PREDICT_BLOCK_ROWS
 from .vmf import normalize_rows
 
 STREAM_MAGIC = b"VMFS"
@@ -38,11 +48,11 @@ class FeatureRecords:
     role: np.ndarray  # (n,) uint8
 
     def __post_init__(self):
-        self.ids = np.asarray(self.ids, dtype=np.uint64)
+        self.ids = _integer_column(self.ids, np.uint64, "example ids")
         self.x = np.asarray(self.x, dtype=np.float64)
-        self.y = np.asarray(self.y, dtype=np.int64)
-        self.domain = np.asarray(self.domain, dtype=np.int32)
-        self.role = np.asarray(self.role, dtype=np.uint8)
+        self.y = _integer_column(self.y, np.int64, "class labels")
+        self.domain = _integer_column(self.domain, np.int32, "domain labels")
+        self.role = _integer_column(self.role, np.uint8, "roles")
         n = self.ids.shape[0]
         if self.x.ndim != 2 or any(a.shape[0] != n for a in (self.x, self.y, self.domain, self.role)):
             raise ValueError("record columns must share their leading dimension")
@@ -63,6 +73,21 @@ class FeatureRecords:
             np.zeros(0, np.uint64), np.zeros((0, dim)), np.zeros(0, np.int64),
             np.zeros(0, np.int32), np.zeros(0, np.uint8),
         )
+
+
+def _integer_column(values, dtype, name: str) -> np.ndarray:
+    """``values`` as an array of ``dtype``; a cast raises ValueError instead of wrapping or truncating."""
+    a = np.asarray(values)
+    if a.dtype == dtype:  # nothing to check: subsets and concatenations stay free
+        return a
+    if a.size:
+        info = np.iinfo(dtype)
+        lo, hi = a.min().item(), a.max().item()
+        if not (info.min <= lo and hi <= info.max):  # a NaN fails too
+            raise ValueError(f"{name} must lie in [{info.min}, {info.max}] to fit {np.dtype(dtype)}")
+        if a.dtype.kind == "f" and not np.array_equal(a, np.trunc(a)):
+            raise ValueError(f"{name} must be whole numbers")
+    return a.astype(dtype)
 
 
 def concat_records(*parts: FeatureRecords) -> FeatureRecords:
@@ -205,12 +230,13 @@ def _draw_centers(rng: np.random.Generator, count: int, dim: int, min_angle_deg:
     )
 
 
-def _sample_cluster(rng, center, cfg: SynthConfig, n: int) -> np.ndarray:
-    """One cluster draw, optionally truncated to a cone around the center."""
+def _sample_cluster(rng, center, cfg: SynthConfig, out: np.ndarray):
+    """Fill ``out`` (n, dim) with one cluster draw, optionally truncated to a cone around the center."""
+    n = out.shape[0]
     if cfg.max_angle_deg is None:
-        return sample_vmf(rng, center, cfg.kappa_true, n)
+        out[:] = sample_vmf(rng, center, cfg.kappa_true, n)
+        return
     min_dot = np.cos(np.deg2rad(cfg.max_angle_deg))
-    out = np.empty((n, cfg.dim))
     have = 0
     for _ in range(1000):
         draw = sample_vmf(rng, center, cfg.kappa_true, n - have)
@@ -218,7 +244,7 @@ def _sample_cluster(rng, center, cfg: SynthConfig, n: int) -> np.ndarray:
         out[have : have + keep.shape[0]] = keep
         have += keep.shape[0]
         if have == n:
-            return out
+            return
     raise ConfigError(
         f"kappa_true={cfg.kappa_true} puts almost no mass within {cfg.max_angle_deg} deg of a center"
     )
@@ -234,30 +260,24 @@ def generate_synthetic(cfg: SynthConfig):
     centers = _draw_centers(rng, cfg.num_classes * cfg.domains_per_class, cfg.dim, cfg.min_angle_deg)
     centers = centers.reshape(cfg.num_classes, cfg.domains_per_class, cfg.dim)
 
-    tr_x, tr_y, tr_z, te_x, te_y, te_z = [], [], [], [], [], []
-    for c in range(cfg.num_classes):
-        for z in range(cfg.domains_per_class):
-            tr_x.append(_sample_cluster(rng, centers[c, z], cfg, cfg.train_per_pair))
-            tr_y.append(np.full(cfg.train_per_pair, c))
-            tr_z.append(np.full(cfg.train_per_pair, z))
-            if cfg.test_per_pair:
-                te_x.append(_sample_cluster(rng, centers[c, z], cfg, cfg.test_per_pair))
-                te_y.append(np.full(cfg.test_per_pair, c))
-                te_z.append(np.full(cfg.test_per_pair, z))
+    # records run pair by pair, class-major, as the clusters are drawn
+    pair_class = np.repeat(np.arange(cfg.num_classes, dtype=np.int64), cfg.domains_per_class)
+    pair_domain = np.tile(np.arange(cfg.domains_per_class, dtype=np.int32), cfg.num_classes)
 
-    n_train = cfg.num_classes * cfg.domains_per_class * cfg.train_per_pair
-    n_test = cfg.num_classes * cfg.domains_per_class * cfg.test_per_pair
-    train = FeatureRecords(
-        np.arange(n_train, dtype=np.uint64), np.vstack(tr_x), np.concatenate(tr_y),
-        np.concatenate(tr_z), np.full(n_train, ROLE_TRAIN, np.uint8),
-    )
-    test = FeatureRecords(
-        np.arange(n_train, n_train + n_test, dtype=np.uint64),
-        np.vstack(te_x) if te_x else np.zeros((0, cfg.dim)),
-        np.concatenate(te_y) if te_y else np.zeros(0, np.int64),
-        np.concatenate(te_z) if te_z else np.zeros(0, np.int32),
-        np.full(n_test, ROLE_TEST, np.uint8),
-    )
+    def pool(per_pair: int, first_id: int, role: int) -> FeatureRecords:
+        n = pair_class.size * per_pair
+        return FeatureRecords(
+            np.arange(first_id, first_id + n, dtype=np.uint64), np.empty((n, cfg.dim)),
+            np.repeat(pair_class, per_pair), np.repeat(pair_domain, per_pair), np.full(n, role, np.uint8),
+        )
+
+    tr, te = cfg.train_per_pair, cfg.test_per_pair
+    train = pool(tr, 0, ROLE_TRAIN)
+    test = pool(te, len(train), ROLE_TEST)
+    for p, (c, z) in enumerate(zip(pair_class.tolist(), pair_domain.tolist())):
+        _sample_cluster(rng, centers[c, z], cfg, train.x[p * tr : (p + 1) * tr])
+        if te:
+            _sample_cluster(rng, centers[c, z], cfg, test.x[p * te : (p + 1) * te])
     return train, test, centers
 
 
@@ -380,55 +400,79 @@ def _record_dtype(dim: int) -> np.dtype:
 
 
 def write_stream(path, records: FeatureRecords):
-    """Serialize records to a VMFS file (features quantized to float32)."""
-    dim = records.dim
-    rec_dtype = _record_dtype(dim)
-    if np.any((records.y < 0) | (records.y > np.iinfo(np.uint32).max)):
+    """Serialize records to a VMFS file (features quantized to float32).
+
+    Records are encoded ``PREDICT_BLOCK_ROWS`` at a time into one reused
+    buffer, so writing holds no copy of the whole file.
+    """
+    dim, n = records.dim, len(records)
+    if n and (records.y.min() < 0 or records.y.max() > np.iinfo(np.uint32).max):
         raise ValueError("class labels must be nonnegative and fit in 32 bits")
-    arr = np.empty(len(records), dtype=rec_dtype)
-    arr["id"] = records.ids
-    arr["y"] = records.y
-    arr["z"] = records.domain
-    arr["role"] = records.role
-    arr["x"] = records.x
+    chunk = np.empty(min(n, PREDICT_BLOCK_ROWS), dtype=_record_dtype(dim))
     with open(path, "wb") as fh:
-        fh.write(_HEADER.pack(STREAM_MAGIC, STREAM_VERSION, dim, len(records)))
-        fh.write(arr)
+        fh.write(_HEADER.pack(STREAM_MAGIC, STREAM_VERSION, dim, n))
+        for lo in range(0, n, PREDICT_BLOCK_ROWS):
+            part = chunk[: min(PREDICT_BLOCK_ROWS, n - lo)]
+            rows = slice(lo, lo + len(part))
+            part["id"] = records.ids[rows]
+            part["y"] = records.y[rows]
+            part["z"] = records.domain[rows]
+            part["role"] = records.role[rows]
+            part["x"] = records.x[rows]
+            fh.write(part)
 
 
 def read_stream(path) -> FeatureRecords:
-    """Parse a VMFS file; raises ParseError with the failing byte offset."""
+    """Parse a VMFS file; raises ParseError with the failing byte offset.
+
+    The body is read ``PREDICT_BLOCK_ROWS`` records at a time into one reused
+    buffer and decoded straight into the output columns, which are sized
+    from the file length. A record with a non-finite feature entry is
+    rejected at its offset.
+    """
     with open(path, "rb") as fh:
-        data = fh.read()
-    if len(data) < _HEADER.size:
-        raise ParseError("file too short for a VMFS header", offset=len(data))
-    magic, version, dim, count = _HEADER.unpack_from(data, 0)
-    if magic != STREAM_MAGIC:
-        raise ParseError("bad magic, not a VMFS stream", offset=0)
-    if version != STREAM_VERSION:
-        raise ParseError(f"unsupported VMFS version {version}", offset=4)
-    try:
-        rec_dtype = _record_dtype(dim)
-    except ValueError:  # the record size overflows a C int
-        raise ParseError(f"record dimension {dim} is too large", offset=8) from None
-    whole, tail = divmod(len(data) - _HEADER.size, rec_dtype.itemsize)
-    if tail != 0:
-        raise ParseError("truncated record", offset=_HEADER.size + whole * rec_dtype.itemsize)
-    if whole != count:
-        raise ParseError(f"record count mismatch: header says {count}, file holds {whole}")
-    arr = np.frombuffer(data, dtype=rec_dtype, count=whole, offset=_HEADER.size)
-    order = np.argsort(arr["id"], kind="stable")
-    repeats = order[1:][arr["id"][order[1:]] == arr["id"][order[:-1]]]
+        head = fh.read(_HEADER.size)
+        if len(head) < _HEADER.size:
+            raise ParseError("file too short for a VMFS header", offset=len(head))
+        magic, version, dim, count = _HEADER.unpack(head)
+        if magic != STREAM_MAGIC:
+            raise ParseError("bad magic, not a VMFS stream", offset=0)
+        if version != STREAM_VERSION:
+            raise ParseError(f"unsupported VMFS version {version}", offset=4)
+        try:
+            rec_dtype = _record_dtype(dim)
+        except ValueError:  # the record size overflows a C int
+            raise ParseError(f"record dimension {dim} is too large", offset=8) from None
+        size = rec_dtype.itemsize
+        whole, tail = divmod(os.fstat(fh.fileno()).st_size - _HEADER.size, size)
+        if tail != 0:
+            raise ParseError("truncated record", offset=_HEADER.size + whole * size)
+        if whole != count:
+            raise ParseError(f"record count mismatch: header says {count}, file holds {whole}")
+        records = FeatureRecords(
+            np.empty(count, np.uint64), np.empty((count, dim)), np.empty(count, np.int64),
+            np.empty(count, np.int32), np.empty(count, np.uint8),
+        )
+        chunk = np.empty(min(count, PREDICT_BLOCK_ROWS), dtype=rec_dtype)
+        for lo in range(0, count, PREDICT_BLOCK_ROWS):
+            part = chunk[: min(PREDICT_BLOCK_ROWS, count - lo)]
+            got = fh.readinto(part)
+            if got < part.nbytes:  # the file shrank since it was sized
+                raise ParseError("truncated record", offset=_HEADER.size + (lo + got // size) * size)
+            finite = np.isfinite(part["x"])
+            if not finite.all():  # a whole-chunk reduction first: the per-row one is slower
+                bad = lo + int(np.argmin(finite.all(axis=1)))
+                raise ParseError(f"non-finite feature in record {bad}", offset=_HEADER.size + bad * size)
+            rows = slice(lo, lo + len(part))
+            records.ids[rows] = part["id"]
+            records.y[rows] = part["y"]
+            records.domain[rows] = part["z"]
+            records.role[rows] = part["role"]
+            records.x[rows] = part["x"]
+    order = np.argsort(records.ids, kind="stable")
+    sorted_ids = records.ids[order]
+    repeats = order[1:][sorted_ids[1:] == sorted_ids[:-1]]
     if repeats.size:
         first = int(np.min(repeats))
-        raise ParseError(
-            f"duplicate example id {arr['id'][first]}",
-            offset=_HEADER.size + first * rec_dtype.itemsize,
-        )
-    return FeatureRecords(
-        arr["id"].copy(),
-        arr["x"].astype(np.float64),
-        arr["y"].astype(np.int64),
-        arr["z"].copy(),
-        arr["role"].copy(),
-    )
+        raise ParseError(f"duplicate example id {records.ids[first]}", offset=_HEADER.size + first * size)
+    return records

@@ -208,10 +208,15 @@ def _old_log_posteriors(snapshot: ModelState, feats: np.ndarray) -> np.ndarray:
 
     ``feats`` are the snapshot backbone's unit features of the records.
     Returns one (n, K_old) array in the teacher bank's row order, log-softmax
-    per class.
+    per class. The κ-scaled scores are that array itself, and the softmax
+    runs in place on ``PREDICT_BLOCK_ROWS``-row blocks of it, so its scratch
+    is a few blocks, not a few more (n, K_old) arrays; every step is row-wise,
+    so the blocks change no bit.
     """
-    t = snapshot.bank.kappa * (feats @ snapshot.bank.means.T)
-    mx.segment_log_softmax(t, snapshot.bank.layout)
+    t = feats @ snapshot.bank.means.T
+    t *= snapshot.bank.kappa
+    for lo in range(0, len(t), mx.PREDICT_BLOCK_ROWS):
+        mx.segment_log_softmax(t[lo : lo + mx.PREDICT_BLOCK_ROWS], snapshot.bank.layout)
     return t
 
 

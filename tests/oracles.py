@@ -1,6 +1,13 @@
-"""Per-class oracles of the packed objective terms, sharing none of its code."""
+"""Oracles of the packed objective terms.
+
+``reg_loss`` is a per-class loop sharing none of the packed code.
+``old_log_posteriors`` is the teacher as one whole-array pass; the blocked
+teacher of ``vmfcl.trainer`` must equal it byte for byte.
+"""
 
 import numpy as np
+
+from vmfcl.mixture import segment_log_softmax
 
 
 def reg_loss(bank) -> float:
@@ -20,3 +27,10 @@ def reg_loss(bank) -> float:
         sm = np.sum(m, axis=0)
         total -= (float(sm @ sm) - float(np.sum(m * m))) * 0.5 / (k * (k - 1))
     return total / len(bank.mixtures)
+
+
+def old_log_posteriors(snapshot, feats: np.ndarray) -> np.ndarray:
+    """Teacher log posteriors, log-softmax per class, over the whole (n, K_old) array at once."""
+    t = snapshot.bank.kappa * (feats @ snapshot.bank.means.T)
+    segment_log_softmax(t, snapshot.bank.layout)
+    return t

@@ -2,11 +2,14 @@
 
 import inspect
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from vmfcl import streams
 from vmfcl.errors import ConfigError, ParseError
+from vmfcl.mixture import PREDICT_BLOCK_ROWS
 from vmfcl.streams import (
     ROLE_MEMORY,
     ROLE_TEST,
@@ -122,6 +125,38 @@ class TestGenerateSynthetic:
             SynthConfig(2, 2, 1, 1.0, 10, 5)
         with pytest.raises(ConfigError):
             SynthConfig(2, 2, 4, 1.0, 10, 5, max_angle_deg=0.0)
+
+    @pytest.mark.parametrize("max_angle_deg", [None, 30.0], ids=["plain", "truncated"])
+    def test_generating_holds_little_beyond_its_pools(self, max_angle_deg):
+        # each cluster is drawn into its slice of the pools, so no second pool-sized copy exists
+        cfg = SynthConfig(8, 2, 16, 50.0, 200, 200, max_angle_deg=max_angle_deg, seed=3)
+        generate_synthetic(cfg)  # the first call in a process also sets up numpy's one-time state
+        (train, test, _), peak = traced_peak(generate_synthetic, cfg)
+        assert peak < 1.25 * (record_bytes(train) + record_bytes(test))
+
+    def test_pools_are_laid_out_pair_by_pair(self):
+        cfg = SynthConfig(3, 2, 4, 20.0, 5, 2, seed=12)
+        train, test, _ = generate_synthetic(cfg)
+        for pool, per_pair in ((train, 5), (test, 2)):
+            pairs = [(c, z) for c in range(3) for z in range(2) for _ in range(per_pair)]
+            assert list(zip(pool.y.tolist(), pool.domain.tolist())) == pairs
+            assert pool.y.dtype == np.int64 and pool.domain.dtype == np.int32
+        np.testing.assert_array_equal(test.ids, np.arange(30, 42, dtype=np.uint64))
+
+
+def record_bytes(records: FeatureRecords) -> int:
+    return sum(a.nbytes for a in (records.ids, records.x, records.y, records.domain, records.role))
+
+
+def traced_peak(fn, *args):
+    """``fn(*args)`` and the peak of the memory it allocated while it ran."""
+    tracemalloc.start()
+    try:
+        out = fn(*args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return out, peak
 
 
 def small_pool(n_classes, domains, per_pair=6, d=4, seed=0):
@@ -357,6 +392,149 @@ class TestStreamFiles:
         assert len(both) == 7
         np.testing.assert_array_equal(both.ids[:4], a.ids)
         np.testing.assert_array_equal(both.x[4:], b.x)
+
+
+B = PREDICT_BLOCK_ROWS  # records the VMFS reader and writer handle at once
+
+
+def record_size(d: int) -> int:
+    return 8 + 4 + 4 + 1 + 4 * d
+
+
+def whole_file_bytes(records: FeatureRecords) -> bytes:
+    """The VMFS encoding of ``records`` built as one record array, the layout's definition."""
+    n, d = len(records), records.dim
+    arr = np.empty(n, np.dtype([("id", "<u8"), ("y", "<u4"), ("z", "<i4"), ("role", "u1"), ("x", "<f4", (d,))]))
+    arr["id"], arr["y"], arr["z"], arr["role"], arr["x"] = (
+        records.ids, records.y, records.domain, records.role, records.x
+    )
+    return b"VMFS" + (1).to_bytes(4, "little") + d.to_bytes(4, "little") + n.to_bytes(8, "little") + arr.tobytes()
+
+
+class TestStreamChunks:
+    @pytest.mark.parametrize("n", [0, 1, B - 1, B, B + 1, 2 * B + 3])
+    def test_round_trip_across_chunk_boundaries(self, tmp_path, n):
+        records = random_records(np.random.default_rng(n), n=n, d=3)
+        path = tmp_path / "s.vmfs"
+        write_stream(path, records)
+        assert path.read_bytes() == whole_file_bytes(records)
+        back = read_stream(path)
+        for name in ("ids", "x", "y", "domain", "role"):
+            got, want = getattr(back, name), getattr(records, name)
+            assert got.dtype == want.dtype and got.shape == want.shape, name
+            np.testing.assert_array_equal(got, want)
+
+    def write_pool(self, tmp_path, ids=None, x_edits=()):
+        records = random_records(np.random.default_rng(30), n=2 * B + 3, d=3)
+        records.ids = np.arange(len(records), dtype=np.uint64)
+        for row, value in (ids or {}).items():
+            records.ids[row] = value
+        for row, col, value in x_edits:
+            records.x[row, col] = value
+        path = tmp_path / "pool.vmfs"
+        write_stream(path, records)
+        return path
+
+    # the reported record is the first one whose id already appeared earlier in the file
+    @pytest.mark.parametrize("ids, first", [
+        ({B + 5: 7, 2 * B + 1: 9}, B + 5),  # two repeats of first-chunk ids
+        ({B + 5: 2 * B}, 2 * B),  # record B + 5 takes record 2B's id: 2B is the repeat
+        ({2 * B + 1: B + 3}, 2 * B + 1),  # both copies past the first chunk
+        ({2 * B + 2: 2 * B}, 2 * B + 2),  # both copies in the last chunk
+    ], ids=["first-chunk-ids", "copy-moved-earlier", "later-chunks", "last-chunk"])
+    def test_duplicate_id_in_a_later_chunk_keeps_its_offset(self, tmp_path, ids, first):
+        path = self.write_pool(tmp_path, ids=ids)
+        with pytest.raises(ParseError, match="duplicate example id") as err:
+            read_stream(path)
+        assert err.value.offset == 20 + first * record_size(3)
+
+    @pytest.mark.parametrize("row", [B + 7, 2 * B + 2])
+    def test_truncation_in_a_later_chunk_keeps_its_offset(self, tmp_path, row):
+        path = self.write_pool(tmp_path)
+        path.write_bytes(path.read_bytes()[: 20 + row * record_size(3) + 5])
+        with pytest.raises(ParseError, match="truncated record") as err:
+            read_stream(path)
+        assert err.value.offset == 20 + row * record_size(3)
+
+    @pytest.mark.parametrize("extra", [0, 5])
+    def test_a_file_that_shrinks_while_it_is_read_is_a_truncated_record(self, tmp_path, monkeypatch, extra):
+        path = self.write_pool(tmp_path)
+        raw = path.read_bytes()
+        # sized from the whole file, then read from a cut one: only the chunk read comes back short
+        path.write_bytes(raw[: 20 + (B + 7) * record_size(3) + extra])
+        with monkeypatch.context() as m:
+            m.setattr(streams.os, "fstat", lambda fd: SimpleNamespace(st_size=len(raw)))
+            with pytest.raises(ParseError, match="truncated record") as err:
+                read_stream(path)
+        assert err.value.offset == 20 + (B + 7) * record_size(3)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("row", [0, B + 2])
+    def test_nonfinite_feature_rejected_at_its_record(self, tmp_path, value, row):
+        # a second bad record later in the file is not the one reported
+        path = self.write_pool(tmp_path, x_edits=[(row, 1, value), (2 * B + 1, 0, np.nan)])
+        with pytest.raises(ParseError, match="non-finite") as err:
+            read_stream(path)
+        assert err.value.offset == 20 + row * record_size(3)
+
+    def test_reading_holds_the_output_two_chunks_and_the_id_sort(self, tmp_path):
+        n, d = 20_000, 16
+        path = tmp_path / "big.vmfs"
+        write_stream(path, random_records(np.random.default_rng(31), n=n, d=d))
+        back, peak = traced_peak(read_stream, path)
+        # the duplicate-id check sorts the ids: an int64 order, the sorted ids, a mask
+        # and the stable sort's merge buffer come to under 24 bytes per record
+        assert peak < record_bytes(back) + 2 * B * record_size(d) + 24 * n
+
+    def test_writing_holds_at_most_two_chunks(self, tmp_path):
+        n, d = 20_000, 16
+        records = random_records(np.random.default_rng(32), n=n, d=d)
+        _, peak = traced_peak(write_stream, tmp_path / "big.vmfs", records)
+        assert peak < 2 * B * record_size(d)
+
+
+class TestFeatureRecords:
+    @staticmethod
+    def columns(**kw):
+        cols = dict(ids=np.arange(1, dtype=np.uint64), x=np.zeros((1, 2)), y=np.zeros(1, np.int64),
+                    domain=np.zeros(1, np.int32), role=np.zeros(1, np.uint8))
+        cols.update(kw)
+        return cols
+
+    # each of these used to be stored wrapped: as 2**64 - 1, 5, -2**63 and 44
+    @pytest.mark.parametrize("column, value", [
+        ("ids", np.array([-1])),
+        ("domain", np.array([2**32 + 5])),
+        ("y", np.array([2**63], dtype=np.uint64)),
+        ("role", np.array([300])),
+    ], ids=["negative-id", "domain-beyond-int32", "label-beyond-int64", "role-beyond-uint8"])
+    def test_out_of_range_cast_rejected(self, column, value):
+        with pytest.raises(ValueError, match="must lie in"):
+            FeatureRecords(**self.columns(**{column: value}))
+
+    def test_nan_label_rejected(self):
+        with pytest.raises(ValueError, match="class labels"):
+            FeatureRecords(**self.columns(y=np.array([np.nan])))
+
+    @pytest.mark.parametrize("column", ["ids", "y", "domain", "role"])
+    def test_fractional_value_rejected(self, column):
+        # a cast would truncate 1.5 to 1
+        with pytest.raises(ValueError, match="whole numbers"):
+            FeatureRecords(**self.columns(**{column: np.array([1.5])}))
+        assert getattr(FeatureRecords(**self.columns(**{column: np.array([1.0])})), column).tolist() == [1]
+
+    def test_in_range_casts_keep_their_values(self):
+        r = FeatureRecords(np.array([0, 2**40]), np.zeros((2, 2)), np.array([3, 2**63 - 1], np.uint64),
+                           np.array([-(2**31), 2**31 - 1]), np.array([0, 255]))
+        assert r.ids.dtype == np.uint64 and r.ids.tolist() == [0, 2**40]
+        assert r.y.dtype == np.int64 and r.y.tolist() == [3, 2**63 - 1]
+        assert r.domain.dtype == np.int32 and r.domain.tolist() == [-(2**31), 2**31 - 1]
+        assert r.role.dtype == np.uint8 and r.role.tolist() == [0, 255]
+
+    def test_columns_of_their_own_dtype_are_kept_as_they_are(self):
+        cols = self.columns()
+        r = FeatureRecords(**cols)
+        assert all(getattr(r, name) is column for name, column in cols.items())
 
 
 class TestDomainQuarantine:

@@ -2,6 +2,7 @@
 
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import oracles
@@ -11,7 +12,7 @@ from helpers import make_bank
 from vmfcl.backbone import BackboneParams, forward_batch, init_params, loss_and_grad
 from vmfcl.errors import ModelRegression, NumericalError, VmfclError
 from vmfcl.memory import MemoryBuffer
-from vmfcl.mixture import ModelBank
+from vmfcl.mixture import PREDICT_BLOCK_ROWS, ModelBank
 from vmfcl.streams import (
     ROLE_TRAIN,
     FeatureRecords,
@@ -295,6 +296,42 @@ class TestLossTerms:
         )
         assert terms["distill"] == pytest.approx(distill_loss(bank, params, snap, recs), abs=1e-9)
         assert terms["reg"] == pytest.approx(oracles.reg_loss(bank), abs=1e-12)
+
+
+def teacher(rng, n_classes=12, d=8, kappa=16.0) -> ModelState:
+    """A snapshot of uneven class blocks (1 to 6 components) behind an identity backbone."""
+    bank = make_bank(d, kappa, {
+        c: normalize_rows(rng.standard_normal((int(rng.integers(1, 7)), d))) for c in range(n_classes)
+    })
+    return ModelState(identity_backbone(d), bank)
+
+
+class TestTeacher:
+    B = PREDICT_BLOCK_ROWS
+
+    @pytest.mark.parametrize("n", [1, B - 1, B, B + 1, 2 * B + 3])
+    def test_blocked_teacher_equals_the_whole_array_oracle(self, n):
+        rng = np.random.default_rng(n)
+        snap = teacher(rng)
+        feats = normalize_rows(rng.standard_normal((n, snap.bank.dim)))
+        got = _old_log_posteriors(snap, feats)
+        want = oracles.old_log_posteriors(snap, feats)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
+    def test_teacher_memory_is_its_output_and_a_few_blocks(self):
+        rng = np.random.default_rng(3)
+        snap = teacher(rng, n_classes=16)
+        feats = normalize_rows(rng.standard_normal((6 * self.B, snap.bank.dim)))
+        output = feats.shape[0] * snap.bank.means.shape[0] * 8
+        block = self.B * snap.bank.means.shape[0] * 8
+        tracemalloc.start()
+        try:
+            _old_log_posteriors(snap, feats)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < output + 4 * block
 
 
 def synthetic_session(seed=50, n_classes=3, domains=2, kt=60.0, per_pair=40, d=8):

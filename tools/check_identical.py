@@ -13,13 +13,20 @@ every seed on:
 * ``perfbench/configs/nd_wide.cfg`` and ``perfbench/configs/nc_eval.cfg``,
   read as they are, under their configured method.
 
+A VMFS leg follows, per seed: ``python -m vmfcl synth`` writes
+``train.vmfs`` and ``test.vmfs`` from ``perfbench/configs/nc_eval.cfg`` in
+both trees, and then that config runs in both trees from the base tree's
+files, through a temporary copy whose ``[synth]`` section is replaced by a
+``[data]`` section naming them.
+
 For each run the sha256 of ``report.json``, ``model.vmfb`` and ``train.log``
-are compared and one line is printed per file. ``train.log`` is hashed
-without its ``wall_clock_sec=`` line, so the per-epoch loss terms and the
-merge maps it logs are compared but the wall time is not. The exit code is 1
-when any file differs, is missing, or a run fails in either tree, and 0 when
-everything is identical. The configs are read from this checkout in both
-trees, so both run the same inputs.
+are compared and one line is printed per file; so are the two VMFS files of
+each ``synth``. ``train.log`` is hashed without its ``wall_clock_sec=``
+line, so the per-epoch loss terms and the merge maps it logs are compared
+but the wall time is not. The exit code is 1 when any file differs, is
+missing, or a command fails in either tree, and 0 when everything is
+identical. The configs are read from this checkout in both trees, so both
+run the same inputs.
 """
 
 from __future__ import annotations
@@ -45,6 +52,8 @@ RUNS = [
     ("perfbench/configs/nc_eval.cfg", None),
 ]
 OUTPUTS = ("report.json", "model.vmfb", "train.log")
+VMFS_CONFIG = "perfbench/configs/nc_eval.cfg"  # its [synth] section feeds the VMFS leg
+VMFS_FILES = ("train.vmfs", "test.vmfs")
 
 
 def parse_seeds(text: str) -> list[int]:
@@ -56,16 +65,31 @@ def parse_seeds(text: str) -> list[int]:
     return seeds
 
 
-def run(tree: Path, config: str, method: str | None, seed: int, out: Path) -> bool:
-    cmd = [sys.executable, "-m", "vmfcl", "run", "--config", str(ROOT / config),
-           "--seed", str(seed), "--out", str(out)]
-    if method:
-        cmd += ["--method", method]
+def vmfcl(tree: Path, *args: str) -> bool:
+    """``python -m vmfcl ARGS`` on ``tree``'s ``src/``; False (and the error printed) when it fails."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
-    done = subprocess.run(cmd, cwd=tree, env=env, capture_output=True, text=True)
+    done = subprocess.run([sys.executable, "-m", "vmfcl", *args], cwd=tree, env=env,
+                          capture_output=True, text=True)
     if done.returncode != 0:
-        print(f"  run failed in {tree}: {done.stderr.strip()}")
+        print(f"  vmfcl {args[0]} failed in {tree}: {done.stderr.strip()}")
     return done.returncode == 0
+
+
+def run(tree: Path, config: str, method: str | None, seed: int, out: Path) -> bool:
+    args = ["run", "--config", str(ROOT / config), "--seed", str(seed), "--out", str(out)]
+    return vmfcl(tree, *args, *(["--method", method] if method else []))
+
+
+def data_config(config: Path, files: Path) -> str:
+    """The text of ``config`` with its [synth] section replaced by a [data] section naming ``files``."""
+    kept, section = [], None
+    for line in config.read_text(encoding="utf-8").splitlines():
+        if line.strip().startswith("["):
+            section = line.strip()
+        if section != "[synth]":
+            kept.append(line)
+    data = [f"{Path(name).stem} = {files / name}" for name in VMFS_FILES]  # the keys are train and test
+    return "\n".join(kept + ["", "[data]", *data, ""])
 
 
 def _exit_on_sigterm(signum, frame):
@@ -106,6 +130,19 @@ def digest(path: Path) -> str | None:
     return hashlib.sha256(data).hexdigest()
 
 
+def compare(label: str, names, base: Path, this: Path, ok: bool) -> int:
+    """Print one line per file of ``names`` in the two directories; return how many differ."""
+    differ = 0
+    for name in names:
+        a, b = digest(base / name), digest(this / name)
+        same = ok and a is not None and a == b
+        differ += not same
+        verdict = "identical" if same else "DIFFERENT"
+        print(f"{label:42s} {name:12s} {verdict:9s} {a or 'missing'}"
+              + ("" if same else f" vs {b or 'missing'}"))
+    return differ
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("rev", help="git revision to compare against, e.g. HEAD or a commit SHA")
@@ -115,20 +152,31 @@ def main(argv=None) -> int:
 
     differ = 0
     with worktree(args.rev) as base, tempfile.TemporaryDirectory(prefix="check_identical-") as tmp:
+        def dirs(label: str) -> tuple[Path, Path]:
+            return Path(tmp) / "base" / label, Path(tmp) / "this" / label
+
         for config, method in RUNS:
             for seed in seeds:
                 label = f"{Path(config).stem}.{method or 'configured'}.seed{seed}"
-                outs = {name: Path(tmp) / name / label for name in ("base", "this")}
-                ok = run(base, config, method, seed, outs["base"])
-                ok = run(ROOT, config, method, seed, outs["this"]) and ok
-                for name in OUTPUTS:
-                    a, b = digest(outs["base"] / name), digest(outs["this"] / name)
-                    same = ok and a is not None and a == b
-                    differ += not same
-                    verdict = "identical" if same else "DIFFERENT"
-                    print(f"{label:42s} {name:12s} {verdict:9s} {a or 'missing'}"
-                          + ("" if same else f" vs {b or 'missing'}"))
-    total = len(RUNS) * len(seeds) * len(OUTPUTS)
+                outs = dirs(label)
+                ok = run(base, config, method, seed, outs[0])
+                ok = run(ROOT, config, method, seed, outs[1]) and ok
+                differ += compare(label, OUTPUTS, *outs, ok)
+        for seed in seeds:
+            label = f"{Path(VMFS_CONFIG).stem}.synth.seed{seed}"
+            files = dirs(label)
+            synth = ["synth", "--config", str(ROOT / VMFS_CONFIG), "--seed", str(seed), "--out"]
+            ok = vmfcl(base, *synth, str(files[0]))
+            ok = vmfcl(ROOT, *synth, str(files[1])) and ok
+            differ += compare(label, VMFS_FILES, *files, ok)
+            label = f"{Path(VMFS_CONFIG).stem}.data.seed{seed}"
+            config = Path(tmp) / f"{label}.cfg"
+            config.write_text(data_config(ROOT / VMFS_CONFIG, files[0]), encoding="utf-8")
+            outs = dirs(label)
+            ok = run(base, str(config), None, seed, outs[0])
+            ok = run(ROOT, str(config), None, seed, outs[1]) and ok
+            differ += compare(label, OUTPUTS, *outs, ok)
+    total = len(seeds) * (len(RUNS) * len(OUTPUTS) + len(VMFS_FILES) + len(OUTPUTS))
     print(f"{total - differ} of {total} files identical to {args.rev}")
     return 1 if differ else 0
 
