@@ -15,7 +15,6 @@ import numpy as np
 from vmfcl import LossConfig, ModelState, SynthConfig, TrainConfig, generate_synthetic, purity
 from vmfcl.backbone import init_params
 from vmfcl.mixture import ModelBank
-from vmfcl.streams import SessionDataset
 from vmfcl.trainer import train_session
 
 cfg = SynthConfig(
@@ -23,7 +22,6 @@ cfg = SynthConfig(
     train_per_pair=120, test_per_pair=0, min_angle_deg=85.0, seed=4,
 )
 train, _, _ = generate_synthetic(cfg)
-session = SessionDataset(0, train)
 
 state = ModelState(
     init_params(cfg.dim, cfg.dim, hidden_dim=0, rng=np.random.default_rng(0)),
@@ -35,9 +33,9 @@ train_cfg = TrainConfig(
     m=30,
     seed=7,
 )
-print("training one session on", len(session), "examples ...")
+print("training one session on", len(train), "examples ...")
 # one component index per training record, aligned by position
-state, z = train_session(state, session, None, train_cfg, log=sys.stdout)
+state, z = train_session(state, train, None, train_cfg, log=sys.stdout)
 
 print("\nfinal component counts per class:")
 for c, k in zip(state.bank.class_ids, state.bank.sizes.tolist()):

@@ -19,12 +19,10 @@ from .memory import MemoryBuffer, select_memory
 from .mixture import (
     ClassMixture,
     ModelBank,
-    load_snapshot,
     save_snapshot,
 )
 from .streams import (
     FeatureRecords,
-    SessionDataset,
     SplitPlan,
     SynthConfig,
     generate_synthetic,
@@ -53,8 +51,8 @@ __all__ = [
     "run_experiment",
     "MemoryBuffer", "select_memory",
     "ClassMixture", "ModelBank",
-    "load_snapshot", "save_snapshot",
-    "FeatureRecords", "SessionDataset", "SplitPlan", "SynthConfig", "generate_synthetic",
+    "save_snapshot",
+    "FeatureRecords", "SplitPlan", "SynthConfig", "generate_synthetic",
     "make_splits", "read_stream", "sample_vmf", "write_stream",
     "ReductionConfig", "collect_stats", "expand", "merge_pair", "reduce",
     "LossConfig", "ModelState", "TrainConfig", "clf_loss", "distill_loss",

@@ -40,17 +40,6 @@ class BackboneParams:
             if i > 0 and w.shape[1] != self.layers[i - 1][0].shape[0]:
                 raise ValueError(f"layer {i} input dim does not compose with layer {i - 1}")
 
-    @property
-    def input_dim(self) -> int:
-        return self.layers[0][0].shape[1]
-
-    @property
-    def output_dim(self) -> int:
-        return self.layers[-1][0].shape[0]
-
-    def copy(self) -> "BackboneParams":
-        return BackboneParams([(w.copy(), b.copy()) for w, b in self.layers])
-
 
 @dataclass
 class Gradient:

@@ -252,7 +252,6 @@ class RunResult:
     plan: object
     train_pool: FeatureRecords
     test_pool: FeatureRecords
-    memory: MemoryBuffer
 
 
 def _pair_codes(pool: FeatureRecords, pairs) -> np.ndarray:
@@ -376,9 +375,9 @@ def run_experiment_full(cfg: RunConfig, out_dir=None) -> RunResult:
             )
             state, z = train_session(state, session, memory, tcfg, log=log)
 
-            data = session.records
+            data = session
             if len(memory) > 0:
-                data = concat_records(session.records, memory.records)
+                data = concat_records(session, memory.records)
 
             row, seen_acc, class_domain_acc = seen_accuracies(
                 state.bank, state.params, test_pool, plan.sessions[: t + 1]
@@ -425,7 +424,7 @@ def run_experiment_full(cfg: RunConfig, out_dir=None) -> RunResult:
             if not incomplete:
                 save_snapshot(os.path.join(out_dir, "model.vmfb"), state.bank, state.params.layers)
 
-    return RunResult(report, state, plan, train_pool, test_pool, memory)
+    return RunResult(report, state, plan, train_pool, test_pool)
 
 
 def run_experiment(cfg: RunConfig, out_dir=None) -> SessionReport:

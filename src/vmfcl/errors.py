@@ -38,7 +38,7 @@ class ConfigError(VmfclError):
 
 
 class ParseError(VmfclError):
-    """Malformed binary stream or snapshot file.
+    """Malformed VMFS stream file (the package reads no other binary format).
 
     Carries the byte offset at which parsing failed.
     """

@@ -32,8 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, EmptyModel, ModelRegression, ParseError, UnknownClass
-from .vmf import ZERO_NORM_EPS
+from .errors import DimensionError, EmptyModel, ModelRegression, UnknownClass
 
 SNAPSHOT_MAGIC = b"VMFB"
 SNAPSHOT_VERSION = 1
@@ -62,7 +61,7 @@ class BankLayout:
     """Index arrays that depend only on a bank's class ids and component counts.
 
     Built once when a bank is packed and shared, read-only, by every bank
-    that ``with_means`` or ``copy`` derives from it, so one training step
+    that ``with_means`` derives from it, so one training step
     reads them instead of rebuilding them per batch:
 
     * ``ids``, ``offsets``, ``starts`` (= ``offsets[:-1]``), ``sizes`` and
@@ -194,9 +193,6 @@ class ModelBank:
         out.means = means
         return out
 
-    def copy(self) -> "ModelBank":
-        return self.with_means(self.means.copy())
-
 
 def segment_log_softmax(t: np.ndarray, layout: BankLayout) -> tuple[np.ndarray, np.ndarray]:
     """Overwrite ``t`` (n, K) with its log-softmax within each class block of ``layout``.
@@ -305,7 +301,8 @@ def predict_batch(bank: ModelBank, vs: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Versioned binary snapshots ("VMFB" container, optional "THET" backbone block)
+# Versioned binary snapshots ("VMFB" container, optional "THET" backbone block),
+# written by ``vmfcl run`` as model.vmfb; the package has no reader
 # ---------------------------------------------------------------------------
 
 
@@ -334,92 +331,3 @@ def save_snapshot(path, bank: ModelBank, layers=None):
             chunks.append(np.asarray(b).astype("<f4").tobytes())
     with open(path, "wb") as fh:
         fh.write(b"".join(chunks))
-
-
-class _Cursor:
-    """Byte reader that reports the failing offset on truncation."""
-
-    def __init__(self, data: bytes):
-        self.data = data
-        self.pos = 0
-
-    def take(self, n: int) -> bytes:
-        if self.pos + n > len(self.data):
-            raise ParseError(f"truncated snapshot: needed {n} bytes", offset=self.pos)
-        out = self.data[self.pos : self.pos + n]
-        self.pos += n
-        return out
-
-    def unpack(self, fmt: str):
-        return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
-
-
-def load_snapshot(path):
-    """Read a VMFB snapshot; returns (bank, layers-or-None)."""
-    with open(path, "rb") as fh:
-        cur = _Cursor(fh.read())
-    if cur.take(4) != SNAPSHOT_MAGIC:
-        raise ParseError("bad magic, not a VMFB snapshot", offset=0)
-    version, dim, kappa, n_classes = cur.unpack("<IIfI")
-    if version != SNAPSHOT_VERSION:
-        raise ParseError(f"unsupported snapshot version {version}", offset=4)
-    if dim < 2:
-        raise ParseError(f"dimension must be at least 2, got {dim}", offset=8)
-    if not 0.0 <= kappa < np.inf:  # NaN fails too
-        raise ParseError(f"kappa must be finite and nonnegative, got {kappa}", offset=12)
-    blocks = {}
-    for _ in range(n_classes):
-        header_at = cur.pos
-        class_id, k = cur.unpack("<II")
-        if class_id in blocks:
-            raise ParseError(f"duplicate class id {class_id}", offset=header_at)
-        if k == 0:
-            raise ParseError(f"class {class_id} has no components", offset=header_at + 4)
-        means_at = cur.pos
-        raw = cur.take(4 * k * dim)
-        means = np.frombuffer(raw, dtype="<f4").reshape(k, dim).astype(np.float64)
-        norms = np.linalg.norm(means, axis=1, keepdims=True)
-        bad = np.flatnonzero(~(np.isfinite(norms[:, 0]) & (norms[:, 0] >= ZERO_NORM_EPS)))
-        if bad.size:
-            raise ParseError(
-                f"class {class_id} component {bad[0]} mean is zero or non-finite",
-                offset=means_at + 4 * dim * int(bad[0]),
-            )
-        # float32 quantization leaves norms ~1e-8 off unit; re-project.
-        blocks[class_id] = means / norms
-    ids = sorted(blocks)
-    layout = BankLayout(ids, [blocks[c].shape[0] for c in ids])
-    means = np.vstack([blocks[c] for c in ids]) if ids else np.zeros((0, dim))
-    bank = ModelBank.from_packed(dim, float(kappa), layout, means)
-    layers = None
-    if cur.pos < len(cur.data):
-        tag_at = cur.pos
-        if cur.take(4) != BACKBONE_TAG:
-            raise ParseError("unknown trailing section", offset=tag_at)
-        count_at = cur.pos
-        (n_layers,) = cur.unpack("<I")
-        if n_layers == 0:
-            raise ParseError("backbone section has no layers", offset=count_at)
-        layers = []
-        for i in range(n_layers):
-            header_at = cur.pos
-            out_dim, in_dim = cur.unpack("<II")
-            if layers and in_dim != layers[-1][0].shape[0]:
-                raise ParseError(
-                    f"backbone layer {i} input dim {in_dim} does not match layer {i - 1}",
-                    offset=header_at,
-                )
-            if i == n_layers - 1 and out_dim != dim:
-                raise ParseError(
-                    f"backbone output dim {out_dim} differs from the bank dim {dim}", offset=header_at
-                )
-            block_at = cur.pos
-            w = np.frombuffer(cur.take(4 * out_dim * in_dim), dtype="<f4")
-            w = w.reshape(out_dim, in_dim).astype(np.float64)
-            b = np.frombuffer(cur.take(4 * out_dim), dtype="<f4").astype(np.float64)
-            if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
-                raise ParseError(f"backbone layer {i} has non-finite weights", offset=block_at)
-            layers.append((w, b))
-    if cur.pos != len(cur.data):
-        raise ParseError("trailing bytes after snapshot payload", offset=cur.pos)
-    return bank, layers

@@ -101,21 +101,9 @@ def concat_records(*parts: FeatureRecords) -> FeatureRecords:
 
 
 @dataclass
-class SessionDataset:
-    """Labeled records arriving at one incremental session."""
-
-    index: int
-    records: FeatureRecords
-
-    def __len__(self) -> int:
-        return len(self.records)
-
-
-@dataclass
 class SplitPlan:
     """Which (class, domain) pairs each session introduces."""
 
-    mode: str
     sessions: list[list[tuple[int, int]]]
 
 
@@ -296,9 +284,11 @@ def check_session_count(pool: FeatureRecords, num_sessions: int):
     """
     if num_sessions < 1:
         raise ConfigError("need at least one session")
-    # one int64 key per (class, domain) pair: a 1-D unique is far cheaper than one over rows
-    keys = (pool.y.astype(np.int64) << 32) | (pool.domain.astype(np.int64) & 0xFFFFFFFF)
-    n_pairs = np.unique(keys).size
+    # sorted by (class, domain), a pair starts wherever either column changes; two 1-D
+    # keys are far cheaper than a unique over rows
+    order = np.lexsort((pool.domain, pool.y))
+    y, z = pool.y[order], pool.domain[order]
+    n_pairs = min(len(y), 1) + int(np.count_nonzero((y[1:] != y[:-1]) | (z[1:] != z[:-1])))
     if num_sessions > n_pairs:
         raise ConfigError(
             f"{num_sessions} sessions, but the train pool has {n_pairs} (class, domain) pairs "
@@ -315,8 +305,8 @@ def make_splits(pool: FeatureRecords, mode: str, num_sessions: int, seed: int):
     NCD: every (class, domain) pair appears exactly once, with new-class
     counts per session non-increasing (new classes are front-loaded).
 
-    Returns (SplitPlan, list of SessionDataset). Raises ConfigError when the
-    pool's grid cannot satisfy the requested regime.
+    Returns (SplitPlan, the list of each session's records). Raises
+    ConfigError when the pool's grid cannot satisfy the requested regime.
     """
     check_session_count(pool, num_sessions)
     rng = np.random.default_rng(seed)
@@ -387,12 +377,12 @@ def make_splits(pool: FeatureRecords, mode: str, num_sessions: int, seed: int):
         raise ConfigError(f"unknown split mode {mode!r} (expected NC, ND or NCD)")
 
     sessions = []
-    for t, session_pairs in enumerate(pairs):
+    for session_pairs in pairs:
         mask = np.zeros(len(pool), dtype=bool)
         for c, z in session_pairs:
             mask |= (pool.y == c) & (pool.domain == z)
-        sessions.append(SessionDataset(t, pool.subset(mask)))
-    return SplitPlan(mode, pairs), sessions
+        sessions.append(pool.subset(mask))
+    return SplitPlan(pairs), sessions
 
 
 def _record_dtype(dim: int) -> np.dtype:
@@ -428,7 +418,9 @@ def read_stream(path) -> FeatureRecords:
     The body is read ``PREDICT_BLOCK_ROWS`` records at a time into one reused
     buffer and decoded straight into the output columns, which are sized
     from the file length. A record with a non-finite feature entry is
-    rejected at its offset.
+    rejected at its offset, and a repeated example id at the first record
+    whose id an earlier record already has; on a valid file the id check
+    holds one sorted copy of the ids.
     """
     with open(path, "rb") as fh:
         head = fh.read(_HEADER.size)
@@ -469,10 +461,10 @@ def read_stream(path) -> FeatureRecords:
             records.domain[rows] = part["z"]
             records.role[rows] = part["role"]
             records.x[rows] = part["x"]
-    order = np.argsort(records.ids, kind="stable")
-    sorted_ids = records.ids[order]
-    repeats = order[1:][sorted_ids[1:] == sorted_ids[:-1]]
-    if repeats.size:
-        first = int(np.min(repeats))
+    sorted_ids = np.sort(records.ids)
+    if np.any(sorted_ids[1:] == sorted_ids[:-1]):  # only a bad file pays for locating the repeat
+        order = np.argsort(records.ids, kind="stable")
+        sorted_ids = records.ids[order]
+        first = int(np.min(order[1:][sorted_ids[1:] == sorted_ids[:-1]]))
         raise ParseError(f"duplicate example id {records.ids[first]}", offset=_HEADER.size + first * size)
     return records

@@ -1,9 +1,9 @@
 """Per-session hard-EM training loop.
 
-One session: snapshot the previous model, expand the mixtures for incoming
-classes, then alternate an epoch-level hard E-step (each example commits to
-its closest component within its class) with mini-batch SGD on the combined
-objective. After the last epoch the mixtures are reduced and a final E-step
+One session: keep the previous model as the teacher, expand the mixtures
+for incoming classes, then alternate an epoch-level hard E-step (each
+example commits to its closest component within its class) with mini-batch
+SGD on the combined objective. After the last epoch the mixtures are reduced and a final E-step
 produces assignments consistent with the reduced model.
 
 The backbone features of the session data are computed once per E-step
@@ -28,7 +28,7 @@ from . import mixture as mx
 from . import structure as st
 from .errors import ConfigError, ModelRegression, NumericalError
 from .memory import MemoryBuffer
-from .streams import FeatureRecords, SessionDataset, concat_records
+from .streams import FeatureRecords, concat_records
 
 
 @dataclass
@@ -70,9 +70,6 @@ class ModelState:
 
     params: bb.BackboneParams
     bank: mx.ModelBank
-
-    def copy(self) -> "ModelState":
-        return ModelState(self.params.copy(), self.bank.copy())
 
 
 def lambda_at(epoch: int, cfg: LossConfig) -> float:
@@ -222,7 +219,7 @@ def _old_log_posteriors(snapshot: ModelState, feats: np.ndarray) -> np.ndarray:
 
 def train_session(
     state: ModelState,
-    incoming: SessionDataset,
+    incoming: FeatureRecords,
     memory: MemoryBuffer | None,
     cfg: TrainConfig,
     log=None,
@@ -233,15 +230,19 @@ def train_session(
     the incoming records followed by the memory records, one per record by
     position. Any error propagates and leaves the caller's state exactly as
     it was.
+
+    No step writes into an array it is given: ``expand``, ``sgd_step`` and
+    ``reduce`` each return new arrays. So the input state serves as the
+    teacher as it is, without a copy, and stays intact whether the session
+    succeeds or fails.
     """
     if len(incoming) == 0:
         raise ValueError("incoming session data must be nonempty")
-    params = state.params.copy()
-    bank = state.bank.copy()
-    snapshot = state.copy() if state.bank.class_ids else None
+    params, bank = state.params, state.bank
+    snapshot = state if bank.class_ids else None
 
     rng = np.random.default_rng(cfg.seed)
-    incoming_classes = sorted(np.unique(incoming.records.y).tolist())
+    incoming_classes = sorted(np.unique(incoming.y).tolist())
     if cfg.expand_existing:
         to_expand = incoming_classes
     else:
@@ -249,9 +250,9 @@ def train_session(
     if to_expand:
         bank = st.expand(bank, to_expand, cfg.m, rng)
 
-    data = incoming.records
+    data = incoming
     if memory is not None and len(memory) > 0:
-        data = concat_records(incoming.records, memory.records)
+        data = concat_records(incoming, memory.records)
 
     # a backbone rate of exactly 0 leaves the layers as they are, so their
     # gradient is not needed and their features stay valid all session

@@ -1,4 +1,8 @@
-"""Test helpers: one way to build a bank, and one-row calls of the batch functions."""
+"""Test helpers: one way to build a bank, one-row calls of the batch functions, and a
+decoder of the VMFB snapshots that ``vmfcl run`` writes."""
+
+import struct
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -25,3 +29,30 @@ def assign_one(bank: ModelBank, class_id: int, v) -> int:
 
 def forward_one(params, x) -> np.ndarray:
     return forward_batch(params, np.asarray(x, dtype=np.float64)[None, :])[0]
+
+
+def decode_snapshot(data: bytes) -> SimpleNamespace:
+    """The fields of a VMFB snapshot, walked by the layout ``save_snapshot`` documents.
+
+    No field is validated; the walk must end exactly at the end of ``data``.
+    Returns ``magic``, ``version``, ``dim``, ``kappa``, ``means`` ({class id:
+    (K, d) float32 means}, in file order) and ``layers`` (None, or a list of
+    float32 (weight, bias) pairs).
+    """
+    version, dim, kappa, n_classes = struct.unpack_from("<IIfI", data, 4)
+    pos, means, layers = 20, {}, None
+    for _ in range(n_classes):
+        c, k = struct.unpack_from("<II", data, pos)
+        means[c] = np.frombuffer(data, "<f4", k * dim, pos + 8).reshape(k, dim)
+        pos += 8 + 4 * k * dim
+    if pos < len(data):  # the "THET" tag, then the layer count
+        (n_layers,) = struct.unpack_from("<I", data, pos + 4)
+        pos, layers = pos + 8, []
+        for _ in range(n_layers):
+            out_dim, in_dim = struct.unpack_from("<II", data, pos)
+            w = np.frombuffer(data, "<f4", out_dim * in_dim, pos + 8).reshape(out_dim, in_dim)
+            pos += 8 + 4 * out_dim * in_dim
+            layers.append((w, np.frombuffer(data, "<f4", out_dim, pos)))
+            pos += 4 * out_dim
+    assert pos == len(data), f"the snapshot payload ends at byte {pos} of {len(data)}"
+    return SimpleNamespace(magic=data[:4], version=version, dim=dim, kappa=kappa, means=means, layers=layers)

@@ -334,7 +334,7 @@ def test_criterion_5_reduction_sensitivity():
     for t in (0, 1):
         cfg = TrainConfig(loss=loss, m=30, seed=100 + t, reduce_enabled=False)
         state, _ = train_session(state, sessions[t], None, cfg)
-    data = sessions[1].records
+    data = sessions[1]
     z = _e_step_array(state.bank, forward_batch(state.params, data.x), data.y)
     feats = forward_batch(state.params, data.x)
     counts, sums = collect_stats(state.bank, data.y, z, feats)

@@ -249,7 +249,7 @@ class TestSgdStep:
         params, bank, x, y, zhat = make_setup(rng)
 
         def run_twice():
-            p, bk = params.copy(), bank.copy()
+            p, bk = params, bank
             for _ in range(5):
                 _, grad, _ = loss_and_grad(p, bk, x, y, zhat, lam=0.05, beta=0.0, eta=0.1)
                 p, bk = sgd_step(p, bk, grad, lr=0.05, weight_decay=0.0005)

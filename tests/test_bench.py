@@ -7,7 +7,7 @@ import sys
 
 import numpy as np
 import pytest
-from helpers import forward_one, make_bank, predict_one
+from helpers import decode_snapshot, forward_one, make_bank, predict_one
 
 import vmfcl
 from vmfcl.backbone import BackboneParams
@@ -23,7 +23,6 @@ from vmfcl.bench import (
 from vmfcl.cli import main as cli_main
 from vmfcl.config import parse_sections
 from vmfcl.errors import ConfigError, DegenerateFeature, PurityUnavailable
-from vmfcl.mixture import load_snapshot
 from vmfcl.streams import ROLE_TEST, FeatureRecords, SynthConfig, read_stream
 from vmfcl.structure import ReductionConfig
 from vmfcl.trainer import LossConfig
@@ -197,15 +196,20 @@ class TestRunExperiment:
 
     def test_outputs_written(self, tmp_path):
         out = tmp_path / "run"
-        rep = run_experiment(tiny_cfg(), out_dir=str(out))
+        result = run_experiment_full(tiny_cfg(), out_dir=str(out))
         report_path = out / "report.json"
         assert report_path.is_file()
-        assert json.loads(report_path.read_text())["avg_inc_acc"] == pytest.approx(rep.avg_inc_acc)
+        assert json.loads(report_path.read_text())["avg_inc_acc"] == pytest.approx(result.report.avg_inc_acc)
         log = (out / "train.log").read_text()
         assert "session=0" in log and "epoch=0" in log and "wall_clock_sec=" in log
-        bank, layers = load_snapshot(out / "model.vmfb")
-        assert bank.class_ids == [0, 1]
-        assert layers is not None
+        snap = decode_snapshot((out / "model.vmfb").read_bytes())
+        bank = result.state.bank
+        assert list(snap.means) == bank.class_ids == [0, 1]
+        np.testing.assert_array_equal(np.vstack(list(snap.means.values())), bank.means.astype("<f4"))
+        assert len(snap.layers) == len(result.state.params.layers)
+        for (w, b), (sw, sb) in zip(result.state.params.layers, snap.layers):
+            np.testing.assert_array_equal(sw, w.astype("<f4"))
+            np.testing.assert_array_equal(sb, b.astype("<f4"))
 
     def test_pair_without_test_records_is_left_out_of_the_table(self, tmp_path):
         tr, te = data_files(tmp_path, SynthConfig(2, 2, 8, 30.0, 40, 10, min_angle_deg=60.0, seed=5),

@@ -1,6 +1,6 @@
 """Property test: a mutated shipped config either loads or fails with ``ConfigError``.
 
-The VMFB and VMFS readers pass corruption properties; this is the same
+The VMFS reader passes corruption properties; this is the same
 check for config text. Hypothesis takes one of the shipped configs and
 flips bytes, truncates it, duplicates a line, adds an unknown key or
 section, or gives a key an extreme numeral. ``load_run_config`` (which

@@ -195,7 +195,6 @@ class TestSelectMemory:
         resumed = MemoryBuffer(8, reloaded, np.zeros(len(reloaded), np.int64))
 
         from vmfcl.backbone import init_params
-        from vmfcl.streams import SessionDataset
         from vmfcl.trainer import LossConfig, ModelState, TrainConfig, train_session
 
         fresh = records.subset(np.concatenate([np.arange(5), np.arange(20, 25)]))
@@ -203,7 +202,7 @@ class TestSelectMemory:
         state = ModelState(init_params(4, 4, 0, np.random.default_rng(0)), ModelBank(4, 16.0))
         cfg = TrainConfig(loss=LossConfig(epochs=1, batch_size=16, lr=0.05, backbone_lr=0.0),
                           m=4, seed=1)
-        _, final = train_session(state, SessionDataset(0, fresh), resumed, cfg)
+        _, final = train_session(state, fresh, resumed, cfg)
         assert len(final) == 10 + len(resumed)
 
     def test_buffer_over_budget_rejected(self):

@@ -58,7 +58,7 @@ def steps(draw, teacher_growth=st.sampled_from(["kept", "some", "all"]), min_old
         growth = draw(teacher_growth)
         grown = [c for c in ids
                  if c not in old_ids or growth == "all" or (growth == "some" and draw(st.booleans()))]
-        bank = expand(old, grown, draw(st.integers(1, 6)), rng) if grown else old.copy()
+        bank = expand(old, grown, draw(st.integers(1, 6)), rng) if grown else old
         teacher = ModelState(init_params(d + 1, d, hidden, rng), old)
     else:
         bank = make_bank(d, kappa, {

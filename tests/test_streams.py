@@ -18,6 +18,7 @@ from vmfcl.streams import (
     SynthConfig,
     concat_records,
     generate_synthetic,
+    check_session_count,
     make_splits,
     read_stream,
     sample_vmf,
@@ -212,7 +213,7 @@ class TestMakeSplits:
         pool = small_pool(4, 3)
         for mode, n in (("NC", 2), ("ND", 3), ("NCD", 5)):
             plan, sessions = make_splits(pool, mode, n, seed=4)
-            ids = np.concatenate([s.records.ids for s in sessions])
+            ids = np.concatenate([s.ids for s in sessions])
             assert sorted(ids.tolist()) == sorted(pool.ids.tolist()), mode
 
     def test_nc_too_many_sessions(self):
@@ -231,6 +232,27 @@ class TestMakeSplits:
     def test_unknown_mode(self):
         with pytest.raises(ConfigError):
             make_splits(small_pool(2, 1), "XX", 1, seed=8)
+
+    def test_labels_two_to_the_32_apart_are_two_pairs(self):
+        # labels that differ by a multiple of 2**32 are distinct classes
+        pool = FeatureRecords(np.arange(2, dtype=np.uint64), np.eye(2), np.array([0, 2**32]),
+                              np.zeros(2, np.int32), np.zeros(2, np.uint8))
+        check_session_count(pool, 2)
+        plan, sessions = make_splits(pool, "NC", 2, 0)
+        assert sorted(plan.sessions) == [[(0, 0)], [(2**32, 0)]]
+        assert sorted(s.y.tolist() for s in sessions) == [[0], [2**32]]
+
+    def test_session_count_checks_the_exact_pair_count(self):
+        rng = np.random.default_rng(12)
+        for _ in range(20):
+            n = int(rng.integers(1, 40))
+            y = rng.choice([0, 1, 2**32, 2**32 + 1, -(2**40), 2**62], n)
+            domain = rng.choice([-1, 0, 3, 2**31 - 1, -(2**31)], n).astype(np.int32)
+            pool = FeatureRecords(np.arange(n, dtype=np.uint64), np.zeros((n, 2)), y, domain, np.zeros(n, np.uint8))
+            n_pairs = len(set(zip(y.tolist(), domain.tolist())))
+            check_session_count(pool, n_pairs)
+            with pytest.raises(ConfigError, match=f"has {n_pairs} \\(class, domain\\) pairs"):
+                check_session_count(pool, n_pairs + 1)
 
     @pytest.mark.parametrize("mode", ["NC", "ND", "NCD"])
     def test_more_sessions_than_pairs_rejected_before_planning(self, mode):
@@ -482,9 +504,9 @@ class TestStreamChunks:
         path = tmp_path / "big.vmfs"
         write_stream(path, random_records(np.random.default_rng(31), n=n, d=d))
         back, peak = traced_peak(read_stream, path)
-        # the duplicate-id check sorts the ids: an int64 order, the sorted ids, a mask
-        # and the stable sort's merge buffer come to under 24 bytes per record
-        assert peak < record_bytes(back) + 2 * B * record_size(d) + 24 * n
+        # on a valid file the duplicate-id check holds a sorted copy of the ids and a
+        # mask of equal neighbours, 9 bytes per record, so under 12
+        assert peak < record_bytes(back) + 2 * B * record_size(d) + 12 * n
 
     def test_writing_holds_at_most_two_chunks(self, tmp_path):
         n, d = 20_000, 16

@@ -11,12 +11,11 @@ from helpers import make_bank
 
 from vmfcl.backbone import BackboneParams, forward_batch, init_params, loss_and_grad
 from vmfcl.errors import ModelRegression, NumericalError, VmfclError
-from vmfcl.memory import MemoryBuffer
+from vmfcl.memory import MemoryBuffer, select_memory
 from vmfcl.mixture import PREDICT_BLOCK_ROWS, ModelBank
 from vmfcl.streams import (
     ROLE_TRAIN,
     FeatureRecords,
-    SessionDataset,
     SynthConfig,
     concat_records,
     generate_synthetic,
@@ -149,7 +148,7 @@ class TestLossTerms:
 
     def test_distill_zero_for_identical_models(self):
         bank, params = self.setup_bank()
-        snap = ModelState(params.copy(), bank.copy())
+        snap = ModelState(params, bank)
         recs = records_from(normalize_rows(np.array([[0.3, 0.9], [-0.8, 0.1]])), np.array([0, 1]))
         assert distill_loss(bank, params, snap, recs) == pytest.approx(0.0, abs=1e-12)
 
@@ -190,7 +189,7 @@ class TestLossTerms:
     def test_distill_missing_class_raises(self):
         bank, params = self.setup_bank()
         old = make_bank(2, 16.0, {9: np.eye(2)[:1]})
-        snap = ModelState(params.copy(), old)
+        snap = ModelState(params, old)
         recs = records_from(np.array([[1.0, 0.0]]), np.array([0]))
         with pytest.raises(ModelRegression):
             distill_loss(bank, params, snap, recs)
@@ -244,7 +243,7 @@ class TestLossTerms:
         bank, params = self.setup_bank()
         recs = records_from(normalize_rows(np.array([[0.9, 0.2], [-0.7, -0.6]])), np.array([0, 1]))
         z = e_step(bank, forward_batch(params, recs.x), recs.y)
-        snap = ModelState(params.copy(), bank.copy())
+        snap = ModelState(params, bank)
         lam, beta, eta = 0.1, 1.0, 0.1
         expected = (
             clf_loss(bank, params, recs, z, lam)
@@ -276,7 +275,7 @@ class TestLossTerms:
             old_mixtures[c] = means[: max(1, k - 1)].copy()
         bank = make_bank(4, 16.0, mixtures)
         old = make_bank(4, 16.0, old_mixtures)
-        snap = ModelState(params.copy(), old)
+        snap = ModelState(params, old)
         x = rng.standard_normal((12, 5))
         y = rng.integers(0, 3, size=12)
         recs = records_from(x, y)
@@ -334,10 +333,24 @@ class TestTeacher:
         assert peak < output + 4 * block
 
 
+def state_arrays(state: ModelState) -> list:
+    """Copies of every array of a state: its layers, its means and its layout's index arrays."""
+    layers = [a for layer in state.params.layers for a in layer]
+    layout = [a for a in vars(state.bank.layout).values() if isinstance(a, np.ndarray)]
+    return [np.copy(a) for a in layers + [state.bank.means] + layout]
+
+
+def assert_state_equals(state: ModelState, arrays: list):
+    now = state_arrays(state)
+    assert len(now) == len(arrays)
+    for a, b in zip(now, arrays):
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 def synthetic_session(seed=50, n_classes=3, domains=2, kt=60.0, per_pair=40, d=8):
     cfg = SynthConfig(n_classes, domains, d, kt, per_pair, 0, min_angle_deg=75.0, seed=seed)
     train, _, centers = generate_synthetic(cfg)
-    return SessionDataset(0, train), centers
+    return train, centers
 
 
 class TestTrainSession:
@@ -351,7 +364,7 @@ class TestTrainSession:
     def test_purity_on_separated_stream(self):
         session, _ = synthetic_session()
         state, z = train_session(self.base_state(), session, None, self.cfg())
-        recs = session.records
+        recs = session
         from vmfcl.bench import purity
 
         assert purity(recs.y, z, recs.domain) >= 0.95
@@ -365,12 +378,12 @@ class TestTrainSession:
             np.testing.assert_array_equal(b0, b1)
         # expansion + reduction still ran
         assert all(m.num_components >= 1 for m in state.bank.mixtures.values())
-        assert len(table) == len(session.records)
+        assert len(table) == len(session)
 
     def test_final_assignments_are_reduced_model_fixed_point(self):
         session, _ = synthetic_session()
         state, z = train_session(self.base_state(), session, None, self.cfg())
-        recs = session.records
+        recs = session
         for k, y in zip(z, recs.y):
             assert 0 <= k < state.bank.mixtures[int(y)].num_components
         np.testing.assert_array_equal(e_step(state.bank, forward_batch(state.params, recs.x), recs.y), z)
@@ -385,24 +398,49 @@ class TestTrainSession:
         for (w1, b1), (w2, b2) in zip(s1.params.layers, s2.params.layers):
             np.testing.assert_array_equal(w1, w2)
 
+    def second_session(self, backbone_lr, expand_existing=True):
+        """A trained state, its session's records and memory, and a config that trains
+        the layers at ``backbone_lr`` and distils; unless it expands the existing
+        classes, the first step reads the input state's means themselves."""
+        session, _ = synthetic_session()
+        state, z = train_session(self.base_state(), session, None, self.cfg(epochs=2))
+        memory = select_memory(state.bank, session, z, 20, np.random.default_rng(0))
+        loss = LossConfig(epochs=3, batch_size=32, lr=0.05, backbone_lr=backbone_lr)
+        return state, session, memory, TrainConfig(loss=loss, m=5, expand_existing=expand_existing, seed=4)
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_abort_leaves_state_bitwise_intact(self):
-        session, _ = synthetic_session()
-        bad = session.records
+        bad, _ = synthetic_session()
         bad.x[3, 0] = np.inf
         state0 = self.base_state()
-        before_layers = [(w.copy(), b.copy()) for w, b in state0.params.layers]
+        before = state_arrays(state0)
         with pytest.raises(VmfclError):
-            train_session(state0, SessionDataset(0, bad), None, self.cfg())
-        for (w0, b0), (w1, b1) in zip(before_layers, state0.params.layers):
-            np.testing.assert_array_equal(w0, w1)
-            np.testing.assert_array_equal(b0, b1)
+            train_session(state0, bad, None, self.cfg())
+        assert_state_equals(state0, before)
         assert state0.bank.mixtures == {}
+        # a second session, from a non-empty bank with a teacher and memory: a bad
+        # record fails on the first forward, a huge rate on the first means step
+        state, session, memory, cfg = self.second_session(backbone_lr=0.02)
+        before = state_arrays(state)
+        with pytest.raises(VmfclError):
+            train_session(state, bad, memory, cfg)
+        huge = TrainConfig(loss=LossConfig(epochs=3, batch_size=32, lr=1e300), m=5, seed=4)
+        with pytest.raises(VmfclError):
+            train_session(state, session, memory, huge)
+        assert_state_equals(state, before)
+
+    @pytest.mark.parametrize("expand_existing", [True, False], ids=["expanding", "not-expanding"])
+    @pytest.mark.parametrize("backbone_lr", [0.02, 0.0], ids=["trained-backbone", "frozen-backbone"])
+    def test_success_leaves_state_bitwise_intact(self, backbone_lr, expand_existing):
+        # the input state is the session's teacher, read in place: no step may write to it
+        state, session, memory, cfg = self.second_session(backbone_lr, expand_existing)
+        before = state_arrays(state)
+        after, _ = train_session(state, session, memory, cfg)
+        assert_state_equals(state, before)
+        assert not np.array_equal(after.bank.means, state.bank.means)
 
     def test_empty_session_rejected(self):
-        from vmfcl.streams import FeatureRecords
-
-        empty = SessionDataset(0, FeatureRecords.empty(8))
+        empty = FeatureRecords.empty(8)
         with pytest.raises(ValueError):
             train_session(self.base_state(), empty, None, self.cfg())
 
@@ -466,7 +504,7 @@ class TestTrainSession:
         state, z = train_session(teacher, session, None, cfg, log=log)
         lines = [l for l in log.getvalue().splitlines() if l.startswith("epoch=")]
         assert len(lines) == loss.epochs
-        recs = session.records
+        recs = session
         clf = clf_loss(state.bank, state.params, recs, z, loss.lambda_max)
         dis = distill_loss(state.bank, state.params, teacher, recs)
         reg = oracles.reg_loss(state.bank)
@@ -503,7 +541,7 @@ class TestTrainSession:
 
     def test_memory_included_in_training_data(self):
         session, _ = synthetic_session()
-        recs = session.records
+        recs = session
         mem_records = recs.subset(np.arange(5))
         mem_records.ids = mem_records.ids + 100000  # distinct ids
         memory = MemoryBuffer(10, mem_records, np.zeros(5, dtype=np.int64))
@@ -514,7 +552,7 @@ class TestTrainSession:
         # a replayed record keeps the id it arrived with, so incoming and
         # memory records may share ids; assignments go by position
         session, _ = synthetic_session()
-        recs = session.records
+        recs = session
         memory = MemoryBuffer(10, recs.subset(np.arange(5)), np.zeros(5, dtype=np.int64))
         state, z = train_session(self.base_state(), session, memory, self.cfg(epochs=1))
         assert z.shape == (len(recs) + 5,)
