@@ -35,6 +35,7 @@ from .streams import (
     concat_records,
     generate_synthetic,
     make_splits,
+    pair_index,
     read_stream,
 )
 from .structure import ReductionConfig
@@ -254,29 +255,25 @@ class RunResult:
     test_pool: FeatureRecords
 
 
-def _pair_codes(pool: FeatureRecords, pairs) -> np.ndarray:
-    """Position in ``pairs`` of each record's (class, domain) pair; -1 where it is not listed."""
-    codes = np.full(len(pool), -1, dtype=np.int64)
-    for i, (c, z) in enumerate(pairs):
-        codes[(pool.y == c) & (pool.domain == z)] = i
-    return codes
-
-
 def seen_accuracies(
-    bank: ModelBank, params: BackboneParams, test_pool: FeatureRecords, sessions
+    bank: ModelBank, params: BackboneParams, test_pool: FeatureRecords, test_index, sessions
 ) -> tuple[list[float], float, dict[int, dict[int, float]]]:
     """Accuracies on the test records of the (class, domain) pairs of ``sessions``.
 
     Returns the accuracy on each session's pairs (one ``acc_matrix`` row),
-    on all of them, and on each pair that has test records. Every record is
-    forwarded and predicted once, in blocks of ``PREDICT_BLOCK_ROWS`` rows, so
-    the features held at any time are one block's, however many records have
-    been seen. Each entry is 100 * hits / records of integer counts, so it
-    equals ``accuracy`` on the same records bit for bit; a pair listed twice
-    counts once.
+    on all of them, and on each pair that has test records. ``test_index`` is
+    ``pair_index(test_pool)``; one gather through it gives each record's
+    position among the seen pairs. Every record is forwarded and predicted
+    once, in blocks of ``PREDICT_BLOCK_ROWS`` rows, so the features held at
+    any time are one block's, however many records have been seen. Each
+    entry is 100 * hits / records of integer counts, so it equals
+    ``accuracy`` on the same records bit for bit; a pair listed twice counts
+    once.
     """
     pairs = sorted({p for s in sessions for p in s})
-    codes = _pair_codes(test_pool, pairs)
+    index = {p: i for i, p in enumerate(pairs)}
+    test_pairs, test_codes = test_index
+    codes = np.array([index.get(p, -1) for p in test_pairs], dtype=np.int64)[test_codes]
     rows = np.flatnonzero(codes >= 0)
     pred = np.empty(len(rows), dtype=np.int64)
     for lo in range(0, len(rows), PREDICT_BLOCK_ROWS):
@@ -292,7 +289,6 @@ def seen_accuracies(
             raise ValueError("cannot score an empty pool")
         return 100.0 * (int(hits[idx].sum()) / n)
 
-    index = {p: i for i, p in enumerate(pairs)}
     row = [percent([index[p] for p in set(s)]) for s in sessions]
     per_pair: dict[int, dict[int, float]] = {}
     for i, (c, z) in enumerate(pairs):
@@ -323,9 +319,9 @@ def run_experiment_full(cfg: RunConfig, out_dir=None) -> RunResult:
 
     if cfg.sessions is not None:
         n_sessions = cfg.sessions
-    else:  # ND: one new domain per class per session
-        first_class = int(np.min(train_pool.y))
-        n_sessions = int(np.unique(train_pool.domain[train_pool.y == first_class]).size)
+    else:  # ND: one new domain per class per session, as many as the first class has
+        pairs, _ = pair_index(train_pool)
+        n_sessions = sum(c == pairs[0][0] for c, _ in pairs)
     check_session_count(train_pool, n_sessions)  # before anything is sized by it
 
     master = np.random.default_rng(cfg.seed)
@@ -335,8 +331,10 @@ def run_experiment_full(cfg: RunConfig, out_dir=None) -> RunResult:
     memory_seeds = seeds[2 + n_sessions :]
 
     plan, sessions = make_splits(train_pool, cfg.split, n_sessions, split_seed)
+    test_index = pair_index(test_pool)
+    test_pairs = set(test_index[0])
     for t, pairs in enumerate(plan.sessions):
-        if not np.any(_pair_codes(test_pool, pairs) >= 0):
+        if test_pairs.isdisjoint(pairs):
             raise ConfigError(f"session {t} has no test records for any of its pairs {pairs}")
 
     baseline = cfg.method == "replay_baseline"
@@ -350,8 +348,11 @@ def run_experiment_full(cfg: RunConfig, out_dir=None) -> RunResult:
 
     log = None
     if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
-        log = open(os.path.join(out_dir, "train.log"), "w", encoding="utf-8")
+        try:
+            os.makedirs(out_dir, exist_ok=True)
+            log = open(os.path.join(out_dir, "train.log"), "w", encoding="utf-8")
+        except OSError as e:
+            raise ConfigError(f"cannot write the output directory {out_dir}: {e}") from None
 
     per_session_acc: list[float] = []
     purity_per_session: list[float | None] = []
@@ -380,7 +381,7 @@ def run_experiment_full(cfg: RunConfig, out_dir=None) -> RunResult:
                 data = concat_records(session, memory.records)
 
             row, seen_acc, class_domain_acc = seen_accuracies(
-                state.bank, state.params, test_pool, plan.sessions[: t + 1]
+                state.bank, state.params, test_pool, test_index, plan.sessions[: t + 1]
             )
             acc_matrix.append(row)
             per_session_acc.append(seen_acc)

@@ -18,7 +18,7 @@ import sys
 from dataclasses import replace
 
 from .backbone import forward_batch
-from .bench import load_run_config, run_experiment_full
+from .bench import METHODS, load_run_config, run_experiment_full
 from .errors import ConfigError, VmfclError
 from .streams import generate_synthetic, write_stream
 
@@ -36,7 +36,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=f"{name.replace('-', ' ')} for one config")
         p.add_argument("--config", required=True, help="run config file")
         p.add_argument("--seed", type=int, default=None, help="override the [run] seed")
-        p.add_argument("--method", choices=("domain_aware", "replay_baseline"), default=None,
+        p.add_argument("--method", choices=METHODS, default=None,
                        help="override the configured method")
         p.add_argument("--out", required=True, help="output directory")
 
@@ -51,7 +51,6 @@ def _load(args):
         cfg.seed = args.seed
     if args.method:
         cfg.method = args.method
-    cfg.validate()
     return cfg
 
 
@@ -62,11 +61,14 @@ def _cmd_synth(args) -> int:
     if args.seed is not None:
         cfg.synth = replace(cfg.synth, seed=args.seed)
     train, test, _ = generate_synthetic(cfg.synth)
-    os.makedirs(args.out, exist_ok=True)
     train_path = os.path.join(args.out, "train.vmfs")
     test_path = os.path.join(args.out, "test.vmfs")
-    write_stream(train_path, train)
-    write_stream(test_path, test)
+    try:
+        os.makedirs(args.out, exist_ok=True)
+        write_stream(train_path, train)
+        write_stream(test_path, test)
+    except OSError as e:
+        raise ConfigError(f"cannot write the output directory {args.out}: {e}") from None
     print(f"wrote {train_path} ({len(train)} records) and {test_path} ({len(test)} records)")
     return 0
 

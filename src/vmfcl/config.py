@@ -13,11 +13,11 @@ from .errors import ConfigError
 
 
 def parse_sections(path) -> dict[str, dict[str, str]]:
-    """Parse a UTF-8 config file into {section: {key: raw string value}}."""
+    """Parse a UTF-8 config file (a byte order mark is skipped) into {section: {key: raw value}}."""
     sections: dict[str, dict[str, str]] = {}
     current: str | None = None
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             lines = fh.readlines()
     except OSError as e:
         raise ConfigError(f"cannot read config file {path}: {e}") from None

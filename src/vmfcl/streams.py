@@ -186,8 +186,6 @@ def _draw_centers(rng: np.random.Generator, count: int, dim: int, min_angle_deg:
     """
     theta_min = np.deg2rad(min_angle_deg)
     max_dot = np.cos(theta_min)
-    if count == 1:
-        return normalize_rows(rng.standard_normal((1, dim)))
     for margin_deg in (0.5, 0.25, 0.1, 0.05, 0.02, 0.01, 0.005, 0.0):
         target = min(np.pi, theta_min + np.deg2rad(margin_deg))
         x = normalize_rows(rng.standard_normal((count, dim)))
@@ -269,11 +267,21 @@ def generate_synthetic(cfg: SynthConfig):
     return train, test, centers
 
 
-def _grid(pool: FeatureRecords) -> dict[int, list[int]]:
-    grid: dict[int, list[int]] = {}
-    for c in sorted(np.unique(pool.y).tolist()):
-        grid[c] = sorted(np.unique(pool.domain[pool.y == c]).tolist())
-    return grid
+def pair_index(pool: FeatureRecords) -> tuple[list[tuple[int, int]], np.ndarray]:
+    """The pool's distinct (class, domain) pairs, ascending, and each record's position among them.
+
+    ``pairs[codes[i]] == (y[i], domain[i])``. After one sort by class then domain, a pair starts
+    wherever either column changes. A run keeps the test pool's codes, so they take the smallest
+    unsigned dtype that holds the pair count (uint8 up to 255 pairs).
+    """
+    order = np.lexsort((pool.domain, pool.y))
+    y, z = pool.y[order], pool.domain[order]
+    starts = np.ones(len(order), dtype=bool)
+    starts[1:] = (y[1:] != y[:-1]) | (z[1:] != z[:-1])
+    pairs = list(zip(y[starts].tolist(), z[starts].tolist()))
+    codes = np.empty(len(order), dtype=np.min_scalar_type(len(pairs)))
+    codes[order] = np.cumsum(starts, dtype=codes.dtype) - 1
+    return pairs, codes
 
 
 def check_session_count(pool: FeatureRecords, num_sessions: int):
@@ -281,19 +289,25 @@ def check_session_count(pool: FeatureRecords, num_sessions: int):
 
     Every session of every regime holds at least one (class, domain) pair of
     its own, so a pool fills at most as many sessions as it has pairs.
+    Returns the pool's ``pair_index``.
     """
     if num_sessions < 1:
         raise ConfigError("need at least one session")
-    # sorted by (class, domain), a pair starts wherever either column changes; two 1-D
-    # keys are far cheaper than a unique over rows
-    order = np.lexsort((pool.domain, pool.y))
-    y, z = pool.y[order], pool.domain[order]
-    n_pairs = min(len(y), 1) + int(np.count_nonzero((y[1:] != y[:-1]) | (z[1:] != z[:-1])))
-    if num_sessions > n_pairs:
+    pairs, codes = pair_index(pool)
+    if num_sessions > len(pairs):
         raise ConfigError(
-            f"{num_sessions} sessions, but the train pool has {n_pairs} (class, domain) pairs "
+            f"{num_sessions} sessions, but the train pool has {len(pairs)} (class, domain) pairs "
             "and each session needs one of its own"
         )
+    return pairs, codes
+
+
+def _front_loaded(classes: list[int], num_sessions: int, rng: np.random.Generator) -> list[list[int]]:
+    """``classes`` shuffled and cut into ``num_sessions`` runs, larger first, sizes within one."""
+    order = [classes[i] for i in rng.permutation(len(classes))]
+    base, rem = divmod(len(classes), num_sessions)
+    cuts = [s * base + min(s, rem) for s in range(num_sessions + 1)]
+    return [order[a:b] for a, b in zip(cuts, cuts[1:])]
 
 
 def make_splits(pool: FeatureRecords, mode: str, num_sessions: int, seed: int):
@@ -305,26 +319,22 @@ def make_splits(pool: FeatureRecords, mode: str, num_sessions: int, seed: int):
     NCD: every (class, domain) pair appears exactly once, with new-class
     counts per session non-increasing (new classes are front-loaded).
 
-    Returns (SplitPlan, the list of each session's records). Raises
-    ConfigError when the pool's grid cannot satisfy the requested regime.
+    Returns (SplitPlan, the list of each session's records, in pool order).
+    Raises ConfigError when the pool's grid cannot satisfy the requested regime.
     """
-    check_session_count(pool, num_sessions)
+    pairs, codes = check_session_count(pool, num_sessions)
     rng = np.random.default_rng(seed)
-    grid = _grid(pool)
+    grid: dict[int, list[int]] = {}  # class -> its domains, ascending
+    for c, z in pairs:
+        grid.setdefault(c, []).append(z)
     classes = list(grid)
     if mode == "NC":
         if len(classes) < num_sessions:
             raise ConfigError(
                 f"NC needs at least one fresh class per session: {len(classes)} classes, {num_sessions} sessions"
             )
-        order = [classes[i] for i in rng.permutation(len(classes))]
-        base, rem = divmod(len(classes), num_sessions)
-        pairs, at = [], 0
-        for s in range(num_sessions):
-            take = base + (1 if s < rem else 0)
-            chunk = sorted(order[at : at + take])
-            at += take
-            pairs.append([(c, z) for c in chunk for z in grid[c]])
+        plan = [[(c, z) for c in sorted(chunk) for z in grid[c]]
+                for chunk in _front_loaded(classes, num_sessions, rng)]
     elif mode == "ND":
         counts = {len(zs) for zs in grid.values()}
         if counts != {num_sessions}:
@@ -335,7 +345,7 @@ def make_splits(pool: FeatureRecords, mode: str, num_sessions: int, seed: int):
         if any(z < 0 for zs in grid.values() for z in zs):
             raise ConfigError("ND requires known domain labels")
         perms = {c: [grid[c][i] for i in rng.permutation(num_sessions)] for c in classes}
-        pairs = [[(c, perms[c][s]) for c in classes] for s in range(num_sessions)]
+        plan = [[(c, perms[c][s]) for c in classes] for s in range(num_sessions)]
     elif mode == "NCD":
         counts = {len(zs) for zs in grid.values()}
         if len(counts) != 1:
@@ -348,41 +358,28 @@ def make_splits(pool: FeatureRecords, mode: str, num_sessions: int, seed: int):
             raise ConfigError(
                 f"NCD with {n_domains} domains per class needs at least {n_domains} sessions, got {num_sessions}"
             )
-        order = [classes[i] for i in rng.permutation(len(classes))]
-        base, rem = divmod(len(classes), intro_span)
-        intro_session: dict[int, int] = {}
-        at = 0
-        for s in range(intro_span):
-            take = base + (1 if s < rem else 0)
-            for c in order[at : at + take]:
-                intro_session[c] = s
-            at += take
-        pairs = [[] for _ in range(num_sessions)]
+        plan = [[] for _ in range(num_sessions)]
         load = [0] * num_sessions
-        for c in order:
-            zs = [grid[c][i] for i in rng.permutation(n_domains)]
-            s0 = intro_session[c]
-            pairs[s0].append((c, zs[0]))
-            load[s0] += 1
-            free = list(range(s0 + 1, num_sessions))
-            for z in zs[1:]:
-                s = min(free, key=lambda s: (load[s], s))
-                free.remove(s)
-                pairs[s].append((c, z))
-                load[s] += 1
-        pairs = [sorted(p) for p in pairs]
-        if any(not p for p in pairs):
+        for s0, chunk in enumerate(_front_loaded(classes, intro_span, rng)):
+            for c in chunk:
+                zs = [grid[c][i] for i in rng.permutation(n_domains)]
+                plan[s0].append((c, zs[0]))
+                load[s0] += 1
+                free = list(range(s0 + 1, num_sessions))
+                for z in zs[1:]:
+                    s = min(free, key=lambda s: (load[s], s))
+                    free.remove(s)
+                    plan[s].append((c, z))
+                    load[s] += 1
+        plan = [sorted(p) for p in plan]
+        if any(not p for p in plan):
             raise ConfigError("NCD schedule left an empty session; use fewer sessions")
     else:
         raise ConfigError(f"unknown split mode {mode!r} (expected NC, ND or NCD)")
 
-    sessions = []
-    for session_pairs in pairs:
-        mask = np.zeros(len(pool), dtype=bool)
-        for c, z in session_pairs:
-            mask |= (pool.y == c) & (pool.domain == z)
-        sessions.append(pool.subset(mask))
-    return SplitPlan(pairs), sessions
+    session_of = {p: s for s, session_pairs in enumerate(plan) for p in session_pairs}  # every pair is dealt
+    record_session = np.array([session_of[p] for p in pairs])[codes]
+    return SplitPlan(plan), [pool.subset(record_session == s) for s in range(len(plan))]
 
 
 def _record_dtype(dim: int) -> np.dtype:

@@ -2,7 +2,9 @@
 
 ``reg_loss`` is a per-class loop sharing none of the packed code.
 ``old_log_posteriors`` is the teacher as one whole-array pass; the blocked
-teacher of ``vmfcl.trainer`` must equal it byte for byte.
+teacher of ``vmfcl.trainer`` must equal it byte for byte. ``pair_subset``
+picks the records of some (class, domain) pairs with one mask per pair, the
+way splits and evaluation found them before ``streams.pair_index``.
 """
 
 import numpy as np
@@ -34,3 +36,11 @@ def old_log_posteriors(snapshot, feats: np.ndarray) -> np.ndarray:
     t = snapshot.bank.kappa * (feats @ snapshot.bank.means.T)
     segment_log_softmax(t, snapshot.bank.layout)
     return t
+
+
+def pair_subset(pool, pairs):
+    """The records of the listed (class, domain) pairs, in pool order."""
+    mask = np.zeros(len(pool), dtype=bool)
+    for c, z in pairs:
+        mask |= (pool.y == c) & (pool.domain == z)
+    return pool.subset(mask)

@@ -528,6 +528,16 @@ test = {out}/test.vmfs
         assert "config error" in err and "has no records" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["synth", "run", "export-embeddings"])
+    def test_out_that_is_an_existing_file_exit_code(self, tmp_path, capsys, command):
+        cfg = self.write_cfg(tmp_path)
+        out = tmp_path / "afile"
+        out.write_text("kept\n")
+        assert cli_main([command, "--config", cfg, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "config error" in err and f"cannot write the output directory {out}" in err
+        assert out.read_text() == "kept\n"
+
     def test_python_m_vmfcl_entry_point(self):
         src = os.path.dirname(os.path.dirname(vmfcl.__file__))
         done = subprocess.run([sys.executable, "-m", "vmfcl", "run", "--help"], capture_output=True,
@@ -552,6 +562,14 @@ test = {out}/test.vmfs
             outs.append(out)
         for name in ("report.json", "model.vmfb"):
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+
+    @pytest.mark.parametrize("name", ["nd_gain.cfg", "ncd_purity.cfg"])
+    def test_config_with_a_byte_order_mark_loads_as_without(self, tmp_path, name):
+        plain = os.path.join(os.path.dirname(__file__), "..", "configs", name)
+        with_bom = tmp_path / name
+        with open(plain, "rb") as fh:
+            with_bom.write_bytes(b"\xef\xbb\xbf" + fh.read())
+        assert load_run_config(str(with_bom)) == load_run_config(plain)
 
     def test_shipped_configs_parse(self):
         root = os.path.join(os.path.dirname(__file__), "..", "configs")

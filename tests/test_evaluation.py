@@ -5,7 +5,7 @@ blocks of ``PREDICT_BLOCK_ROWS`` rows, and derives the ``acc_matrix`` row,
 the per-session accuracy and the per-(class, domain) table from integer hit
 and record counts. The oracle is what the run computed before: ``accuracy``
 on each slice of the test pool, with each slice masked out by
-``_test_slice``. The two must agree exactly.
+``oracles.pair_subset``. The two must agree exactly.
 """
 
 import tracemalloc
@@ -15,26 +15,19 @@ import pytest
 from helpers import make_bank
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import pair_subset
 
 import vmfcl.bench as bench
 from vmfcl.backbone import init_params
 from vmfcl.bench import RunConfig, accuracy, seen_accuracies
 from vmfcl.mixture import PREDICT_BLOCK_ROWS
-from vmfcl.streams import ROLE_TEST, FeatureRecords, SynthConfig
+from vmfcl.streams import ROLE_TEST, FeatureRecords, SynthConfig, pair_index
 from vmfcl.structure import ReductionConfig
 from vmfcl.trainer import LossConfig
 from vmfcl.vmf import normalize_rows
 
 CLASSES = range(6)
 DOMAINS = (-1, 0, 1)
-
-
-def _test_slice(test_pool: FeatureRecords, pairs) -> FeatureRecords:
-    """The test records of the listed (class, domain) pairs, in pool order."""
-    mask = np.zeros(len(test_pool), dtype=bool)
-    for c, z in pairs:
-        mask |= (test_pool.y == c) & (test_pool.domain == z)
-    return test_pool.subset(mask)
 
 
 @st.composite
@@ -73,14 +66,14 @@ def cases(draw):
 @given(cases())
 def test_one_pass_tables_equal_per_slice_accuracy(case):
     bank, params, pool, sessions = case
-    row, seen_acc, per_pair = seen_accuracies(bank, params, pool, sessions)
+    row, seen_acc, per_pair = seen_accuracies(bank, params, pool, pair_index(pool), sessions)
 
-    assert row == [accuracy(bank, params, _test_slice(pool, s)) for s in sessions]
+    assert row == [accuracy(bank, params, pair_subset(pool, s)) for s in sessions]
     seen = [p for s in sessions for p in s]
-    assert seen_acc == accuracy(bank, params, _test_slice(pool, seen))
+    assert seen_acc == accuracy(bank, params, pair_subset(pool, seen))
     expected: dict[int, dict[int, float]] = {}
     for c, z in sorted(seen):
-        part = _test_slice(pool, [(c, z)])
+        part = pair_subset(pool, [(c, z)])
         if len(part):
             expected.setdefault(c, {})[z] = accuracy(bank, params, part)
     assert per_pair == expected
@@ -102,7 +95,7 @@ def test_evaluation_memory_does_not_grow_with_the_seen_set(hidden_dim):
 
     tracemalloc.start()
     try:
-        seen_accuracies(bank, params, pool, sessions)
+        seen_accuracies(bank, params, pool, pair_index(pool), sessions)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -138,7 +131,7 @@ def test_each_session_predicts_its_seen_test_records_once(monkeypatch):
         assert len(pool) == 6 * test_per_pair
         at = 0
         for t in range(len(result.plan.sessions)):
-            seen = _test_slice(pool, [p for s in result.plan.sessions[: t + 1] for p in s])
+            seen = pair_subset(pool, [p for s in result.plan.sessions[: t + 1] for p in s])
             n_blocks = -(-len(seen) // PREDICT_BLOCK_ROWS)
             session = events[at : at + 2 * n_blocks]
             at += 2 * n_blocks

@@ -6,6 +6,9 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from oracles import pair_subset
 
 from vmfcl import streams
 from vmfcl.errors import ConfigError, ParseError
@@ -20,6 +23,7 @@ from vmfcl.streams import (
     generate_synthetic,
     check_session_count,
     make_splits,
+    pair_index,
     read_stream,
     sample_vmf,
     write_stream,
@@ -265,6 +269,70 @@ class TestMakeSplits:
         p1, _ = make_splits(pool, "NCD", 3, seed=9)
         p2, _ = make_splits(pool, "NCD", 3, seed=9)
         assert p1.sessions == p2.sessions
+
+
+LABELS = st.sampled_from([0, 1, 2**32, 2**32 + 1, -(2**40), 2**62])
+DOMAINS = st.sampled_from([-(2**31), -1, 0, 3, 2**31 - 1])
+
+
+def pair_pool(pairs) -> FeatureRecords:
+    """One record per listed (class, domain) pair, in list order."""
+    n = len(pairs)
+    return FeatureRecords(np.arange(n, dtype=np.uint64), np.arange(2.0 * n).reshape(n, 2),
+                          np.array([c for c, _ in pairs], dtype=np.int64),
+                          np.array([z for _, z in pairs], dtype=np.int32), np.zeros(n, np.uint8))
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(st.lists(st.tuples(LABELS, DOMAINS), max_size=40))
+@example([])
+def test_pair_index_names_each_record_s_pair_among_the_distinct_pairs(records):
+    pairs, codes = pair_index(pair_pool(records))
+    assert pairs == sorted(set(records))  # distinct and ascending
+    assert codes.dtype == np.uint8
+    assert [pairs[i] for i in codes.tolist()] == records
+
+
+@pytest.mark.parametrize("n_pairs, dtype", [(255, np.uint8), (256, np.uint16), (65_536, np.uint32)])
+def test_pair_index_codes_widen_with_the_pair_count(n_pairs, dtype):
+    records = [(c, -c % 3) for c in range(n_pairs)][::-1] * 2
+    pairs, codes = pair_index(pair_pool(records))
+    assert codes.dtype == dtype
+    assert pairs == sorted(set(records))
+    assert [pairs[i] for i in codes.tolist()] == records
+
+
+@st.composite
+def split_pools(draw):
+    """A shuffled pool over a class x domain grid, uniform or ragged, with 1-3 records per pair."""
+    classes = draw(st.lists(LABELS, min_size=1, max_size=5, unique=True))
+    domains = draw(st.lists(st.sampled_from([-1, 0, 1, 2, 7]), min_size=1, max_size=4, unique=True))
+    uniform = draw(st.booleans())
+    records = []
+    for c in classes:
+        zs = domains if uniform else draw(st.lists(st.sampled_from(domains), min_size=1, unique=True))
+        for z in zs:
+            records += [(c, z)] * draw(st.integers(1, 3))
+    return pair_pool(draw(st.permutations(records))), draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(split_pools())
+def test_sessions_hold_the_records_the_per_pair_masks_pick(case):
+    pool, seed = case
+    n_pairs = len(set(zip(pool.y.tolist(), pool.domain.tolist())))
+    accepted = 0
+    for mode in ("NC", "ND", "NCD"):
+        for n in range(1, min(n_pairs, 8) + 1):
+            try:
+                plan, sessions = make_splits(pool, mode, n, seed)
+            except ConfigError:
+                continue  # the regime does not accept this grid with n sessions
+            accepted += 1
+            assert len(sessions) == len(plan.sessions) == n
+            for pairs, session in zip(plan.sessions, sessions):
+                assert session.ids.tolist() == pair_subset(pool, pairs).ids.tolist()
+    assert accepted  # one NC session always fits
 
 
 def random_records(rng, n=1000, d=6):
