@@ -350,6 +350,10 @@ def run_experiment_full(cfg: RunConfig, out_dir=None) -> RunResult:
     if out_dir is not None:
         try:
             os.makedirs(out_dir, exist_ok=True)
+            for name in ("report.json", "model.vmfb"):  # written after the last session
+                path = os.path.join(out_dir, name)
+                if os.path.isdir(path):
+                    raise ConfigError(f"cannot write {path}: it is a directory")
             log = open(os.path.join(out_dir, "train.log"), "w", encoding="utf-8")
         except OSError as e:
             raise ConfigError(f"cannot write the output directory {out_dir}: {e}") from None

@@ -84,9 +84,11 @@ def _cmd_run(args) -> int:
 
 def _cmd_export(args) -> int:
     cfg = _load(args)
+    path = os.path.join(args.out, "embeddings.csv")
+    if os.path.isdir(path):  # checked before the run, which writes it last
+        raise ConfigError(f"cannot write {path}: it is a directory")
     result = run_experiment_full(cfg, out_dir=args.out)
     feats = forward_batch(result.state.params, result.test_pool.x)
-    path = os.path.join(args.out, "embeddings.csv")
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["example_id", "class", "domain"] + [f"e{i}" for i in range(feats.shape[1])])

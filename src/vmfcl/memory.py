@@ -49,13 +49,8 @@ class MemoryBuffer:
 
     def component_counts(self) -> dict[int, list[int]]:
         """Per class, how many stored exemplars came from each component."""
-        out: dict[int, list[int]] = {}
-        for c in sorted(np.unique(self.records.y).tolist()):
-            rows = self.records.y == c
-            comps = self.components[rows]
-            counts = np.bincount(comps, minlength=int(np.max(comps)) + 1 if comps.size else 0)
-            out[c] = counts.tolist()
-        return out
+        y = self.records.y
+        return {c: np.bincount(self.components[y == c]).tolist() for c in np.unique(y).tolist()}
 
 
 def select_memory(

@@ -3,8 +3,8 @@
 Each class y owns K_y components with unit mean directions and an implicit
 uniform component prior 1/K_y. All components across all classes share one
 concentration kappa. A ``ModelBank`` packs every class's means in one (K, d)
-array; a ``ClassMixture`` is a view of one class's rows. Two inference rules
-are exposed and they are not the same thing:
+array; ``mixtures`` views each class's rows as a ``ClassMixture``. Two
+inference rules are exposed and they are not the same thing:
 
 * ``log_posteriors`` mean-pools components per class (the training loss,
   ``loss_and_grad``, calls it),
@@ -17,7 +17,7 @@ from ``predict_batch``; both paths are part of the contract.
 The shared kappa cancels from every hard decision, so each is an argmax of
 dot products, and one BLAS-free kernel, ``_dots``, defines them all: an
 exact tie goes to the lowest class id or component index.
-``assign_components_batch`` takes the argmax of ``_dots`` directly.
+``assign_components_batch`` takes the argmax of ``_dots`` over one class's means.
 ``predict_batch`` takes one argmax over all the bank's columns, which
 ascend by class id, and maps the winning column to its class; it scores
 with BLAS and rescores with ``_dots`` every row whose margin does not
@@ -140,7 +140,7 @@ class ModelBank:
     """All class mixtures observed so far, sharing dimension and kappa, packed in one array.
 
     Rows ``offsets[i]:offsets[i + 1]`` of the (K, d) ``means`` belong to
-    ``class_ids[i]`` (ascending); ``mixtures`` and ``mixture(c)`` are views.
+    ``class_ids[i]`` (ascending); ``mixtures`` holds one view per class.
     ``layout`` holds the index arrays of that packing. The constructor builds
     the empty bank; ``from_packed`` builds every other one.
     """
@@ -176,15 +176,9 @@ class ModelBank:
 
     @property
     def mixtures(self) -> dict[int, ClassMixture]:
-        """Per-class views of the packed rows, keyed by class id."""
-        return {c: self.mixture(c) for c in self.class_ids}
-
-    def mixture(self, class_id: int) -> ClassMixture:
-        """A view of one class's rows, not re-validated: they were checked on entry."""
-        if class_id not in self.class_ids:
-            raise UnknownClass(f"class {class_id} has never been observed")
-        i = self.class_ids.index(class_id)
-        return ClassMixture(class_id, self.means[self.offsets[i] : self.offsets[i + 1]])
+        """Per-class views of the packed rows, keyed by class id; not re-validated."""
+        at = self.offsets.tolist()
+        return {c: ClassMixture(c, self.means[lo:hi]) for c, lo, hi in zip(self.class_ids, at, at[1:])}
 
     def with_means(self, means: np.ndarray) -> "ModelBank":
         """A bank with this one's classes and layout and new (K, d) means."""
@@ -251,10 +245,10 @@ def _dots(vs: np.ndarray, means: np.ndarray) -> np.ndarray:
     return np.einsum("nd,kd->nk", vs, means, optimize=False)
 
 
-def assign_components_batch(bank: ModelBank, class_id: int, vs: np.ndarray) -> np.ndarray:
-    """Hard assignment of every row of an (n, d) matrix: index of the class's component
-    mean closest to the row, ties to the lowest index."""
-    return np.argmax(_dots(vs, bank.mixture(class_id).means), axis=1)
+def assign_components_batch(means: np.ndarray, vs: np.ndarray) -> np.ndarray:
+    """Hard assignment of every row of an (n, d) matrix against one class's (K_c, d)
+    component ``means``: index of the mean closest to the row, ties to the lowest index."""
+    return np.argmax(_dots(vs, means), axis=1)
 
 
 def predict_batch(bank: ModelBank, vs: np.ndarray) -> np.ndarray:

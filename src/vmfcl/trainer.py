@@ -98,10 +98,13 @@ def _e_step_array(bank: mx.ModelBank, feats: np.ndarray, y: np.ndarray) -> np.nd
     labels. Returns an (n,) int64 array of component indices aligned with
     the rows by position, so records that share an id stay distinct.
     """
+    at = bank.layout.positions(y)  # UnknownClass for a label the bank lacks
+    order = np.argsort(at, kind="stable")  # grouped by class position, each group in row order
+    cuts = np.cumsum(np.bincount(at, minlength=len(bank.class_ids)))[:-1]
     z = np.zeros(len(y), dtype=np.int64)
-    for c in sorted(np.unique(y).tolist()):
-        rows = np.flatnonzero(y == c)
-        z[rows] = mx.assign_components_batch(bank, c, feats[rows])
+    for lo, hi, rows in zip(bank.offsets[:-1], bank.offsets[1:], np.split(order, cuts)):
+        if rows.size:
+            z[rows] = mx.assign_components_batch(bank.means[lo:hi], feats[rows])
     return z
 
 
@@ -120,7 +123,7 @@ def clf_loss(
     if z.shape != (len(records),):
         raise ValueError(f"need one assignment per record, got shape {z.shape} for {len(records)}")
     feats = bb.forward_batch(params, records.x)
-    ids = bank.class_ids
+    ids, mixtures = bank.class_ids, bank.mixtures
     col = {c: i for i, c in enumerate(ids)}
     inter = 0.0
     intra = 0.0
@@ -129,7 +132,7 @@ def clf_loss(
         scores = _class_log_scores_batch(bank, feats[rows])
         logp = scores - _logsumexp_rows(scores)
         inter -= float(np.sum(logp[:, col[c]]))
-        t = bank.kappa * (feats[rows] @ bank.mixture(c).means.T)
+        t = bank.kappa * (feats[rows] @ mixtures[c].means.T)
         logq = t - _logsumexp_rows(t)
         intra -= float(np.sum(logq[np.arange(rows.size), z[rows]]))
     n = len(records)
@@ -165,19 +168,19 @@ def distill_loss(
     (the leading block, since expansion appends) and renormalized before
     comparing. Defined as 0 in the first session.
     """
-    if snapshot is None or not snapshot.bank.mixtures:
+    if snapshot is None or not snapshot.bank.class_ids:
         return 0.0
     feats = bb.forward_batch(params, records.x)
     old_feats = bb.forward_batch(snapshot.params, records.x)
     total = 0.0
-    snap_ids = snapshot.bank.class_ids
+    snap_ids, mixtures = snapshot.bank.class_ids, bank.mixtures
     for c, old_mix in snapshot.bank.mixtures.items():
-        if c not in bank.class_ids:
+        if c not in mixtures:
             raise ModelRegression(f"class {c} from the previous session is missing from the bank")
         k_old = old_mix.num_components
-        if bank.mixture(c).num_components < k_old:
+        if mixtures[c].num_components < k_old:
             raise ModelRegression(f"class {c} lost inherited components")
-        t_new = bank.kappa * (feats @ bank.mixture(c).means[:k_old].T)
+        t_new = bank.kappa * (feats @ mixtures[c].means[:k_old].T)
         t_old = snapshot.bank.kappa * (old_feats @ old_mix.means.T)
         log_q = t_new - _logsumexp_rows(t_new)
         log_r = t_old - _logsumexp_rows(t_old)
@@ -242,7 +245,7 @@ def train_session(
     snapshot = state if bank.class_ids else None
 
     rng = np.random.default_rng(cfg.seed)
-    incoming_classes = sorted(np.unique(incoming.y).tolist())
+    incoming_classes = np.unique(incoming.y).tolist()
     if cfg.expand_existing:
         to_expand = incoming_classes
     else:

@@ -24,7 +24,7 @@ def predict_one(bank: ModelBank, v) -> int:
 
 
 def assign_one(bank: ModelBank, class_id: int, v) -> int:
-    return int(assign_components_batch(bank, class_id, np.atleast_2d(v))[0])
+    return int(assign_components_batch(bank.mixtures[class_id].means, np.atleast_2d(v))[0])
 
 
 def forward_one(params, x) -> np.ndarray:

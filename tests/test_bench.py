@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -528,6 +529,19 @@ test = {out}/test.vmfs
         assert "config error" in err and "has no records" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command, name", [
+        ("run", "report.json"), ("run", "model.vmfb"), ("export-embeddings", "embeddings.csv"),
+    ])
+    def test_output_file_that_is_a_directory_exit_code(self, tmp_path, capsys, command, name):
+        cfg = self.write_cfg(tmp_path)
+        out = tmp_path / "out"
+        (out / name).mkdir(parents=True)
+        assert cli_main([command, "--config", cfg, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "config error" in err and f"cannot write {out / name}" in err
+        log = out / "train.log"
+        assert "epoch=" not in (log.read_text() if log.exists() else "")  # rejected before training
+
     @pytest.mark.parametrize("command", ["synth", "run", "export-embeddings"])
     def test_out_that_is_an_existing_file_exit_code(self, tmp_path, capsys, command):
         cfg = self.write_cfg(tmp_path)
@@ -570,6 +584,24 @@ test = {out}/test.vmfs
         with open(plain, "rb") as fh:
             with_bom.write_bytes(b"\xef\xbb\xbf" + fh.read())
         assert load_run_config(str(with_bom)) == load_run_config(plain)
+
+    def test_a_run_builds_no_class_mixture(self, monkeypatch):
+        import vmfcl.mixture as mx
+
+        built = []
+
+        class Counted(mx.ClassMixture):
+            def __init__(self, class_id, means):
+                built.append(class_id)
+                super().__init__(class_id, means)
+
+        monkeypatch.setattr(mx, "ClassMixture", Counted)
+        cfg = load_run_config(os.path.join(os.path.dirname(__file__), "..", "configs", "nd_gain.cfg"))
+        cfg.loss = replace(cfg.loss, epochs=2)
+        result = run_experiment_full(cfg)
+        assert len(result.report.per_session_acc) == 3
+        assert built == []
+        assert list(result.state.bank.mixtures) == built == result.state.bank.class_ids  # it counts
 
     def test_shipped_configs_parse(self):
         root = os.path.join(os.path.dirname(__file__), "..", "configs")

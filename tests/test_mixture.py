@@ -231,7 +231,7 @@ class TestSnapshots:
         assert snap.kappa == np.float32(bank.kappa)
         assert list(snap.means) == bank.class_ids
         for c in bank.class_ids:
-            np.testing.assert_array_equal(snap.means[c], bank.mixture(c).means.astype("<f4"))
+            np.testing.assert_array_equal(snap.means[c], bank.mixtures[c].means.astype("<f4"))
         assert len(snap.layers) == len(layers)
         for (w, b), (lw, lb) in zip(layers, snap.layers):
             np.testing.assert_array_equal(lw, w.astype("<f4"))
@@ -291,12 +291,10 @@ class TestClassMixture:
 
     def test_mixture_is_a_view_of_the_packed_rows(self):
         bank = make_bank(2, 16.0, {0: np.eye(2), 4: np.array([[0.6, 0.8]])})
-        view = bank.mixture(4)
+        view = bank.mixtures[4]
         assert view.class_id == 4 and view.num_components == 1
         assert np.shares_memory(view.means, bank.means)
         assert [m.num_components for m in bank.mixtures.values()] == bank.sizes.tolist()
-        with pytest.raises(UnknownClass):
-            bank.mixture(1)
 
 
 class TestPackedBank:

@@ -144,7 +144,7 @@ def tie_cases(draw):
 
 
 def oracle_dots(bank, c, v):
-    return np.sum(bank.mixture(c).means * v, axis=1)
+    return np.sum(bank.mixtures[c].means * v, axis=1)
 
 
 @settings(max_examples=200, deadline=None, database=None)
@@ -169,5 +169,5 @@ def test_assignments_give_exact_ties_to_the_lowest_component(case):
     np.testing.assert_array_equal(_e_step_array(bank, vs, y), expected)
     for c in bank.class_ids:
         rows = np.flatnonzero(y == c)
-        np.testing.assert_array_equal(assign_components_batch(bank, c, vs[rows]),
+        np.testing.assert_array_equal(assign_components_batch(bank.mixtures[c].means, vs[rows]),
                                       np.asarray(expected, dtype=np.int64)[rows])

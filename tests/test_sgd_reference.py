@@ -136,11 +136,11 @@ def test_teacher_reuse_matches_the_reference_byte_for_byte(case, beta, seed):
     params, bank, x, y, z, coef, (old, log_r) = case
     coef["beta"] = beta
     cols, kept = bank.layout.teacher_columns(old.layout)
-    assert kept == all(bank.mixture(c).num_components == old.mixture(c).num_components
+    assert kept == all(bank.mixtures[c].num_components == old.mixtures[c].num_components
                        for c in old.class_ids)
     # a second teacher layout, recomputed: the first class loses a component where it can
     first = old.class_ids[0]
-    mixtures = {c: old.mixture(c).means for c in old.class_ids}
+    mixtures = {c: old.mixtures[c].means for c in old.class_ids}
     mixtures[first] = mixtures[first][: max(1, old.sizes[0] - 1)]
     other = make_bank(old.dim, old.kappa, mixtures)
     rng = np.random.default_rng(seed)
@@ -215,7 +215,7 @@ def test_mismatched_teacher_after_a_cached_hit_still_raises():
         for _ in range(2):  # the second call hits the cached teacher map
             want = ref.loss_and_grad(params, bank, x, y, z, old_log_post=old_lp, **args)
             assert_same_result(loss_and_grad(params, bank, x, y, z, old_log_post=old_lp, **args), want)
-        lost_class = make_bank(d, 16.0, {c: old.mixture(1).means for c in (1, 3)})
+        lost_class = make_bank(d, 16.0, {c: old.mixtures[1].means for c in (1, 3)})
         more_components = make_bank(d, 16.0, {1: normalize_rows(rng.standard_normal((6, d)))})
         for bad in (lost_class, more_components):
             log_r = np.zeros((len(y), bad.means.shape[0]))

@@ -10,7 +10,7 @@ import pytest
 from helpers import make_bank
 
 from vmfcl.backbone import BackboneParams, forward_batch, init_params, loss_and_grad
-from vmfcl.errors import ModelRegression, NumericalError, VmfclError
+from vmfcl.errors import ModelRegression, NumericalError, UnknownClass, VmfclError
 from vmfcl.memory import MemoryBuffer, select_memory
 from vmfcl.mixture import PREDICT_BLOCK_ROWS, ModelBank
 from vmfcl.streams import (
@@ -108,6 +108,15 @@ class TestEStep:
         first = e_step(bank, forward_batch(params, recs.x), recs.y)
         second = e_step(bank, forward_batch(params, recs.x), recs.y)
         np.testing.assert_array_equal(first, second)
+
+    def test_label_the_bank_lacks_raises(self):
+        feats = np.eye(2)
+        bank = make_bank(2, 16.0, {0: np.eye(2), 2: np.eye(2)})
+        for y in ([0, 1], [3, 0], [-1, 2]):
+            with pytest.raises(UnknownClass):
+                e_step(bank, feats, np.array(y))
+        with pytest.raises(UnknownClass):
+            e_step(ModelBank(2, 16.0), feats, np.array([0, 0]))
 
 
 class TestLossTerms:

@@ -19,9 +19,13 @@ both trees, and then that config runs in both trees from the base tree's
 files, through a temporary copy whose ``[synth]`` section is replaced by a
 ``[data]`` section naming them.
 
+An export leg ends it, per seed: ``python -m vmfcl export-embeddings`` runs
+``configs/nd_gain.cfg`` in both trees, and its ``embeddings.csv`` is compared
+along with the run files.
+
 For each run the sha256 of ``report.json``, ``model.vmfb`` and ``train.log``
 are compared and one line is printed per file; so are the two VMFS files of
-each ``synth``. ``train.log`` is hashed without its ``wall_clock_sec=``
+each ``synth`` and the ``embeddings.csv`` of each export. ``train.log`` is hashed without its ``wall_clock_sec=``
 line, so the per-epoch loss terms and the merge maps it logs are compared
 but the wall time is not. The exit code is 1 when any file differs, is
 missing, or a command fails in either tree, and 0 when everything is
@@ -54,6 +58,8 @@ RUNS = [
 OUTPUTS = ("report.json", "model.vmfb", "train.log")
 VMFS_CONFIG = "perfbench/configs/nc_eval.cfg"  # its [synth] section feeds the VMFS leg
 VMFS_FILES = ("train.vmfs", "test.vmfs")
+EXPORT_CONFIG = "configs/nd_gain.cfg"  # the config of the export-embeddings leg
+EXPORT_OUTPUTS = ("embeddings.csv", *OUTPUTS)
 
 
 def parse_seeds(text: str) -> list[int]:
@@ -138,7 +144,7 @@ def compare(label: str, names, base: Path, this: Path, ok: bool) -> int:
         same = ok and a is not None and a == b
         differ += not same
         verdict = "identical" if same else "DIFFERENT"
-        print(f"{label:42s} {name:12s} {verdict:9s} {a or 'missing'}"
+        print(f"{label:42s} {name:14s} {verdict:9s} {a or 'missing'}"
               + ("" if same else f" vs {b or 'missing'}"))
     return differ
 
@@ -176,7 +182,15 @@ def main(argv=None) -> int:
             ok = run(base, str(config), None, seed, outs[0])
             ok = run(ROOT, str(config), None, seed, outs[1]) and ok
             differ += compare(label, OUTPUTS, *outs, ok)
-    total = len(seeds) * (len(RUNS) * len(OUTPUTS) + len(VMFS_FILES) + len(OUTPUTS))
+        for seed in seeds:
+            label = f"{Path(EXPORT_CONFIG).stem}.export.seed{seed}"
+            outs = dirs(label)
+            export = ["export-embeddings", "--config", str(ROOT / EXPORT_CONFIG), "--seed", str(seed), "--out"]
+            ok = vmfcl(base, *export, str(outs[0]))
+            ok = vmfcl(ROOT, *export, str(outs[1])) and ok
+            differ += compare(label, EXPORT_OUTPUTS, *outs, ok)
+    per_seed = len(RUNS) * len(OUTPUTS) + len(VMFS_FILES) + len(OUTPUTS) + len(EXPORT_OUTPUTS)
+    total = len(seeds) * per_seed
     print(f"{total - differ} of {total} files identical to {args.rev}")
     return 1 if differ else 0
 
