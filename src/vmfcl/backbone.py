@@ -134,13 +134,12 @@ def loss_and_grad(
     skipped, for a caller whose backbone learning rate is 0.
 
     Raises NumericalError naming the term or gradient that went non-finite,
-    UnknownClass for a label the bank lacks, ValueError for an assignment
-    outside its class and ModelRegression when the bank lost part of the
-    teacher.
+    UnknownClass for a label the bank lacks, ValueError (when lam is not 0)
+    for assignments that are not one per example or not in their class,
+    and ModelRegression when the bank lost part of the teacher.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y)
-    zhat = np.asarray(zhat)
     n = x.shape[0]
     if n == 0:
         raise ValueError("batch must be nonempty")
@@ -159,12 +158,12 @@ def loss_and_grad(
     v = v_raw / norms
 
     layout, means, kappa = bank.layout, bank.means, bank.kappa
-    offsets, sizes = layout.offsets, layout.sizes
+    sizes = layout.sizes
     rows = np.arange(n)
     y_cols = layout.positions(y)  # raises UnknownClass
 
-    if lam != 0.0 and ((zhat < 0) | (zhat >= sizes[y_cols])).any():
-        raise ValueError("assignments must index a component of the example's class")
+    if lam != 0.0:
+        z_cols = layout.rows_of(y, zhat)  # ValueError unless one per example, inside its class
     distilling = beta != 0.0 and old_log_post is not None
     if distilling:
         old, log_r = old_log_post
@@ -194,7 +193,6 @@ def loss_and_grad(
     # intra-class CE on the assigned component
     intra = 0.0
     if lam != 0.0:
-        z_cols = offsets[y_cols] + zhat
         intra = -float(np.add.reduce(log_comp[rows, z_cols])) / n
         dz = comp_post  # comp_post is not read again
         dz[rows, z_cols] -= 1.0

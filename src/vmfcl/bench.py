@@ -70,10 +70,13 @@ def forgetting(acc_matrix: list[list[float]]) -> float | None:
 
 def purity(y: np.ndarray, z: np.ndarray, domains: np.ndarray) -> float:
     """Majority-domain fraction per component, size-weighted within each class,
-    averaged over classes."""
+    averaged over classes. Raises ValueError unless the three arrays are
+    nonempty and of one length."""
     y = np.asarray(y)
     z = np.asarray(z)
     domains = np.asarray(domains)
+    if not len(y) == len(z) == len(domains) > 0:
+        raise ValueError(f"need nonempty arrays of one length, got {len(y)}, {len(z)} and {len(domains)}")
     if np.any(domains < 0):
         raise PurityUnavailable("hidden domain labels are not available for every example")
     values = []

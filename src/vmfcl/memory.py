@@ -33,6 +33,8 @@ class MemoryBuffer:
 
     def __post_init__(self):
         self.components = np.asarray(self.components, dtype=np.int64)
+        if self.components.shape != (len(self.records),):
+            raise ValueError(f"need one component per record, got shape {self.components.shape} for {len(self)}")
         if len(self.records) > self.budget:
             raise ValueError(f"buffer holds {len(self.records)} records over budget {self.budget}")
 
@@ -68,9 +70,6 @@ def select_memory(
     ids receive quota 1 each. A record whose class or component the bank
     lacks raises UnknownClass or ValueError.
     """
-    z = np.asarray(assignments, dtype=np.int64)
-    if z.shape != (len(records),):
-        raise ValueError(f"need one assignment per record, got shape {z.shape} for {len(records)}")
     class_ids = bank.class_ids
     if not class_ids:
         raise ValueError("cannot select memory before any class was observed")
@@ -81,7 +80,7 @@ def select_memory(
         )
 
     # one stable sort of the bank row index lists every row's candidates, ascending
-    rows = bank.layout.rows_of(records.y, z)
+    rows = bank.layout.rows_of(records.y, assignments)
     by_row = np.argsort(rows, kind="stable")
     sizes = np.bincount(rows, minlength=bank.means.shape[0])
     bounds = np.concatenate(([0], np.cumsum(sizes))).tolist()

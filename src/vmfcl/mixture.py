@@ -105,10 +105,12 @@ class BankLayout:
         return at
 
     def rows_of(self, y: np.ndarray, z: np.ndarray) -> np.ndarray:
-        """Row of component ``z[i]`` of class ``y[i]`` for every i; ValueError for a
-        component index outside its class."""
+        """Row of component ``z[i]`` of class ``y[i]`` for every i; ValueError unless
+        ``z`` holds one component index per label, each inside its class."""
         at = self.positions(y)
         z = np.asarray(z, dtype=np.int64)
+        if z.shape != at.shape:
+            raise ValueError(f"need one assignment per record, got shape {z.shape} for {at.size}")
         if ((z < 0) | (z >= self.sizes[at])).any():
             raise ValueError("assignments must index a component of the record's class")
         return self.offsets[at] + z

@@ -21,6 +21,7 @@ record with a non-finite feature entry.
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 from dataclasses import dataclass, field
@@ -135,14 +136,27 @@ class SynthConfig:
 
 
 def sample_vmf(rng: np.random.Generator, mu: np.ndarray, kappa: float, n: int) -> np.ndarray:
-    """Exact vMF sampling around ``mu`` via Wood's rejection scheme."""
+    """Exact vMF sampling around ``mu`` via Wood's rejection scheme.
+
+    ValueError unless ``mu`` is a finite unit vector (within 1e-9) with d >= 2 and
+    ``kappa`` >= 0; ConfigError when ``kappa`` leaves Wood's ``b`` or ``c`` non-finite
+    (NaN, inf, or past about 6e8 at d = 16), as no draw would then be accepted.
+    """
     mu = np.asarray(mu, dtype=np.float64)
+    if mu.ndim != 1 or mu.shape[0] < 2 or not abs(np.linalg.norm(mu) - 1.0) <= 1e-9:  # NaN fails too
+        raise ValueError(f"mu must be a finite unit vector of dimension at least 2, got {mu}")
+    if kappa < 0:
+        raise ValueError(f"kappa must be nonnegative, got {kappa}")
     d = mu.shape[0]
     if kappa == 0.0:
         return normalize_rows(rng.standard_normal((n, d)))
-    b = (-2.0 * kappa + np.sqrt(4.0 * kappa**2 + (d - 1) ** 2)) / (d - 1)
-    x0 = (1.0 - b) / (1.0 + b)
-    c = kappa * x0 + (d - 1) * np.log(1.0 - x0**2)
+    kappa = np.float64(kappa)  # 4 kappa^2 overflows to inf instead of raising OverflowError
+    with np.errstate(all="ignore"):
+        b = (-2.0 * kappa + np.sqrt(4.0 * kappa**2 + (d - 1) ** 2)) / (d - 1)
+        x0 = (1.0 - b) / (1.0 + b)
+        c = kappa * x0 + (d - 1) * np.log(1.0 - x0**2)
+    if not (math.isfinite(b) and math.isfinite(c)):
+        raise ConfigError(f"cannot sample a vMF at kappa={kappa} in dimension {d}: out of float range")
 
     ws = np.empty(n)
     have = 0

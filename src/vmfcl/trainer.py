@@ -1,9 +1,9 @@
 """Per-session hard-EM training loop.
 
-One session: keep the previous model as the teacher, expand the mixtures
-for incoming classes, then alternate an epoch-level hard E-step (each
+One session: keep the previous model as the teacher, expand the components
+of incoming classes, then alternate an epoch-level hard E-step (each
 example commits to its closest component within its class) with mini-batch
-SGD on the combined objective. After the last epoch the mixtures are reduced and a final E-step
+SGD on the combined objective. After the last epoch every class is reduced and a final E-step
 produces assignments consistent with the reduced model.
 
 The backbone features of the session data are computed once per E-step
@@ -14,11 +14,13 @@ and a session whose backbone rate is exactly 0 runs that one forward only.
 The intra-class coefficient follows a linear warmup from 0: it only starts
 to matter once the class prediction that the assignments depend on has had
 time to stabilize.
+
+The objective is written once, in ``backbone.loss_and_grad``: ``clf_loss``
+and ``distill_loss`` read its terms over all the records of a dataset.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -26,7 +28,7 @@ import numpy as np
 from . import backbone as bb
 from . import mixture as mx
 from . import structure as st
-from .errors import ConfigError, ModelRegression, NumericalError
+from .errors import ConfigError
 from .memory import MemoryBuffer
 from .streams import FeatureRecords, concat_records
 
@@ -66,7 +68,7 @@ class TrainConfig:
 
 @dataclass
 class ModelState:
-    """Backbone parameters plus all class mixtures."""
+    """Backbone parameters plus the bank of every class's components."""
 
     params: bb.BackboneParams
     bank: mx.ModelBank
@@ -119,40 +121,10 @@ def clf_loss(
 
     ``assignments[i]`` is the component index of ``records[i]``.
     """
-    z = np.asarray(assignments, dtype=np.int64)
-    if z.shape != (len(records),):
-        raise ValueError(f"need one assignment per record, got shape {z.shape} for {len(records)}")
-    feats = bb.forward_batch(params, records.x)
-    ids, mixtures = bank.class_ids, bank.mixtures
-    col = {c: i for i, c in enumerate(ids)}
-    inter = 0.0
-    intra = 0.0
-    for c in sorted(np.unique(records.y).tolist()):
-        rows = np.flatnonzero(records.y == c)
-        scores = _class_log_scores_batch(bank, feats[rows])
-        logp = scores - _logsumexp_rows(scores)
-        inter -= float(np.sum(logp[:, col[c]]))
-        t = bank.kappa * (feats[rows] @ mixtures[c].means.T)
-        logq = t - _logsumexp_rows(t)
-        intra -= float(np.sum(logq[np.arange(rows.size), z[rows]]))
-    n = len(records)
-    value = inter / n + lam * (intra / n)
-    if not math.isfinite(value):
-        raise NumericalError(f"classification loss is non-finite ({value})")
-    return value
-
-
-def _logsumexp_rows(t: np.ndarray) -> np.ndarray:
-    m = np.max(t, axis=1, keepdims=True)
-    return m + np.log(np.sum(np.exp(t - m), axis=1, keepdims=True))
-
-
-def _class_log_scores_batch(bank: mx.ModelBank, feats: np.ndarray) -> np.ndarray:
-    out = np.empty((feats.shape[0], len(bank.class_ids)))
-    for i, mix in enumerate(bank.mixtures.values()):
-        t = bank.kappa * (feats @ mix.means.T)
-        out[:, i] = _logsumexp_rows(t)[:, 0] - np.log(t.shape[1])
-    return out
+    _, _, terms = bb.loss_and_grad(
+        params, bank, records.x, records.y, assignments, lam=lam, beta=0.0, eta=0.0, with_layers=False
+    )
+    return terms["inter"] + lam * terms["intra"]
 
 
 def distill_loss(
@@ -170,25 +142,12 @@ def distill_loss(
     """
     if snapshot is None or not snapshot.bank.class_ids:
         return 0.0
-    feats = bb.forward_batch(params, records.x)
-    old_feats = bb.forward_batch(snapshot.params, records.x)
-    total = 0.0
-    snap_ids, mixtures = snapshot.bank.class_ids, bank.mixtures
-    for c, old_mix in snapshot.bank.mixtures.items():
-        if c not in mixtures:
-            raise ModelRegression(f"class {c} from the previous session is missing from the bank")
-        k_old = old_mix.num_components
-        if mixtures[c].num_components < k_old:
-            raise ModelRegression(f"class {c} lost inherited components")
-        t_new = bank.kappa * (feats @ mixtures[c].means[:k_old].T)
-        t_old = snapshot.bank.kappa * (old_feats @ old_mix.means.T)
-        log_q = t_new - _logsumexp_rows(t_new)
-        log_r = t_old - _logsumexp_rows(t_old)
-        total += float(np.sum(np.exp(log_q) * (log_q - log_r)))
-    value = total / (len(records) * len(snap_ids))
-    if not math.isfinite(value):
-        raise NumericalError(f"distillation loss is non-finite ({value})")
-    return value
+    old_lp = _old_log_posteriors(snapshot, bb.forward_batch(snapshot.params, records.x))
+    _, _, terms = bb.loss_and_grad(
+        params, bank, records.x, records.y, np.zeros(len(records), np.int64), lam=0.0, beta=1.0,
+        eta=0.0, old_log_post=(snapshot.bank, old_lp), with_layers=False,
+    )
+    return terms["distill"]
 
 
 def reg_loss(bank: mx.ModelBank) -> float:

@@ -150,6 +150,17 @@ class TestPurity:
         with pytest.raises(PurityUnavailable):
             purity(np.array([0]), np.array([0]), np.array([-1]))
 
+    def test_unequal_lengths_rejected(self):
+        one, two = np.zeros(1, int), np.zeros(2, int)
+        for args in ((two, one, one), (one, two, one), (one, one, two)):
+            with pytest.raises(ValueError, match="one length"):
+                purity(*args)
+
+    def test_empty_input_rejected(self):
+        empty = np.zeros(0, int)
+        with pytest.raises(ValueError, match="nonempty"):
+            purity(empty, empty, empty)
+
 
 class TestRunExperiment:
     def test_single_session_avg_equals_final(self):
@@ -462,6 +473,14 @@ test = {out}/test.vmfs
         assert cli_main(["run", "--config", str(bad), "--out", str(out)]) == 1
         assert "kappa must fit" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("kappa_true", ["1e12", "1e200"])
+    def test_synth_kappa_beyond_the_sampler_exit_code(self, tmp_path, capsys, kappa_true):
+        # the sampler's envelope constants round away (1e12) or overflow (1e200)
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(config_with("synth", "kappa_true", kappa_true))
+        assert cli_main(["synth", "--config", str(bad), "--out", str(tmp_path / "x")]) == 1
+        assert "cannot sample a vMF" in capsys.readouterr().err
 
     def test_missing_config_exit_code(self, tmp_path):
         missing = str(tmp_path / "no.cfg")

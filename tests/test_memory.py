@@ -212,3 +212,12 @@ class TestSelectMemory:
         )
         with pytest.raises(ValueError):
             MemoryBuffer(2, records, np.zeros(3, np.int64))
+
+    def test_components_misaligned_with_records_rejected(self):
+        records = FeatureRecords(
+            np.arange(3, dtype=np.uint64), np.zeros((3, 2)), np.zeros(3, np.int64),
+            np.full(3, -1, np.int32), np.full(3, ROLE_MEMORY, np.uint8),
+        )
+        for components in (np.zeros(2, np.int64), np.zeros(4, np.int64), np.zeros((3, 1), np.int64)):
+            with pytest.raises(ValueError, match="one component per record"):
+                MemoryBuffer(5, records, components)

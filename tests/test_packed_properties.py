@@ -1,11 +1,13 @@
 """Property tests: the packed loss, gradient and SGD step against per-class oracles.
 
 ``loss_and_grad`` works on one (n, K) score matrix with segment reductions
-over the bank's class offsets. ``clf_loss`` and ``distill_loss`` in
-``vmfcl.trainer`` and ``reg_loss`` in ``oracles`` loop over classes one
-mixture at a time and share none of that code, so agreement on random banks, batches and
-teachers checks the packed indexing: the class blocks, the inherited
-columns of a teacher and classes with a single component.
+over the bank's class offsets. ``clf_loss``, ``distill_loss`` and
+``reg_loss`` in ``oracles`` loop over classes one mixture at a time and
+share none of that code, so agreement on random banks, batches and teachers
+checks the packed indexing: the class blocks, the inherited columns of a
+teacher and classes with a single component. ``clf_loss`` and
+``distill_loss`` in ``vmfcl.trainer`` evaluate ``loss_and_grad`` over all the
+records, so they equal its terms bit for bit.
 
 The hard decisions, ``predict_batch``, ``assign_components_batch`` and the
 E-step ``_e_step_array``, are checked on banks whose classes share some
@@ -92,12 +94,24 @@ def test_packed_terms_match_the_per_class_oracles(case):
     recs = records(x, y)
     old_lp = None if teacher is None else (teacher.bank, teacher_log_post(teacher, x))
     _, _, terms = loss_and_grad(params, bank, x, y, z, lam=1.0, beta=1.0, eta=1.0, old_log_post=old_lp)
-    inter = clf_loss(bank, params, recs, z, 0.0)
+    inter = oracles.clf_loss(bank, params, recs, z, 0.0)
     assert terms["inter"] == pytest.approx(inter, rel=TOL, abs=TOL)
-    assert terms["inter"] + terms["intra"] == pytest.approx(clf_loss(bank, params, recs, z, 1.0),
+    assert terms["inter"] + terms["intra"] == pytest.approx(oracles.clf_loss(bank, params, recs, z, 1.0),
                                                             rel=TOL, abs=TOL)
-    assert terms["distill"] == pytest.approx(distill_loss(bank, params, teacher, recs), rel=TOL, abs=TOL)
+    assert terms["distill"] == pytest.approx(oracles.distill_loss(bank, params, teacher, recs),
+                                             rel=TOL, abs=TOL)
     assert terms["reg"] == pytest.approx(oracles.reg_loss(bank), rel=TOL, abs=TOL)
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(cases(), st.sampled_from([0.0, 0.1, 1.0]))
+def test_trainer_losses_are_the_packed_terms_bit_for_bit(case, lam):
+    bank, teacher, params, x, y, z = case
+    recs = records(x, y)
+    old_lp = None if teacher is None else (teacher.bank, teacher_log_post(teacher, x))
+    _, _, terms = loss_and_grad(params, bank, x, y, z, lam=lam, beta=1.0, eta=0.0, old_log_post=old_lp)
+    assert clf_loss(bank, params, recs, z, lam) == terms["inter"] + lam * terms["intra"]
+    assert distill_loss(bank, params, teacher, recs) == terms["distill"]
 
 
 @settings(max_examples=100, deadline=None, database=None)

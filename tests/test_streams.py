@@ -68,6 +68,22 @@ class TestSampleVmf:
         s = sample_vmf(rng, np.array([0.0, 1.0]), 8.0, 100)
         np.testing.assert_allclose(np.linalg.norm(s, axis=1), 1.0, atol=1e-9)
 
+    @pytest.mark.parametrize("kappa", [np.nan, np.inf, 1e9, 1e12, 1e200, np.float64(1e200)])
+    def test_concentration_out_of_float_range_raises(self, kappa):
+        # at d = 16 Wood's envelope constants round away from about 6e8: no draw is ever accepted
+        mu = np.eye(16)[0]
+        with pytest.raises(ConfigError, match="cannot sample a vMF"):
+            sample_vmf(np.random.default_rng(5), mu, kappa, 3)
+
+    @pytest.mark.parametrize("mu", [[2.0, 0.0], [np.nan, 1.0], [np.inf, 0.0], [1.0], [[1.0, 0.0]]])
+    def test_mean_direction_that_is_not_a_unit_vector_raises(self, mu):
+        with pytest.raises(ValueError, match="unit vector"):
+            sample_vmf(np.random.default_rng(6), np.array(mu), 8.0, 3)
+
+    def test_negative_concentration_raises(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            sample_vmf(np.random.default_rng(7), np.array([1.0, 0.0]), -1.0, 3)
+
 
 class TestGenerateSynthetic:
     def test_counts_per_pair(self):

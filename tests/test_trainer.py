@@ -255,8 +255,8 @@ class TestLossTerms:
         snap = ModelState(params, bank)
         lam, beta, eta = 0.1, 1.0, 0.1
         expected = (
-            clf_loss(bank, params, recs, z, lam)
-            + beta * distill_loss(bank, params, snap, recs)
+            oracles.clf_loss(bank, params, recs, z, lam)
+            + beta * oracles.distill_loss(bank, params, snap, recs)
             + eta * oracles.reg_loss(bank)
         )
         old_lp = _old_log_posteriors(snap, forward_batch(snap.params, recs.x))
@@ -269,7 +269,7 @@ class TestLossTerms:
         recs = records_from(normalize_rows(np.array([[0.9, 0.2]])), np.array([0]))
         z = e_step(bank, forward_batch(params, recs.x), recs.y)
         got, _, _ = loss_and_grad(params, bank, recs.x, recs.y, z, lam=0.05, beta=0.0, eta=0.0)
-        assert got == pytest.approx(clf_loss(bank, params, recs, z, 0.05))
+        assert got == pytest.approx(oracles.clf_loss(bank, params, recs, z, 0.05))
 
     def test_scalar_path_matches_gradient_path(self):
         # the per-example scalar losses and the vectorized value inside
@@ -291,8 +291,8 @@ class TestLossTerms:
         z = e_step(bank, forward_batch(params, recs.x), recs.y)
         lam, beta, eta = 0.08, 1.0, 0.1
         scalar = (
-            clf_loss(bank, params, recs, z, lam)
-            + beta * distill_loss(bank, params, snap, recs)
+            oracles.clf_loss(bank, params, recs, z, lam)
+            + beta * oracles.distill_loss(bank, params, snap, recs)
             + eta * oracles.reg_loss(bank)
         )
         old_lp = _old_log_posteriors(snap, forward_batch(snap.params, recs.x))
@@ -300,9 +300,9 @@ class TestLossTerms:
                                              old_log_post=(old, old_lp))
         assert vectorized == pytest.approx(scalar, abs=1e-9)
         assert terms["inter"] + lam * terms["intra"] == pytest.approx(
-            clf_loss(bank, params, recs, z, lam), abs=1e-9
+            oracles.clf_loss(bank, params, recs, z, lam), abs=1e-9
         )
-        assert terms["distill"] == pytest.approx(distill_loss(bank, params, snap, recs), abs=1e-9)
+        assert terms["distill"] == pytest.approx(oracles.distill_loss(bank, params, snap, recs), abs=1e-9)
         assert terms["reg"] == pytest.approx(oracles.reg_loss(bank), abs=1e-12)
 
 
@@ -514,8 +514,8 @@ class TestTrainSession:
         lines = [l for l in log.getvalue().splitlines() if l.startswith("epoch=")]
         assert len(lines) == loss.epochs
         recs = session
-        clf = clf_loss(state.bank, state.params, recs, z, loss.lambda_max)
-        dis = distill_loss(state.bank, state.params, teacher, recs)
+        clf = oracles.clf_loss(state.bank, state.params, recs, z, loss.lambda_max)
+        dis = oracles.distill_loss(state.bank, state.params, teacher, recs)
         reg = oracles.reg_loss(state.bank)
         assert clf > 0 and reg != 0
         for line in lines:
