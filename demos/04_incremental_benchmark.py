@@ -9,7 +9,7 @@ Run:  python3 demos/04_incremental_benchmark.py
 
 import numpy as np
 
-from vmfcl import LossConfig, RunConfig, SynthConfig, run_experiment
+from vmfcl import LossConfig, RunConfig, SynthConfig, run_experiment_full
 from vmfcl.structure import ReductionConfig
 
 stream = SynthConfig(
@@ -26,7 +26,7 @@ for method in ("domain_aware", "replay_baseline"):
         loss=LossConfig(epochs=30, batch_size=64, lr=0.05, backbone_lr=0.0),
         reduction=ReductionConfig(min_count=12),
     )
-    reports[method] = run_experiment(cfg)
+    reports[method] = run_experiment_full(cfg).report
 
 print(f"{'':24s} {'per-session acc':>28s} {'avg':>7s} {'final':>7s} {'forget':>7s}")
 for method, rep in reports.items():

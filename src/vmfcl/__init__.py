@@ -13,7 +13,7 @@ from .bench import (
     forgetting,
     load_run_config,
     purity,
-    run_experiment,
+    run_experiment_full,
 )
 from .memory import MemoryBuffer, select_memory
 from .mixture import (
@@ -48,7 +48,7 @@ from .vmf import normalize
 __all__ = [
     "BackboneParams", "Gradient", "init_params", "loss_and_grad", "sgd_step",
     "RunConfig", "SessionReport", "accuracy", "forgetting", "load_run_config", "purity",
-    "run_experiment",
+    "run_experiment_full",
     "MemoryBuffer", "select_memory",
     "ClassMixture", "ModelBank",
     "save_snapshot",

@@ -134,8 +134,9 @@ def loss_and_grad(
     skipped, for a caller whose backbone learning rate is 0.
 
     Raises NumericalError naming the term or gradient that went non-finite,
-    UnknownClass for a label the bank lacks, ValueError (when lam is not 0)
-    for assignments that are not one per example or not in their class,
+    UnknownClass for a label the bank lacks, ValueError unless ``y`` holds one
+    label per row of ``x`` or (when lam is not 0) for assignments that are
+    not one per example or not in their class,
     and ModelRegression when the bank lost part of the teacher.
     """
     x = np.asarray(x, dtype=np.float64)
@@ -143,6 +144,8 @@ def loss_and_grad(
     n = x.shape[0]
     if n == 0:
         raise ValueError("batch must be nonempty")
+    if y.shape != (n,):
+        raise ValueError(f"need one label per record, got shape {y.shape} for {n}")
     if not np.isfinite(x).all():
         raise NumericalError("batch contains non-finite inputs")
 

@@ -1,6 +1,6 @@
 """Metrics, experiment orchestration and machine-readable run reports.
 
-``run_experiment`` drives the full incremental protocol: train a session,
+``run_experiment_full`` drives the full incremental protocol: train a session,
 evaluate on everything seen so far (``seen_accuracies``, which scores each
 seen test record once, in blocks of ``PREDICT_BLOCK_ROWS`` rows), rebuild
 the replay memory, repeat. The ``replay_baseline`` method pins every class
@@ -31,7 +31,6 @@ from .mixture import PREDICT_BLOCK_ROWS, ModelBank, predict_batch, save_snapshot
 from .streams import (
     FeatureRecords,
     SynthConfig,
-    check_session_count,
     concat_records,
     generate_synthetic,
     make_splits,
@@ -84,8 +83,9 @@ def purity(y: np.ndarray, z: np.ndarray, domains: np.ndarray) -> float:
         rows = np.flatnonzero(y == c)
         majority = 0
         for k in sorted(np.unique(z[rows]).tolist()):
-            comp_domains = domains[rows[z[rows] == k]]
-            majority += int(np.max(np.bincount(comp_domains)))
+            # counts per distinct domain: sized by the records, not by the largest label
+            _, counts = np.unique(domains[rows[z[rows] == k]], return_counts=True)
+            majority += int(np.max(counts))
         values.append(majority / rows.size)
     return float(np.mean(values))
 
@@ -119,8 +119,8 @@ class RunConfig:
             raise ConfigError(f"method must be one of {METHODS}, got {self.method!r}")
         if self.split not in SPLITS:
             raise ConfigError(f"split must be one of {SPLITS}, got {self.split!r}")
-        if self.memory_budget < 1:
-            raise ConfigError("memory_budget must be positive")
+        if not 1 <= self.memory_budget <= np.iinfo(np.int64).max:
+            raise ConfigError(f"memory_budget must lie in [1, 2**63 - 1], got {self.memory_budget}")
         if self.m < 1:
             raise ConfigError("m must be at least 1")
         if self.sessions is not None and self.sessions < 1:
@@ -320,20 +320,10 @@ def run_experiment_full(cfg: RunConfig, out_dir=None) -> RunResult:
     input_dim = train_pool.dim
     embed_dim = cfg.embed_dim or input_dim
 
-    if cfg.sessions is not None:
-        n_sessions = cfg.sessions
-    else:  # ND: one new domain per class per session, as many as the first class has
-        pairs, _ = pair_index(train_pool)
-        n_sessions = sum(c == pairs[0][0] for c, _ in pairs)
-    check_session_count(train_pool, n_sessions)  # before anything is sized by it
-
     master = np.random.default_rng(cfg.seed)
-    seeds = master.integers(0, 2**63, size=2 + 2 * n_sessions).tolist()
-    split_seed, init_seed = seeds[0], seeds[1]
-    session_seeds = seeds[2 : 2 + n_sessions]
-    memory_seeds = seeds[2 + n_sessions :]
-
-    plan, sessions = make_splits(train_pool, cfg.split, n_sessions, split_seed)
+    split_seed, init_seed = master.integers(0, 2**63, size=2).tolist()
+    plan, sessions = make_splits(train_pool, cfg.split, cfg.sessions, split_seed)  # checks the count
+    session_seeds, memory_seeds = master.integers(0, 2**63, size=(2, len(sessions))).tolist()
     test_index = pair_index(test_pool)
     test_pairs = set(test_index[0])
     for t, pairs in enumerate(plan.sessions):
@@ -433,8 +423,3 @@ def run_experiment_full(cfg: RunConfig, out_dir=None) -> RunResult:
                 save_snapshot(os.path.join(out_dir, "model.vmfb"), state.bank, state.params.layers)
 
     return RunResult(report, state, plan, train_pool, test_pool)
-
-
-def run_experiment(cfg: RunConfig, out_dir=None) -> SessionReport:
-    """Convenience wrapper returning only the report."""
-    return run_experiment_full(cfg, out_dir=out_dir).report

@@ -298,24 +298,6 @@ def pair_index(pool: FeatureRecords) -> tuple[list[tuple[int, int]], np.ndarray]
     return pairs, codes
 
 
-def check_session_count(pool: FeatureRecords, num_sessions: int):
-    """Raise ConfigError unless some split of ``pool`` could fill ``num_sessions`` sessions.
-
-    Every session of every regime holds at least one (class, domain) pair of
-    its own, so a pool fills at most as many sessions as it has pairs.
-    Returns the pool's ``pair_index``.
-    """
-    if num_sessions < 1:
-        raise ConfigError("need at least one session")
-    pairs, codes = pair_index(pool)
-    if num_sessions > len(pairs):
-        raise ConfigError(
-            f"{num_sessions} sessions, but the train pool has {len(pairs)} (class, domain) pairs "
-            "and each session needs one of its own"
-        )
-    return pairs, codes
-
-
 def _front_loaded(classes: list[int], num_sessions: int, rng: np.random.Generator) -> list[list[int]]:
     """``classes`` shuffled and cut into ``num_sessions`` runs, larger first, sizes within one."""
     order = [classes[i] for i in rng.permutation(len(classes))]
@@ -324,24 +306,38 @@ def _front_loaded(classes: list[int], num_sessions: int, rng: np.random.Generato
     return [order[a:b] for a, b in zip(cuts, cuts[1:])]
 
 
-def make_splits(pool: FeatureRecords, mode: str, num_sessions: int, seed: int):
+def make_splits(pool: FeatureRecords, mode: str, num_sessions: int | None, seed: int):
     """Partition a pool into per-session datasets for one of the three regimes.
 
     NC: each session brings previously unseen classes (all their domains).
     ND: every session has every class, each gaining exactly one new domain,
-    so the grid must have exactly ``num_sessions`` domains per class.
+    so the grid must have exactly ``num_sessions`` domains per class (None:
+    the first class's domain count; NC and NCD need a number).
     NCD: every (class, domain) pair appears exactly once, with new-class
     counts per session non-increasing (new classes are front-loaded).
 
     Returns (SplitPlan, the list of each session's records, in pool order).
-    Raises ConfigError when the pool's grid cannot satisfy the requested regime.
+    Raises ConfigError when the pool's grid cannot satisfy the requested regime,
+    first, before any planning, for a count below 1 or above the pool's pair
+    count: every session of every regime needs a (class, domain) pair of its own.
     """
-    pairs, codes = check_session_count(pool, num_sessions)
-    rng = np.random.default_rng(seed)
+    if num_sessions is None and mode != "ND":
+        raise ConfigError(f"{mode} split requires an explicit session count")
+    pairs, codes = pair_index(pool)
     grid: dict[int, list[int]] = {}  # class -> its domains, ascending
     for c, z in pairs:
         grid.setdefault(c, []).append(z)
     classes = list(grid)
+    if num_sessions is None:
+        num_sessions = len(grid[classes[0]]) if classes else 0
+    if num_sessions < 1:
+        raise ConfigError("need at least one session")
+    if num_sessions > len(pairs):
+        raise ConfigError(
+            f"{num_sessions} sessions, but the train pool has {len(pairs)} (class, domain) pairs "
+            "and each session needs one of its own"
+        )
+    rng = np.random.default_rng(seed)
     if mode == "NC":
         if len(classes) < num_sessions:
             raise ConfigError(

@@ -13,7 +13,7 @@ import pytest
 from helpers import assign_one, make_bank, predict_one
 
 from vmfcl.backbone import BackboneParams, forward_batch, init_params, loss_and_grad
-from vmfcl.bench import RunConfig, load_run_config, run_experiment, run_experiment_full
+from vmfcl.bench import RunConfig, load_run_config, run_experiment_full
 from vmfcl.memory import select_memory
 from vmfcl.mixture import ModelBank, log_posteriors
 from vmfcl.streams import ROLE_TRAIN, FeatureRecords, SynthConfig, generate_synthetic, make_splits
@@ -60,7 +60,7 @@ def nd_runs():
     reports = {}
     for method in ("domain_aware", "replay_baseline"):
         for seed in ND_SEEDS:
-            reports[(method, seed)] = run_experiment(nd_config(method, seed))
+            reports[(method, seed)] = run_experiment_full(nd_config(method, seed)).report
     return reports, time.perf_counter() - t0
 
 
@@ -312,7 +312,7 @@ def test_criterion_4_purity_analogue():
             synth=SynthConfig(4, 3, 16, 50.0, 150, 30, min_angle_deg=60.0, seed=synth_seed),
             loss=LossConfig(epochs=30, batch_size=64, lr=0.05, backbone_lr=0.0),
         )
-        rep = run_experiment(cfg)
+        rep = run_experiment_full(cfg).report
         purities.append(float(np.mean([p for p in rep.purity_per_session if p is not None])))
     elapsed = time.perf_counter() - t0
     ok = all(p >= 0.95 for p in purities) and elapsed < 300.0
@@ -397,8 +397,8 @@ def test_criterion_8_memory_balance(nd_runs):
 def test_criterion_9_determinism(tmp_path):
     out_a = tmp_path / "a"
     out_b = tmp_path / "b"
-    run_experiment(nd_config("domain_aware", 1), out_dir=str(out_a))
-    run_experiment(nd_config("domain_aware", 1), out_dir=str(out_b))
+    run_experiment_full(nd_config("domain_aware", 1), out_dir=str(out_a))
+    run_experiment_full(nd_config("domain_aware", 1), out_dir=str(out_b))
     bytes_a = (out_a / "report.json").read_bytes()
     bytes_b = (out_b / "report.json").read_bytes()
     verdict(9, "determinism", bytes_a == bytes_b,

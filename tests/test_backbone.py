@@ -159,6 +159,10 @@ class TestLossAndGrad:
             z[0] = bad
             with pytest.raises(ValueError):
                 loss_and_grad(params, bank, x, y, z, lam=0.1, beta=0.0, eta=0.0)
+        # one label per example: neither broadcast from one nor a column
+        for labels in (y[:1], y[:, None]):
+            with pytest.raises(ValueError, match="one label per record"):
+                loss_and_grad(params, bank, x, labels, zhat, lam=0.0, beta=0.0, eta=0.0)
         # one assignment per example: neither broadcast from one nor a column
         for z in (zhat[:1], zhat[:, None]):
             with pytest.raises(ValueError, match="one assignment per record"):

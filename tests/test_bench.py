@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -18,12 +19,12 @@ from vmfcl.bench import (
     forgetting,
     load_run_config,
     purity,
-    run_experiment,
     run_experiment_full,
 )
 from vmfcl.cli import main as cli_main
 from vmfcl.config import parse_sections
 from vmfcl.errors import ConfigError, DegenerateFeature, PurityUnavailable
+from vmfcl import bench, streams
 from vmfcl.streams import ROLE_TEST, FeatureRecords, SynthConfig, read_stream
 from vmfcl.structure import ReductionConfig
 from vmfcl.trainer import LossConfig
@@ -146,6 +147,25 @@ class TestPurity:
         perm = rng.permutation(4)
         assert purity(y, z, dom) == pytest.approx(purity(y, perm[z], dom))
 
+    def test_large_domain_labels_cost_what_small_ones_do(self):
+        # counted per distinct label, so a label of 10**7 or 2**31 - 1 allocates nothing by its value
+        rng = np.random.default_rng(3)
+        y = rng.integers(0, 3, size=300)
+        z = rng.integers(0, 4, size=300)
+        dom = rng.integers(0, 3, size=300).astype(np.int32)
+        want = np.mean([sum(np.bincount(dom[(y == c) & (z == k)]).max() for k in np.unique(z[y == c]))
+                        / np.sum(y == c) for c in np.unique(y)])
+        assert purity(y, z, dom) == want
+        for far in (dom + 10**7, np.where(dom == 2, 2**31 - 1, dom).astype(np.int32)):
+            tracemalloc.start()
+            try:
+                got = purity(y, z, far)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert got == want
+            assert peak < 2**20
+
     def test_unknown_domains_unavailable(self):
         with pytest.raises(PurityUnavailable):
             purity(np.array([0]), np.array([0]), np.array([-1]))
@@ -165,32 +185,32 @@ class TestPurity:
 class TestRunExperiment:
     def test_single_session_avg_equals_final(self):
         cfg = tiny_cfg(split="NC", sessions=1, synth=SynthConfig(2, 1, 8, 30.0, 40, 10, seed=6))
-        rep = run_experiment(cfg)
+        rep = run_experiment_full(cfg).report
         assert rep.avg_inc_acc == rep.final_acc
         assert rep.forgetting is None
 
     def test_report_internal_consistency(self):
-        rep = run_experiment(tiny_cfg())
+        rep = run_experiment_full(tiny_cfg()).report
         assert rep.avg_inc_acc == pytest.approx(float(np.mean(rep.per_session_acc)), abs=1e-12)
         assert all(0.0 <= a <= 100.0 for a in rep.per_session_acc)
 
     def test_byte_identical_reports_same_seed(self):
-        a = run_experiment(tiny_cfg(seed=9)).to_json()
-        b = run_experiment(tiny_cfg(seed=9)).to_json()
+        a = run_experiment_full(tiny_cfg(seed=9)).report.to_json()
+        b = run_experiment_full(tiny_cfg(seed=9)).report.to_json()
         assert a == b
 
     def test_different_seed_changes_report(self):
-        a = run_experiment(tiny_cfg(seed=9)).to_json()
-        b = run_experiment(tiny_cfg(seed=10)).to_json()
+        a = run_experiment_full(tiny_cfg(seed=9)).report.to_json()
+        b = run_experiment_full(tiny_cfg(seed=10)).report.to_json()
         assert a != b
 
     def test_replay_baseline_single_component_always(self):
-        rep = run_experiment(tiny_cfg(method="replay_baseline"))
+        rep = run_experiment_full(tiny_cfg(method="replay_baseline")).report
         for hist in rep.components_per_class_history:
             assert all(k == 1 for k in hist.values())
 
     def test_report_json_keys_present(self):
-        rep = run_experiment(tiny_cfg())
+        rep = run_experiment_full(tiny_cfg()).report
         assert REPORT_KEYS <= set(rep.to_dict())
 
     def test_purity_null_when_domains_unknown(self, tmp_path):
@@ -203,7 +223,7 @@ class TestRunExperiment:
         write_stream(tr, train)
         write_stream(te, test)
         cfg = tiny_cfg(split="NC", sessions=1, synth=None, train_path=str(tr), test_path=str(te))
-        rep = run_experiment(cfg)
+        rep = run_experiment_full(cfg).report
         assert rep.purity_per_session == [None]
 
     def test_outputs_written(self, tmp_path):
@@ -226,10 +246,33 @@ class TestRunExperiment:
     def test_pair_without_test_records_is_left_out_of_the_table(self, tmp_path):
         tr, te = data_files(tmp_path, SynthConfig(2, 2, 8, 30.0, 40, 10, min_angle_deg=60.0, seed=5),
                             lambda test: (test.y != 0) | (test.domain != 0))
-        rep = run_experiment(tiny_cfg(synth=None, train_path=tr, test_path=te))
+        rep = run_experiment_full(tiny_cfg(synth=None, train_path=tr, test_path=te)).report
         assert not rep.incomplete and len(rep.acc_matrix) == 2
         assert sorted(rep.per_class_domain_acc[0]) == [1]
         assert sorted(rep.per_class_domain_acc[1]) == [0, 1]
+
+    @pytest.mark.parametrize("split, sessions", [("ND", None), ("NCD", 3)])
+    def test_each_pool_is_indexed_once(self, monkeypatch, split, sessions):
+        calls, index = [], streams.pair_index
+
+        def counted(pool):
+            calls.append(len(pool))
+            return index(pool)
+
+        monkeypatch.setattr(bench, "pair_index", counted)  # the test pool's index
+        monkeypatch.setattr(streams, "pair_index", counted)  # make_splits's, on the train pool
+        cfg = tiny_cfg(split=split, sessions=sessions, loss=LossConfig(epochs=1, batch_size=32, lr=0.05))
+        result = run_experiment_full(cfg)
+        assert sorted(calls) == sorted([len(result.train_pool), len(result.test_pool)])
+
+    @pytest.mark.parametrize("split, sessions", [("ND", None), ("NC", 2), ("NCD", 3)])
+    def test_session_seeds_follow_the_split_and_init_seeds(self, split, sessions):
+        # the layout of one draw of 2 + 2n values: split, init, n session seeds, n memory seeds
+        cfg = tiny_cfg(split=split, sessions=sessions, seed=1993, loss=LossConfig(epochs=1, batch_size=32, lr=0.05))
+        rep = run_experiment_full(cfg).report
+        n = len(rep.acc_matrix)
+        assert n == (sessions or 2)
+        assert rep.session_seeds == np.random.default_rng(1993).integers(0, 2**63, size=2 + 2 * n).tolist()[2 : 2 + n]
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_incomplete_report_on_failure(self, tmp_path):
@@ -244,7 +287,7 @@ class TestRunExperiment:
                        loss=LossConfig(epochs=4, batch_size=32, lr=1e300, backbone_lr=0.0))
         out = tmp_path / "broken"
         with np.errstate(over="ignore"), pytest.raises(DegenerateFeature):
-            run_experiment(cfg, out_dir=str(out))
+            run_experiment_full(cfg, out_dir=str(out))
         partial = json.loads((out / "report.json").read_text())
         assert partial["incomplete"] is True
 
@@ -321,7 +364,7 @@ class TestConfigFiles:
         assert cfg.loss.epochs == 4
         assert cfg.reduction.min_count == 6
         assert cfg.synth.num_classes == 2
-        rep = run_experiment(cfg)
+        rep = run_experiment_full(cfg).report
         assert len(rep.per_session_acc) == 2
 
     def test_unknown_key_rejected(self, tmp_path):
@@ -515,6 +558,19 @@ test = {out}/test.vmfs
         assert cli_main(["run", "--config", str(bad), "--out", str(out)]) == 1
         assert "sessions must be at least 1" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_memory_budget_beyond_int64_exit_code(self, tmp_path, capsys):
+        good = tmp_path / "good.cfg"
+        good.write_text(config_with("run", "memory_budget", str(2**63 - 1)))
+        load_run_config(good)  # the largest int64 still validates
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(config_with("run", "memory_budget", str(10**20)))
+        out = tmp_path / "x"
+        assert cli_main(["run", "--config", str(bad), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "config error" in err and "memory_budget must lie in" in err
+        log = out / "train.log"
+        assert "epoch=" not in (log.read_text() if log.exists() else "")  # rejected before training
 
     def test_config_that_is_not_utf8_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"

@@ -1,15 +1,16 @@
-"""Every name the package exports has a caller outside the tests.
+"""Every name the package exports, and every function, class and method it
+defines, has a caller outside the tests.
 
-An export counts as used when the name its object was defined under (so
+A name counts as used when the name its object was defined under (so
 ``e_step`` is looked up as ``_e_step_array``) is read by code in a module
 of ``src/vmfcl`` other than ``__init__.py``, or in ``demos/``, ``tools/``
 or ``perfbench/``: as a name, an attribute or an imported name in the
 parsed source. Docstrings, comments and the name's own ``def`` or
 ``class`` line do not count. A perfbench patch site counts too: an entry of
 ``PATCHES`` in ``perfbench/tracing.py`` names the attribute it wraps in a
-string, and the benchmark calls it through that wrapper. Code that no run,
-demo, tool or benchmark reads either gets such a caller or leaves the
-package.
+string, and the benchmark calls it through that wrapper. Dunder methods are
+exempt, as the interpreter calls them. Code that no run, demo, tool or
+benchmark reads either gets such a caller or leaves the package.
 """
 
 import ast
@@ -62,3 +63,25 @@ def test_every_export_has_a_caller_outside_the_tests():
 def test_only_patch_sites_call_these_exports():
     # text matches (docstrings, comments, the PATCHES strings) are not code callers
     assert unused_exports(caller_names()) == ["accuracy", "clf_loss", "distill_loss"]
+
+
+def definitions() -> list[str]:
+    """``module.name`` of every module-level function and class of ``src/vmfcl``, and
+    ``module.Class.name`` of every method, dunders left out."""
+    found = []
+    for path in sorted((ROOT / "src" / "vmfcl").glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, ast.ClassDef):
+                found.append(f"{path.stem}.{node.name}")
+                found += [f"{path.stem}.{node.name}.{m.name}" for m in node.body
+                          if isinstance(m, ast.FunctionDef) and not m.name.startswith("__")]
+            elif isinstance(node, ast.FunctionDef):
+                found.append(f"{path.stem}.{node.name}")
+    return found
+
+
+def test_every_definition_has_a_caller_outside_the_tests():
+    defs = definitions()
+    assert len(defs) > 100  # the walk reached the package
+    names = caller_names() | patched_names()
+    assert [d for d in defs if d.rpartition(".")[2] not in names] == []

@@ -21,7 +21,6 @@ from vmfcl.streams import (
     SynthConfig,
     concat_records,
     generate_synthetic,
-    check_session_count,
     make_splits,
     pair_index,
     read_stream,
@@ -257,7 +256,6 @@ class TestMakeSplits:
         # labels that differ by a multiple of 2**32 are distinct classes
         pool = FeatureRecords(np.arange(2, dtype=np.uint64), np.eye(2), np.array([0, 2**32]),
                               np.zeros(2, np.int32), np.zeros(2, np.uint8))
-        check_session_count(pool, 2)
         plan, sessions = make_splits(pool, "NC", 2, 0)
         assert sorted(plan.sessions) == [[(0, 0)], [(2**32, 0)]]
         assert sorted(s.y.tolist() for s in sessions) == [[0], [2**32]]
@@ -270,9 +268,30 @@ class TestMakeSplits:
             domain = rng.choice([-1, 0, 3, 2**31 - 1, -(2**31)], n).astype(np.int32)
             pool = FeatureRecords(np.arange(n, dtype=np.uint64), np.zeros((n, 2)), y, domain, np.zeros(n, np.uint8))
             n_pairs = len(set(zip(y.tolist(), domain.tolist())))
-            check_session_count(pool, n_pairs)
+            try:  # NC may still want more classes, but not more pairs
+                make_splits(pool, "NC", n_pairs, 0)
+            except ConfigError as e:
+                assert "(class, domain) pairs" not in str(e)
             with pytest.raises(ConfigError, match=f"has {n_pairs} \\(class, domain\\) pairs"):
-                check_session_count(pool, n_pairs + 1)
+                make_splits(pool, "NC", n_pairs + 1, 0)
+
+    @pytest.mark.parametrize("mode", ["NC", "ND", "NCD"])
+    def test_session_count_below_one_rejected(self, mode):
+        with pytest.raises(ConfigError, match="need at least one session"):
+            make_splits(small_pool(2, 2), mode, 0, seed=11)
+
+    def test_nd_without_a_count_takes_the_first_class_s_domain_count(self):
+        pool = small_pool(3, 4)
+        for seed in (0, 1, 2**40 + 7):
+            plan, sessions = make_splits(pool, "ND", None, seed)
+            want_plan, want_sessions = make_splits(pool, "ND", 4, seed)
+            assert plan.sessions == want_plan.sessions
+            assert [s.ids.tolist() for s in sessions] == [s.ids.tolist() for s in want_sessions]
+
+    @pytest.mark.parametrize("mode", ["NC", "NCD"])
+    def test_nc_and_ncd_need_a_count(self, mode):
+        with pytest.raises(ConfigError, match=f"{mode} split requires an explicit session count"):
+            make_splits(small_pool(2, 2), mode, None, seed=12)
 
     @pytest.mark.parametrize("mode", ["NC", "ND", "NCD"])
     def test_more_sessions_than_pairs_rejected_before_planning(self, mode):
