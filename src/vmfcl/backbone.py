@@ -49,9 +49,7 @@ class Gradient:
     means: np.ndarray  # (K, d), in the bank's row order
 
 
-def init_params(
-    input_dim: int, output_dim: int, hidden_dim: int = 64, rng: np.random.Generator | None = None
-) -> BackboneParams:
+def init_params(input_dim: int, output_dim: int, hidden_dim: int, rng: np.random.Generator) -> BackboneParams:
     """Orthogonal init of the default two-layer tanh perceptron.
 
     Semi-orthogonal weights keep the initial map near-isometric, so the
@@ -59,8 +57,6 @@ def init_params(
     the first hard E-step runs. ``hidden_dim`` = 0 builds a single affine
     layer.
     """
-    if rng is None:
-        rng = np.random.default_rng()
     sizes = [input_dim, output_dim] if hidden_dim == 0 else [input_dim, hidden_dim, output_dim]
     layers = []
     for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):

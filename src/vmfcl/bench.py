@@ -26,7 +26,7 @@ import numpy as np
 from . import config as cfgfile
 from .backbone import BackboneParams, forward_batch, init_params
 from .errors import ConfigError, PurityUnavailable
-from .memory import MemoryBuffer, select_memory
+from .memory import select_memory
 from .mixture import PREDICT_BLOCK_ROWS, ModelBank, predict_batch, save_snapshot
 from .streams import (
     FeatureRecords,
@@ -53,11 +53,13 @@ def accuracy(bank: ModelBank, params: BackboneParams, records: FeatureRecords) -
 
 
 def forgetting(acc_matrix: list[list[float]]) -> float | None:
-    """Mean drop on the previous session's test set after one more session.
+    """Mean change of accuracy on the previous session's test set after one more session.
 
+    The mean of ``acc_matrix[i][i-1] - acc_matrix[i-1][i-1]``, where
     ``acc_matrix[i][j]`` is the accuracy of the model after session i on the
-    test data introduced at session j (j <= i). Undefined (None) with fewer
-    than two sessions.
+    test data introduced at session j (j <= i). It is negative when accuracy
+    falls, so a larger value means less forgetting. Undefined (None) with
+    fewer than two sessions.
     """
     n = len(acc_matrix)
     if n < 2:
@@ -224,21 +226,29 @@ def _str_keys(value):
 class SessionReport:
     """Deterministic per-run metrics; ``to_dict`` is the JSON contract."""
 
-    per_session_acc: list[float]
-    avg_inc_acc: float
-    final_acc: float
-    forgetting: float | None
-    purity_per_session: list[float | None]
-    components_per_class: dict[int, int]
-    components_per_class_history: list[dict[int, int]]
-    per_class_domain_acc: dict[int, dict[int, float]]
-    acc_matrix: list[list[float]]
-    memory_class_counts: list[dict[int, int]]
-    memory_component_counts: list[dict[int, list[int]]]
     seed: int
     session_seeds: list[int]
     config_echo: dict
-    incomplete: bool = False
+    per_session_acc: list[float] = field(default_factory=list)
+    avg_inc_acc: float = 0.0
+    final_acc: float = 0.0
+    forgetting: float | None = None
+    purity_per_session: list[float | None] = field(default_factory=list)
+    components_per_class: dict[int, int] = field(default_factory=dict)
+    components_per_class_history: list[dict[int, int]] = field(default_factory=list)
+    per_class_domain_acc: dict[int, dict[int, float]] = field(default_factory=dict)  # the last session's
+    acc_matrix: list[list[float]] = field(default_factory=list)
+    memory_class_counts: list[dict[int, int]] = field(default_factory=list)
+    memory_component_counts: list[dict[int, list[int]]] = field(default_factory=list)
+    incomplete: bool = True
+
+    def finish(self):
+        """Set the summary fields from the per-session lists, each guarded by its own list."""
+        acc, history = self.per_session_acc, self.components_per_class_history
+        self.avg_inc_acc = float(np.mean(acc)) if acc else 0.0
+        self.final_acc = acc[-1] if acc else 0.0
+        self.forgetting = forgetting(self.acc_matrix)
+        self.components_per_class = history[-1] if history else {}
 
     def to_dict(self) -> dict:
         return {f.name: _str_keys(getattr(self, f.name)) for f in fields(self)}
@@ -319,6 +329,10 @@ def run_experiment_full(cfg: RunConfig, out_dir=None) -> RunResult:
             raise ConfigError(f"train stream {cfg.train_path} has no records")
     input_dim = train_pool.dim
     embed_dim = cfg.embed_dim or input_dim
+    if input_dim < 1 or embed_dim < 2:
+        raise ConfigError(
+            f"input dimension must be at least 1 and embed_dim at least 2, got {input_dim} and {embed_dim}"
+        )
 
     master = np.random.default_rng(cfg.seed)
     split_seed, init_seed = master.integers(0, 2**63, size=2).tolist()
@@ -337,7 +351,15 @@ def run_experiment_full(cfg: RunConfig, out_dir=None) -> RunResult:
         init_params(input_dim, embed_dim, cfg.hidden_dim, np.random.default_rng(init_seed)),
         ModelBank(embed_dim, cfg.kappa),
     )
-    memory = MemoryBuffer.empty(cfg.memory_budget, input_dim)
+    tcfg = TrainConfig(
+        loss=loss_cfg,
+        reduction=cfg.reduction,
+        m=1 if baseline else cfg.m,
+        expand_existing=not baseline,
+        reduce_enabled=not baseline,
+    )
+    memory = None
+    report = SessionReport(seed=cfg.seed, session_seeds=session_seeds, config_echo=cfg.echo())
 
     log = None
     if out_dir is not None:
@@ -351,75 +373,44 @@ def run_experiment_full(cfg: RunConfig, out_dir=None) -> RunResult:
         except OSError as e:
             raise ConfigError(f"cannot write the output directory {out_dir}: {e}") from None
 
-    per_session_acc: list[float] = []
-    purity_per_session: list[float | None] = []
-    acc_matrix: list[list[float]] = []
-    comp_history: list[dict[int, int]] = []
-    mem_class_counts: list[dict[int, int]] = []
-    mem_comp_counts: list[dict[int, list[int]]] = []
-    class_domain_acc: dict[int, dict[int, float]] = {}
-    incomplete = True
     try:
         for t, session in enumerate(sessions):
             if log is not None:
                 log.write(f"session={t} pairs={plan.sessions[t]} n={len(session)}\n")
-            tcfg = TrainConfig(
-                loss=loss_cfg,
-                reduction=cfg.reduction,
-                m=1 if baseline else cfg.m,
-                expand_existing=not baseline,
-                reduce_enabled=not baseline,
-                seed=session_seeds[t],
-            )
-            state, z = train_session(state, session, memory, tcfg, log=log)
+            state, z = train_session(state, session, memory, replace(tcfg, seed=session_seeds[t]), log=log)
 
             data = session
-            if len(memory) > 0:
+            if memory is not None:
                 data = concat_records(session, memory.records)
 
             row, seen_acc, class_domain_acc = seen_accuracies(
                 state.bank, state.params, test_pool, test_index, plan.sessions[: t + 1]
             )
-            acc_matrix.append(row)
-            per_session_acc.append(seen_acc)
+            report.acc_matrix.append(row)
+            report.per_session_acc.append(seen_acc)
 
             if np.any(data.domain < 0):
-                purity_per_session.append(None)
+                report.purity_per_session.append(None)
             else:
-                purity_per_session.append(purity(data.y, z, data.domain))
+                report.purity_per_session.append(purity(data.y, z, data.domain))
 
             memory = select_memory(
                 state.bank, data, z, cfg.memory_budget, np.random.default_rng(memory_seeds[t])
             )
-            comp_history.append(dict(zip(state.bank.class_ids, state.bank.sizes.tolist())))
-            mem_class_counts.append(memory.class_counts())
-            mem_comp_counts.append(memory.component_counts())
-        incomplete = False
+            report.components_per_class_history.append(dict(zip(state.bank.class_ids, state.bank.sizes.tolist())))
+            report.memory_class_counts.append(memory.class_counts())
+            report.memory_component_counts.append(memory.component_counts())
+        report.per_class_domain_acc = class_domain_acc
+        report.incomplete = False
     finally:
-        report = SessionReport(
-            per_session_acc=per_session_acc,
-            avg_inc_acc=float(np.mean(per_session_acc)) if per_session_acc else 0.0,
-            final_acc=per_session_acc[-1] if per_session_acc else 0.0,
-            forgetting=forgetting(acc_matrix),
-            purity_per_session=purity_per_session,
-            components_per_class=comp_history[-1] if comp_history else {},
-            components_per_class_history=comp_history,
-            per_class_domain_acc={} if incomplete else class_domain_acc,  # the last session's table
-            acc_matrix=acc_matrix,
-            memory_class_counts=mem_class_counts,
-            memory_component_counts=mem_comp_counts,
-            seed=cfg.seed,
-            session_seeds=session_seeds,
-            config_echo=cfg.echo(),
-            incomplete=incomplete,
-        )
+        report.finish()
         if log is not None:
             log.write(f"wall_clock_sec={time.perf_counter() - t_start:.3f}\n")
             log.close()
         if out_dir is not None:
             with open(os.path.join(out_dir, "report.json"), "w", encoding="utf-8") as fh:
                 fh.write(report.to_json())
-            if not incomplete:
+            if not report.incomplete:
                 save_snapshot(os.path.join(out_dir, "model.vmfb"), state.bank, state.params.layers)
 
     return RunResult(report, state, plan, train_pool, test_pool)

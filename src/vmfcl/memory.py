@@ -41,10 +41,6 @@ class MemoryBuffer:
     def __len__(self) -> int:
         return len(self.records)
 
-    @classmethod
-    def empty(cls, budget: int, dim: int) -> "MemoryBuffer":
-        return cls(budget, FeatureRecords.empty(dim), np.zeros(0, np.int64))
-
     def class_counts(self) -> dict[int, int]:
         ids, counts = np.unique(self.records.y, return_counts=True)
         return {int(c): int(n) for c, n in zip(ids, counts)}

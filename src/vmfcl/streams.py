@@ -68,13 +68,6 @@ class FeatureRecords:
     def subset(self, idx) -> "FeatureRecords":
         return FeatureRecords(self.ids[idx], self.x[idx], self.y[idx], self.domain[idx], self.role[idx])
 
-    @classmethod
-    def empty(cls, dim: int) -> "FeatureRecords":
-        return cls(
-            np.zeros(0, np.uint64), np.zeros((0, dim)), np.zeros(0, np.int64),
-            np.zeros(0, np.int32), np.zeros(0, np.uint8),
-        )
-
 
 def _integer_column(values, dtype, name: str) -> np.ndarray:
     """``values`` as an array of ``dtype``; a cast raises ValueError instead of wrapping or truncating."""
@@ -369,18 +362,15 @@ def make_splits(pool: FeatureRecords, mode: str, num_sessions: int | None, seed:
                 f"NCD with {n_domains} domains per class needs at least {n_domains} sessions, got {num_sessions}"
             )
         plan = [[] for _ in range(num_sessions)]
-        load = [0] * num_sessions
         for s0, chunk in enumerate(_front_loaded(classes, intro_span, rng)):
             for c in chunk:
                 zs = [grid[c][i] for i in rng.permutation(n_domains)]
                 plan[s0].append((c, zs[0]))
-                load[s0] += 1
                 free = list(range(s0 + 1, num_sessions))
                 for z in zs[1:]:
-                    s = min(free, key=lambda s: (load[s], s))
+                    s = min(free, key=lambda s: (len(plan[s]), s))
                     free.remove(s)
                     plan[s].append((c, z))
-                    load[s] += 1
         plan = [sorted(p) for p in plan]
         if any(not p for p in plan):
             raise ConfigError("NCD schedule left an empty session; use fewer sessions")

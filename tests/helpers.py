@@ -1,5 +1,5 @@
-"""Test helpers: one way to build a bank, one-row calls of the batch functions, and a
-decoder of the VMFB snapshots that ``vmfcl run`` writes."""
+"""Test helpers: one way to build a bank, an empty record set, one-row calls of the batch
+functions, and a decoder of the VMFB snapshots that ``vmfcl run`` writes."""
 
 import struct
 from types import SimpleNamespace
@@ -8,6 +8,7 @@ import numpy as np
 
 from vmfcl.backbone import forward_batch
 from vmfcl.mixture import BankLayout, ModelBank, assign_components_batch, predict_batch
+from vmfcl.streams import FeatureRecords
 
 
 def make_bank(dim: int, kappa: float, mixtures: dict) -> ModelBank:
@@ -17,6 +18,13 @@ def make_bank(dim: int, kappa: float, mixtures: dict) -> ModelBank:
     blocks = [np.asarray(mixtures[c], dtype=np.float64) for c in ids]
     means = np.vstack(blocks) if blocks else np.zeros((0, dim))
     return ModelBank.from_packed(dim, kappa, BankLayout(ids, [len(b) for b in blocks]), means)
+
+
+def empty_records(dim: int) -> FeatureRecords:
+    """Zero records of dimension ``dim``, each column of its stored dtype."""
+    return FeatureRecords(
+        np.zeros(0, np.uint64), np.zeros((0, dim)), np.zeros(0, np.int64), np.zeros(0, np.int32), np.zeros(0, np.uint8)
+    )
 
 
 def predict_one(bank: ModelBank, v) -> int:

@@ -9,7 +9,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from helpers import decode_snapshot, forward_one, make_bank, predict_one
+from helpers import decode_snapshot, empty_records, forward_one, make_bank, predict_one
 
 import vmfcl
 from vmfcl.backbone import BackboneParams
@@ -24,6 +24,7 @@ from vmfcl.bench import (
 from vmfcl.cli import main as cli_main
 from vmfcl.config import parse_sections
 from vmfcl.errors import ConfigError, DegenerateFeature, PurityUnavailable
+from vmfcl.memory import select_memory
 from vmfcl import bench, streams
 from vmfcl.streams import ROLE_TEST, FeatureRecords, SynthConfig, read_stream
 from vmfcl.structure import ReductionConfig
@@ -101,7 +102,7 @@ class TestAccuracy:
     def test_empty_pool_rejected(self):
         bank = make_bank(2, 16.0, {0: np.eye(2)[:1]})
         with pytest.raises(ValueError):
-            accuracy(bank, self.identity(2), FeatureRecords.empty(2))
+            accuracy(bank, self.identity(2), empty_records(2))
 
 
 class TestForgetting:
@@ -290,6 +291,34 @@ class TestRunExperiment:
             run_experiment_full(cfg, out_dir=str(out))
         partial = json.loads((out / "report.json").read_text())
         assert partial["incomplete"] is True
+
+    @pytest.mark.parametrize("failing_call", [1, 2])
+    def test_partial_report_when_memory_selection_raises(self, tmp_path, monkeypatch, failing_call):
+        calls = []
+
+        def select_then_raise(*args):
+            calls.append(None)
+            if len(calls) == failing_call:
+                raise RuntimeError("memory selection failed")
+            return select_memory(*args)
+
+        monkeypatch.setattr(bench, "select_memory", select_then_raise)
+        out = tmp_path / "aborted"
+        with pytest.raises(RuntimeError, match="memory selection failed"):
+            run_experiment_full(tiny_cfg(), out_dir=str(out))  # ND, 2 sessions
+        rep = json.loads((out / "report.json").read_text())
+        assert rep["incomplete"] is True and rep["per_class_domain_acc"] == {}
+        assert not (out / "model.vmfb").exists()
+        # the failing session is scored before its memory is selected
+        for key in ("per_session_acc", "acc_matrix", "purity_per_session"):
+            assert len(rep[key]) == failing_call, key
+        for key in ("components_per_class_history", "memory_class_counts", "memory_component_counts"):
+            assert len(rep[key]) == failing_call - 1, key
+        assert rep["avg_inc_acc"] == float(np.mean(rep["per_session_acc"]))
+        assert rep["final_acc"] == rep["per_session_acc"][-1]
+        assert rep["forgetting"] == forgetting(rep["acc_matrix"])
+        history = rep["components_per_class_history"]
+        assert rep["components_per_class"] == (history[-1] if history else {})
 
     def test_validation_catches_bad_configs(self, tmp_path):
         with pytest.raises(ConfigError):
@@ -590,6 +619,30 @@ test = {out}/test.vmfs
         err = capsys.readouterr().err
         assert "config error" in err and f"{sessions} sessions" in err and "4 (class, domain) pairs" in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("dim, embed_dim, code", [(0, None, 1), (1, None, 1), (1, 2, 0)])
+    def test_input_and_embedding_dims_the_model_cannot_use_exit_code(self, tmp_path, capsys, dim, embed_dim, code):
+        from vmfcl.streams import write_stream
+
+        y = np.repeat([0, 1], 16)
+        x = np.where(y == 0, 1.0, -1.0)[:, None][:, :dim]  # the 0-sphere, or no coordinates at all
+        tr, te = tmp_path / "tr.vmfs", tmp_path / "te.vmfs"
+        for path in (tr, te):
+            write_stream(path, tiny_records(x, y, np.zeros(len(y), np.int32)))
+        embed = "" if embed_dim is None else f"embed_dim = {embed_dim}\n"
+        path = tmp_path / "data.cfg"
+        path.write_text(
+            f"[run]\nsplit = NC\nsessions = 2\nhidden_dim = 0\n{embed}\n"
+            f"[train]\nepochs = 2\nbatch_size = 16\n\n[data]\ntrain = {tr}\ntest = {te}\n"
+        )
+        out = tmp_path / "x"
+        assert cli_main(["run", "--config", str(path), "--out", str(out)]) == code
+        if code:
+            err = capsys.readouterr().err
+            assert "config error" in err and f"got {dim} and {dim}" in err
+            assert not (out / "train.log").exists()  # rejected before any output is opened
+        else:
+            assert json.loads((out / "report.json").read_text())["incomplete"] is False
 
     def test_data_train_stream_without_records_exit_code(self, tmp_path, capsys):
         from vmfcl.streams import write_stream

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from helpers import empty_records
 from oracles import pair_subset
 
 from vmfcl import streams
@@ -465,7 +466,7 @@ class TestStreamFiles:
 
     def test_zero_record_file_round_trips(self, tmp_path):
         path = tmp_path / "empty.vmfs"
-        write_stream(path, FeatureRecords.empty(3))
+        write_stream(path, empty_records(3))
         assert len(read_stream(path)) == 0
 
     def test_negative_class_label_rejected_on_write(self, tmp_path):

@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import oracles
 import pytest
-from helpers import make_bank
+from helpers import empty_records, make_bank
 
 from vmfcl.backbone import BackboneParams, forward_batch, init_params, loss_and_grad
 from vmfcl.errors import ModelRegression, NumericalError, UnknownClass, VmfclError
@@ -449,7 +449,7 @@ class TestTrainSession:
         assert not np.array_equal(after.bank.means, state.bank.means)
 
     def test_empty_session_rejected(self):
-        empty = FeatureRecords.empty(8)
+        empty = empty_records(8)
         with pytest.raises(ValueError):
             train_session(self.base_state(), empty, None, self.cfg())
 
