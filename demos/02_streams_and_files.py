@@ -26,16 +26,16 @@ print("minimum center separation:", round(float(np.degrees(np.arccos(dots.max())
 
 # --- the three incremental regimes -------------------------------------------
 for mode, sessions in (("NC", 3), ("ND", 2), ("NCD", 4)):
-    plan, data = make_splits(train, mode, sessions, seed=1)
+    # rows[t] indexes session t's records in the pool; train.subset(rows[t]) cuts them
+    plan, rows = make_splits(train, mode, sessions, seed=1)
     print(f"\n{mode} split over {sessions} sessions:")
     for t, pairs in enumerate(plan.sessions):
-        print(f"  session {t}: pairs {pairs}  ({len(data[t])} records)")
+        print(f"  session {t}: pairs {pairs}  ({len(rows[t])} records)")
 
 # --- lossless binary round trip ----------------------------------------------
 with tempfile.TemporaryDirectory() as tmp:
     path = os.path.join(tmp, "pool.vmfs")
     write_stream(path, train)
-    back = read_stream(path)
-    print(f"\nVMFS round trip: {os.path.getsize(path)} bytes,",
-          "features bit-exact:" , bool(np.array_equal(back.x.astype(np.float32),
-                                                      train.x.astype(np.float32))))
+    back = read_stream(path)  # features stay float32, as on disk
+    print(f"\nVMFS round trip: {os.path.getsize(path)} bytes, features {back.x.dtype},",
+          "bit-exact:", bool(np.array_equal(back.x, train.x.astype(np.float32))))

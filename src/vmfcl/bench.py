@@ -3,9 +3,11 @@
 ``run_experiment_full`` drives the full incremental protocol: train a session,
 evaluate on everything seen so far (``seen_accuracies``, which scores each
 seen test record once, in blocks of ``PREDICT_BLOCK_ROWS`` rows), rebuild
-the replay memory, repeat. The ``replay_baseline`` method pins every class
-to a single component and turns off expansion, reduction and the
-intra-class/distillation/regularization terms, leaving plain replay
+the replay memory, repeat. A session's records are cut from the train pool
+when it starts and released before the next one trains, so the run holds
+each pool once plus one session's records. The ``replay_baseline`` method
+pins every class to a single component and turns off expansion, reduction
+and the intra-class/distillation/regularization terms, leaving plain replay
 fine-tuning of the same architecture, so the delta against
 ``domain_aware`` isolates the mixture machinery.
 
@@ -336,8 +338,8 @@ def run_experiment_full(cfg: RunConfig, out_dir=None) -> RunResult:
 
     master = np.random.default_rng(cfg.seed)
     split_seed, init_seed = master.integers(0, 2**63, size=2).tolist()
-    plan, sessions = make_splits(train_pool, cfg.split, cfg.sessions, split_seed)  # checks the count
-    session_seeds, memory_seeds = master.integers(0, 2**63, size=(2, len(sessions))).tolist()
+    plan, rows = make_splits(train_pool, cfg.split, cfg.sessions, split_seed)  # checks the count
+    session_seeds, memory_seeds = master.integers(0, 2**63, size=(2, len(rows))).tolist()
     test_index = pair_index(test_pool)
     test_pairs = set(test_index[0])
     for t, pairs in enumerate(plan.sessions):
@@ -374,7 +376,8 @@ def run_experiment_full(cfg: RunConfig, out_dir=None) -> RunResult:
             raise ConfigError(f"cannot write the output directory {out_dir}: {e}") from None
 
     try:
-        for t, session in enumerate(sessions):
+        for t in range(len(rows)):
+            session = train_pool.subset(rows[t])  # only the current session's records are held
             if log is not None:
                 log.write(f"session={t} pairs={plan.sessions[t]} n={len(session)}\n")
             state, z = train_session(state, session, memory, replace(tcfg, seed=session_seeds[t]), log=log)
@@ -400,6 +403,7 @@ def run_experiment_full(cfg: RunConfig, out_dir=None) -> RunResult:
             report.components_per_class_history.append(dict(zip(state.bank.class_ids, state.bank.sizes.tolist())))
             report.memory_class_counts.append(memory.class_counts())
             report.memory_component_counts.append(memory.component_counts())
+            del session, data  # the memory keeps its own copy of what it selected
         report.per_class_domain_acc = class_domain_acc
         report.incomplete = False
     finally:

@@ -20,6 +20,7 @@ from dataclasses import replace
 from .backbone import forward_batch
 from .bench import METHODS, load_run_config, run_experiment_full
 from .errors import ConfigError, VmfclError
+from .mixture import PREDICT_BLOCK_ROWS
 from .streams import generate_synthetic, write_stream
 
 
@@ -88,16 +89,18 @@ def _cmd_export(args) -> int:
     if os.path.isdir(path):  # checked before the run, which writes it last
         raise ConfigError(f"cannot write {path}: it is a directory")
     result = run_experiment_full(cfg, out_dir=args.out)
-    feats = forward_batch(result.state.params, result.test_pool.x)
+    pool, params = result.test_pool, result.state.params
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["example_id", "class", "domain"] + [f"e{i}" for i in range(feats.shape[1])])
-        for i in range(feats.shape[0]):
-            writer.writerow(
-                [int(result.test_pool.ids[i]), int(result.test_pool.y[i]), int(result.test_pool.domain[i])]
-                + [repr(float(v)) for v in feats[i]]
-            )
-    print(f"wrote {path} ({feats.shape[0]} embeddings)")
+        writer.writerow(["example_id", "class", "domain"] + [f"e{i}" for i in range(result.state.bank.dim)])
+        # forwarded in blocks, as evaluation is, so no float64 copy of the whole pool is made
+        for lo in range(0, len(pool), PREDICT_BLOCK_ROWS):
+            feats = forward_batch(params, pool.x[lo : lo + PREDICT_BLOCK_ROWS])
+            for i, row in enumerate(feats, lo):
+                writer.writerow(
+                    [int(pool.ids[i]), int(pool.y[i]), int(pool.domain[i])] + [repr(float(v)) for v in row]
+                )
+    print(f"wrote {path} ({len(pool)} embeddings)")
     return 0
 
 

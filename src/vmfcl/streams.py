@@ -8,9 +8,15 @@ training time.
 VMFS file layout (all little-endian): magic "VMFS", u32 version, u32 dim,
 u64 record count, then per record u64 example id, u32 class, i32 domain
 (-1 = unknown), u8 role (0 train / 1 test / 2 memory) and dim float32
-feature entries. Payloads are float32 on disk; reads are bit-exact.
-``FeatureRecords`` casts each column to its dtype and raises ValueError
-where the cast would wrap or truncate a value.
+feature entries. Payloads are float32 on disk, and a read keeps them
+float32: a pool is held once, at the precision its file gives. Synthetic
+pools are float64. Compute widens features with ``np.asarray(x,
+dtype=np.float64)`` at the point of use, and float32 to float64 is exact, so
+a pool read from a file computes the same bits as that pool held in float64.
+``FeatureRecords`` keeps a float32 or float64 ``x`` as it is given (any
+other real dtype becomes float64) and casts the integer columns to their
+dtypes; it raises ValueError where a cast would wrap or truncate a value or
+drop an imaginary part.
 
 No full-size transient is held next to a pool: ``generate_synthetic`` draws
 each cluster into its slice of the preallocated pools, and ``write_stream``
@@ -43,14 +49,14 @@ class FeatureRecords:
     """Column-oriented labeled feature records."""
 
     ids: np.ndarray  # (n,) uint64, globally unique
-    x: np.ndarray  # (n, d) float64
+    x: np.ndarray  # (n, d) float32 or float64
     y: np.ndarray  # (n,) int64 class labels
     domain: np.ndarray  # (n,) int32, -1 = unknown; evaluation-only
     role: np.ndarray  # (n,) uint8
 
     def __post_init__(self):
         self.ids = _integer_column(self.ids, np.uint64, "example ids")
-        self.x = np.asarray(self.x, dtype=np.float64)
+        self.x = _feature_matrix(self.x)
         self.y = _integer_column(self.y, np.int64, "class labels")
         self.domain = _integer_column(self.domain, np.int32, "domain labels")
         self.role = _integer_column(self.role, np.uint8, "roles")
@@ -82,6 +88,19 @@ def _integer_column(values, dtype, name: str) -> np.ndarray:
         if a.dtype.kind == "f" and not np.array_equal(a, np.trunc(a)):
             raise ValueError(f"{name} must be whole numbers")
     return a.astype(dtype)
+
+
+def _feature_matrix(values) -> np.ndarray:
+    """``values`` as they are when float32 or float64, else cast to float64; ValueError for a
+    nonzero imaginary part, which the cast would drop."""
+    a = np.asarray(values)
+    if a.dtype.kind == "c":
+        if np.any(a.imag != 0):
+            raise ValueError("features must be real numbers")
+        a = a.real
+    if a.dtype in (np.float32, np.float64):
+        return a
+    return a.astype(np.float64)
 
 
 def concat_records(*parts: FeatureRecords) -> FeatureRecords:
@@ -300,7 +319,7 @@ def _front_loaded(classes: list[int], num_sessions: int, rng: np.random.Generato
 
 
 def make_splits(pool: FeatureRecords, mode: str, num_sessions: int | None, seed: int):
-    """Partition a pool into per-session datasets for one of the three regimes.
+    """Partition a pool's records into sessions for one of the three regimes.
 
     NC: each session brings previously unseen classes (all their domains).
     ND: every session has every class, each gaining exactly one new domain,
@@ -309,7 +328,9 @@ def make_splits(pool: FeatureRecords, mode: str, num_sessions: int | None, seed:
     NCD: every (class, domain) pair appears exactly once, with new-class
     counts per session non-increasing (new classes are front-loaded).
 
-    Returns (SplitPlan, the list of each session's records, in pool order).
+    Returns (SplitPlan, rows): ``rows[s]`` is session ``s``'s ascending int64
+    row index into ``pool``, so ``pool.subset(rows[s])`` cuts its records
+    when they are needed and no session is copied here.
     Raises ConfigError when the pool's grid cannot satisfy the requested regime,
     first, before any planning, for a count below 1 or above the pool's pair
     count: every session of every regime needs a (class, domain) pair of its own.
@@ -379,7 +400,7 @@ def make_splits(pool: FeatureRecords, mode: str, num_sessions: int | None, seed:
 
     session_of = {p: s for s, session_pairs in enumerate(plan) for p in session_pairs}  # every pair is dealt
     record_session = np.array([session_of[p] for p in pairs])[codes]
-    return SplitPlan(plan), [pool.subset(record_session == s) for s in range(len(plan))]
+    return SplitPlan(plan), [np.flatnonzero(record_session == s) for s in range(len(plan))]
 
 
 def _record_dtype(dim: int) -> np.dtype:
@@ -414,10 +435,10 @@ def read_stream(path) -> FeatureRecords:
 
     The body is read ``PREDICT_BLOCK_ROWS`` records at a time into one reused
     buffer and decoded straight into the output columns, which are sized
-    from the file length. A record with a non-finite feature entry is
-    rejected at its offset, and a repeated example id at the first record
-    whose id an earlier record already has; on a valid file the id check
-    holds one sorted copy of the ids.
+    from the file length; the features stay float32, as on disk. A record
+    with a non-finite feature entry is rejected at its offset, and a repeated
+    example id at the first record whose id an earlier record already has;
+    on a valid file the id check holds one sorted copy of the ids.
     """
     with open(path, "rb") as fh:
         head = fh.read(_HEADER.size)
@@ -439,7 +460,7 @@ def read_stream(path) -> FeatureRecords:
         if whole != count:
             raise ParseError(f"record count mismatch: header says {count}, file holds {whole}")
         records = FeatureRecords(
-            np.empty(count, np.uint64), np.empty((count, dim)), np.empty(count, np.int64),
+            np.empty(count, np.uint64), np.empty((count, dim), np.float32), np.empty(count, np.int64),
             np.empty(count, np.int32), np.empty(count, np.uint8),
         )
         chunk = np.empty(min(count, PREDICT_BLOCK_ROWS), dtype=rec_dtype)

@@ -328,13 +328,13 @@ def test_criterion_4_purity_analogue():
 def test_criterion_5_reduction_sensitivity():
     synth = SynthConfig(4, 3, 16, 50.0, 150, 0, min_angle_deg=60.0, seed=77)
     train_pool, _, _ = generate_synthetic(synth)
-    _, sessions = make_splits(train_pool, "ND", 3, seed=5)
+    _, rows = make_splits(train_pool, "ND", 3, seed=5)
     state = ModelState(init_params(16, 16, 0, np.random.default_rng(1)), ModelBank(16, 16.0))
     loss = LossConfig(epochs=25, batch_size=64, lr=0.05, backbone_lr=0.0)
     for t in (0, 1):
         cfg = TrainConfig(loss=loss, m=30, seed=100 + t, reduce_enabled=False)
-        state, _ = train_session(state, sessions[t], None, cfg)
-    data = sessions[1]
+        state, _ = train_session(state, train_pool.subset(rows[t]), None, cfg)
+    data = train_pool.subset(rows[1])
     z = _e_step_array(state.bank, forward_batch(state.params, data.x), data.y)
     feats = forward_batch(state.params, data.x)
     counts, sums = collect_stats(state.bank, data.y, z, feats)

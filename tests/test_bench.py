@@ -252,6 +252,44 @@ class TestRunExperiment:
         assert sorted(rep.per_class_domain_acc[0]) == [1]
         assert sorted(rep.per_class_domain_acc[1]) == [0, 1]
 
+    def test_a_run_from_files_equals_the_run_from_their_pools_in_float64(self, tmp_path, monkeypatch):
+        # a read keeps the files' float32, and widening float32 to float64 is exact
+        tr, te = data_files(tmp_path, SynthConfig(3, 2, 12, 40.0, 60, 15, min_angle_deg=50.0, seed=13),
+                            lambda test: slice(None))
+        cfg = tiny_cfg(split="NCD", sessions=3, synth=None, train_path=tr, test_path=te, hidden_dim=6,
+                       loss=LossConfig(epochs=3, batch_size=32, lr=0.05))
+        assert run_experiment_full(cfg, out_dir=str(tmp_path / "f32")).train_pool.x.dtype == np.float32
+
+        def widened(path):
+            records = read_stream(path)
+            records.x = records.x.astype(np.float64)
+            return records
+
+        monkeypatch.setattr(bench, "read_stream", widened)
+        assert run_experiment_full(cfg, out_dir=str(tmp_path / "f64")).train_pool.x.dtype == np.float64
+        for name in ("report.json", "model.vmfb"):
+            assert (tmp_path / "f32" / name).read_bytes() == (tmp_path / "f64" / name).read_bytes(), name
+
+    def test_a_run_from_files_holds_each_pool_once_in_float32(self, tmp_path):
+        # 10 sessions of 2,000 records in d=128: a pool's features outweigh a session's scratch
+        # and an evaluation block's, and the test pool is as large as the train pool
+        d = 128
+        tr, te = data_files(tmp_path, SynthConfig(20, 1, d, 300.0, 1000, 1000, min_angle_deg=40.0, seed=3),
+                            lambda test: slice(None))
+        cfg = RunConfig(split="NC", sessions=10, memory_budget=80, hidden_dim=0, embed_dim=8, m=4,
+                        loss=LossConfig(epochs=1), train_path=tr, test_path=te)
+        tracemalloc.start()
+        try:
+            result = run_experiment_full(cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        n = len(result.train_pool)
+        assert len(result.test_pool) == n
+        at_rest = 2 * n * (8 + 8 + 4 + 1 + 4 * d)  # each pool once: its integer columns and float32 features
+        # a float64 copy of either pool, or a second copy of the train pool, is at least 4 * d * n more
+        assert peak < at_rest + 4 * d * n
+
     @pytest.mark.parametrize("split, sessions", [("ND", None), ("NCD", 3)])
     def test_each_pool_is_indexed_once(self, monkeypatch, split, sessions):
         calls, index = [], streams.pair_index

@@ -232,8 +232,8 @@ class TestMakeSplits:
     def test_sessions_partition_pool(self):
         pool = small_pool(4, 3)
         for mode, n in (("NC", 2), ("ND", 3), ("NCD", 5)):
-            plan, sessions = make_splits(pool, mode, n, seed=4)
-            ids = np.concatenate([s.ids for s in sessions])
+            plan, rows = make_splits(pool, mode, n, seed=4)
+            ids = np.concatenate([pool.subset(r).ids for r in rows])
             assert sorted(ids.tolist()) == sorted(pool.ids.tolist()), mode
 
     def test_nc_too_many_sessions(self):
@@ -257,9 +257,9 @@ class TestMakeSplits:
         # labels that differ by a multiple of 2**32 are distinct classes
         pool = FeatureRecords(np.arange(2, dtype=np.uint64), np.eye(2), np.array([0, 2**32]),
                               np.zeros(2, np.int32), np.zeros(2, np.uint8))
-        plan, sessions = make_splits(pool, "NC", 2, 0)
+        plan, rows = make_splits(pool, "NC", 2, 0)
         assert sorted(plan.sessions) == [[(0, 0)], [(2**32, 0)]]
-        assert sorted(s.y.tolist() for s in sessions) == [[0], [2**32]]
+        assert sorted(pool.subset(r).y.tolist() for r in rows) == [[0], [2**32]]
 
     def test_session_count_checks_the_exact_pair_count(self):
         rng = np.random.default_rng(12)
@@ -284,10 +284,10 @@ class TestMakeSplits:
     def test_nd_without_a_count_takes_the_first_class_s_domain_count(self):
         pool = small_pool(3, 4)
         for seed in (0, 1, 2**40 + 7):
-            plan, sessions = make_splits(pool, "ND", None, seed)
-            want_plan, want_sessions = make_splits(pool, "ND", 4, seed)
+            plan, rows = make_splits(pool, "ND", None, seed)
+            want_plan, want_rows = make_splits(pool, "ND", 4, seed)
             assert plan.sessions == want_plan.sessions
-            assert [s.ids.tolist() for s in sessions] == [s.ids.tolist() for s in want_sessions]
+            assert [pool.subset(r).ids.tolist() for r in rows] == [pool.subset(r).ids.tolist() for r in want_rows]
 
     @pytest.mark.parametrize("mode", ["NC", "NCD"])
     def test_nc_and_ncd_need_a_count(self, mode):
@@ -361,14 +361,27 @@ def test_sessions_hold_the_records_the_per_pair_masks_pick(case):
     for mode in ("NC", "ND", "NCD"):
         for n in range(1, min(n_pairs, 8) + 1):
             try:
-                plan, sessions = make_splits(pool, mode, n, seed)
+                plan, rows = make_splits(pool, mode, n, seed)
             except ConfigError:
                 continue  # the regime does not accept this grid with n sessions
             accepted += 1
-            assert len(sessions) == len(plan.sessions) == n
-            for pairs, session in zip(plan.sessions, sessions):
-                assert session.ids.tolist() == pair_subset(pool, pairs).ids.tolist()
+            assert len(rows) == len(plan.sessions) == n
+            for pairs, r in zip(plan.sessions, rows):
+                assert pool.subset(r).ids.tolist() == pair_subset(pool, pairs).ids.tolist()
     assert accepted  # one NC session always fits
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(split_pools())
+def test_session_rows_ascend_are_disjoint_and_cover_the_pool(case):
+    pool, seed = case
+    for mode, n in (("NC", 1), ("NC", 2), ("ND", None), ("NCD", 3)):
+        try:
+            _, rows = make_splits(pool, mode, n, seed)
+        except ConfigError:
+            continue
+        assert all(r.dtype == np.int64 and np.all(np.diff(r) > 0) for r in rows)
+        np.testing.assert_array_equal(np.sort(np.concatenate(rows)), np.arange(len(pool)))
 
 
 def random_records(rng, n=1000, d=6):
@@ -547,6 +560,8 @@ class TestStreamChunks:
         back = read_stream(path)
         for name in ("ids", "x", "y", "domain", "role"):
             got, want = getattr(back, name), getattr(records, name)
+            if name == "x":  # a read keeps the file's float32
+                want = want.astype(np.float32)
             assert got.dtype == want.dtype and got.shape == want.shape, name
             np.testing.assert_array_equal(got, want)
 
@@ -656,6 +671,25 @@ class TestFeatureRecords:
         assert r.y.dtype == np.int64 and r.y.tolist() == [3, 2**63 - 1]
         assert r.domain.dtype == np.int32 and r.domain.tolist() == [-(2**31), 2**31 - 1]
         assert r.role.dtype == np.uint8 and r.role.tolist() == [0, 255]
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_float32_and_float64_features_are_kept_as_they_are(self, dtype):
+        x = np.zeros((1, 2), dtype)
+        assert FeatureRecords(**self.columns(x=x)).x is x
+
+    @pytest.mark.parametrize("x, dtype", [
+        (np.zeros((1, 2), np.float16), np.float16), (np.zeros((1, 2), np.int64), np.int64),
+        ([[0.5, 1.0]], float), (np.zeros((1, 2), np.complex128), np.complex128),
+    ], ids=["float16", "int64", "list", "complex-without-imaginary-part"])
+    def test_other_real_features_become_float64(self, x, dtype):
+        r = FeatureRecords(**self.columns(x=x))
+        assert r.x.dtype == np.float64
+        np.testing.assert_array_equal(r.x, np.asarray(x, dtype).real)
+
+    def test_complex_features_rejected(self):
+        # a cast used to drop the imaginary part, with only a ComplexWarning
+        with pytest.raises(ValueError, match="real numbers"):
+            FeatureRecords(**self.columns(x=np.array([[1 + 2j, 0]])))
 
     def test_columns_of_their_own_dtype_are_kept_as_they_are(self):
         cols = self.columns()

@@ -19,6 +19,9 @@ both trees, and then that config runs in both trees from the base tree's
 files, through a temporary copy whose ``[synth]`` section is replaced by a
 ``[data]`` section naming them.
 
+Then ``python -m vmfcl export-embeddings`` runs that ``[data]`` copy in both
+trees, so the embeddings of a pool read from VMFS files are compared too.
+
 An export leg ends it, per seed: ``python -m vmfcl export-embeddings`` runs
 ``configs/nd_gain.cfg`` in both trees, and its ``embeddings.csv`` is compared
 along with the run files.
@@ -84,6 +87,10 @@ def vmfcl(tree: Path, *args: str) -> bool:
 def run(tree: Path, config: str, method: str | None, seed: int, out: Path) -> bool:
     args = ["run", "--config", str(ROOT / config), "--seed", str(seed), "--out", str(out)]
     return vmfcl(tree, *args, *(["--method", method] if method else []))
+
+
+def export(tree: Path, config: str, seed: int, out: Path) -> bool:
+    return vmfcl(tree, "export-embeddings", "--config", config, "--seed", str(seed), "--out", str(out))
 
 
 def data_config(config: Path, files: Path) -> str:
@@ -182,14 +189,18 @@ def main(argv=None) -> int:
             ok = run(base, str(config), None, seed, outs[0])
             ok = run(ROOT, str(config), None, seed, outs[1]) and ok
             differ += compare(label, OUTPUTS, *outs, ok)
+            label = f"{Path(VMFS_CONFIG).stem}.data-export.seed{seed}"
+            outs = dirs(label)
+            ok = export(base, str(config), seed, outs[0])
+            ok = export(ROOT, str(config), seed, outs[1]) and ok
+            differ += compare(label, EXPORT_OUTPUTS, *outs, ok)
         for seed in seeds:
             label = f"{Path(EXPORT_CONFIG).stem}.export.seed{seed}"
             outs = dirs(label)
-            export = ["export-embeddings", "--config", str(ROOT / EXPORT_CONFIG), "--seed", str(seed), "--out"]
-            ok = vmfcl(base, *export, str(outs[0]))
-            ok = vmfcl(ROOT, *export, str(outs[1])) and ok
+            ok = export(base, str(ROOT / EXPORT_CONFIG), seed, outs[0])
+            ok = export(ROOT, str(ROOT / EXPORT_CONFIG), seed, outs[1]) and ok
             differ += compare(label, EXPORT_OUTPUTS, *outs, ok)
-    per_seed = len(RUNS) * len(OUTPUTS) + len(VMFS_FILES) + len(OUTPUTS) + len(EXPORT_OUTPUTS)
+    per_seed = len(RUNS) * len(OUTPUTS) + len(VMFS_FILES) + len(OUTPUTS) + 2 * len(EXPORT_OUTPUTS)
     total = len(seeds) * per_seed
     print(f"{total - differ} of {total} files identical to {args.rev}")
     return 1 if differ else 0
