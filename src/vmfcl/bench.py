@@ -103,41 +103,29 @@ class RunConfig:
     nested dataclass from its section in ``_SECTIONS``.
     """
 
-    method: str = "domain_aware"
-    split: str = "ND"
-    sessions: int | None = None  # ND defaults to the grid's domain count
-    memory_budget: int = 120
-    kappa: float = 16.0
-    seed: int = 1993
-    hidden_dim: int = 64
-    embed_dim: int | None = None  # None -> input dimension
+    method: str = field(default="domain_aware", metadata={"choices": METHODS})
+    split: str = field(default="ND", metadata={"choices": SPLITS})
+    sessions: int | None = field(default=None, metadata={"range": "[1, inf)"})  # ND: the grid's domain count
+    # at most 2**63 - 1: memory selection splits it into int64 quota arrays
+    memory_budget: int = field(default=120, metadata={"range": "[1, 9223372036854775807]"})
+    # model.vmfb stores kappa as float32, so its bound is the float32 maximum
+    kappa: float = field(default=16.0, metadata={"range": "[0, 3.4028234663852886e+38]"})
+    seed: int = field(default=1993, metadata={"range": "[0, inf)"})
+    hidden_dim: int = field(default=64, metadata={"range": "[0, inf)"})
+    embed_dim: int | None = field(default=None, metadata={"range": "[2, inf)"})  # None -> input dimension
     loss: LossConfig = field(default_factory=LossConfig)
     reduction: ReductionConfig = field(default_factory=ReductionConfig)
-    m: int = field(default=30, metadata={"section": "structure"})
+    m: int = field(default=30, metadata={"section": "structure", "range": "[1, inf)"})
     synth: SynthConfig | None = None
     train_path: str | None = field(default=None, metadata={"section": "data", "key": "train"})
     test_path: str | None = field(default=None, metadata={"section": "data", "key": "test"})
 
     def validate(self):
-        if self.method not in METHODS:
-            raise ConfigError(f"method must be one of {METHODS}, got {self.method!r}")
-        if self.split not in SPLITS:
-            raise ConfigError(f"split must be one of {SPLITS}, got {self.split!r}")
-        if not 1 <= self.memory_budget <= np.iinfo(np.int64).max:
-            raise ConfigError(f"memory_budget must lie in [1, 2**63 - 1], got {self.memory_budget}")
-        if self.m < 1:
-            raise ConfigError("m must be at least 1")
-        if self.sessions is not None and self.sessions < 1:
-            raise ConfigError(f"sessions must be at least 1, got {self.sessions}")
-        if not self.kappa >= 0 or self.hidden_dim < 0 or self.seed < 0:
-            raise ConfigError(
-                f"kappa, hidden_dim and seed must be nonnegative, got {self.kappa}, "
-                f"{self.hidden_dim} and {self.seed}"
-            )
-        if self.kappa > float(np.finfo(np.float32).max):
-            raise ConfigError(f"kappa must fit the snapshot's float32 field, got {self.kappa}")
-        if self.embed_dim is not None and self.embed_dim < 2:
-            raise ConfigError("embed_dim must be at least 2")
+        """Check the declared rule of every key, in each section, then the rules that tie keys together."""
+        for attr, _ in _SECTIONS.values():
+            owner = self if attr is None else getattr(self, attr)
+            if owner is not None:
+                cfgfile.check_ranges(owner)
         file_source = self.train_path is not None or self.test_path is not None
         if (self.synth is None) == (not file_source):
             raise ConfigError("exactly one data source required: [synth] or [data]")

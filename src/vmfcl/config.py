@@ -1,13 +1,17 @@
 """Strict key=value configuration files with bracketed section headers.
 
-Anything unexpected (bad syntax, duplicate keys, unknown sections or keys)
-raises ConfigError: experiments should fail loudly on misconfiguration
-instead of silently running with defaults.
+Anything unexpected (bad syntax, duplicate keys, unknown sections or keys, a
+value outside its key's range) raises ConfigError: experiments should fail
+loudly on misconfiguration instead of silently running with defaults. Each
+config dataclass declares a key's rule once, in its field's metadata: a
+``range`` interval such as ``"[1, inf)"`` (a bracket includes its end point,
+a parenthesis leaves it out) or a ``choices`` tuple; ``check_ranges`` applies them.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import fields
 
 from .errors import ConfigError
 
@@ -72,3 +76,22 @@ def coerce(section: str, key: str, value: str, kind, path):
     if kind is float and not math.isfinite(out):
         raise ConfigError(f"{path}: [{section}] {key} = {value!r} is not finite")
     return out
+
+
+def check_ranges(obj):
+    """ConfigError, naming the file key and its rule, for the first field of the dataclass
+    ``obj`` whose value breaks its declared ``range`` or ``choices``; None (a key left unset) passes."""
+    for f in fields(obj):
+        value, key, rule = getattr(obj, f.name), f.metadata.get("key", f.name), f.metadata
+        if value is not None and "choices" in rule and value not in rule["choices"]:
+            raise ConfigError(f"{key} must be one of {rule['choices']}, got {value!r}")
+        if value is not None and "range" in rule and not _in_range(value, rule["range"]):
+            raise ConfigError(f"{key} must lie in {rule['range']}, got {value!r}")
+
+
+def _in_range(value, interval: str) -> bool:
+    """Whether ``value`` lies in ``interval`` (NaN lies in none). A whole end point stays an
+    int, so it compares exactly past 2**53."""
+    lo, hi = (int(end) if end.lstrip("-").isdigit() else float(end) for end in interval[1:-1].split(", "))
+    above = lo < value if interval[0] == "(" else lo <= value
+    return above and (value < hi if interval[-1] == ")" else value <= hi)

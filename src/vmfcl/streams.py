@@ -34,6 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import check_ranges
 from .errors import ConfigError, ParseError
 from .mixture import PREDICT_BLOCK_ROWS
 from .vmf import normalize_rows
@@ -122,29 +123,19 @@ class SplitPlan:
 
 @dataclass
 class SynthConfig:
-    num_classes: int = field(metadata={"key": "classes"})  # config file key
-    domains_per_class: int
-    dim: int
-    kappa_true: float
-    train_per_pair: int
-    test_per_pair: int
-    min_angle_deg: float = 0.0
-    max_angle_deg: float | None = None  # truncate clusters to a cone around their center
-    seed: int = 0
+    num_classes: int = field(metadata={"key": "classes", "range": "[1, inf)"})  # config file key
+    domains_per_class: int = field(metadata={"range": "[1, inf)"})
+    dim: int = field(metadata={"range": "[2, inf)"})
+    # Wood's sampler also bounds it from above, by dim; sample_vmf checks that per cluster
+    kappa_true: float = field(metadata={"range": "(0, inf)"})
+    train_per_pair: int = field(metadata={"range": "[1, inf)"})
+    test_per_pair: int = field(metadata={"range": "[0, inf)"})
+    min_angle_deg: float = field(default=0.0, metadata={"range": "[0, 180]"})
+    max_angle_deg: float | None = field(default=None, metadata={"range": "(0, 180]"})  # cone around the center
+    seed: int = field(default=0, metadata={"range": "[0, inf)"})
 
     def __post_init__(self):
-        if not self.kappa_true > 0:  # also rejects NaN
-            raise ConfigError("kappa_true must be positive")
-        if self.num_classes < 1 or self.domains_per_class < 1:
-            raise ConfigError("need at least one class and one domain per class")
-        if self.dim < 2:
-            raise ConfigError("dim must be at least 2")
-        if self.train_per_pair < 1 or self.test_per_pair < 0:
-            raise ConfigError("train_per_pair must be >= 1 and test_per_pair >= 0")
-        if self.max_angle_deg is not None and not 0.0 < self.max_angle_deg <= 180.0:
-            raise ConfigError("max_angle_deg must lie in (0, 180]")
-        if self.seed < 0:
-            raise ConfigError("seed must be nonnegative")
+        check_ranges(self)
 
 
 def sample_vmf(rng: np.random.Generator, mu: np.ndarray, kappa: float, n: int) -> np.ndarray:

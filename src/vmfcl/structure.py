@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import check_ranges
 from .errors import ConfigError, DegenerateMerge
 from .mixture import BankLayout, ModelBank
 from .vmf import ZERO_NORM_EPS, normalize, normalize_rows
@@ -24,20 +25,15 @@ from .vmf import ZERO_NORM_EPS, normalize, normalize_rows
 
 @dataclass
 class ReductionConfig:
-    delta: float = 0.7
-    min_components: int = 1
+    delta: float = field(default=0.7, metadata={"range": "(0, 2)"})
+    min_components: int = field(default=1, metadata={"range": "[1, inf)"})
     # Components with fewer assigned examples than this are dropped along
     # with the empty ones. The default 1 only removes empties; benchmark
     # configs raise it so replay quotas never land on starved components.
-    min_count: int = 1
+    min_count: int = field(default=1, metadata={"range": "[1, inf)"})
 
     def __post_init__(self):
-        if not 0.0 < self.delta < 2.0:
-            raise ConfigError(f"delta must lie in (0, 2), got {self.delta}")
-        if self.min_components < 1:
-            raise ConfigError("min_components must be at least 1")
-        if self.min_count < 1:
-            raise ConfigError("min_count must be at least 1")
+        check_ranges(self)
 
 
 @dataclass

@@ -21,37 +21,33 @@ and ``distill_loss`` read its terms over all the records of a dataset.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import backbone as bb
 from . import mixture as mx
 from . import structure as st
-from .errors import ConfigError
+from .config import check_ranges
 from .memory import MemoryBuffer
 from .streams import FeatureRecords, concat_records
 
 
 @dataclass
 class LossConfig:
-    epochs: int = 30
-    batch_size: int = 64
-    lr: float = 0.05
-    weight_decay: float = 0.0005
-    lambda_max: float = 0.1
-    lambda_warmup_epochs: int = 10
-    beta: float = 1.0
-    eta: float = 0.1
-    backbone_lr: float | None = None  # None -> lr; 0.0 freezes the backbone
+    epochs: int = field(default=30, metadata={"range": "[0, inf)"})
+    batch_size: int = field(default=64, metadata={"range": "[1, inf)"})
+    lr: float = field(default=0.05, metadata={"range": "[0, inf)"})
+    weight_decay: float = field(default=0.0005, metadata={"range": "[0, inf)"})
+    lambda_max: float = field(default=0.1, metadata={"range": "[0, inf)"})
+    lambda_warmup_epochs: int = field(default=10, metadata={"range": "[0, inf)"})
+    beta: float = field(default=1.0, metadata={"range": "[0, inf)"})
+    eta: float = field(default=0.1, metadata={"range": "[0, inf)"})
+    # None -> lr; 0.0 freezes the backbone
+    backbone_lr: float | None = field(default=None, metadata={"range": "[0, inf)"})
 
     def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if value is not None and not value >= 0:  # NaN fails too
-                raise ConfigError(f"{f.name} must be nonnegative, got {value}")
-        if self.batch_size < 1:
-            raise ConfigError("batch_size must be at least 1")
+        check_ranges(self)
 
 
 @dataclass

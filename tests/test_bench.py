@@ -382,6 +382,31 @@ class TestRunExperiment:
             with pytest.raises(ConfigError, match=key):
                 load_run_config(path)
 
+    @pytest.mark.parametrize(
+        "section,name,value",
+        [("loss", "batch_size", 0), ("reduction", "delta", 5.0), ("synth", "min_angle_deg", -30.0)],
+    )
+    def test_validate_rechecks_every_section(self, section, name, value):
+        # a section changed after it was built is checked again, before training
+        cfg = load_run_config(os.path.join(os.path.dirname(__file__), "..", "configs", "nd_gain.cfg"))
+        setattr(getattr(cfg, section), name, value)
+        with pytest.raises(ConfigError, match=f"{name} must lie in"):
+            cfg.validate()
+        with pytest.raises(ConfigError, match=f"{name} must lie in"):
+            run_experiment_full(cfg)
+
+    @pytest.mark.parametrize("angle", ["200", "-30"])
+    def test_min_angle_beyond_a_half_turn_or_negative_rejected(self, tmp_path, angle):
+        path = tmp_path / "angle.cfg"
+        for edge in ("0", "180"):
+            path.write_text(config_with("synth", "min_angle_deg", edge))
+            load_run_config(path)
+        path.write_text(config_with("synth", "min_angle_deg", angle))
+        with pytest.raises(ConfigError, match=r"min_angle_deg must lie in \[0, 180\]"):
+            load_run_config(path)
+        with pytest.raises(ConfigError, match=r"min_angle_deg must lie in \[0, 180\]"):
+            SynthConfig(2, 2, 8, 30.0, 40, 10, min_angle_deg=float(angle))
+
 
 CONFIG_TEXT = """
 # comment line
@@ -581,7 +606,7 @@ test = {out}/test.vmfs
         bad.write_text(config_with("run", "kappa", "1e300"))
         out = tmp_path / "x"
         assert cli_main(["run", "--config", str(bad), "--out", str(out)]) == 1
-        assert "kappa must fit" in capsys.readouterr().err
+        assert "kappa must lie in [0, 3.4028234663852886e+38]" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("kappa_true", ["1e12", "1e200"])
@@ -623,7 +648,7 @@ test = {out}/test.vmfs
         bad.write_text(config_with("run", "sessions", sessions))
         out = tmp_path / "x"
         assert cli_main(["run", "--config", str(bad), "--out", str(out)]) == 1
-        assert "sessions must be at least 1" in capsys.readouterr().err
+        assert "sessions must lie in [1, inf)" in capsys.readouterr().err
         assert not out.exists()
 
     def test_memory_budget_beyond_int64_exit_code(self, tmp_path, capsys):

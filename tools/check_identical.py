@@ -5,35 +5,36 @@ Run from anywhere inside the repository:
 
     python3 tools/check_identical.py REV [--seeds 1-3]
 
-REV is checked out in a temporary git worktree (under ``$TMPDIR``), and
-``python -m vmfcl run`` runs in both trees, each on its own ``src/``, for
-every seed on:
+REV is checked out in a temporary git worktree (under ``$TMPDIR``), and for
+every seed each leg of ``LEGS`` runs one ``python -m vmfcl`` command in both
+trees, each on its own ``src/``:
 
-* ``configs/nd_gain.cfg`` and ``configs/ncd_purity.cfg``, under both methods;
-* ``perfbench/configs/nd_wide.cfg`` and ``perfbench/configs/nc_eval.cfg``,
-  read as they are, under their configured method.
+* ``run`` on ``configs/nd_gain.cfg`` and ``configs/ncd_purity.cfg``, under
+  both methods, and on ``perfbench/configs/nd_wide.cfg`` and
+  ``perfbench/configs/nc_eval.cfg``, read as they are, under their
+  configured method;
+* a VMFS leg: ``synth`` writes ``train.vmfs`` and ``test.vmfs`` from
+  ``perfbench/configs/nc_eval.cfg``; then that config runs, and
+  ``export-embeddings`` runs it, in both trees from the base tree's files,
+  through a temporary copy whose ``[synth]`` section is replaced by a
+  ``[data]`` section naming them, so the path of a pool read from VMFS files
+  is compared too;
+* an export leg: ``export-embeddings`` on ``configs/nd_gain.cfg``.
 
-A VMFS leg follows, per seed: ``python -m vmfcl synth`` writes
-``train.vmfs`` and ``test.vmfs`` from ``perfbench/configs/nc_eval.cfg`` in
-both trees, and then that config runs in both trees from the base tree's
-files, through a temporary copy whose ``[synth]`` section is replaced by a
-``[data]`` section naming them.
-
-Then ``python -m vmfcl export-embeddings`` runs that ``[data]`` copy in both
-trees, so the embeddings of a pool read from VMFS files are compared too.
-
-An export leg ends it, per seed: ``python -m vmfcl export-embeddings`` runs
-``configs/nd_gain.cfg`` in both trees, and its ``embeddings.csv`` is compared
-along with the run files.
-
-For each run the sha256 of ``report.json``, ``model.vmfb`` and ``train.log``
-are compared and one line is printed per file; so are the two VMFS files of
-each ``synth`` and the ``embeddings.csv`` of each export. ``train.log`` is hashed without its ``wall_clock_sec=``
+For each leg the sha256 of its output files (``report.json``,
+``model.vmfb``, ``train.log``; the two VMFS files of ``synth``; and
+``embeddings.csv`` of an export) are compared and one line is printed per
+file. ``train.log`` is hashed without its ``wall_clock_sec=``
 line, so the per-epoch loss terms and the merge maps it logs are compared
 but the wall time is not. The exit code is 1 when any file differs, is
 missing, or a command fails in either tree, and 0 when everything is
 identical. The configs are read from this checkout in both trees, so both
 run the same inputs.
+
+The legs marked ``pinned`` are also a tier-1 test: ``tests/test_identity.py``
+runs them in-process at seed 1 and compares their files with the digests
+pinned in ``tests/identity_digests.json``. The other legs take longer, or
+name temporary paths in their reports, so they run here only.
 """
 
 from __future__ import annotations
@@ -47,22 +48,41 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parents[1]
-# (config relative to the repository root, method or None for the configured one)
-RUNS = [
-    ("configs/nd_gain.cfg", "domain_aware"),
-    ("configs/nd_gain.cfg", "replay_baseline"),
-    ("configs/ncd_purity.cfg", "domain_aware"),
-    ("configs/ncd_purity.cfg", "replay_baseline"),
-    ("perfbench/configs/nd_wide.cfg", None),
-    ("perfbench/configs/nc_eval.cfg", None),
-]
 OUTPUTS = ("report.json", "model.vmfb", "train.log")
 VMFS_CONFIG = "perfbench/configs/nc_eval.cfg"  # its [synth] section feeds the VMFS leg
 VMFS_FILES = ("train.vmfs", "test.vmfs")
-EXPORT_CONFIG = "configs/nd_gain.cfg"  # the config of the export-embeddings leg
 EXPORT_OUTPUTS = ("embeddings.csv", *OUTPUTS)
+
+
+class Leg(NamedTuple):
+    """One vmfcl command, run per seed with ``--seed`` and ``--out`` appended.
+
+    In ``args``, ``{root}`` stands for the repository root and ``{data}`` for
+    the [data] copy of ``VMFS_CONFIG`` that names the files of ``SYNTH``.
+    """
+
+    name: str
+    args: tuple[str, ...]
+    outputs: tuple[str, ...]
+    pinned: bool = False  # also run at seed 1 by tests/test_identity.py
+
+
+SYNTH = Leg("nc_eval.synth", ("synth", "--config", "{root}/" + VMFS_CONFIG), VMFS_FILES, pinned=True)
+LEGS = [
+    *(Leg(f"{config}.{method}", ("run", "--config", f"{{root}}/configs/{config}.cfg", "--method", method),
+          OUTPUTS, pinned=True)
+      for config in ("nd_gain", "ncd_purity") for method in ("domain_aware", "replay_baseline")),
+    *(Leg(f"{config}.configured", ("run", "--config", f"{{root}}/perfbench/configs/{config}.cfg"), OUTPUTS)
+      for config in ("nd_wide", "nc_eval")),
+    SYNTH,
+    Leg("nc_eval.data", ("run", "--config", "{data}"), OUTPUTS),
+    Leg("nc_eval.data-export", ("export-embeddings", "--config", "{data}"), EXPORT_OUTPUTS),
+    Leg("nd_gain.export", ("export-embeddings", "--config", "{root}/configs/nd_gain.cfg"), EXPORT_OUTPUTS,
+        pinned=True),
+]
 
 
 def parse_seeds(text: str) -> list[int]:
@@ -82,15 +102,6 @@ def vmfcl(tree: Path, *args: str) -> bool:
     if done.returncode != 0:
         print(f"  vmfcl {args[0]} failed in {tree}: {done.stderr.strip()}")
     return done.returncode == 0
-
-
-def run(tree: Path, config: str, method: str | None, seed: int, out: Path) -> bool:
-    args = ["run", "--config", str(ROOT / config), "--seed", str(seed), "--out", str(out)]
-    return vmfcl(tree, *args, *(["--method", method] if method else []))
-
-
-def export(tree: Path, config: str, seed: int, out: Path) -> bool:
-    return vmfcl(tree, "export-embeddings", "--config", config, "--seed", str(seed), "--out", str(out))
 
 
 def data_config(config: Path, files: Path) -> str:
@@ -168,40 +179,17 @@ def main(argv=None) -> int:
         def dirs(label: str) -> tuple[Path, Path]:
             return Path(tmp) / "base" / label, Path(tmp) / "this" / label
 
-        for config, method in RUNS:
-            for seed in seeds:
-                label = f"{Path(config).stem}.{method or 'configured'}.seed{seed}"
+        for seed in seeds:
+            data = Path(tmp) / f"data.seed{seed}.cfg"
+            data.write_text(data_config(ROOT / VMFS_CONFIG, dirs(f"{SYNTH.name}.seed{seed}")[0]), encoding="utf-8")
+            for leg in LEGS:
+                label = f"{leg.name}.seed{seed}"
                 outs = dirs(label)
-                ok = run(base, config, method, seed, outs[0])
-                ok = run(ROOT, config, method, seed, outs[1]) and ok
-                differ += compare(label, OUTPUTS, *outs, ok)
-        for seed in seeds:
-            label = f"{Path(VMFS_CONFIG).stem}.synth.seed{seed}"
-            files = dirs(label)
-            synth = ["synth", "--config", str(ROOT / VMFS_CONFIG), "--seed", str(seed), "--out"]
-            ok = vmfcl(base, *synth, str(files[0]))
-            ok = vmfcl(ROOT, *synth, str(files[1])) and ok
-            differ += compare(label, VMFS_FILES, *files, ok)
-            label = f"{Path(VMFS_CONFIG).stem}.data.seed{seed}"
-            config = Path(tmp) / f"{label}.cfg"
-            config.write_text(data_config(ROOT / VMFS_CONFIG, files[0]), encoding="utf-8")
-            outs = dirs(label)
-            ok = run(base, str(config), None, seed, outs[0])
-            ok = run(ROOT, str(config), None, seed, outs[1]) and ok
-            differ += compare(label, OUTPUTS, *outs, ok)
-            label = f"{Path(VMFS_CONFIG).stem}.data-export.seed{seed}"
-            outs = dirs(label)
-            ok = export(base, str(config), seed, outs[0])
-            ok = export(ROOT, str(config), seed, outs[1]) and ok
-            differ += compare(label, EXPORT_OUTPUTS, *outs, ok)
-        for seed in seeds:
-            label = f"{Path(EXPORT_CONFIG).stem}.export.seed{seed}"
-            outs = dirs(label)
-            ok = export(base, str(ROOT / EXPORT_CONFIG), seed, outs[0])
-            ok = export(ROOT, str(ROOT / EXPORT_CONFIG), seed, outs[1]) and ok
-            differ += compare(label, EXPORT_OUTPUTS, *outs, ok)
-    per_seed = len(RUNS) * len(OUTPUTS) + len(VMFS_FILES) + len(OUTPUTS) + 2 * len(EXPORT_OUTPUTS)
-    total = len(seeds) * per_seed
+                command = [a.format(root=ROOT, data=data) for a in leg.args] + ["--seed", str(seed), "--out"]
+                ok = vmfcl(base, *command, str(outs[0]))
+                ok = vmfcl(ROOT, *command, str(outs[1])) and ok
+                differ += compare(label, leg.outputs, *outs, ok)
+    total = len(seeds) * sum(len(leg.outputs) for leg in LEGS)
     print(f"{total - differ} of {total} files identical to {args.rev}")
     return 1 if differ else 0
 
