@@ -4,6 +4,8 @@ Expansion seeds each incoming class with 30 random components; the epoch
 loop alternates hard assignment with SGD on the combined objective; the
 reduction pass then merges redundant components. The surviving components
 line up with the hidden domains even though training never saw them.
+Each epoch and each reduced class prints the line it gets in a run's
+train.log, through the same writer (``vmfcl.bench.log_to``).
 
 Run:  python3 demos/03_single_session.py
 """
@@ -14,6 +16,7 @@ import numpy as np
 
 from vmfcl import LossConfig, ModelState, SynthConfig, TrainConfig, generate_synthetic, purity
 from vmfcl.backbone import init_params
+from vmfcl.bench import log_to
 from vmfcl.mixture import ModelBank
 from vmfcl.trainer import train_session
 
@@ -34,8 +37,10 @@ train_cfg = TrainConfig(
     seed=7,
 )
 print("training one session on", len(train), "examples ...")
-# one component index per training record, aligned by position
-state, z = train_session(state, train, None, train_cfg, log=sys.stdout)
+# a first session: no memory to replay, so the training set is the session's
+# records, and every class it brings is expanded; z holds one component index
+# per training record, aligned by position
+state, z = train_session(state, train, np.unique(train.y), train_cfg, emit=log_to(sys.stdout))
 
 print("\nfinal component counts per class:")
 for c, k in zip(state.bank.class_ids, state.bank.sizes.tolist()):

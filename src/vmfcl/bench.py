@@ -5,14 +5,15 @@ evaluate on everything seen so far (``seen_accuracies``, which scores each
 seen test record once, in blocks of ``PREDICT_BLOCK_ROWS`` rows), rebuild
 the replay memory, repeat. A session's records are cut from the train pool
 when it starts and released before the next one trains, so the run holds
-each pool once plus one session's records. The ``replay_baseline`` method
+each pool once plus one session's records; followed by the memory's, they
+are the session's one training set. The ``replay_baseline`` method
 pins every class to a single component and turns off expansion, reduction
 and the intra-class/distillation/regularization terms, leaving plain replay
 fine-tuning of the same architecture, so the delta against
 ``domain_aware`` isolates the mixture machinery.
 
 Report JSON is fully deterministic for a fixed config and seed: volatile
-metadata (wall clock) goes to the text log instead.
+metadata (wall clock) goes to train.log instead, which ``log_to`` writes.
 """
 
 from __future__ import annotations
@@ -135,8 +136,6 @@ class RunConfig:
             for p in (self.train_path, self.test_path):
                 if not os.path.isfile(p):
                     raise ConfigError(f"referenced file does not exist: {p}")
-        if self.split != "ND" and self.sessions is None:
-            raise ConfigError(f"{self.split} split requires an explicit session count")
 
     def echo(self) -> dict:
         """Every config key with its value, by section; [data] only without [synth]."""
@@ -258,6 +257,21 @@ class RunResult:
     test_pool: FeatureRecords
 
 
+# every train.log line: one event, its values rendered by the format of its kind
+LOG_LINES = {
+    "session": "session={t} pairs={pairs} n={n}",
+    "epoch": "epoch={epoch} lambda={lam:.6f} lr={lr:.6g} clf={clf:.6f} dis={dis:.6f} reg={reg:.6f} "
+             "total={total:.6f}",
+    "reduce": "reduce class={class_id} k_before={k_before} k_after={k_after} merge_map={merge_map}",
+    "wall_clock": "wall_clock_sec={sec:.3f}",
+}
+
+
+def log_to(fh):
+    """An ``emit(kind, **values)`` callable that writes each event to ``fh`` as its train.log line."""
+    return lambda kind, **values: fh.write(LOG_LINES[kind].format(**values) + "\n")
+
+
 def seen_accuracies(
     bank: ModelBank, params: BackboneParams, test_pool: FeatureRecords, test_index, sessions
 ) -> tuple[list[float], float, dict[int, dict[int, float]]]:
@@ -334,24 +348,20 @@ def run_experiment_full(cfg: RunConfig, out_dir=None) -> RunResult:
         if test_pairs.isdisjoint(pairs):
             raise ConfigError(f"session {t} has no test records for any of its pairs {pairs}")
 
+    # the replay baseline: the inter-class term only, no reduction, and one component
+    # per class, which only the first session that brings the class expands (see below)
     baseline = cfg.method == "replay_baseline"
     loss_cfg = replace(cfg.loss, lambda_max=0.0, beta=0.0, eta=0.0) if baseline else cfg.loss
+    tcfg = TrainConfig(loss_cfg, cfg.reduction, m=1 if baseline else cfg.m, reduce_enabled=not baseline)
 
     state = ModelState(
         init_params(input_dim, embed_dim, cfg.hidden_dim, np.random.default_rng(init_seed)),
         ModelBank(embed_dim, cfg.kappa),
     )
-    tcfg = TrainConfig(
-        loss=loss_cfg,
-        reduction=cfg.reduction,
-        m=1 if baseline else cfg.m,
-        expand_existing=not baseline,
-        reduce_enabled=not baseline,
-    )
     memory = None
     report = SessionReport(seed=cfg.seed, session_seeds=session_seeds, config_echo=cfg.echo())
 
-    log = None
+    log = emit = None
     if out_dir is not None:
         try:
             os.makedirs(out_dir, exist_ok=True)
@@ -360,19 +370,18 @@ def run_experiment_full(cfg: RunConfig, out_dir=None) -> RunResult:
                 if os.path.isdir(path):
                     raise ConfigError(f"cannot write {path}: it is a directory")
             log = open(os.path.join(out_dir, "train.log"), "w", encoding="utf-8")
+            emit = log_to(log)
         except OSError as e:
             raise ConfigError(f"cannot write the output directory {out_dir}: {e}") from None
 
     try:
         for t in range(len(rows)):
             session = train_pool.subset(rows[t])  # only the current session's records are held
-            if log is not None:
-                log.write(f"session={t} pairs={plan.sessions[t]} n={len(session)}\n")
-            state, z = train_session(state, session, memory, replace(tcfg, seed=session_seeds[t]), log=log)
-
-            data = session
-            if memory is not None:
-                data = concat_records(session, memory.records)
+            data = session if memory is None else concat_records(session, memory.records)
+            expand = np.setdiff1d(session.y, state.bank.class_ids) if baseline else np.unique(session.y)
+            if emit is not None:
+                emit("session", t=t, pairs=plan.sessions[t], n=len(session))
+            state, z = train_session(state, data, expand, replace(tcfg, seed=session_seeds[t]), emit=emit)
 
             row, seen_acc, class_domain_acc = seen_accuracies(
                 state.bank, state.params, test_pool, test_index, plan.sessions[: t + 1]
@@ -397,7 +406,7 @@ def run_experiment_full(cfg: RunConfig, out_dir=None) -> RunResult:
     finally:
         report.finish()
         if log is not None:
-            log.write(f"wall_clock_sec={time.perf_counter() - t_start:.3f}\n")
+            emit("wall_clock", sec=time.perf_counter() - t_start)
             log.close()
         if out_dir is not None:
             with open(os.path.join(out_dir, "report.json"), "w", encoding="utf-8") as fh:

@@ -203,6 +203,13 @@ def _draw_centers(rng: np.random.Generator, count: int, dim: int, min_angle_deg:
     """
     theta_min = np.deg2rad(min_angle_deg)
     max_dot = np.cos(theta_min)
+    # any n >= 2 unit vectors have a pair with dot >= -1/(n-1), in any dimension,
+    # and more than dim + 1 of them have a pair with dot >= 0 (Rankin 1955)
+    floors = ([-1.0 / (count - 1)] if count >= 2 else []) + ([0.0] if count > dim + 1 else [])
+    for floor in floors:
+        if max_dot + 1e-12 < floor:
+            raise ConfigError(f"cannot place {count} centers with pairwise separation >= {min_angle_deg} deg "
+                              f"in dimension {dim}: some pair is within {np.degrees(np.arccos(floor)):.2f} deg")
     for margin_deg in (0.5, 0.25, 0.1, 0.05, 0.02, 0.01, 0.005, 0.0):
         target = min(np.pi, theta_min + np.deg2rad(margin_deg))
         x = normalize_rows(rng.standard_normal((count, dim)))

@@ -1,10 +1,11 @@
 """Per-session hard-EM training loop.
 
-One session: keep the previous model as the teacher, expand the components
-of incoming classes, then alternate an epoch-level hard E-step (each
-example commits to its closest component within its class) with mini-batch
-SGD on the combined objective. After the last epoch every class is reduced and a final E-step
-produces assignments consistent with the reduced model.
+One session trains on the records its caller gives it: keep the previous
+model as the teacher, expand the classes the caller names, then alternate an
+epoch-level hard E-step (each example commits to its closest component
+within its class) with mini-batch SGD on the combined objective. After the
+last epoch every class is reduced and a final E-step produces assignments
+consistent with the reduced model.
 
 The backbone features of the session data are computed once per E-step
 that follows a layer update: the first forward also gives the teacher its
@@ -16,7 +17,8 @@ to matter once the class prediction that the assignments depend on has had
 time to stabilize.
 
 The objective is written once, in ``backbone.loss_and_grad``: ``clf_loss``
-and ``distill_loss`` read its terms over all the records of a dataset.
+and ``distill_loss`` read its terms over all the records of a dataset. The
+loop formats no text: its values go to an optional ``emit(kind, **values)``.
 """
 
 from __future__ import annotations
@@ -29,8 +31,7 @@ from . import backbone as bb
 from . import mixture as mx
 from . import structure as st
 from .config import check_ranges
-from .memory import MemoryBuffer
-from .streams import FeatureRecords, concat_records
+from .streams import FeatureRecords
 
 
 @dataclass
@@ -57,7 +58,6 @@ class TrainConfig:
     loss: LossConfig = field(default_factory=LossConfig)
     reduction: st.ReductionConfig = field(default_factory=st.ReductionConfig)
     m: int = 30
-    expand_existing: bool = True
     reduce_enabled: bool = True
     seed: int = 0
 
@@ -176,41 +176,31 @@ def _old_log_posteriors(snapshot: ModelState, feats: np.ndarray) -> np.ndarray:
 
 
 def train_session(
-    state: ModelState,
-    incoming: FeatureRecords,
-    memory: MemoryBuffer | None,
-    cfg: TrainConfig,
-    log=None,
+    state: ModelState, data: FeatureRecords, expand_classes, cfg: TrainConfig, emit=None
 ) -> tuple[ModelState, np.ndarray]:
-    """Run one full incremental session; the input state is never mutated.
+    """Run one full incremental session on ``data``; the input state is never mutated.
 
-    Returns the updated state and the final (post-reduction) assignments of
-    the incoming records followed by the memory records, one per record by
+    ``data`` is the session's training set (the incoming records, then any
+    replayed ones), and ``expand_classes`` the classes that get ``cfg.m``
+    fresh components before the first epoch. Returns the updated state and
+    the final (post-reduction) assignments of ``data``, one per record by
     position. Any error propagates and leaves the caller's state exactly as
-    it was.
+    it was. ``emit`` gets one "epoch" event per epoch and one "reduce" event
+    per class, each as it happens.
 
     No step writes into an array it is given: ``expand``, ``sgd_step`` and
     ``reduce`` each return new arrays. So the input state serves as the
     teacher as it is, without a copy, and stays intact whether the session
     succeeds or fails.
     """
-    if len(incoming) == 0:
-        raise ValueError("incoming session data must be nonempty")
+    if len(data) == 0:
+        raise ValueError("session data must be nonempty")
     params, bank = state.params, state.bank
     snapshot = state if bank.class_ids else None
 
     rng = np.random.default_rng(cfg.seed)
-    incoming_classes = np.unique(incoming.y).tolist()
-    if cfg.expand_existing:
-        to_expand = incoming_classes
-    else:
-        to_expand = [c for c in incoming_classes if c not in bank.class_ids]
-    if to_expand:
-        bank = st.expand(bank, to_expand, cfg.m, rng)
-
-    data = incoming
-    if memory is not None and len(memory) > 0:
-        data = concat_records(incoming, memory.records)
+    if len(expand_classes):
+        bank = st.expand(bank, expand_classes, cfg.m, rng)
 
     # a backbone rate of exactly 0 leaves the layers as they are, so their
     # gradient is not needed and their features stay valid all session
@@ -247,16 +237,13 @@ def train_session(
             params, bank = bb.sgd_step(
                 params, bank, grad, lr, cfg.loss.weight_decay, backbone_lr=backbone_lr
             )
-        if log is not None:
+        if emit is not None:
             # clf and dis are batch means over the epoch; reg is the end-of-epoch value
             clf = (sums["inter"] + lam * sums["intra"]) / n
             dis = sums["distill"] / n
             reg = reg_loss(bank)
             total = clf + cfg.loss.beta * dis + cfg.loss.eta * reg
-            log.write(
-                f"epoch={epoch} lambda={lam:.6f} lr={lr:.6g} clf={clf:.6f} "
-                f"dis={dis:.6f} reg={reg:.6f} total={total:.6f}\n"
-            )
+            emit("epoch", epoch=epoch, lam=lam, lr=lr, clf=clf, dis=dis, reg=reg, total=total)
 
     if feats is None:
         feats = bb.forward_batch(params, data.x)
@@ -264,13 +251,9 @@ def train_session(
         z = _e_step_array(bank, feats, data.y)
         counts, sums = st.collect_stats(bank, data.y, z, feats)
         bank, reduction = st.reduce(bank, counts, sums, cfg.reduction)
-        if log is not None:
-            for c in sorted(reduction):
-                rec = reduction[c]
-                log.write(
-                    f"reduce class={c} k_before={rec.k_before} k_after={rec.k_after} "
-                    f"merge_map={rec.merge_map}\n"
-                )
+        if emit is not None:
+            for c, rec in sorted(reduction.items()):
+                emit("reduce", class_id=c, k_before=rec.k_before, k_after=rec.k_after, merge_map=rec.merge_map)
 
     final = _e_step_array(bank, feats, data.y)
     return ModelState(params, bank), final

@@ -333,7 +333,8 @@ def test_criterion_5_reduction_sensitivity():
     loss = LossConfig(epochs=25, batch_size=64, lr=0.05, backbone_lr=0.0)
     for t in (0, 1):
         cfg = TrainConfig(loss=loss, m=30, seed=100 + t, reduce_enabled=False)
-        state, _ = train_session(state, train_pool.subset(rows[t]), None, cfg)
+        session = train_pool.subset(rows[t])
+        state, _ = train_session(state, session, np.unique(session.y), cfg)
     data = train_pool.subset(rows[1])
     z = _e_step_array(state.bank, forward_batch(state.params, data.x), data.y)
     feats = forward_batch(state.params, data.x)

@@ -25,7 +25,7 @@ from vmfcl.cli import main as cli_main
 from vmfcl.config import parse_sections
 from vmfcl.errors import ConfigError, DegenerateFeature, PurityUnavailable
 from vmfcl.memory import select_memory
-from vmfcl import bench, streams
+from vmfcl import bench, streams, trainer
 from vmfcl.streams import ROLE_TEST, FeatureRecords, SynthConfig, read_stream
 from vmfcl.structure import ReductionConfig
 from vmfcl.trainer import LossConfig
@@ -330,6 +330,69 @@ class TestRunExperiment:
         partial = json.loads((out / "report.json").read_text())
         assert partial["incomplete"] is True
 
+    @pytest.mark.parametrize("method, split, sessions", [
+        ("domain_aware", "ND", None), ("domain_aware", "NCD", 3), ("replay_baseline", "NCD", 3),
+    ])
+    def test_each_session_builds_one_training_set(self, monkeypatch, method, split, sessions):
+        # the records train_session gets are the very object purity and select_memory read
+        calls, concats = [], []
+        train_session, purity, select_memory = bench.train_session, bench.purity, bench.select_memory
+
+        def train(state, data, expand, cfg, emit=None):
+            calls.append({"data": data, "expand": np.asarray(expand).tolist(), "known": state.bank.class_ids})
+            return train_session(state, data, expand, cfg, emit)
+
+        def score(y, z, domains):
+            calls[-1]["purity_y"] = y
+            return purity(y, z, domains)
+
+        def select(bank, data, *args):
+            calls[-1]["selected_from"] = data
+            return select_memory(bank, data, *args)
+
+        def concat(*parts):
+            concats.append(None)
+            return streams.concat_records(*parts)
+
+        for name, fn in (("train_session", train), ("purity", score), ("select_memory", select),
+                         ("concat_records", concat)):
+            monkeypatch.setattr(bench, name, fn)
+        result = run_experiment_full(tiny_cfg(method=method, split=split, sessions=sessions))
+        plan = result.plan.sessions
+        assert len(calls) == len(plan) and len(concats) == len(plan) - 1  # the first has no memory
+        fewer = False
+        for call, pairs in zip(calls, plan):
+            assert call["purity_y"] is call["data"].y and call["selected_from"] is call["data"]
+            classes = sorted({c for c, _ in pairs})
+            if method == "replay_baseline":  # only the classes the bank lacks get their component
+                assert call["expand"] == [c for c in classes if c not in call["known"]]
+                fewer |= len(call["expand"]) < len(classes)
+            else:
+                assert call["expand"] == classes
+        assert fewer or method == "domain_aware"  # some baseline session brought a known class
+
+    def test_a_partial_train_log_is_a_prefix_of_the_full_one(self, tmp_path, monkeypatch):
+        # events are written as they happen: a run that raises mid-session keeps every line before it
+        cfg = tiny_cfg()  # ND, 2 sessions of 4 epochs, one reg_loss call per epoch
+        run_experiment_full(cfg, out_dir=str(tmp_path / "full"))
+        full = (tmp_path / "full" / "train.log").read_text().splitlines()
+        reg_loss, calls = trainer.reg_loss, []
+
+        def reg_then_raise(bank):
+            calls.append(None)
+            if len(calls) == 6:  # epoch 1 of the second session
+                raise RuntimeError("epoch log failed")
+            return reg_loss(bank)
+
+        monkeypatch.setattr(trainer, "reg_loss", reg_then_raise)
+        with pytest.raises(RuntimeError, match="epoch log failed"):
+            run_experiment_full(cfg, out_dir=str(tmp_path / "partial"))
+        partial = (tmp_path / "partial" / "train.log").read_text().splitlines()
+        timed = [i for i, line in enumerate(full + partial) if line.startswith("wall_clock_sec=")]
+        assert timed == [len(full) - 1, len(full) + len(partial) - 1]  # each file's last line
+        assert partial[:-1] == full[: len(partial) - 1]
+        assert partial[-2].startswith("epoch=0 ") and sum(l.startswith("session=") for l in partial) == 2
+
     @pytest.mark.parametrize("failing_call", [1, 2])
     def test_partial_report_when_memory_selection_raises(self, tmp_path, monkeypatch, failing_call):
         calls = []
@@ -365,8 +428,11 @@ class TestRunExperiment:
             tiny_cfg(split="XY").validate()
         with pytest.raises(ConfigError):
             tiny_cfg(synth=None).validate()
-        with pytest.raises(ConfigError):
-            RunConfig(split="NC", synth=SynthConfig(2, 1, 8, 30.0, 10, 5)).validate()
+        # the session count is make_splits's rule, checked when the run starts
+        no_count = RunConfig(split="NC", synth=SynthConfig(2, 1, 8, 30.0, 10, 5))
+        no_count.validate()
+        with pytest.raises(ConfigError, match="NC split requires an explicit session count"):
+            run_experiment_full(no_count)
         cfg = tiny_cfg(synth=None, train_path=str(tmp_path / "absent.vmfs"),
                        test_path=str(tmp_path / "absent2.vmfs"))
         with pytest.raises(ConfigError):
@@ -641,6 +707,18 @@ test = {out}/test.vmfs
         err = capsys.readouterr().err
         assert "has no test records" in err and "[(1, 0)]" in err
         assert not (out / "report.json").exists()
+
+    def test_nc_without_a_session_count_fails_the_run_but_not_synth(self, tmp_path, capsys):
+        # make_splits alone decides the session count, and synth never reads it
+        path = tmp_path / "nc.cfg"
+        path.write_text(config_with("run", "split", "NC"))  # CONFIG_TEXT sets no sessions
+        out = tmp_path / "x"
+        assert cli_main(["run", "--config", str(path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "config error" in err and "NC split requires an explicit session count" in err
+        assert not out.exists()  # rejected before the out dir is made
+        assert cli_main(["synth", "--config", str(path), "--out", str(tmp_path / "s")]) == 0
+        assert (tmp_path / "s" / "train.vmfs").is_file() and (tmp_path / "s" / "test.vmfs").is_file()
 
     @pytest.mark.parametrize("sessions", ["0", "-1", "-3"])
     def test_session_count_below_one_exit_code(self, tmp_path, capsys, sessions):

@@ -187,7 +187,7 @@ class TestSelectMemory:
         records.x[:] = normalize_rows(records.x)
         buf = select_memory(bank, records, z, 8, np.random.default_rng(20))
         path = tmp_path / "memory.vmfs"
-        from vmfcl.streams import read_stream, write_stream
+        from vmfcl.streams import concat_records, read_stream, write_stream
 
         write_stream(path, buf.records)
         reloaded = read_stream(path)
@@ -202,7 +202,7 @@ class TestSelectMemory:
         state = ModelState(init_params(4, 4, 0, np.random.default_rng(0)), ModelBank(4, 16.0))
         cfg = TrainConfig(loss=LossConfig(epochs=1, batch_size=16, lr=0.05, backbone_lr=0.0),
                           m=4, seed=1)
-        _, final = train_session(state, fresh, resumed, cfg)
+        _, final = train_session(state, concat_records(fresh, resumed.records), np.unique(fresh.y), cfg)
         assert len(final) == 10 + len(resumed)
 
     def test_buffer_over_budget_rejected(self):

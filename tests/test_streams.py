@@ -121,6 +121,25 @@ class TestGenerateSynthetic:
         with pytest.raises(ConfigError):
             generate_synthetic(cfg)
 
+    @pytest.mark.parametrize("count, dim, angle, bound", [
+        (12, 16, 120.0, "95.22"), (12, 16, 95.5, "95.22"), (12, 3, 95.0, "90.00"),
+    ])
+    def test_separation_past_a_packing_bound_raises_before_any_repair(self, count, dim, angle, bound):
+        # 12 unit vectors always have a pair within arccos(-1/11) = 95.22 deg, and
+        # more than dim + 1 of them a pair within 90 deg (Rankin)
+        rng = np.random.default_rng(0)
+        before = rng.bit_generator.state
+        with pytest.raises(ConfigError, match=rf"{count} centers .* dimension {dim}: some pair is within {bound} deg"):
+            streams._draw_centers(rng, count, dim, angle)
+        assert rng.bit_generator.state == before  # not one direction drawn
+
+    @pytest.mark.parametrize("count, dim, angle", [(12, 16, 95.0), (4, 3, 109.0), (3, 2, 119.0)])
+    def test_separation_inside_the_packing_bounds_still_places(self, count, dim, angle):
+        x = streams._draw_centers(np.random.default_rng(0), count, dim, angle)
+        dots = x @ x.T
+        np.fill_diagonal(dots, -1)
+        assert x.shape == (count, dim) and float(np.max(dots)) <= np.cos(np.deg2rad(angle)) + 1e-9
+
     def test_truncation_cap_respected(self):
         cfg = SynthConfig(2, 2, 8, 10.0, 200, 0, max_angle_deg=50.0, seed=10)
         train, _, centers = generate_synthetic(cfg)

@@ -10,8 +10,9 @@ import pytest
 from helpers import empty_records, make_bank
 
 from vmfcl.backbone import BackboneParams, forward_batch, init_params, loss_and_grad
+from vmfcl.bench import log_to
 from vmfcl.errors import ModelRegression, NumericalError, UnknownClass, VmfclError
-from vmfcl.memory import MemoryBuffer, select_memory
+from vmfcl.memory import select_memory
 from vmfcl.mixture import PREDICT_BLOCK_ROWS, ModelBank
 from vmfcl.streams import (
     ROLE_TRAIN,
@@ -372,7 +373,7 @@ class TestTrainSession:
 
     def test_purity_on_separated_stream(self):
         session, _ = synthetic_session()
-        state, z = train_session(self.base_state(), session, None, self.cfg())
+        state, z = train_session(self.base_state(), session, np.unique(session.y), self.cfg())
         recs = session
         from vmfcl.bench import purity
 
@@ -381,7 +382,7 @@ class TestTrainSession:
     def test_zero_epochs_leaves_params_untouched(self):
         session, _ = synthetic_session()
         state0 = self.base_state()
-        state, table = train_session(state0, session, None, self.cfg(epochs=0))
+        state, table = train_session(state0, session, np.unique(session.y), self.cfg(epochs=0))
         for (w0, b0), (w1, b1) in zip(state0.params.layers, state.params.layers):
             np.testing.assert_array_equal(w0, w1)
             np.testing.assert_array_equal(b0, b1)
@@ -391,7 +392,7 @@ class TestTrainSession:
 
     def test_final_assignments_are_reduced_model_fixed_point(self):
         session, _ = synthetic_session()
-        state, z = train_session(self.base_state(), session, None, self.cfg())
+        state, z = train_session(self.base_state(), session, np.unique(session.y), self.cfg())
         recs = session
         for k, y in zip(z, recs.y):
             assert 0 <= k < state.bank.mixtures[int(y)].num_components
@@ -399,23 +400,26 @@ class TestTrainSession:
 
     def test_deterministic_under_seed(self):
         session, _ = synthetic_session()
-        s1, t1 = train_session(self.base_state(), session, None, self.cfg())
-        s2, t2 = train_session(self.base_state(), session, None, self.cfg())
+        s1, t1 = train_session(self.base_state(), session, np.unique(session.y), self.cfg())
+        s2, t2 = train_session(self.base_state(), session, np.unique(session.y), self.cfg())
         np.testing.assert_array_equal(t1, t2)
         for c in s1.bank.class_ids:
             np.testing.assert_array_equal(s1.bank.mixtures[c].means, s2.bank.mixtures[c].means)
         for (w1, b1), (w2, b2) in zip(s1.params.layers, s2.params.layers):
             np.testing.assert_array_equal(w1, w2)
 
-    def second_session(self, backbone_lr, expand_existing=True):
-        """A trained state, its session's records and memory, and a config that trains
-        the layers at ``backbone_lr`` and distils; unless it expands the existing
+    def second_session(self, backbone_lr, expanding=True):
+        """A trained state, a second session's training set (its records, then the
+        memory's), the memory, the classes it expands and a config that trains the
+        layers at ``backbone_lr`` and distils; unless it expands the existing
         classes, the first step reads the input state's means themselves."""
         session, _ = synthetic_session()
-        state, z = train_session(self.base_state(), session, None, self.cfg(epochs=2))
+        state, z = train_session(self.base_state(), session, np.unique(session.y), self.cfg(epochs=2))
         memory = select_memory(state.bank, session, z, 20, np.random.default_rng(0))
         loss = LossConfig(epochs=3, batch_size=32, lr=0.05, backbone_lr=backbone_lr)
-        return state, session, memory, TrainConfig(loss=loss, m=5, expand_existing=expand_existing, seed=4)
+        data = concat_records(session, memory.records)
+        expand = np.unique(session.y) if expanding else []
+        return state, data, memory, expand, TrainConfig(loss=loss, m=5, seed=4)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_abort_leaves_state_bitwise_intact(self):
@@ -424,39 +428,39 @@ class TestTrainSession:
         state0 = self.base_state()
         before = state_arrays(state0)
         with pytest.raises(VmfclError):
-            train_session(state0, bad, None, self.cfg())
+            train_session(state0, bad, np.unique(bad.y), self.cfg())
         assert_state_equals(state0, before)
         assert state0.bank.mixtures == {}
         # a second session, from a non-empty bank with a teacher and memory: a bad
         # record fails on the first forward, a huge rate on the first means step
-        state, session, memory, cfg = self.second_session(backbone_lr=0.02)
+        state, data, memory, expand, cfg = self.second_session(backbone_lr=0.02)
         before = state_arrays(state)
         with pytest.raises(VmfclError):
-            train_session(state, bad, memory, cfg)
+            train_session(state, concat_records(bad, memory.records), expand, cfg)
         huge = TrainConfig(loss=LossConfig(epochs=3, batch_size=32, lr=1e300), m=5, seed=4)
         with pytest.raises(VmfclError):
-            train_session(state, session, memory, huge)
+            train_session(state, data, expand, huge)
         assert_state_equals(state, before)
 
-    @pytest.mark.parametrize("expand_existing", [True, False], ids=["expanding", "not-expanding"])
+    @pytest.mark.parametrize("expanding", [True, False], ids=["expanding", "not-expanding"])
     @pytest.mark.parametrize("backbone_lr", [0.02, 0.0], ids=["trained-backbone", "frozen-backbone"])
-    def test_success_leaves_state_bitwise_intact(self, backbone_lr, expand_existing):
+    def test_success_leaves_state_bitwise_intact(self, backbone_lr, expanding):
         # the input state is the session's teacher, read in place: no step may write to it
-        state, session, memory, cfg = self.second_session(backbone_lr, expand_existing)
+        state, data, _, expand, cfg = self.second_session(backbone_lr, expanding)
         before = state_arrays(state)
-        after, _ = train_session(state, session, memory, cfg)
+        after, _ = train_session(state, data, expand, cfg)
         assert_state_equals(state, before)
         assert not np.array_equal(after.bank.means, state.bank.means)
 
     def test_empty_session_rejected(self):
         empty = empty_records(8)
         with pytest.raises(ValueError):
-            train_session(self.base_state(), empty, None, self.cfg())
+            train_session(self.base_state(), empty, np.unique(empty.y), self.cfg())
 
     def test_epoch_log_lines(self):
         session, _ = synthetic_session()
         log = io.StringIO()
-        train_session(self.base_state(), session, None, self.cfg(epochs=3), log=log)
+        train_session(self.base_state(), session, np.unique(session.y), self.cfg(epochs=3), emit=log_to(log))
         lines = [l for l in log.getvalue().splitlines() if l.startswith("epoch=")]
         assert len(lines) == 3
         assert "lambda=" in lines[0] and "clf=" in lines[0] and "total=" in lines[0]
@@ -468,7 +472,7 @@ class TestTrainSession:
         import vmfcl.backbone
 
         session, _ = synthetic_session()
-        teacher, _ = train_session(self.base_state(), session, None, self.cfg(epochs=2))
+        teacher, _ = train_session(self.base_state(), session, np.unique(session.y), self.cfg(epochs=2))
         original = vmfcl.backbone.forward_batch
         rows = []
 
@@ -481,7 +485,8 @@ class TestTrainSession:
         for loss in losses:
             for state in (teacher, self.base_state()):
                 rows.clear()
-                train_session(state, session, None, TrainConfig(loss=loss, m=30, seed=3), log=io.StringIO())
+                cfg = TrainConfig(loss=loss, m=30, seed=3)
+                train_session(state, session, np.unique(session.y), cfg, emit=log_to(io.StringIO()))
                 out.append(rows.copy())
         return len(session), out
 
@@ -503,30 +508,28 @@ class TestTrainSession:
         assert rows == [[n]] * 4
 
     def test_epoch_log_matches_the_loss_oracles(self):
-        # with lr = 0 the model stays put, so the batch means an epoch line
+        # with lr = 0 the model stays put, so the batch means an epoch event
         # reports equal the full-data oracles on the returned state
         session, _ = synthetic_session()
-        teacher, _ = train_session(self.base_state(), session, None, self.cfg(epochs=2))
+        teacher, _ = train_session(self.base_state(), session, np.unique(session.y), self.cfg(epochs=2))
         loss = LossConfig(epochs=2, batch_size=32, lr=0.0, lambda_warmup_epochs=0)
         cfg = TrainConfig(loss=loss, m=3, reduce_enabled=False, seed=5)
-        log = io.StringIO()
-        state, z = train_session(teacher, session, None, cfg, log=log)
-        lines = [l for l in log.getvalue().splitlines() if l.startswith("epoch=")]
-        assert len(lines) == loss.epochs
+        events = []
+        state, z = train_session(teacher, session, np.unique(session.y), cfg,
+                                 emit=lambda kind, **values: events.append((kind, values)))
+        assert [kind for kind, _ in events] == ["epoch"] * loss.epochs
         recs = session
         clf = oracles.clf_loss(state.bank, state.params, recs, z, loss.lambda_max)
         dis = oracles.distill_loss(state.bank, state.params, teacher, recs)
         reg = oracles.reg_loss(state.bank)
         assert clf > 0 and reg != 0
-        for line in lines:
-            got = dict(kv.split("=") for kv in line.split())
-            assert list(got) == ["epoch", "lambda", "lr", "clf", "dis", "reg", "total"]
-            assert float(got["clf"]) == pytest.approx(clf, abs=1e-6)
-            assert float(got["dis"]) == pytest.approx(dis, abs=1e-6)
-            assert float(got["reg"]) == pytest.approx(reg, abs=1e-6)
-            assert float(got["total"]) == pytest.approx(
-                clf + loss.beta * dis + loss.eta * reg, abs=1e-6
-            )
+        for epoch, (_, got) in enumerate(events):
+            assert list(got) == ["epoch", "lam", "lr", "clf", "dis", "reg", "total"]
+            assert got["epoch"] == epoch and got["lam"] == loss.lambda_max and got["lr"] == 0.0
+            assert got["clf"] == pytest.approx(clf, rel=1e-9)
+            assert got["dis"] == pytest.approx(dis, rel=1e-9)
+            assert got["reg"] == pytest.approx(reg, rel=1e-9)
+            assert got["total"] == pytest.approx(clf + loss.beta * dis + loss.eta * reg, rel=1e-9)
 
     def test_intra_loss_non_increasing_frozen_backbone(self):
         # single class and eta = 0: full-batch GD descends the intra CE itself
@@ -553,8 +556,8 @@ class TestTrainSession:
         recs = session
         mem_records = recs.subset(np.arange(5))
         mem_records.ids = mem_records.ids + 100000  # distinct ids
-        memory = MemoryBuffer(10, mem_records, np.zeros(5, dtype=np.int64))
-        state, table = train_session(self.base_state(), session, memory, self.cfg(epochs=1))
+        data = concat_records(session, mem_records)
+        state, table = train_session(self.base_state(), data, np.unique(session.y), self.cfg(epochs=1))
         assert len(table) == len(recs) + 5
 
     def test_memory_records_sharing_ids_keep_their_own_assignments(self):
@@ -562,10 +565,9 @@ class TestTrainSession:
         # memory records may share ids; assignments go by position
         session, _ = synthetic_session()
         recs = session
-        memory = MemoryBuffer(10, recs.subset(np.arange(5)), np.zeros(5, dtype=np.int64))
-        state, z = train_session(self.base_state(), session, memory, self.cfg(epochs=1))
+        data = concat_records(recs, recs.subset(np.arange(5)))
+        state, z = train_session(self.base_state(), data, np.unique(recs.y), self.cfg(epochs=1))
         assert z.shape == (len(recs) + 5,)
-        data = concat_records(recs, memory.records)
         np.testing.assert_array_equal(z, e_step(state.bank, forward_batch(state.params, data.x), data.y))
 
     def test_assignment_count_must_match_records(self):
@@ -578,6 +580,6 @@ class TestTrainSession:
         session, _ = synthetic_session()
         loss = LossConfig(epochs=4, batch_size=32, lr=0.05, lambda_max=0.0, beta=0.0, eta=0.0,
                           backbone_lr=0.0)
-        cfg = TrainConfig(loss=loss, m=1, expand_existing=False, reduce_enabled=False, seed=3)
-        state, _ = train_session(self.base_state(), session, None, cfg)
+        cfg = TrainConfig(loss=loss, m=1, reduce_enabled=False, seed=3)
+        state, _ = train_session(self.base_state(), session, np.unique(session.y), cfg)
         assert all(m.num_components == 1 for m in state.bank.mixtures.values())
