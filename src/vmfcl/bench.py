@@ -186,8 +186,6 @@ def load_run_config(path) -> RunConfig:
     """Build a RunConfig from a config file; unknown keys are errors."""
     sections = cfgfile.parse_sections(path)
     cfgfile.check_schema(sections, _KEYS, path)
-    if "synth" in sections and "data" in sections:
-        raise ConfigError(f"{path}: [synth] and [data] are mutually exclusive")
     # keyword arguments of RunConfig (None) and of each dataclass whose section is present
     kwargs = {_SECTIONS[s][0]: {} for s in ("run", *sections) if s in _SECTIONS}
     for (section, key), (attr, f, kind) in _KEYS.items():
@@ -352,7 +350,7 @@ def run_experiment_full(cfg: RunConfig, out_dir=None) -> RunResult:
     # per class, which only the first session that brings the class expands (see below)
     baseline = cfg.method == "replay_baseline"
     loss_cfg = replace(cfg.loss, lambda_max=0.0, beta=0.0, eta=0.0) if baseline else cfg.loss
-    tcfg = TrainConfig(loss_cfg, cfg.reduction, m=1 if baseline else cfg.m, reduce_enabled=not baseline)
+    tcfg = TrainConfig(loss_cfg, None if baseline else cfg.reduction, m=1 if baseline else cfg.m)
 
     state = ModelState(
         init_params(input_dim, embed_dim, cfg.hidden_dim, np.random.default_rng(init_seed)),

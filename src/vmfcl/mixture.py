@@ -49,7 +49,6 @@ PREDICT_BLOCK_ROWS = 1024
 class ClassMixture:
     """A view of one class's vMF components: its rows of a bank's packed means."""
 
-    class_id: int
     means: np.ndarray  # (K, d)
 
     @property
@@ -180,7 +179,7 @@ class ModelBank:
     def mixtures(self) -> dict[int, ClassMixture]:
         """Per-class views of the packed rows, keyed by class id; not re-validated."""
         at = self.offsets.tolist()
-        return {c: ClassMixture(c, self.means[lo:hi]) for c, lo, hi in zip(self.class_ids, at, at[1:])}
+        return {c: ClassMixture(self.means[lo:hi]) for c, lo, hi in zip(self.class_ids, at, at[1:])}
 
     def with_means(self, means: np.ndarray) -> "ModelBank":
         """A bank with this one's classes and layout and new (K, d) means."""

@@ -151,8 +151,7 @@ def sample_vmf(rng: np.random.Generator, mu: np.ndarray, kappa: float, n: int) -
     if kappa < 0:
         raise ValueError(f"kappa must be nonnegative, got {kappa}")
     d = mu.shape[0]
-    if kappa == 0.0:
-        return normalize_rows(rng.standard_normal((n, d)))
+    # kappa = 0 needs no branch: b = 1 and x0 = c = 0 accept every w = 1 - 2z, the uniform marginal
     kappa = np.float64(kappa)  # 4 kappa^2 overflows to inf instead of raising OverflowError
     with np.errstate(all="ignore"):
         b = (-2.0 * kappa + np.sqrt(4.0 * kappa**2 + (d - 1) ** 2)) / (d - 1)
@@ -203,11 +202,13 @@ def _draw_centers(rng: np.random.Generator, count: int, dim: int, min_angle_deg:
     """
     theta_min = np.deg2rad(min_angle_deg)
     max_dot = np.cos(theta_min)
-    # any n >= 2 unit vectors have a pair with dot >= -1/(n-1), in any dimension,
-    # and more than dim + 1 of them have a pair with dot >= 0 (Rankin 1955)
+    # any n >= 2 unit vectors have a pair with dot >= -1/(n-1), in any dimension, more than
+    # dim + 1 of them a pair with dot >= 0 (Rankin 1955), and more than 2 * dim a pair with
+    # dot > 0: the best 2 * dim + 1 keep a worst dot of ~0.31 at dim 2, 0.21 at dim 3, ~0.1 up to
+    # dim 32, far past the 1e-12 slack; cos 90 deg rounds to 6.1e-17, so that rule compares degrees
     floors = ([-1.0 / (count - 1)] if count >= 2 else []) + ([0.0] if count > dim + 1 else [])
     for floor in floors:
-        if max_dot + 1e-12 < floor:
+        if max_dot + 1e-12 < floor or (floor == 0.0 and count > 2 * dim and min_angle_deg >= 90):
             raise ConfigError(f"cannot place {count} centers with pairwise separation >= {min_angle_deg} deg "
                               f"in dimension {dim}: some pair is within {np.degrees(np.arccos(floor)):.2f} deg")
     for margin_deg in (0.5, 0.25, 0.1, 0.05, 0.02, 0.01, 0.005, 0.0):
@@ -243,10 +244,7 @@ def _draw_centers(rng: np.random.Generator, count: int, dim: int, min_angle_deg:
 def _sample_cluster(rng, center, cfg: SynthConfig, out: np.ndarray):
     """Fill ``out`` (n, dim) with one cluster draw, optionally truncated to a cone around the center."""
     n = out.shape[0]
-    if cfg.max_angle_deg is None:
-        out[:] = sample_vmf(rng, center, cfg.kappa_true, n)
-        return
-    min_dot = np.cos(np.deg2rad(cfg.max_angle_deg))
+    min_dot = -np.inf if cfg.max_angle_deg is None else np.cos(np.deg2rad(cfg.max_angle_deg))
     have = 0
     for _ in range(1000):
         draw = sample_vmf(rng, center, cfg.kappa_true, n - have)
@@ -349,6 +347,8 @@ def make_splits(pool: FeatureRecords, mode: str, num_sessions: int | None, seed:
             f"{num_sessions} sessions, but the train pool has {len(pairs)} (class, domain) pairs "
             "and each session needs one of its own"
         )
+    if mode in ("ND", "NCD") and any(z < 0 for _, z in pairs):
+        raise ConfigError(f"{mode} requires known domain labels")
     rng = np.random.default_rng(seed)
     if mode == "NC":
         if len(classes) < num_sessions:
@@ -364,16 +364,12 @@ def make_splits(pool: FeatureRecords, mode: str, num_sessions: int | None, seed:
                 f"ND needs exactly one new domain per class per session: domain counts {sorted(counts)}, "
                 f"{num_sessions} sessions"
             )
-        if any(z < 0 for zs in grid.values() for z in zs):
-            raise ConfigError("ND requires known domain labels")
         perms = {c: [grid[c][i] for i in rng.permutation(num_sessions)] for c in classes}
         plan = [[(c, perms[c][s]) for c in classes] for s in range(num_sessions)]
     elif mode == "NCD":
         counts = {len(zs) for zs in grid.values()}
         if len(counts) != 1:
             raise ConfigError("NCD needs a uniform class x domain grid")
-        if any(z < 0 for zs in grid.values() for z in zs):
-            raise ConfigError("NCD requires known domain labels")
         n_domains = counts.pop()
         intro_span = num_sessions - n_domains + 1
         if intro_span < 1:

@@ -53,12 +53,11 @@ class LossConfig:
 
 @dataclass
 class TrainConfig:
-    """Everything one session needs beyond the data itself."""
+    """Everything one session needs beyond the data itself; ``reduction=None`` skips the reduction."""
 
     loss: LossConfig = field(default_factory=LossConfig)
-    reduction: st.ReductionConfig = field(default_factory=st.ReductionConfig)
+    reduction: st.ReductionConfig | None = field(default_factory=st.ReductionConfig)
     m: int = 30
-    reduce_enabled: bool = True
     seed: int = 0
 
 
@@ -202,9 +201,10 @@ def train_session(
     if len(expand_classes):
         bank = st.expand(bank, expand_classes, cfg.m, rng)
 
+    layer_lr = cfg.loss.lr if cfg.loss.backbone_lr is None else cfg.loss.backbone_lr
     # a backbone rate of exactly 0 leaves the layers as they are, so their
     # gradient is not needed and their features stay valid all session
-    frozen = (cfg.loss.lr if cfg.loss.backbone_lr is None else cfg.loss.backbone_lr) == 0.0
+    frozen = layer_lr == 0.0
     # the snapshot's layers are these layers until the first step: one forward serves both
     feats = bb.forward_batch(params, data.x)
     old_lp = None
@@ -221,7 +221,6 @@ def train_session(
         lam = lambda_at(epoch, cfg.loss)
         factor = _lr_factor(epoch, cfg.loss.epochs)
         lr = cfg.loss.lr * factor
-        backbone_lr = None if cfg.loss.backbone_lr is None else cfg.loss.backbone_lr * factor
         perm = rng.permutation(n)
         sums = dict.fromkeys(("inter", "intra", "distill"), 0.0)
         for start in range(0, n, cfg.loss.batch_size):
@@ -235,7 +234,7 @@ def train_session(
             for name in sums:
                 sums[name] += terms[name] * idx.size
             params, bank = bb.sgd_step(
-                params, bank, grad, lr, cfg.loss.weight_decay, backbone_lr=backbone_lr
+                params, bank, grad, lr, cfg.loss.weight_decay, backbone_lr=layer_lr * factor
             )
         if emit is not None:
             # clf and dis are batch means over the epoch; reg is the end-of-epoch value
@@ -247,7 +246,7 @@ def train_session(
 
     if feats is None:
         feats = bb.forward_batch(params, data.x)
-    if cfg.reduce_enabled:
+    if cfg.reduction is not None:
         z = _e_step_array(bank, feats, data.y)
         counts, sums = st.collect_stats(bank, data.y, z, feats)
         bank, reduction = st.reduce(bank, counts, sums, cfg.reduction)

@@ -332,7 +332,7 @@ def test_criterion_5_reduction_sensitivity():
     state = ModelState(init_params(16, 16, 0, np.random.default_rng(1)), ModelBank(16, 16.0))
     loss = LossConfig(epochs=25, batch_size=64, lr=0.05, backbone_lr=0.0)
     for t in (0, 1):
-        cfg = TrainConfig(loss=loss, m=30, seed=100 + t, reduce_enabled=False)
+        cfg = TrainConfig(loss=loss, m=30, seed=100 + t, reduction=None)
         session = train_pool.subset(rows[t])
         state, _ = train_session(state, session, np.unique(session.y), cfg)
     data = train_pool.subset(rows[1])

@@ -1,5 +1,5 @@
 """Every name the package exports, and every function, class and method it
-defines, has a caller outside the tests.
+defines, has a caller outside the tests, and every dataclass field a reader.
 
 A name counts as used when the name its object was defined under (so
 ``e_step`` is looked up as ``_e_step_array``) is read by code in a module
@@ -10,7 +10,8 @@ parsed source. Docstrings, comments and the name's own ``def`` or
 ``PATCHES`` in ``perfbench/tracing.py`` names the attribute it wraps in a
 string, and the benchmark calls it through that wrapper. Dunder methods are
 exempt, as the interpreter calls them. Code that no run, demo, tool or
-benchmark reads either gets such a caller or leaves the package.
+benchmark reads either gets such a caller or leaves the package. A field
+counts as read when code in those places loads an attribute of its name.
 """
 
 import ast
@@ -43,13 +44,15 @@ def patched_names() -> set[str]:
     raise AssertionError("perfbench/tracing.py assigns no PATCHES list")
 
 
-def caller_names() -> set[str]:
+def caller_trees() -> list[ast.AST]:
+    """The parsed modules that callers are read from (see the module docstring)."""
     package = [p for p in (ROOT / "src" / "vmfcl").glob("*.py") if p.name != "__init__.py"]
     outside = [p for d in ("demos", "tools", "perfbench") for p in (ROOT / d).rglob("*.py")]
-    names = set()
-    for path in package + outside:
-        names |= code_names(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
-    return names
+    return [ast.parse(path.read_text(encoding="utf-8"), filename=str(path)) for path in package + outside]
+
+
+def caller_names() -> set[str]:
+    return set().union(*map(code_names, caller_trees()))
 
 
 def unused_exports(names: set[str]) -> list[str]:
@@ -85,3 +88,34 @@ def test_every_definition_has_a_caller_outside_the_tests():
     assert len(defs) > 100  # the walk reached the package
     names = caller_names() | patched_names()
     assert [d for d in defs if d.rpartition(".")[2] not in names] == []
+
+
+# SessionReport's fields are the report's JSON contract: to_dict writes every one of
+# them through getattr, so no code reads them as attributes one by one.
+FIELD_RULE_EXEMPT = {"bench.SessionReport"}
+
+
+def dataclass_fields() -> list[str]:
+    """``module.Class.field`` of every field of every ``@dataclass`` class of ``src/vmfcl``."""
+    found = []
+    for path in sorted((ROOT / "src" / "vmfcl").glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            decorators = [d.func if isinstance(d, ast.Call) else d for d in getattr(node, "decorator_list", [])]
+            if isinstance(node, ast.ClassDef) and any(getattr(d, "id", None) == "dataclass" for d in decorators):
+                found += [f"{path.stem}.{node.name}.{f.target.id}" for f in node.body
+                          if isinstance(f, ast.AnnAssign) and isinstance(f.target, ast.Name)]
+    return found
+
+
+def attribute_reads() -> set[str]:
+    """The attribute names that the callers' code loads."""
+    return {node.attr for tree in caller_trees() for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+
+
+def test_every_dataclass_field_is_read_outside_the_tests():
+    found = dataclass_fields()
+    assert len(found) > 50  # the walk reached the package
+    reads = attribute_reads()
+    assert [f for f in found
+            if f.rpartition(".")[0] not in FIELD_RULE_EXEMPT and f.rpartition(".")[2] not in reads] == []

@@ -177,7 +177,7 @@ def test_from_packed_equals_a_fresh_pack(case, k, seed):
     sizes[i] = k
     rows = np.vstack([bank.means[: bank.offsets[i]], means, bank.means[bank.offsets[i + 1] :]])
     packed = ModelBank.from_packed(bank.dim, bank.kappa, BankLayout(bank.class_ids, sizes), rows)
-    mixtures = {m.class_id: m.means for m in bank.mixtures.values() if m.class_id != c}
+    mixtures = {k: m.means for k, m in bank.mixtures.items() if k != c}
     fresh = make_bank(bank.dim, bank.kappa, {**mixtures, c: means})
     assert packed.class_ids == fresh.class_ids
     assert same_bytes(packed.means, fresh.means)

@@ -57,11 +57,13 @@ class TestSampleVmf:
         assert angle < 5.0
 
     def test_kappa_zero_is_uniform(self):
-        rng = np.random.default_rng(3)
-        mu = np.zeros(3)
-        mu[0] = 1.0
-        s = sample_vmf(rng, mu, 0.0, 4000)
-        assert abs(float(np.mean(s @ mu))) < 0.05
+        # the uniform law's s.mu has mean 0 and second moment 1/d; an antipodally
+        # symmetric law that is not uniform passes the first check only
+        for d in (2, 3, 16):
+            mu = np.eye(d)[0]
+            t = sample_vmf(np.random.default_rng(3), mu, 0.0, 4000) @ mu
+            assert abs(float(np.mean(t))) < 0.05, d
+            assert abs(float(np.mean(t**2)) - 1.0 / d) < 0.02, d
 
     def test_works_on_circle(self):
         rng = np.random.default_rng(4)
@@ -123,17 +125,19 @@ class TestGenerateSynthetic:
 
     @pytest.mark.parametrize("count, dim, angle, bound", [
         (12, 16, 120.0, "95.22"), (12, 16, 95.5, "95.22"), (12, 3, 95.0, "90.00"),
+        (7, 3, 90.0, "90.00"), (5, 2, 90.0, "90.00"), (33, 16, 90.0, "90.00"),
     ])
     def test_separation_past_a_packing_bound_raises_before_any_repair(self, count, dim, angle, bound):
-        # 12 unit vectors always have a pair within arccos(-1/11) = 95.22 deg, and
-        # more than dim + 1 of them a pair within 90 deg (Rankin)
+        # 12 unit vectors always have a pair within arccos(-1/11) = 95.22 deg, more
+        # than dim + 1 of them a pair within 90 deg (Rankin), and more than 2 * dim
+        # a pair closer than 90 deg
         rng = np.random.default_rng(0)
         before = rng.bit_generator.state
         with pytest.raises(ConfigError, match=rf"{count} centers .* dimension {dim}: some pair is within {bound} deg"):
             streams._draw_centers(rng, count, dim, angle)
         assert rng.bit_generator.state == before  # not one direction drawn
 
-    @pytest.mark.parametrize("count, dim, angle", [(12, 16, 95.0), (4, 3, 109.0), (3, 2, 119.0)])
+    @pytest.mark.parametrize("count, dim, angle", [(12, 16, 95.0), (4, 3, 109.0), (3, 2, 119.0), (6, 3, 90.0)])
     def test_separation_inside_the_packing_bounds_still_places(self, count, dim, angle):
         x = streams._draw_centers(np.random.default_rng(0), count, dim, angle)
         dots = x @ x.T
@@ -267,6 +271,16 @@ class TestMakeSplits:
     def test_ncd_too_few_sessions(self):
         with pytest.raises(ConfigError):
             make_splits(small_pool(2, 4), "NCD", 3, seed=7)
+
+    @pytest.mark.parametrize("mode", ["NC", "ND", "NCD"])
+    def test_nd_and_ncd_need_known_domain_labels(self, mode):
+        pool = small_pool(2, 2)
+        pool.domain -= 1  # domains -1 (unknown) and 0: a uniform grid of two per class
+        if mode == "NC":
+            assert len(make_splits(pool, mode, 2, seed=8)[1]) == 2
+        else:
+            with pytest.raises(ConfigError, match=f"^{mode} requires known domain labels$"):
+                make_splits(pool, mode, 2, seed=8)
 
     def test_unknown_mode(self):
         with pytest.raises(ConfigError):

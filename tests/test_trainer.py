@@ -513,7 +513,7 @@ class TestTrainSession:
         session, _ = synthetic_session()
         teacher, _ = train_session(self.base_state(), session, np.unique(session.y), self.cfg(epochs=2))
         loss = LossConfig(epochs=2, batch_size=32, lr=0.0, lambda_warmup_epochs=0)
-        cfg = TrainConfig(loss=loss, m=3, reduce_enabled=False, seed=5)
+        cfg = TrainConfig(loss=loss, m=3, reduction=None, seed=5)
         events = []
         state, z = train_session(teacher, session, np.unique(session.y), cfg,
                                  emit=lambda kind, **values: events.append((kind, values)))
@@ -580,6 +580,6 @@ class TestTrainSession:
         session, _ = synthetic_session()
         loss = LossConfig(epochs=4, batch_size=32, lr=0.05, lambda_max=0.0, beta=0.0, eta=0.0,
                           backbone_lr=0.0)
-        cfg = TrainConfig(loss=loss, m=1, reduce_enabled=False, seed=3)
+        cfg = TrainConfig(loss=loss, m=1, reduction=None, seed=3)
         state, _ = train_session(self.base_state(), session, np.unique(session.y), cfg)
         assert all(m.num_components == 1 for m in state.bank.mixtures.values())
