@@ -263,26 +263,25 @@ def sgd_step(
     bank: ModelBank,
     grad: Gradient,
     lr: float,
-    weight_decay: float = 0.0,
-    backbone_lr: float | None = None,
+    weight_decay: float,
+    backbone_lr: float,
 ) -> tuple[BackboneParams, ModelBank]:
     """One SGD update; returns the new parameter and bank objects.
 
-    Layers take w <- w - lr_b * (g + weight_decay * w); mixture means take a
-    plain step and are re-projected to the unit sphere, in one buffer. Weight
-    decay never touches the means. ``backbone_lr`` overrides ``lr`` for the
-    layers only; at a layer rate of exactly 0 the backbone is frozen and
-    ``params`` itself is returned, so ``grad.layers`` may then be None.
+    Layers take w <- w - backbone_lr * (g + weight_decay * w); mixture means
+    take a plain step of rate ``lr`` and are re-projected to the unit sphere,
+    in one buffer. Weight decay never touches the means. At a layer rate of
+    exactly 0 the backbone is frozen and ``params`` itself is returned, so
+    ``grad.layers`` may then be None.
     Raises DegenerateFeature when a stepped mean is non-finite or zero.
     """
-    lr_b = lr if backbone_lr is None else backbone_lr
-    if lr_b == 0.0:
+    if backbone_lr == 0.0:
         new_params = params
     elif grad.layers is None:
         raise ValueError("a backbone step needs the layer gradient (with_layers=True)")
     else:
         new_params = BackboneParams([
-            (w - lr_b * (gw + weight_decay * w), b - lr_b * (gb + weight_decay * b))
+            (w - backbone_lr * (gw + weight_decay * w), b - backbone_lr * (gb + weight_decay * b))
             for (w, b), (gw, gb) in zip(params.layers, grad.layers)
         ])
     means = np.multiply(grad.means, lr)

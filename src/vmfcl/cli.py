@@ -21,7 +21,7 @@ from .backbone import forward_batch
 from .bench import METHODS, load_run_config, run_experiment_full
 from .errors import ConfigError, VmfclError
 from .mixture import PREDICT_BLOCK_ROWS
-from .streams import generate_synthetic, write_stream
+from .streams import ROLE_TEST, generate_synthetic, write_stream
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -67,7 +67,7 @@ def _cmd_synth(args) -> int:
     try:
         os.makedirs(args.out, exist_ok=True)
         write_stream(train_path, train)
-        write_stream(test_path, test)
+        write_stream(test_path, test, ROLE_TEST)
     except OSError as e:
         raise ConfigError(f"cannot write the output directory {args.out}: {e}") from None
     print(f"wrote {train_path} ({len(train)} records) and {test_path} ({len(test)} records)")

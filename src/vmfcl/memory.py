@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import InsufficientBudget
 from .mixture import ModelBank
-from .streams import ROLE_MEMORY, FeatureRecords
+from .streams import FeatureRecords
 
 
 @dataclass
@@ -103,6 +103,4 @@ def select_memory(
 
     idx = np.concatenate([np.zeros(0, np.int64), *picked])
     comps = np.concatenate([np.zeros(0, np.int64), *picked_comp])
-    subset = records.subset(idx)
-    subset.role = np.full(len(subset), ROLE_MEMORY, np.uint8)
-    return MemoryBuffer(budget, subset, comps)
+    return MemoryBuffer(budget, records.subset(idx), comps)

@@ -8,9 +8,12 @@ training time.
 VMFS file layout (all little-endian): magic "VMFS", u32 version, u32 dim,
 u64 record count, then per record u64 example id, u32 class, i32 domain
 (-1 = unknown), u8 role (0 train / 1 test / 2 memory) and dim float32
-feature entries. Payloads are float32 on disk, and a read keeps them
-float32: a pool is held once, at the precision its file gives. Synthetic
-pools are float64. Compute widens features with ``np.asarray(x,
+feature entries. ``write_stream`` writes one role for the whole file.
+``read_stream`` rejects a record with a role above 2 or a non-finite feature
+entry, and does not keep the role byte, as no run reads it: a record in
+memory is ``ids, x, y, domain``. Payloads are float32 on disk, and a read
+keeps them float32: a pool is held once, at the precision its file gives.
+Synthetic pools are float64. Compute widens features with ``np.asarray(x,
 dtype=np.float64)`` at the point of use, and float32 to float64 is exact, so
 a pool read from a file computes the same bits as that pool held in float64.
 ``FeatureRecords`` keeps a float32 or float64 ``x`` as it is given (any
@@ -21,8 +24,7 @@ drop an imaginary part.
 No full-size transient is held next to a pool: ``generate_synthetic`` draws
 each cluster into its slice of the preallocated pools, and ``write_stream``
 and ``read_stream`` encode and decode ``PREDICT_BLOCK_ROWS`` records at a
-time, the reader straight into the output columns. The reader rejects a
-record with a non-finite feature entry.
+time, the reader straight into the output columns.
 """
 
 from __future__ import annotations
@@ -53,16 +55,14 @@ class FeatureRecords:
     x: np.ndarray  # (n, d) float32 or float64
     y: np.ndarray  # (n,) int64 class labels
     domain: np.ndarray  # (n,) int32, -1 = unknown; evaluation-only
-    role: np.ndarray  # (n,) uint8
 
     def __post_init__(self):
         self.ids = _integer_column(self.ids, np.uint64, "example ids")
         self.x = _feature_matrix(self.x)
         self.y = _integer_column(self.y, np.int64, "class labels")
         self.domain = _integer_column(self.domain, np.int32, "domain labels")
-        self.role = _integer_column(self.role, np.uint8, "roles")
         n = self.ids.shape[0]
-        if self.x.ndim != 2 or any(a.shape[0] != n for a in (self.x, self.y, self.domain, self.role)):
+        if self.x.ndim != 2 or any(a.shape[0] != n for a in (self.x, self.y, self.domain)):
             raise ValueError("record columns must share their leading dimension")
 
     def __len__(self) -> int:
@@ -73,7 +73,7 @@ class FeatureRecords:
         return self.x.shape[1]
 
     def subset(self, idx) -> "FeatureRecords":
-        return FeatureRecords(self.ids[idx], self.x[idx], self.y[idx], self.domain[idx], self.role[idx])
+        return FeatureRecords(self.ids[idx], self.x[idx], self.y[idx], self.domain[idx])
 
 
 def _integer_column(values, dtype, name: str) -> np.ndarray:
@@ -110,7 +110,6 @@ def concat_records(*parts: FeatureRecords) -> FeatureRecords:
         np.vstack([p.x for p in parts]),
         np.concatenate([p.y for p in parts]),
         np.concatenate([p.domain for p in parts]),
-        np.concatenate([p.role for p in parts]),
     )
 
 
@@ -272,16 +271,16 @@ def generate_synthetic(cfg: SynthConfig):
     pair_class = np.repeat(np.arange(cfg.num_classes, dtype=np.int64), cfg.domains_per_class)
     pair_domain = np.tile(np.arange(cfg.domains_per_class, dtype=np.int32), cfg.num_classes)
 
-    def pool(per_pair: int, first_id: int, role: int) -> FeatureRecords:
+    def pool(per_pair: int, first_id: int) -> FeatureRecords:
         n = pair_class.size * per_pair
         return FeatureRecords(
             np.arange(first_id, first_id + n, dtype=np.uint64), np.empty((n, cfg.dim)),
-            np.repeat(pair_class, per_pair), np.repeat(pair_domain, per_pair), np.full(n, role, np.uint8),
+            np.repeat(pair_class, per_pair), np.repeat(pair_domain, per_pair),
         )
 
     tr, te = cfg.train_per_pair, cfg.test_per_pair
-    train = pool(tr, 0, ROLE_TRAIN)
-    test = pool(te, len(train), ROLE_TEST)
+    train = pool(tr, 0)
+    test = pool(te, len(train))
     for p, (c, z) in enumerate(zip(pair_class.tolist(), pair_domain.tolist())):
         _sample_cluster(rng, centers[c, z], cfg, train.x[p * tr : (p + 1) * tr])
         if te:
@@ -401,16 +400,20 @@ def _record_dtype(dim: int) -> np.dtype:
     return np.dtype([("id", "<u8"), ("y", "<u4"), ("z", "<i4"), ("role", "u1"), ("x", "<f4", (dim,))])
 
 
-def write_stream(path, records: FeatureRecords):
-    """Serialize records to a VMFS file (features quantized to float32).
+def write_stream(path, records: FeatureRecords, role: int = ROLE_TRAIN):
+    """Serialize records to a VMFS file (features quantized to float32), every record with ``role``.
 
     Records are encoded ``PREDICT_BLOCK_ROWS`` at a time into one reused
-    buffer, so writing holds no copy of the whole file.
+    buffer, so writing holds no copy of the whole file. A role outside 0-2
+    raises ValueError, as the reader would reject the file.
     """
+    if role not in (ROLE_TRAIN, ROLE_TEST, ROLE_MEMORY):
+        raise ValueError(f"role must be {ROLE_TRAIN}, {ROLE_TEST} or {ROLE_MEMORY}, got {role!r}")
     dim, n = records.dim, len(records)
     if n and (records.y.min() < 0 or records.y.max() > np.iinfo(np.uint32).max):
         raise ValueError("class labels must be nonnegative and fit in 32 bits")
     chunk = np.empty(min(n, PREDICT_BLOCK_ROWS), dtype=_record_dtype(dim))
+    chunk["role"] = role
     with open(path, "wb") as fh:
         fh.write(_HEADER.pack(STREAM_MAGIC, STREAM_VERSION, dim, n))
         for lo in range(0, n, PREDICT_BLOCK_ROWS):
@@ -419,7 +422,6 @@ def write_stream(path, records: FeatureRecords):
             part["id"] = records.ids[rows]
             part["y"] = records.y[rows]
             part["z"] = records.domain[rows]
-            part["role"] = records.role[rows]
             part["x"] = records.x[rows]
             fh.write(part)
 
@@ -429,10 +431,11 @@ def read_stream(path) -> FeatureRecords:
 
     The body is read ``PREDICT_BLOCK_ROWS`` records at a time into one reused
     buffer and decoded straight into the output columns, which are sized
-    from the file length; the features stay float32, as on disk. A record
-    with a non-finite feature entry is rejected at its offset, and a repeated
-    example id at the first record whose id an earlier record already has;
-    on a valid file the id check holds one sorted copy of the ids.
+    from the file length; the features stay float32, as on disk, and the
+    role byte is checked but not kept. A record with a role above
+    ``ROLE_MEMORY`` or a non-finite feature entry is rejected at its offset,
+    and a repeated example id at the first record whose id an earlier record
+    already has; on a valid file the id check holds one sorted copy of the ids.
     """
     with open(path, "rb") as fh:
         head = fh.read(_HEADER.size)
@@ -455,7 +458,7 @@ def read_stream(path) -> FeatureRecords:
             raise ParseError(f"record count mismatch: header says {count}, file holds {whole}")
         records = FeatureRecords(
             np.empty(count, np.uint64), np.empty((count, dim), np.float32), np.empty(count, np.int64),
-            np.empty(count, np.int32), np.empty(count, np.uint8),
+            np.empty(count, np.int32),
         )
         chunk = np.empty(min(count, PREDICT_BLOCK_ROWS), dtype=rec_dtype)
         for lo in range(0, count, PREDICT_BLOCK_ROWS):
@@ -464,14 +467,15 @@ def read_stream(path) -> FeatureRecords:
             if got < part.nbytes:  # the file shrank since it was sized
                 raise ParseError("truncated record", offset=_HEADER.size + (lo + got // size) * size)
             finite = np.isfinite(part["x"])
-            if not finite.all():  # a whole-chunk reduction first: the per-row one is slower
-                bad = lo + int(np.argmin(finite.all(axis=1)))
-                raise ParseError(f"non-finite feature in record {bad}", offset=_HEADER.size + bad * size)
+            known = part["role"] <= ROLE_MEMORY
+            if not (finite.all() and known.all()):  # whole-chunk reductions first: the per-row one is slower
+                i = int(np.argmin(known & finite.all(axis=1)))
+                what = "non-finite feature" if known[i] else f"role {part['role'][i]} (not 0, 1 or 2)"
+                raise ParseError(f"{what} in record {lo + i}", offset=_HEADER.size + (lo + i) * size)
             rows = slice(lo, lo + len(part))
             records.ids[rows] = part["id"]
             records.y[rows] = part["y"]
             records.domain[rows] = part["z"]
-            records.role[rows] = part["role"]
             records.x[rows] = part["x"]
     sorted_ids = np.sort(records.ids)
     if np.any(sorted_ids[1:] == sorted_ids[:-1]):  # only a bad file pays for locating the repeat

@@ -233,9 +233,7 @@ def train_session(
             )
             for name in sums:
                 sums[name] += terms[name] * idx.size
-            params, bank = bb.sgd_step(
-                params, bank, grad, lr, cfg.loss.weight_decay, backbone_lr=layer_lr * factor
-            )
+            params, bank = bb.sgd_step(params, bank, grad, lr, cfg.loss.weight_decay, layer_lr * factor)
         if emit is not None:
             # clf and dis are batch means over the epoch; reg is the end-of-epoch value
             clf = (sums["inter"] + lam * sums["intra"]) / n

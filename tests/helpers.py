@@ -1,5 +1,5 @@
-"""Test helpers: one way to build a bank, an empty record set, one-row calls of the batch
-functions, and a decoder of the VMFB snapshots that ``vmfcl run`` writes."""
+"""Test helpers: one way to build a bank, a record set, an empty record set, one-row calls of
+the batch functions, and a decoder of the VMFB snapshots that ``vmfcl run`` writes."""
 
 import struct
 from types import SimpleNamespace
@@ -20,11 +20,17 @@ def make_bank(dim: int, kappa: float, mixtures: dict) -> ModelBank:
     return ModelBank.from_packed(dim, kappa, BankLayout(ids, [len(b) for b in blocks]), means)
 
 
+def make_records(x, y, domain=-1, first_id: int = 0) -> FeatureRecords:
+    """Records of features ``x`` and labels ``y`` with ids ``first_id, first_id + 1, ...``;
+    ``domain`` is one label for every record or one per record."""
+    n = len(y)
+    domains = np.full(n, domain, np.int32) if np.ndim(domain) == 0 else domain
+    return FeatureRecords(np.arange(first_id, first_id + n, dtype=np.uint64), x, y, domains)
+
+
 def empty_records(dim: int) -> FeatureRecords:
     """Zero records of dimension ``dim``, each column of its stored dtype."""
-    return FeatureRecords(
-        np.zeros(0, np.uint64), np.zeros((0, dim)), np.zeros(0, np.int64), np.zeros(0, np.int32), np.zeros(0, np.uint8)
-    )
+    return make_records(np.zeros((0, dim)), np.zeros(0, np.int64))
 
 
 def predict_one(bank: ModelBank, v) -> int:

@@ -21,7 +21,7 @@ from helpers import make_bank
 from vmfcl.errors import ConfigError, DegenerateMerge, InsufficientBudget
 from vmfcl.memory import MemoryBuffer
 from vmfcl.mixture import ClassMixture, ModelBank
-from vmfcl.streams import ROLE_MEMORY, FeatureRecords
+from vmfcl.streams import FeatureRecords
 from vmfcl.vmf import ZERO_NORM_EPS, normalize, normalize_rows
 
 
@@ -198,6 +198,4 @@ def select_memory(
     else:
         idx = np.zeros(0, dtype=np.int64)
         comps = np.zeros(0, dtype=np.int64)
-    subset = records.subset(idx)
-    subset.role = np.full(len(subset), ROLE_MEMORY, np.uint8)
-    return MemoryBuffer(budget, subset, comps)
+    return MemoryBuffer(budget, records.subset(idx), comps)

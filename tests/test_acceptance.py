@@ -10,13 +10,13 @@ import time
 
 import numpy as np
 import pytest
-from helpers import assign_one, make_bank, predict_one
+from helpers import assign_one, make_bank, make_records, predict_one
 
 from vmfcl.backbone import BackboneParams, forward_batch, init_params, loss_and_grad
 from vmfcl.bench import RunConfig, load_run_config, run_experiment_full
 from vmfcl.memory import select_memory
 from vmfcl.mixture import ModelBank, log_posteriors
-from vmfcl.streams import ROLE_TRAIN, FeatureRecords, SynthConfig, generate_synthetic, make_splits
+from vmfcl.streams import SynthConfig, generate_synthetic, make_splits
 from vmfcl.structure import ReductionConfig, collect_stats, reduce as reduce_bank
 from vmfcl.trainer import LossConfig, ModelState, TrainConfig, _e_step_array, train_session
 from vmfcl.vmf import normalize, normalize_rows
@@ -228,10 +228,9 @@ def test_criterion_2_oracle_equivalence():
         d = 4
         n_classes = int(rng.integers(1, 6))
         mixtures = {}
-        ids, xs, ys, zs = [], [], [], []
+        xs, ys = [], []
         assigned = []
         supply = {}
-        next_id = 0
         for c in range(n_classes):
             k = int(rng.integers(1, 9))
             mixtures[c] = normalize_rows(rng.standard_normal((k, d)))
@@ -239,19 +238,13 @@ def test_criterion_2_oracle_equivalence():
                 cnt = int(rng.integers(0, 9))
                 supply[(c, kk)] = cnt
                 for _ in range(cnt):
-                    ids.append(next_id)
                     assigned.append(kk)
                     xs.append(rng.standard_normal(d))
                     ys.append(c)
-                    zs.append(-1)
-                    next_id += 1
-        if next_id == 0 or next_id > 200:
+        if not ys or len(ys) > 200:
             continue
         bank = make_bank(d, 16.0, mixtures)
-        records = FeatureRecords(
-            np.array(ids, np.uint64), np.array(xs), np.array(ys),
-            np.array(zs, np.int32), np.full(next_id, ROLE_TRAIN, np.uint8),
-        )
+        records = make_records(np.array(xs), np.array(ys))
         budget = int(rng.integers(n_classes, 40))
         buf = select_memory(bank, records, np.array(assigned), budget, np.random.default_rng(trial))
         base, rem = divmod(budget, n_classes)
@@ -262,7 +255,7 @@ def test_criterion_2_oracle_equivalence():
             assert got_class.get(c, 0) == min(quota, class_supply), trial
         chosen = buf.records.ids.tolist()
         assert len(set(chosen)) == len(chosen)
-        assert set(chosen) <= set(ids)
+        assert set(chosen) <= set(records.ids.tolist())
         checked += 1
 
     elapsed = time.perf_counter() - t0

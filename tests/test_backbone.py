@@ -211,7 +211,7 @@ class TestSgdStep:
         from vmfcl.backbone import Gradient
 
         grad = Gradient([(np.array([[2.0, 0.0]]), np.zeros(1))], np.zeros((1, 2)))
-        new_params, _ = sgd_step(params, bank, grad, lr=0.1, weight_decay=0.0)
+        new_params, _ = sgd_step(params, bank, grad, lr=0.1, weight_decay=0.0, backbone_lr=0.1)
         assert new_params.layers[0][0][0, 0] == pytest.approx(0.8)
 
     def test_weight_decay(self):
@@ -219,7 +219,7 @@ class TestSgdStep:
         from vmfcl.backbone import Gradient
 
         grad = Gradient([(np.zeros((1, 2)), np.zeros(1))], np.zeros((1, 2)))
-        new_params, _ = sgd_step(params, bank, grad, lr=0.1, weight_decay=0.0005)
+        new_params, _ = sgd_step(params, bank, grad, lr=0.1, weight_decay=0.0005, backbone_lr=0.1)
         assert new_params.layers[0][0][0, 0] == pytest.approx(0.99995)
 
     def test_means_projected_back_to_sphere(self):
@@ -227,7 +227,7 @@ class TestSgdStep:
         from vmfcl.backbone import Gradient
 
         grad = Gradient([(np.zeros((1, 2)), np.zeros(1))], np.array([[0.4, -1.2]]))
-        _, new_bank = sgd_step(params, bank, grad, lr=1.0, weight_decay=0.0)
+        _, new_bank = sgd_step(params, bank, grad, lr=1.0, weight_decay=0.0, backbone_lr=1.0)
         np.testing.assert_allclose(np.linalg.norm(new_bank.mixtures[0].means, axis=1), 1.0, atol=1e-12)
 
     def test_projection_no_op_on_unit_result(self):
@@ -236,7 +236,7 @@ class TestSgdStep:
 
         # step lands exactly on (0.8, 0.6): already unit, projection keeps it
         grad = Gradient([(np.zeros((1, 2)), np.zeros(1))], np.array([[0.2, -0.6]]))
-        _, new_bank = sgd_step(params, bank, grad, lr=1.0, weight_decay=0.0)
+        _, new_bank = sgd_step(params, bank, grad, lr=1.0, weight_decay=0.0, backbone_lr=1.0)
         np.testing.assert_allclose(new_bank.mixtures[0].means, [[0.8, 0.6]], atol=1e-15)
 
     def test_backbone_lr_zero_freezes_layers(self):
@@ -260,7 +260,7 @@ class TestSgdStep:
             p, bk = params, bank
             for _ in range(5):
                 _, grad, _ = loss_and_grad(p, bk, x, y, zhat, lam=0.05, beta=0.0, eta=0.1)
-                p, bk = sgd_step(p, bk, grad, lr=0.05, weight_decay=0.0005)
+                p, bk = sgd_step(p, bk, grad, lr=0.05, weight_decay=0.0005, backbone_lr=0.05)
             return p, bk
 
         p1, b1 = run_twice()

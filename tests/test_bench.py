@@ -9,7 +9,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from helpers import decode_snapshot, empty_records, forward_one, make_bank, predict_one
+from helpers import decode_snapshot, empty_records, forward_one, make_bank, make_records, predict_one
 
 import vmfcl
 from vmfcl.backbone import BackboneParams
@@ -26,7 +26,7 @@ from vmfcl.config import parse_sections
 from vmfcl.errors import ConfigError, DegenerateFeature, PurityUnavailable
 from vmfcl.memory import select_memory
 from vmfcl import bench, streams, trainer
-from vmfcl.streams import ROLE_TEST, FeatureRecords, SynthConfig, read_stream
+from vmfcl.streams import SynthConfig, read_stream
 from vmfcl.structure import ReductionConfig
 from vmfcl.trainer import LossConfig
 
@@ -34,16 +34,6 @@ REPORT_KEYS = {
     "per_session_acc", "avg_inc_acc", "final_acc", "forgetting",
     "purity_per_session", "components_per_class", "seed", "config_echo",
 }
-
-
-def tiny_records(x, y, domains=None):
-    n = len(y)
-    if domains is None:
-        domains = np.full(n, -1, np.int32)
-    return FeatureRecords(
-        np.arange(n, dtype=np.uint64), np.asarray(x, float), np.asarray(y),
-        np.asarray(domains, np.int32), np.full(n, ROLE_TEST, np.uint8),
-    )
 
 
 def data_files(tmp_path, synth, keep):
@@ -77,12 +67,12 @@ class TestAccuracy:
 
     def test_all_correct(self):
         bank = make_bank(2, 16.0, {0: np.eye(2)[:1], 1: np.eye(2)[1:]})
-        recs = tiny_records(np.array([[5.0, 0.1], [0.1, 5.0]]), np.array([0, 1]))
+        recs = make_records(np.array([[5.0, 0.1], [0.1, 5.0]]), np.array([0, 1]))
         assert accuracy(bank, self.identity(2), recs) == 100.0
 
     def test_perfectly_wrong(self):
         bank = make_bank(2, 16.0, {0: np.eye(2)[:1], 1: np.eye(2)[1:]})
-        recs = tiny_records(np.array([[5.0, 0.1], [0.1, 5.0]]), np.array([1, 0]))
+        recs = make_records(np.array([[5.0, 0.1], [0.1, 5.0]]), np.array([1, 0]))
         assert accuracy(bank, self.identity(2), recs) == 0.0
 
     def test_matches_hand_count(self):
@@ -94,7 +84,7 @@ class TestAccuracy:
         })
         x = rng.standard_normal((60, 3))
         y = rng.integers(0, 3, size=60)
-        recs = tiny_records(x, y)
+        recs = make_records(x, y)
 
         hits = sum(predict_one(bank, forward_one(self.identity(3), xi)) == yi for xi, yi in zip(x, y))
         assert accuracy(bank, self.identity(3), recs) == pytest.approx(100.0 * hits / 60)
@@ -769,7 +759,7 @@ test = {out}/test.vmfs
         x = np.where(y == 0, 1.0, -1.0)[:, None][:, :dim]  # the 0-sphere, or no coordinates at all
         tr, te = tmp_path / "tr.vmfs", tmp_path / "te.vmfs"
         for path in (tr, te):
-            write_stream(path, tiny_records(x, y, np.zeros(len(y), np.int32)))
+            write_stream(path, make_records(x, y, 0))
         embed = "" if embed_dim is None else f"embed_dim = {embed_dim}\n"
         path = tmp_path / "data.cfg"
         path.write_text(

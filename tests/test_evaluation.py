@@ -12,7 +12,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from helpers import make_bank
+from helpers import make_bank, make_records
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import pair_subset
@@ -21,7 +21,7 @@ import vmfcl.bench as bench
 from vmfcl.backbone import init_params
 from vmfcl.bench import RunConfig, accuracy, seen_accuracies
 from vmfcl.mixture import PREDICT_BLOCK_ROWS
-from vmfcl.streams import ROLE_TEST, FeatureRecords, SynthConfig, pair_index
+from vmfcl.streams import SynthConfig, pair_index
 from vmfcl.structure import ReductionConfig
 from vmfcl.trainer import LossConfig
 from vmfcl.vmf import normalize_rows
@@ -57,8 +57,7 @@ def cases(draw):
     y = np.array([c for c, _ in picks], dtype=np.int64)
     domain = np.array([z for _, z in picks], dtype=np.int32)
     m = len(picks)
-    pool = FeatureRecords(np.arange(m, dtype=np.uint64), rng.standard_normal((m, d + 2)), y, domain,
-                          np.full(m, ROLE_TEST, np.uint8))
+    pool = make_records(rng.standard_normal((m, d + 2)), y, domain)
     return bank, params, pool, sessions
 
 
@@ -89,8 +88,7 @@ def test_evaluation_memory_does_not_grow_with_the_seen_set(hidden_dim):
     params = init_params(d, d, hidden_dim, rng)
     y = rng.integers(0, 4, size=n)
     domain = rng.integers(0, 2, size=n).astype(np.int32)
-    pool = FeatureRecords(np.arange(n, dtype=np.uint64), rng.standard_normal((n, d)), y, domain,
-                          np.full(n, ROLE_TEST, np.uint8))
+    pool = make_records(rng.standard_normal((n, d)), y, domain)
     sessions = [[(c, z) for c in classes for z in range(2)] for classes in ((0, 1), (2, 3))]
 
     tracemalloc.start()

@@ -14,7 +14,7 @@ import struct
 import tempfile
 
 import numpy as np
-from helpers import decode_snapshot, make_bank
+from helpers import decode_snapshot, make_bank, make_records
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
@@ -72,13 +72,8 @@ def every_single_corruption(raw: bytes):
 
 STREAM = _file_bytes(
     write_stream,
-    FeatureRecords(
-        np.arange(5, dtype=np.uint64),
-        np.arange(15, dtype=np.float64).reshape(5, 3) - 7.0,
-        np.array([0, 1, 2, 0, 1]),
-        np.array([0, 0, 1, -1, 2], dtype=np.int32),
-        np.array([0, 1, 2, 0, 1], dtype=np.uint8),
-    ),
+    make_records(np.arange(15, dtype=np.float64).reshape(5, 3) - 7.0, np.array([0, 1, 2, 0, 1]),
+                 np.array([0, 0, 1, -1, 2], dtype=np.int32)),
 )
 
 
@@ -118,18 +113,16 @@ def record_sets(draw):
         draw(hnp.arrays(np.float64, (n, d), elements=FLOATS)),
         np.array(draw(st.lists(st.integers(0, 2**32 - 1), min_size=n, max_size=n)), dtype=np.int64),
         np.array(draw(st.lists(st.integers(-(2**31), 2**31 - 1), min_size=n, max_size=n)), dtype=np.int32),
-        np.array(draw(st.lists(st.integers(0, 255), min_size=n, max_size=n)), dtype=np.uint8),
     )
 
 
 @settings(max_examples=200, deadline=None, database=None)
-@given(record_sets())
-def test_stream_round_trip(records):
-    loaded = _round_trip(write_stream, read_stream, records)
+@given(record_sets(), st.integers(0, 2))
+def test_stream_round_trip(records, role):
+    loaded = _round_trip(write_stream, read_stream, records, role)
     np.testing.assert_array_equal(loaded.ids, records.ids)
     np.testing.assert_array_equal(loaded.y, records.y)
     np.testing.assert_array_equal(loaded.domain, records.domain)
-    np.testing.assert_array_equal(loaded.role, records.role)
     np.testing.assert_array_equal(loaded.x, records.x.astype("<f4"))
 
 

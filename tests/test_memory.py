@@ -2,12 +2,11 @@
 
 import numpy as np
 import pytest
-from helpers import make_bank
+from helpers import make_bank, make_records
 
 from vmfcl.errors import InsufficientBudget
 from vmfcl.memory import MemoryBuffer, select_memory
 from vmfcl.mixture import ModelBank
-from vmfcl.streams import ROLE_MEMORY, ROLE_TRAIN, FeatureRecords
 from vmfcl.vmf import normalize_rows
 
 
@@ -19,23 +18,16 @@ def build_case(rng, class_components, per_component):
     """
     d = 4
     mixtures = {}
-    ids, xs, ys, zs = [], [], [], []
-    next_id = 0
+    xs, ys, zs = [], [], []
     for c, k_c in class_components.items():
         mixtures[c] = normalize_rows(rng.standard_normal((k_c, d)))
         for k in range(k_c):
             for _ in range(per_component.get((c, k), 0)):
-                ids.append(next_id)
                 xs.append(rng.standard_normal(d))
                 ys.append(c)
                 zs.append(k)
-                next_id += 1
     bank = make_bank(d, 16.0, mixtures)
-    n = len(ids)
-    records = FeatureRecords(
-        np.array(ids, np.uint64), np.array(xs), np.array(ys),
-        np.array(zs, np.int32), np.full(n, ROLE_TRAIN, np.uint8),
-    )
+    records = make_records(np.array(xs), np.array(ys), np.array(zs, np.int32))
     return bank, records, np.array(zs, np.int64)
 
 
@@ -105,7 +97,6 @@ class TestSelectMemory:
         chosen = buf.records.ids.tolist()
         assert len(set(chosen)) == len(chosen)
         assert set(chosen) <= set(records.ids.tolist())
-        assert np.all(buf.records.role == ROLE_MEMORY)
 
     def test_identical_seeds_identical_selections(self):
         rng = np.random.default_rng(15)
@@ -180,18 +171,18 @@ class TestSelectMemory:
         np.testing.assert_array_equal(a.records.x, b.records.x)
 
     def test_buffer_resumes_through_stream_file(self, tmp_path):
-        # cross-process resumption: persist the buffer in the VMFS format
-        # with the memory role flag, reload, and train on it
+        # cross-process resumption: persist the buffer in a VMFS file of
+        # the memory role, reload, and train on it
         rng = np.random.default_rng(19)
         bank, records, z = build_case(rng, {0: 1, 1: 1}, {(0, 0): 20, (1, 0): 20})
         records.x[:] = normalize_rows(records.x)
         buf = select_memory(bank, records, z, 8, np.random.default_rng(20))
         path = tmp_path / "memory.vmfs"
-        from vmfcl.streams import concat_records, read_stream, write_stream
+        from vmfcl.streams import ROLE_MEMORY, concat_records, read_stream, write_stream
 
-        write_stream(path, buf.records)
+        write_stream(path, buf.records, ROLE_MEMORY)
         reloaded = read_stream(path)
-        assert np.all(reloaded.role == ROLE_MEMORY)
+        np.testing.assert_array_equal(reloaded.ids, buf.records.ids)
         resumed = MemoryBuffer(8, reloaded, np.zeros(len(reloaded), np.int64))
 
         from vmfcl.backbone import init_params
@@ -206,18 +197,12 @@ class TestSelectMemory:
         assert len(final) == 10 + len(resumed)
 
     def test_buffer_over_budget_rejected(self):
-        records = FeatureRecords(
-            np.arange(3, dtype=np.uint64), np.zeros((3, 2)), np.zeros(3, np.int64),
-            np.full(3, -1, np.int32), np.full(3, ROLE_MEMORY, np.uint8),
-        )
+        records = make_records(np.zeros((3, 2)), np.zeros(3, np.int64))
         with pytest.raises(ValueError):
             MemoryBuffer(2, records, np.zeros(3, np.int64))
 
     def test_components_misaligned_with_records_rejected(self):
-        records = FeatureRecords(
-            np.arange(3, dtype=np.uint64), np.zeros((3, 2)), np.zeros(3, np.int64),
-            np.full(3, -1, np.int32), np.full(3, ROLE_MEMORY, np.uint8),
-        )
+        records = make_records(np.zeros((3, 2)), np.zeros(3, np.int64))
         for components in (np.zeros(2, np.int64), np.zeros(4, np.int64), np.zeros((3, 1), np.int64)):
             with pytest.raises(ValueError, match="one component per record"):
                 MemoryBuffer(5, records, components)

@@ -18,13 +18,12 @@ exact tie must go to the lowest class id or component index.
 import numpy as np
 import oracles
 import pytest
-from helpers import make_bank
+from helpers import make_bank, make_records
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vmfcl.backbone import forward_batch, init_params, loss_and_grad, sgd_step
 from vmfcl.mixture import assign_components_batch, predict_batch
-from vmfcl.streams import ROLE_TRAIN, FeatureRecords
 from vmfcl.structure import expand
 from vmfcl.trainer import (
     ModelState,
@@ -81,17 +80,11 @@ def teacher_log_post(teacher: ModelState, x) -> np.ndarray:
     return _old_log_posteriors(teacher, forward_batch(teacher.params, x))
 
 
-def records(x, y) -> FeatureRecords:
-    n = len(y)
-    return FeatureRecords(np.arange(n, dtype=np.uint64), x, y, np.full(n, -1, np.int32),
-                          np.full(n, ROLE_TRAIN, np.uint8))
-
-
 @settings(max_examples=200, deadline=None, database=None)
 @given(cases())
 def test_packed_terms_match_the_per_class_oracles(case):
     bank, teacher, params, x, y, z = case
-    recs = records(x, y)
+    recs = make_records(x, y)
     old_lp = None if teacher is None else (teacher.bank, teacher_log_post(teacher, x))
     _, _, terms = loss_and_grad(params, bank, x, y, z, lam=1.0, beta=1.0, eta=1.0, old_log_post=old_lp)
     inter = oracles.clf_loss(bank, params, recs, z, 0.0)
@@ -107,7 +100,7 @@ def test_packed_terms_match_the_per_class_oracles(case):
 @given(cases(), st.sampled_from([0.0, 0.1, 1.0]))
 def test_trainer_losses_are_the_packed_terms_bit_for_bit(case, lam):
     bank, teacher, params, x, y, z = case
-    recs = records(x, y)
+    recs = make_records(x, y)
     old_lp = None if teacher is None else (teacher.bank, teacher_log_post(teacher, x))
     _, _, terms = loss_and_grad(params, bank, x, y, z, lam=lam, beta=1.0, eta=0.0, old_log_post=old_lp)
     assert clf_loss(bank, params, recs, z, lam) == terms["inter"] + lam * terms["intra"]
@@ -120,7 +113,7 @@ def test_packed_sgd_step_is_a_per_class_normalized_update(case, lr):
     bank, teacher, params, x, y, z = case
     old_lp = None if teacher is None else (teacher.bank, teacher_log_post(teacher, x))
     _, grad, _ = loss_and_grad(params, bank, x, y, z, lam=0.1, beta=1.0, eta=0.1, old_log_post=old_lp)
-    _, new_bank = sgd_step(params, bank, grad, lr)
+    _, new_bank = sgd_step(params, bank, grad, lr, 0.0, lr)
     assert new_bank.class_ids == bank.class_ids
     np.testing.assert_array_equal(new_bank.offsets, bank.offsets)
     for i, c in enumerate(bank.class_ids):

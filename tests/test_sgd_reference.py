@@ -115,17 +115,18 @@ def test_sgd_step_matches_the_reference_byte_for_byte(case, lr, backbone_lr, wei
     params, bank, x, y, z, coef, old_lp = case
     _, grad, _ = ref.loss_and_grad(params, bank, x, y, z, old_log_post=old_lp, **coef)
     want_params, want_bank = ref.sgd_step(params, bank, grad, lr, weight_decay, backbone_lr)
-    new_params, new_bank = sgd_step(params, bank, grad, lr, weight_decay, backbone_lr)
+    layer_lr = lr if backbone_lr is None else backbone_lr  # the reference's None is the means' rate
+    new_params, new_bank = sgd_step(params, bank, grad, lr, weight_decay, layer_lr)
     assert same_bytes(new_bank.means, want_bank.means)
     assert new_bank.layout is bank.layout
     for (w, b), (rw, rb) in zip(new_params.layers, want_params.layers):
         assert same_bytes(w, rw) and same_bytes(b, rb)
-    if (lr if backbone_lr is None else backbone_lr) == 0.0:
+    if layer_lr == 0.0:
         assert new_params is params
         # the frozen step needs no layer gradient
         _, frozen, _ = loss_and_grad(params, bank, x, y, z, old_log_post=old_lp, with_layers=False,
                                      **coef)
-        frozen_params, frozen_bank = sgd_step(params, bank, frozen, lr, weight_decay, backbone_lr)
+        frozen_params, frozen_bank = sgd_step(params, bank, frozen, lr, weight_decay, layer_lr)
         assert frozen_params is params
         assert same_bytes(frozen_bank.means, want_bank.means)
 
@@ -161,7 +162,7 @@ def test_frozen_gradient_cannot_train_the_backbone():
     x, y, z = rng.standard_normal((5, 4)), np.zeros(5, np.int64), np.zeros(5, np.int64)
     _, grad, _ = loss_and_grad(params, bank, x, y, z, 0.1, 0.0, 0.1, with_layers=False)
     with pytest.raises(ValueError):
-        sgd_step(params, bank, grad, 0.1)
+        sgd_step(params, bank, grad, 0.1, 0.0, 0.1)
 
 
 @settings(max_examples=100, deadline=None, database=None)

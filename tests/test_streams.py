@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from helpers import empty_records
+from helpers import empty_records, make_records
 from oracles import pair_subset
 
 from vmfcl import streams
@@ -96,7 +96,6 @@ class TestGenerateSynthetic:
             for z in range(2):
                 assert int(np.sum((train.y == c) & (train.domain == z))) == 100
         assert centers.shape == (2, 2, 5)
-        assert np.all(train.role == ROLE_TRAIN) and np.all(test.role == ROLE_TEST)
 
     def test_ids_globally_unique(self):
         cfg = SynthConfig(3, 2, 4, 20.0, 50, 20, seed=6)
@@ -189,7 +188,7 @@ class TestGenerateSynthetic:
 
 
 def record_bytes(records: FeatureRecords) -> int:
-    return sum(a.nbytes for a in (records.ids, records.x, records.y, records.domain, records.role))
+    return sum(a.nbytes for a in (records.ids, records.x, records.y, records.domain))
 
 
 def traced_peak(fn, *args):
@@ -288,8 +287,7 @@ class TestMakeSplits:
 
     def test_labels_two_to_the_32_apart_are_two_pairs(self):
         # labels that differ by a multiple of 2**32 are distinct classes
-        pool = FeatureRecords(np.arange(2, dtype=np.uint64), np.eye(2), np.array([0, 2**32]),
-                              np.zeros(2, np.int32), np.zeros(2, np.uint8))
+        pool = make_records(np.eye(2), np.array([0, 2**32]), 0)
         plan, rows = make_splits(pool, "NC", 2, 0)
         assert sorted(plan.sessions) == [[(0, 0)], [(2**32, 0)]]
         assert sorted(pool.subset(r).y.tolist() for r in rows) == [[0], [2**32]]
@@ -300,7 +298,7 @@ class TestMakeSplits:
             n = int(rng.integers(1, 40))
             y = rng.choice([0, 1, 2**32, 2**32 + 1, -(2**40), 2**62], n)
             domain = rng.choice([-1, 0, 3, 2**31 - 1, -(2**31)], n).astype(np.int32)
-            pool = FeatureRecords(np.arange(n, dtype=np.uint64), np.zeros((n, 2)), y, domain, np.zeros(n, np.uint8))
+            pool = make_records(np.zeros((n, 2)), y, domain)
             n_pairs = len(set(zip(y.tolist(), domain.tolist())))
             try:  # NC may still want more classes, but not more pairs
                 make_splits(pool, "NC", n_pairs, 0)
@@ -347,9 +345,8 @@ DOMAINS = st.sampled_from([-(2**31), -1, 0, 3, 2**31 - 1])
 def pair_pool(pairs) -> FeatureRecords:
     """One record per listed (class, domain) pair, in list order."""
     n = len(pairs)
-    return FeatureRecords(np.arange(n, dtype=np.uint64), np.arange(2.0 * n).reshape(n, 2),
-                          np.array([c for c, _ in pairs], dtype=np.int64),
-                          np.array([z for _, z in pairs], dtype=np.int32), np.zeros(n, np.uint8))
+    return make_records(np.arange(2.0 * n).reshape(n, 2), np.array([c for c, _ in pairs], dtype=np.int64),
+                        np.array([z for _, z in pairs], dtype=np.int32))
 
 
 @settings(max_examples=200, deadline=None, database=None)
@@ -425,7 +422,6 @@ def random_records(rng, n=1000, d=6):
         x,
         rng.integers(0, 5, size=n),
         rng.integers(-1, 4, size=n).astype(np.int32),
-        rng.integers(0, 3, size=n).astype(np.uint8),
     )
 
 
@@ -440,7 +436,6 @@ class TestStreamFiles:
         np.testing.assert_array_equal(back.x, records.x)
         np.testing.assert_array_equal(back.y, records.y)
         np.testing.assert_array_equal(back.domain, records.domain)
-        np.testing.assert_array_equal(back.role, records.role)
 
     def test_double_round_trip_identical_bytes(self, tmp_path):
         rng = np.random.default_rng(21)
@@ -516,20 +511,14 @@ class TestStreamFiles:
         assert len(read_stream(path)) == 0
 
     def test_negative_class_label_rejected_on_write(self, tmp_path):
-        records = FeatureRecords(
-            np.arange(1, dtype=np.uint64), np.zeros((1, 2)), np.array([-4]),
-            np.zeros(1, np.int32), np.zeros(1, np.uint8),
-        )
+        records = make_records(np.zeros((1, 2)), np.array([-4]), 0)
         with pytest.raises(ValueError):
             write_stream(tmp_path / "neg.vmfs", records)
 
     def test_class_label_beyond_32_bits_rejected_on_write(self, tmp_path):
         # a u32 field would keep only the low bits: 2**32 + 7 would read back as class 7
         for y, fits in ((2**32 - 1, True), (2**32, False), (2**32 + 7, False)):
-            records = FeatureRecords(
-                np.arange(1, dtype=np.uint64), np.zeros((1, 2)), np.array([y]),
-                np.zeros(1, np.int32), np.zeros(1, np.uint8),
-            )
+            records = make_records(np.zeros((1, 2)), np.array([y]), 0)
             path = tmp_path / f"{y}.vmfs"
             if fits:
                 write_stream(path, records)
@@ -552,10 +541,19 @@ class TestStreamFiles:
     def test_memory_role_round_trip(self, tmp_path):
         rng = np.random.default_rng(25)
         records = random_records(rng, n=10)
-        records.role[:] = ROLE_MEMORY
         path = tmp_path / "mem.vmfs"
-        write_stream(path, records)
-        assert np.all(read_stream(path).role == ROLE_MEMORY)
+        write_stream(path, records, ROLE_MEMORY)
+        back = read_stream(path)
+        np.testing.assert_array_equal(back.ids, records.ids)
+        np.testing.assert_array_equal(back.x, records.x)
+
+    @pytest.mark.parametrize("role", [3, 255, -1, None])
+    def test_role_outside_0_to_2_rejected_on_write(self, tmp_path, role):
+        # the reader would reject the file, so the writer does not make it
+        path = tmp_path / "bad.vmfs"
+        with pytest.raises(ValueError, match="role"):
+            write_stream(path, random_records(np.random.default_rng(28), n=3), role)
+        assert not path.exists()
 
     def test_concat_preserves_order(self):
         rng = np.random.default_rng(26)
@@ -573,13 +571,11 @@ def record_size(d: int) -> int:
     return 8 + 4 + 4 + 1 + 4 * d
 
 
-def whole_file_bytes(records: FeatureRecords) -> bytes:
-    """The VMFS encoding of ``records`` built as one record array, the layout's definition."""
+def whole_file_bytes(records: FeatureRecords, role: int) -> bytes:
+    """The VMFS encoding of ``records`` with ``role``, built as one record array, the layout's definition."""
     n, d = len(records), records.dim
     arr = np.empty(n, np.dtype([("id", "<u8"), ("y", "<u4"), ("z", "<i4"), ("role", "u1"), ("x", "<f4", (d,))]))
-    arr["id"], arr["y"], arr["z"], arr["role"], arr["x"] = (
-        records.ids, records.y, records.domain, records.role, records.x
-    )
+    arr["id"], arr["y"], arr["z"], arr["role"], arr["x"] = records.ids, records.y, records.domain, role, records.x
     return b"VMFS" + (1).to_bytes(4, "little") + d.to_bytes(4, "little") + n.to_bytes(8, "little") + arr.tobytes()
 
 
@@ -588,17 +584,18 @@ class TestStreamChunks:
     def test_round_trip_across_chunk_boundaries(self, tmp_path, n):
         records = random_records(np.random.default_rng(n), n=n, d=3)
         path = tmp_path / "s.vmfs"
-        write_stream(path, records)
-        assert path.read_bytes() == whole_file_bytes(records)
+        for role in (ROLE_TEST, ROLE_MEMORY, ROLE_TRAIN):
+            write_stream(path, records, role)
+            assert path.read_bytes() == whole_file_bytes(records, role)
         back = read_stream(path)
-        for name in ("ids", "x", "y", "domain", "role"):
+        for name in ("ids", "x", "y", "domain"):
             got, want = getattr(back, name), getattr(records, name)
             if name == "x":  # a read keeps the file's float32
                 want = want.astype(np.float32)
             assert got.dtype == want.dtype and got.shape == want.shape, name
             np.testing.assert_array_equal(got, want)
 
-    def write_pool(self, tmp_path, ids=None, x_edits=()):
+    def write_pool(self, tmp_path, ids=None, x_edits=(), roles=None):
         records = random_records(np.random.default_rng(30), n=2 * B + 3, d=3)
         records.ids = np.arange(len(records), dtype=np.uint64)
         for row, value in (ids or {}).items():
@@ -607,6 +604,10 @@ class TestStreamChunks:
             records.x[row, col] = value
         path = tmp_path / "pool.vmfs"
         write_stream(path, records)
+        raw = bytearray(path.read_bytes())
+        for row, value in (roles or {}).items():  # the role byte follows the id, class and domain
+            raw[20 + row * record_size(3) + 16] = value
+        path.write_bytes(bytes(raw))
         return path
 
     # the reported record is the first one whose id already appeared earlier in the file
@@ -651,6 +652,23 @@ class TestStreamChunks:
             read_stream(path)
         assert err.value.offset == 20 + row * record_size(3)
 
+    @pytest.mark.parametrize("value", [3, 0x7F, 0xFF])
+    @pytest.mark.parametrize("row", [0, B + 2])
+    def test_role_above_2_rejected_at_its_record(self, tmp_path, value, row):
+        # a second bad record later in the file is not the one reported
+        path = self.write_pool(tmp_path, roles={row: value, 2 * B + 1: 3})
+        with pytest.raises(ParseError, match=f"role {value} ") as err:
+            read_stream(path)
+        assert err.value.offset == 20 + row * record_size(3)
+
+    @pytest.mark.parametrize("first", ["role", "feature"])
+    def test_the_first_bad_record_of_a_chunk_is_reported(self, tmp_path, first):
+        rows = {"role": B + 2, "feature": B + 9} if first == "role" else {"role": B + 9, "feature": B + 2}
+        path = self.write_pool(tmp_path, roles={rows["role"]: 3}, x_edits=[(rows["feature"], 0, np.inf)])
+        with pytest.raises(ParseError, match="role 3" if first == "role" else "non-finite") as err:
+            read_stream(path)
+        assert err.value.offset == 20 + (B + 2) * record_size(3)
+
     def test_reading_holds_the_output_two_chunks_and_the_id_sort(self, tmp_path):
         n, d = 20_000, 16
         path = tmp_path / "big.vmfs"
@@ -671,7 +689,7 @@ class TestFeatureRecords:
     @staticmethod
     def columns(**kw):
         cols = dict(ids=np.arange(1, dtype=np.uint64), x=np.zeros((1, 2)), y=np.zeros(1, np.int64),
-                    domain=np.zeros(1, np.int32), role=np.zeros(1, np.uint8))
+                    domain=np.zeros(1, np.int32))
         cols.update(kw)
         return cols
 
@@ -680,8 +698,7 @@ class TestFeatureRecords:
         ("ids", np.array([-1])),
         ("domain", np.array([2**32 + 5])),
         ("y", np.array([2**63], dtype=np.uint64)),
-        ("role", np.array([300])),
-    ], ids=["negative-id", "domain-beyond-int32", "label-beyond-int64", "role-beyond-uint8"])
+    ], ids=["negative-id", "domain-beyond-int32", "label-beyond-int64"])
     def test_out_of_range_cast_rejected(self, column, value):
         with pytest.raises(ValueError, match="must lie in"):
             FeatureRecords(**self.columns(**{column: value}))
@@ -690,7 +707,7 @@ class TestFeatureRecords:
         with pytest.raises(ValueError, match="class labels"):
             FeatureRecords(**self.columns(y=np.array([np.nan])))
 
-    @pytest.mark.parametrize("column", ["ids", "y", "domain", "role"])
+    @pytest.mark.parametrize("column", ["ids", "y", "domain"])
     def test_fractional_value_rejected(self, column):
         # a cast would truncate 1.5 to 1
         with pytest.raises(ValueError, match="whole numbers"):
@@ -699,11 +716,10 @@ class TestFeatureRecords:
 
     def test_in_range_casts_keep_their_values(self):
         r = FeatureRecords(np.array([0, 2**40]), np.zeros((2, 2)), np.array([3, 2**63 - 1], np.uint64),
-                           np.array([-(2**31), 2**31 - 1]), np.array([0, 255]))
+                           np.array([-(2**31), 2**31 - 1]))
         assert r.ids.dtype == np.uint64 and r.ids.tolist() == [0, 2**40]
         assert r.y.dtype == np.int64 and r.y.tolist() == [3, 2**63 - 1]
         assert r.domain.dtype == np.int32 and r.domain.tolist() == [-(2**31), 2**31 - 1]
-        assert r.role.dtype == np.uint8 and r.role.tolist() == [0, 255]
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_float32_and_float64_features_are_kept_as_they_are(self, dtype):

@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 from vmfcl import memory, structure
 from vmfcl.errors import DegenerateMerge
 from vmfcl.mixture import ModelBank
-from vmfcl.streams import ROLE_TRAIN, FeatureRecords
+from vmfcl.streams import FeatureRecords
 from vmfcl.vmf import normalize_rows
 
 
@@ -97,7 +97,7 @@ def sessions(draw):
     kappa = draw(st.sampled_from([0.0, 16.0]))
     records = FeatureRecords(
         rng.integers(0, max(1, len(y) // 2), size=len(y)).astype(np.uint64),  # shared ids
-        x, y, rng.integers(-1, 3, size=len(y)).astype(np.int32), np.full(len(y), ROLE_TRAIN, np.uint8),
+        x, y, rng.integers(-1, 3, size=len(y)).astype(np.int32),
     )
     cfg = structure.ReductionConfig(
         delta=draw(st.sampled_from([0.05, 0.3, 0.7, 1.0, 1.5, 1.95])),
@@ -155,7 +155,7 @@ def test_memory_selection_equals_the_reference(case, budget, seed):
     assert [w.category for w in got_warned] == [w.category for w in want_warned]
     assert got.budget == want.budget
     assert same_bytes(got.components, want.components)
-    for name in ("ids", "x", "y", "domain", "role"):
+    for name in ("ids", "x", "y", "domain"):
         assert same_bytes(getattr(got.records, name), getattr(want.records, name)), name
 
 

@@ -7,20 +7,14 @@ import tracemalloc
 import numpy as np
 import oracles
 import pytest
-from helpers import empty_records, make_bank
+from helpers import empty_records, make_bank, make_records
 
 from vmfcl.backbone import BackboneParams, forward_batch, init_params, loss_and_grad
 from vmfcl.bench import log_to
 from vmfcl.errors import ModelRegression, NumericalError, UnknownClass, VmfclError
 from vmfcl.memory import select_memory
 from vmfcl.mixture import PREDICT_BLOCK_ROWS, ModelBank
-from vmfcl.streams import (
-    ROLE_TRAIN,
-    FeatureRecords,
-    SynthConfig,
-    concat_records,
-    generate_synthetic,
-)
+from vmfcl.streams import SynthConfig, concat_records, generate_synthetic
 from vmfcl.structure import ReductionConfig
 from vmfcl.trainer import (
     _e_step_array as e_step,
@@ -39,16 +33,6 @@ from vmfcl.vmf import normalize, normalize_rows
 
 def identity_backbone(d: int) -> BackboneParams:
     return BackboneParams([(np.eye(d), np.zeros(d))])
-
-
-def records_from(x, y, domains=None) -> FeatureRecords:
-    n = len(y)
-    if domains is None:
-        domains = np.full(n, -1, np.int32)
-    return FeatureRecords(
-        np.arange(n, dtype=np.uint64), np.asarray(x, dtype=float), np.asarray(y),
-        np.asarray(domains, dtype=np.int32), np.full(n, ROLE_TRAIN, np.uint8),
-    )
 
 
 class TestLambdaAt:
@@ -78,13 +62,13 @@ class TestLambdaAt:
 class TestEStep:
     def test_feature_on_mean_assigned_there(self):
         bank = make_bank(2, 16.0, {0: np.eye(2)})
-        recs = records_from(np.array([[0.0, 5.0]]), np.array([0]))
+        recs = make_records(np.array([[0.0, 5.0]]), np.array([0]))
         z = e_step(bank, forward_batch(identity_backbone(2), recs.x), recs.y)
         assert z.tolist() == [1]
 
     def test_equidistant_tie_goes_to_first(self):
         bank = make_bank(2, 16.0, {0: np.eye(2)})
-        recs = records_from(np.array([[1.0, 1.0], [2.0, 2.0]]), np.array([0, 0]))
+        recs = make_records(np.array([[1.0, 1.0], [2.0, 2.0]]), np.array([0, 0]))
         z = e_step(bank, forward_batch(identity_backbone(2), recs.x), recs.y)
         assert z.tolist() == [0, 0]
 
@@ -96,7 +80,7 @@ class TestEStep:
         x = np.vstack([sample_vmf(rng, centers[0], 16.0, 50), sample_vmf(rng, centers[1], 16.0, 50)])
         true = np.repeat([0, 1], 50)
         bank = make_bank(8, 16.0, {0: centers})
-        recs = records_from(x, np.zeros(100, dtype=int))
+        recs = make_records(x, np.zeros(100, dtype=int))
         got = e_step(bank, forward_batch(identity_backbone(8), recs.x), recs.y)
         agreement = max(np.mean(got == true), np.mean(got == 1 - true))
         assert agreement == 1.0
@@ -104,7 +88,7 @@ class TestEStep:
     def test_fixed_point(self):
         rng = np.random.default_rng(41)
         bank = make_bank(4, 16.0, {0: normalize_rows(rng.standard_normal((3, 4)))})
-        recs = records_from(rng.standard_normal((30, 4)), np.zeros(30, dtype=int))
+        recs = make_records(rng.standard_normal((30, 4)), np.zeros(30, dtype=int))
         params = identity_backbone(4)
         first = e_step(bank, forward_batch(params, recs.x), recs.y)
         second = e_step(bank, forward_batch(params, recs.x), recs.y)
@@ -130,13 +114,13 @@ class TestLossTerms:
 
     def test_single_class_inter_is_zero(self):
         bank = make_bank(2, 16.0, {0: np.eye(2)})
-        recs = records_from(np.array([[1.0, 0.2]]), np.array([0]))
+        recs = make_records(np.array([[1.0, 0.2]]), np.array([0]))
         assert clf_loss(bank, identity_backbone(2), recs, [0], lam=0.0) == pytest.approx(0.0)
 
     def test_matches_posterior_composition(self):
         bank, params = self.setup_bank()
         x = normalize_rows(np.array([[0.9, 0.1], [-0.5, -0.6]]))
-        recs = records_from(x, np.array([0, 1]))
+        recs = make_records(x, np.array([0, 1]))
         z = [1, 0]
         lam = 0.1
         expected = 0.0
@@ -153,18 +137,18 @@ class TestLossTerms:
 
     def test_certain_assignment_kills_intra_term(self):
         bank = make_bank(2, 16.0, {0: np.array([[1.0, 0.0]])})
-        recs = records_from(np.array([[1.0, 0.0]]), np.array([0]))
+        recs = make_records(np.array([[1.0, 0.0]]), np.array([0]))
         assert clf_loss(bank, identity_backbone(2), recs, [0], lam=0.7) == pytest.approx(0.0)
 
     def test_distill_zero_for_identical_models(self):
         bank, params = self.setup_bank()
         snap = ModelState(params, bank)
-        recs = records_from(normalize_rows(np.array([[0.3, 0.9], [-0.8, 0.1]])), np.array([0, 1]))
+        recs = make_records(normalize_rows(np.array([[0.3, 0.9], [-0.8, 0.1]])), np.array([0, 1]))
         assert distill_loss(bank, params, snap, recs) == pytest.approx(0.0, abs=1e-12)
 
     def test_distill_zero_without_snapshot(self):
         bank, params = self.setup_bank()
-        recs = records_from(np.array([[1.0, 0.0]]), np.array([0]))
+        recs = make_records(np.array([[1.0, 0.0]]), np.array([0]))
         assert distill_loss(bank, params, None, recs) == 0.0
 
     def test_distill_direct_kl_value(self):
@@ -179,7 +163,7 @@ class TestLossTerms:
         same = normalize([0.7, 0.7])
         old = make_bank(2, kappa, {0: np.vstack([same, same])})
         snap = ModelState(identity_backbone(2), old)
-        recs = records_from(v[None, :], np.array([0]))
+        recs = make_records(v[None, :], np.array([0]))
         q = np.array([0.9, 0.1])
         expected = float(np.sum(q * np.log(q / 0.5)))
         assert distill_loss(cur, identity_backbone(2), snap, recs) == pytest.approx(expected, abs=1e-9)
@@ -192,7 +176,7 @@ class TestLossTerms:
         # current model inherited both components and gained an expansion one
         cur = make_bank(2, kappa, {0: np.vstack([old_means, normalize([0.0, 1.0])])})
         snap = ModelState(identity_backbone(2), old)
-        recs = records_from(v[None, :], np.array([0]))
+        recs = make_records(v[None, :], np.array([0]))
         # identical inherited block and identical features: KL must vanish
         assert distill_loss(cur, identity_backbone(2), snap, recs) == pytest.approx(0.0, abs=1e-12)
 
@@ -200,7 +184,7 @@ class TestLossTerms:
         bank, params = self.setup_bank()
         old = make_bank(2, 16.0, {9: np.eye(2)[:1]})
         snap = ModelState(params, old)
-        recs = records_from(np.array([[1.0, 0.0]]), np.array([0]))
+        recs = make_records(np.array([[1.0, 0.0]]), np.array([0]))
         with pytest.raises(ModelRegression):
             distill_loss(bank, params, snap, recs)
 
@@ -251,7 +235,7 @@ class TestLossTerms:
     def test_overall_composition(self):
         # the training loss is clf + beta * distillation + eta * regularization
         bank, params = self.setup_bank()
-        recs = records_from(normalize_rows(np.array([[0.9, 0.2], [-0.7, -0.6]])), np.array([0, 1]))
+        recs = make_records(normalize_rows(np.array([[0.9, 0.2], [-0.7, -0.6]])), np.array([0, 1]))
         z = e_step(bank, forward_batch(params, recs.x), recs.y)
         snap = ModelState(params, bank)
         lam, beta, eta = 0.1, 1.0, 0.1
@@ -267,7 +251,7 @@ class TestLossTerms:
 
     def test_overall_without_terms_equals_clf(self):
         bank, params = self.setup_bank()
-        recs = records_from(normalize_rows(np.array([[0.9, 0.2]])), np.array([0]))
+        recs = make_records(normalize_rows(np.array([[0.9, 0.2]])), np.array([0]))
         z = e_step(bank, forward_batch(params, recs.x), recs.y)
         got, _, _ = loss_and_grad(params, bank, recs.x, recs.y, z, lam=0.05, beta=0.0, eta=0.0)
         assert got == pytest.approx(oracles.clf_loss(bank, params, recs, z, 0.05))
@@ -288,7 +272,7 @@ class TestLossTerms:
         snap = ModelState(params, old)
         x = rng.standard_normal((12, 5))
         y = rng.integers(0, 3, size=12)
-        recs = records_from(x, y)
+        recs = make_records(x, y)
         z = e_step(bank, forward_batch(params, recs.x), recs.y)
         lam, beta, eta = 0.08, 1.0, 0.1
         scalar = (
@@ -542,7 +526,7 @@ class TestTrainSession:
         y = np.zeros(80, dtype=int)
         bank = make_bank(6, 16.0, {0: normalize_rows(rng.standard_normal((4, 6)))})
         params = identity_backbone(6)
-        recs = records_from(x, y)
+        recs = make_records(x, y)
         z = e_step(bank, forward_batch(params, recs.x), recs.y)
         values = []
         for _ in range(50):
@@ -572,7 +556,7 @@ class TestTrainSession:
 
     def test_assignment_count_must_match_records(self):
         bank = make_bank(2, 16.0, {0: np.eye(2)})
-        recs = records_from(np.array([[1.0, 0.0], [0.0, 1.0]]), np.array([0, 0]))
+        recs = make_records(np.array([[1.0, 0.0], [0.0, 1.0]]), np.array([0, 0]))
         with pytest.raises(ValueError):
             clf_loss(bank, identity_backbone(2), recs, [0], lam=0.1)
 
