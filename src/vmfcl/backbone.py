@@ -105,7 +105,7 @@ def loss_and_grad(
     ``reg``; the loss is ``inter + lam * intra + beta * distill + eta * reg``.
     A term whose coefficient is 0 is not evaluated and reads 0.
 
-    ``old_log_post`` is the previous-session bank (only its layout is read)
+    ``old_log_post`` is the previous-session bank (only its class blocks are read)
     and its (n, K_old) component log posteriors for this batch, columns in
     that bank's row order. Each of its classes is compared with the leading
     components the current mixture inherited; when absent or beta = 0 the
@@ -113,8 +113,8 @@ def loss_and_grad(
 
     Every term is a segment reduction over the packed (n, K) scores, so a
     batch costs a fixed number of array operations whatever the class count.
-    The layout arrays and the teacher column map come from ``bank.layout``,
-    built once per packing, and the (n, K) and (K, d) temporaries are
+    The index arrays and the teacher column map come from ``bank``, built
+    once per packing, and the (n, K) and (K, d) temporaries are
     reused in place; the arithmetic is the same expressions in the same
     order as a fresh-array version, so the results are too, bit for bit.
     When every teacher class kept its component count (a session that only
@@ -156,23 +156,22 @@ def loss_and_grad(
         raise NumericalError("forward produced a feature with an infinite norm")  # squares overflow
     v = v_raw / norms
 
-    layout, means, kappa = bank.layout, bank.means, bank.kappa
-    sizes = layout.sizes
+    means, kappa, sizes = bank.means, bank.kappa, bank.sizes
     rows = np.arange(n)
-    y_cols = layout.positions(y)  # raises UnknownClass
+    y_cols = bank.positions(y)  # raises UnknownClass
 
     if lam != 0.0:
-        z_cols = layout.rows_of(y, zhat)  # ValueError unless one per example, inside its class
+        z_cols = bank.rows_of(y, zhat)  # ValueError unless one per example, inside its class
     distilling = beta != 0.0 and old_log_post is not None
     if distilling:
         old, log_r = old_log_post
-        cols, kept = layout.teacher_columns(old.layout)  # raises ModelRegression
+        cols, kept = bank.teacher_columns(old)  # raises ModelRegression
 
     t = v @ means.T
     t *= kappa  # (n, K) scores, class blocks at the offsets
     if distilling and not kept:
         log_q = t[:, cols]
-    log_p, comp_post = log_posteriors(t, layout)
+    log_p, comp_post = log_posteriors(t, bank)
     log_comp = t  # within-class log-softmax
     np.exp(log_comp, out=comp_post)  # softmax within each class
     if distilling and kept:
@@ -196,22 +195,22 @@ def loss_and_grad(
         dz = comp_post  # comp_post is not read again
         dz[rows, z_cols] -= 1.0
         dz *= lam / n
-        np.add(d_t, dz, out=d_t, where=layout.column_index == y_cols[:, None])
+        np.add(d_t, dz, out=d_t, where=bank.column_index == y_cols[:, None])
 
     # distillation against the previous-session posterior, restricted to
     # inherited components and renormalized
     distill = 0.0
     if distilling:
         if not kept:
-            _, q = segment_log_softmax(log_q, old.layout)
+            _, q = segment_log_softmax(log_q, old)
             np.exp(log_q, out=q)
         diff = log_q
         diff -= log_r
-        kl = np.add.reduceat(q * diff, old.layout.starts, axis=1)  # (n, C_old)
-        n_old = old.layout.ids.size
+        kl = np.add.reduceat(q * diff, old.starts, axis=1)  # (n, C_old)
+        n_old = old.ids.size
         distill = float(np.add.reduce(kl, axis=None)) / (n * n_old)
         q *= beta / (n * n_old)
-        diff -= np.repeat(kl, old.layout.sizes, axis=1)
+        diff -= np.repeat(kl, old.sizes, axis=1)
         q *= diff
         d_t[:, cols] += q
 
@@ -220,10 +219,10 @@ def loss_and_grad(
     mean_grad = d_t.T @ v
     mean_grad *= kappa
     if eta != 0.0:
-        reg, sm = spread_penalty(means, layout)
+        reg, sm = spread_penalty(bank)
         spread = np.repeat(sm, sizes, axis=0)
         spread -= means
-        spread *= (eta * layout.column_pair_weight)[:, None]
+        spread *= (eta * bank.column_pair_weight)[:, None]
         mean_grad += spread
 
     loss_parts = {"inter": inter, "intra": lam * intra, "distill": beta * distill, "reg": eta * reg}

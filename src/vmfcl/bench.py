@@ -28,7 +28,7 @@ import numpy as np
 
 from . import config as cfgfile
 from .backbone import BackboneParams, forward_batch, init_params
-from .errors import ConfigError, PurityUnavailable
+from .errors import ConfigError
 from .memory import select_memory
 from .mixture import PREDICT_BLOCK_ROWS, ModelBank, predict_batch, save_snapshot
 from .streams import (
@@ -72,17 +72,17 @@ def forgetting(acc_matrix: list[list[float]]) -> float | None:
     )
 
 
-def purity(y: np.ndarray, z: np.ndarray, domains: np.ndarray) -> float:
+def purity(y: np.ndarray, z: np.ndarray, domains: np.ndarray) -> float | None:
     """Majority-domain fraction per component, size-weighted within each class,
-    averaged over classes. Raises ValueError unless the three arrays are
-    nonempty and of one length."""
+    averaged over classes; None when any domain is hidden (negative). Raises
+    ValueError unless the three arrays are nonempty and of one length."""
     y = np.asarray(y)
     z = np.asarray(z)
     domains = np.asarray(domains)
     if not len(y) == len(z) == len(domains) > 0:
         raise ValueError(f"need nonempty arrays of one length, got {len(y)}, {len(z)} and {len(domains)}")
     if np.any(domains < 0):
-        raise PurityUnavailable("hidden domain labels are not available for every example")
+        return None
     values = []
     for c in sorted(np.unique(y).tolist()):
         rows = np.flatnonzero(y == c)
@@ -387,10 +387,7 @@ def run_experiment_full(cfg: RunConfig, out_dir=None) -> RunResult:
             report.acc_matrix.append(row)
             report.per_session_acc.append(seen_acc)
 
-            if np.any(data.domain < 0):
-                report.purity_per_session.append(None)
-            else:
-                report.purity_per_session.append(purity(data.y, z, data.domain))
+            report.purity_per_session.append(purity(data.y, z, data.domain))
 
             memory = select_memory(
                 state.bank, data, z, cfg.memory_budget, np.random.default_rng(memory_seeds[t])

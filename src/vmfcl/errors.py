@@ -50,9 +50,5 @@ class ParseError(VmfclError):
         self.offset = offset
 
 
-class PurityUnavailable(VmfclError):
-    """Component purity cannot be computed without hidden domain labels."""
-
-
 class InsufficientBudget(UserWarning):
     """Memory budget smaller than the number of observed classes."""

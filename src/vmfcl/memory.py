@@ -76,7 +76,7 @@ def select_memory(
         )
 
     # one stable sort of the bank row index lists every row's candidates, ascending
-    rows = bank.layout.rows_of(records.y, assignments)
+    rows = bank.rows_of(records.y, assignments)
     by_row = np.argsort(rows, kind="stable")
     sizes = np.bincount(rows, minlength=bank.means.shape[0])
     bounds = np.concatenate(([0], np.cumsum(sizes))).tolist()

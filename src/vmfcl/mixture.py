@@ -3,8 +3,9 @@
 Each class y owns K_y components with unit mean directions and an implicit
 uniform component prior 1/K_y. All components across all classes share one
 concentration kappa. A ``ModelBank`` packs every class's means in one (K, d)
-array; ``mixtures`` views each class's rows as a ``ClassMixture``. Two
-inference rules are exposed and they are not the same thing:
+array, with the index arrays of its class blocks; ``mixtures`` views each
+class's rows as a ``ClassMixture``. Two inference rules are exposed and they
+are not the same thing:
 
 * ``log_posteriors`` mean-pools components per class (the training loss,
   ``loss_and_grad``, calls it),
@@ -56,34 +57,34 @@ class ClassMixture:
         return self.means.shape[0]
 
 
-class BankLayout:
-    """Index arrays that depend only on a bank's class ids and component counts.
+class ModelBank:
+    """All class mixtures observed so far, sharing dimension and kappa, packed in one array.
 
-    Built once when a bank is packed and shared, read-only, by every bank
-    that ``with_means`` derives from it, so one training step
-    reads them instead of rebuilding them per batch:
+    Rows ``offsets[i]:offsets[i + 1]`` of the (K, d) ``means`` belong to
+    class ``ids[i]`` (``class_ids`` is the same list); ``mixtures`` views
+    each class's rows. ``ModelBank(dim, kappa)`` is the empty bank. The
+    index arrays depend only on the ids and sizes: they are read-only and
+    shared by every bank that ``with_means`` derives, so a training step
+    reads them instead of rebuilding them per batch. They are ``ids``,
+    ``offsets``, ``starts``, ``sizes``, ``log_sizes``, ``column_index``
+    (position in ``ids`` of each column's class), ``column_class`` (its
+    class id) and the spread penalty's weights, ``half_pair_weight`` (half
+    of 1 / (K_c (K_c - 1)) per class, 0 for one component) and
+    ``column_pair_weight`` (-1 / (K_c (K_c - 1) C) per column).
 
-    * ``ids``, ``offsets``, ``starts`` (= ``offsets[:-1]``), ``sizes`` and
-      ``log_sizes``;
-    * ``column_index`` (position in ``ids`` of each column's class) and
-      ``column_class`` (its class id);
-    * ``half_pair_weight`` (half of 1 / (K_c (K_c - 1)) per class, 0 for a
-      single component) and ``column_pair_weight`` (-1 / (K_c (K_c - 1) C)
-      per column), the spread penalty's weights.
-
-    Raises DimensionError for a class size below 1 or class ids that do not
-    strictly ascend.
+    Raises DimensionError unless the ids strictly ascend, every size is at
+    least 1, and the means fill the blocks, each unit length within 1e-9.
     """
 
-    def __init__(self, class_ids: list[int], sizes: list[int]):
-        self.ids = np.asarray(class_ids, dtype=np.int64)
+    def __init__(self, dim: int, kappa: float, class_ids=(), sizes=(), means: np.ndarray | None = None):
+        self.ids = np.array(class_ids, dtype=np.int64)  # a copy: the caller's array stays writeable
         if np.any(self.ids[1:] <= self.ids[:-1]):
-            raise DimensionError(f"class ids must strictly ascend, got {class_ids}")
-        self.offsets = np.cumsum([0] + sizes, dtype=np.int64)
+            raise DimensionError(f"class ids must strictly ascend, got {list(class_ids)}")
+        self.offsets = np.cumsum([0, *sizes], dtype=np.int64)
         self.starts = self.offsets[:-1]
         self.sizes = np.diff(self.offsets)
         if np.any(self.sizes < 1):
-            raise DimensionError(f"every class needs at least one component, got sizes {sizes}")
+            raise DimensionError(f"every class needs at least one component, got sizes {list(sizes)}")
         self.log_sizes = np.log(self.sizes)
         n_classes = self.ids.size
         self.column_index = np.repeat(np.arange(n_classes), self.sizes)
@@ -94,10 +95,31 @@ class BankLayout:
         self.column_pair_weight = np.repeat(-(w_pair / n_classes), self.sizes)
         for arr in vars(self).values():
             arr.flags.writeable = False
-        self._teacher: tuple[BankLayout, np.ndarray, bool] | None = None
+        means = np.zeros((0, dim)) if means is None else means
+        if means.shape != (self.offsets[-1], dim):
+            raise DimensionError(f"means of shape {means.shape} do not fill the class blocks")
+        if not np.all(np.abs(np.linalg.norm(means, axis=1) - 1.0) <= 1e-9):  # NaN fails too
+            raise DimensionError("all component means must be unit length within 1e-9")
+        self.dim, self.kappa, self.means = dim, kappa, means
+        self.class_ids: list[int] = self.ids.tolist()
+        # teacher_columns's last (teacher offsets, columns, kept), shared with every with_means bank
+        self._teacher: list = [None, None, None]
+
+    @property
+    def mixtures(self) -> dict[int, ClassMixture]:
+        """Per-class views of the packed rows, keyed by class id; not re-validated."""
+        at = self.offsets.tolist()
+        return {c: ClassMixture(self.means[lo:hi]) for c, lo, hi in zip(self.class_ids, at, at[1:])}
+
+    def with_means(self, means: np.ndarray) -> "ModelBank":
+        """A bank with this one's classes and index arrays and new (K, d) means, unchecked."""
+        out = object.__new__(ModelBank)
+        out.__dict__.update(self.__dict__)
+        out.means = means
+        return out
 
     def positions(self, y: np.ndarray) -> np.ndarray:
-        """Position in ``ids`` of each label; UnknownClass for a label outside the layout."""
+        """Position in ``ids`` of each label; UnknownClass for a label outside the bank."""
         at = np.searchsorted(self.ids, y)
         if at.size and not (self.ids.size and (self.ids.take(at, mode="clip") == y).all()):
             raise UnknownClass("a label the bank has never observed")
@@ -114,18 +136,18 @@ class BankLayout:
             raise ValueError("assignments must index a component of the record's class")
         return self.offsets[at] + z
 
-    def teacher_columns(self, old: "BankLayout") -> tuple[np.ndarray, bool]:
-        """This layout's columns of ``old``'s components, in ``old``'s column order,
+    def teacher_columns(self, old: "ModelBank") -> tuple[np.ndarray, bool]:
+        """This bank's columns of ``old``'s components, in ``old``'s column order,
         and whether every class of ``old`` kept its component count here.
 
         Expansion appends, so each of ``old``'s classes maps to the leading
         columns of the same class here. When no class grew, each of those
-        column runs is a whole class block of this layout. The answer for
-        the last ``old`` asked for is kept, so the check runs once per
-        (layout, teacher layout) pair. Raises ModelRegression when a class or
-        component of ``old`` is missing here.
+        column runs is a whole class block of this bank. The answer for the
+        last ``old`` packing asked for is kept, so the check runs once per
+        (packing, teacher packing) pair. Raises ModelRegression when a class
+        or component of ``old`` is missing here.
         """
-        if self._teacher is not None and self._teacher[0] is old:
+        if self._teacher[0] is old.offsets:
             return self._teacher[1], self._teacher[2]
         at = np.searchsorted(self.ids, old.ids)
         if not np.array_equal(self.ids.take(at, mode="clip"), old.ids) or np.any(self.sizes[at] < old.sizes):
@@ -133,79 +155,27 @@ class BankLayout:
         cols = np.repeat(self.offsets[at] - old.starts, old.sizes) + np.arange(old.offsets[-1])
         cols.flags.writeable = False
         kept = bool(np.array_equal(self.sizes[at], old.sizes))
-        self._teacher = (old, cols, kept)
+        self._teacher[:] = old.offsets, cols, kept
         return cols, kept
 
 
-class ModelBank:
-    """All class mixtures observed so far, sharing dimension and kappa, packed in one array.
-
-    Rows ``offsets[i]:offsets[i + 1]`` of the (K, d) ``means`` belong to
-    ``class_ids[i]`` (ascending); ``mixtures`` holds one view per class.
-    ``layout`` holds the index arrays of that packing. The constructor builds
-    the empty bank; ``from_packed`` builds every other one.
-    """
-
-    def __init__(self, dim: int, kappa: float):
-        self.dim = dim
-        self.kappa = kappa
-        self.class_ids: list[int] = []
-        self.layout = BankLayout([], [])
-        self.means = np.zeros((0, dim))
-
-    @classmethod
-    def from_packed(cls, dim: int, kappa: float, layout: BankLayout, means: np.ndarray) -> "ModelBank":
-        """A bank of (K, d) ``means`` packed in ``layout``'s class blocks: DimensionError
-        unless they fill the blocks and every row is unit length within 1e-9."""
-        if means.shape != (layout.offsets[-1], dim):
-            raise DimensionError(f"means of shape {means.shape} do not fill the layout's blocks")
-        if not np.all(np.abs(np.linalg.norm(means, axis=1) - 1.0) <= 1e-9):  # NaN fails too
-            raise DimensionError("all component means must be unit length within 1e-9")
-        bank = cls(dim, kappa)
-        bank.class_ids, bank.layout, bank.means = layout.ids.tolist(), layout, means
-        return bank
-
-    @property
-    def offsets(self) -> np.ndarray:
-        """(C + 1,) row offsets of the class blocks, read-only."""
-        return self.layout.offsets
-
-    @property
-    def sizes(self) -> np.ndarray:
-        """(C,) component count of each class, in ``class_ids`` order, read-only."""
-        return self.layout.sizes
-
-    @property
-    def mixtures(self) -> dict[int, ClassMixture]:
-        """Per-class views of the packed rows, keyed by class id; not re-validated."""
-        at = self.offsets.tolist()
-        return {c: ClassMixture(self.means[lo:hi]) for c, lo, hi in zip(self.class_ids, at, at[1:])}
-
-    def with_means(self, means: np.ndarray) -> "ModelBank":
-        """A bank with this one's classes and layout and new (K, d) means."""
-        out = object.__new__(ModelBank)
-        out.__dict__.update(self.__dict__)
-        out.means = means
-        return out
-
-
-def segment_log_softmax(t: np.ndarray, layout: BankLayout) -> tuple[np.ndarray, np.ndarray]:
-    """Overwrite ``t`` (n, K) with its log-softmax within each class block of ``layout``.
+def segment_log_softmax(t: np.ndarray, bank: ModelBank) -> tuple[np.ndarray, np.ndarray]:
+    """Overwrite ``t`` (n, K) with its log-softmax within each class block of ``bank``.
 
     Returns the (n, C) log-sum-exp of every block and an (n, K) scratch
     array, free for the caller to reuse (it held the exponentials of the
     max-shifted scores). Every block must be nonempty.
     """
-    m = np.maximum.reduceat(t, layout.starts, axis=1)
-    t -= np.repeat(m, layout.sizes, axis=1)
+    m = np.maximum.reduceat(t, bank.starts, axis=1)
+    t -= np.repeat(m, bank.sizes, axis=1)
     scratch = np.exp(t)
-    log_s = np.log(np.add.reduceat(scratch, layout.starts, axis=1))
-    t -= np.repeat(log_s, layout.sizes, axis=1)
+    log_s = np.log(np.add.reduceat(scratch, bank.starts, axis=1))
+    t -= np.repeat(log_s, bank.sizes, axis=1)
     m += log_s
     return m, scratch
 
 
-def log_posteriors(t: np.ndarray, layout: BankLayout) -> tuple[np.ndarray, np.ndarray]:
+def log_posteriors(t: np.ndarray, bank: ModelBank) -> tuple[np.ndarray, np.ndarray]:
     """Class and within-class log posteriors of kappa-scaled (n, K) scores ``t``.
 
     Overwrites ``t`` with the within-class log posteriors (``segment_log_softmax``)
@@ -213,25 +183,26 @@ def log_posteriors(t: np.ndarray, layout: BankLayout) -> tuple[np.ndarray, np.nd
     of each block's log-sum-exp minus ``log K_c`` (components weighted 1/K_c),
     with the (n, K) scratch array of ``segment_log_softmax``.
     """
-    lse, scratch = segment_log_softmax(t, layout)
-    lse -= layout.log_sizes
+    lse, scratch = segment_log_softmax(t, bank)
+    lse -= bank.log_sizes
     lse -= np.maximum.reduce(lse, axis=1, keepdims=True)
     lse -= np.log(np.add.reduce(np.exp(lse), axis=1, keepdims=True))
     return lse, scratch
 
 
-def spread_penalty(means: np.ndarray, layout: BankLayout) -> tuple[float, np.ndarray]:
-    """The spread penalty of packed (K, d) ``means`` and their (C, d) per-class sums.
+def spread_penalty(bank: ModelBank) -> tuple[float, np.ndarray]:
+    """The spread penalty of the bank's packed (K, d) means and their (C, d) per-class sums.
 
     The penalty is the negated mean over classes of each class's mean
     pairwise dot product of its component means; a single component adds 0.
-    Every class block of ``layout`` must be nonempty, and there must be one.
+    The bank must have a class.
     """
-    sm = np.add.reduceat(means, layout.starts, axis=0)  # (C, d) per-class sums
+    means = bank.means
+    sm = np.add.reduceat(means, bank.starts, axis=0)  # (C, d) per-class sums
     # sum_{i<j} mu_i . mu_j, written so it stays exact off-sphere too
-    sq_norms = np.add.reduceat(np.add.reduce(means * means, axis=1), layout.starts)
+    sq_norms = np.add.reduceat(np.add.reduce(means * means, axis=1), bank.starts)
     pairs = np.add.reduce(sm * sm, axis=1) - sq_norms
-    return -float(np.add.reduce(layout.half_pair_weight * pairs)) / layout.ids.size, sm
+    return -float(np.add.reduce(bank.half_pair_weight * pairs)) / bank.ids.size, sm
 
 
 def _dots(vs: np.ndarray, means: np.ndarray) -> np.ndarray:
@@ -269,7 +240,7 @@ def predict_batch(bank: ModelBank, vs: np.ndarray) -> np.ndarray:
     if not bank.class_ids:
         raise EmptyModel("model bank has no classes")
     # columns ascend by class id, so the first maximal column is the lowest tied class's
-    column_class, means = bank.layout.column_class, bank.means
+    column_class, means = bank.column_class, bank.means
     vs = np.ascontiguousarray(vs, dtype=np.float64)
     # a row is certified when its margin exceeds 2 * 4 E = |v|_1 * per_l1 + floor; the
     # |v|_1 * per_l1 product is a BLAS matvec, whose own rounding the factor 2 covers

@@ -400,18 +400,40 @@ def _record_dtype(dim: int) -> np.dtype:
     return np.dtype([("id", "<u8"), ("y", "<u4"), ("z", "<i4"), ("role", "u1"), ("x", "<f4", (dim,))])
 
 
+def _first_repeated_id(ids: np.ndarray) -> int | None:
+    """Index of the first record whose id an earlier record already has, or None; valid
+    ids cost one sorted copy, and only a repeat pays for locating it."""
+    sorted_ids = np.sort(ids)
+    if not np.any(sorted_ids[1:] == sorted_ids[:-1]):
+        return None
+    order = np.argsort(ids, kind="stable")
+    sorted_ids = ids[order]
+    return int(np.min(order[1:][sorted_ids[1:] == sorted_ids[:-1]]))
+
+
 def write_stream(path, records: FeatureRecords, role: int = ROLE_TRAIN):
     """Serialize records to a VMFS file (features quantized to float32), every record with ``role``.
 
     Records are encoded ``PREDICT_BLOCK_ROWS`` at a time into one reused
-    buffer, so writing holds no copy of the whole file. A role outside 0-2
-    raises ValueError, as the reader would reject the file.
+    buffer, so writing holds no copy of the whole file. What the reader
+    would reject raises ValueError before the file is opened: a role outside
+    0-2, a feature entry that is not finite in float32 (NaN, infinite, or
+    past float32 range), checked one block at a time, and a repeated example id.
     """
     if role not in (ROLE_TRAIN, ROLE_TEST, ROLE_MEMORY):
         raise ValueError(f"role must be {ROLE_TRAIN}, {ROLE_TEST} or {ROLE_MEMORY}, got {role!r}")
     dim, n = records.dim, len(records)
     if n and (records.y.min() < 0 or records.y.max() > np.iinfo(np.uint32).max):
         raise ValueError("class labels must be nonnegative and fit in 32 bits")
+    for lo in range(0, n, PREDICT_BLOCK_ROWS):
+        with np.errstate(over="ignore"):  # an entry past float32 range casts to inf, as on disk
+            finite = np.isfinite(records.x[lo : lo + PREDICT_BLOCK_ROWS].astype(np.float32)).all(axis=1)
+        if not finite.all():
+            i = lo + int(np.argmin(finite))
+            raise ValueError(f"record {i} has a feature entry that is not finite in float32")
+    first = _first_repeated_id(records.ids)
+    if first is not None:
+        raise ValueError(f"duplicate example id {records.ids[first]} in record {first}")
     chunk = np.empty(min(n, PREDICT_BLOCK_ROWS), dtype=_record_dtype(dim))
     chunk["role"] = role
     with open(path, "wb") as fh:
@@ -477,10 +499,7 @@ def read_stream(path) -> FeatureRecords:
             records.y[rows] = part["y"]
             records.domain[rows] = part["z"]
             records.x[rows] = part["x"]
-    sorted_ids = np.sort(records.ids)
-    if np.any(sorted_ids[1:] == sorted_ids[:-1]):  # only a bad file pays for locating the repeat
-        order = np.argsort(records.ids, kind="stable")
-        sorted_ids = records.ids[order]
-        first = int(np.min(order[1:][sorted_ids[1:] == sorted_ids[:-1]]))
+    first = _first_repeated_id(records.ids)
+    if first is not None:
         raise ParseError(f"duplicate example id {records.ids[first]}", offset=_HEADER.size + first * size)
     return records

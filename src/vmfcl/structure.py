@@ -19,7 +19,7 @@ import numpy as np
 
 from .config import check_ranges
 from .errors import ConfigError, DegenerateMerge
-from .mixture import BankLayout, ModelBank
+from .mixture import ModelBank
 from .vmf import ZERO_NORM_EPS, normalize, normalize_rows
 
 
@@ -64,13 +64,11 @@ def expand(bank: ModelBank, incoming_classes, m: int, rng: np.random.Generator) 
     for c in incoming:
         sizes[c] = sizes.get(c, 0) + m
     ids = sorted(sizes)
-    layout = BankLayout(ids, [sizes[c] for c in ids])
-    means = np.empty((layout.offsets[-1], bank.dim))
-    # expansion appends, so the old rows land where a teacher's columns do
-    means[layout.teacher_columns(bank.layout)[0]] = bank.means
-    for end in layout.offsets[1:][np.searchsorted(layout.ids, incoming)].tolist():
-        means[end - m : end] = normalize_rows(rng.standard_normal((m, bank.dim)))
-    return ModelBank.from_packed(bank.dim, bank.kappa, layout, means)
+    fresh = normalize_rows(rng.standard_normal((len(incoming) * m, bank.dim)))
+    # a class's block end, or where a new class's block starts, in the old rows
+    ends = bank.offsets[np.searchsorted(bank.ids, incoming, side="right")]
+    means = np.insert(bank.means, np.repeat(ends, m), fresh, axis=0)
+    return ModelBank(bank.dim, bank.kappa, ids, [sizes[c] for c in ids], means)
 
 
 def merge_pair(a: tuple[int, np.ndarray], b: tuple[int, np.ndarray]):
@@ -95,7 +93,7 @@ def collect_stats(
     entries alone sum to +0.0); one weighted ``bincount`` over (row, column)
     cells does that.
     """
-    rows = bank.layout.rows_of(y, z)
+    rows = bank.rows_of(y, z)
     k, d = bank.means.shape
     cells = (rows[:, None] * d + np.arange(d)).ravel()
     sums = np.bincount(cells, weights=np.ravel(feats), minlength=k * d)
@@ -153,5 +151,4 @@ def reduce(
         block, records[c] = _reduce_class(bank.means[lo:hi], counts[lo:hi], sums[lo:hi], cfg)
         blocks.append(block)
         sizes.append(block.shape[0])
-    layout = BankLayout(bank.class_ids, sizes)
-    return ModelBank.from_packed(bank.dim, bank.kappa, layout, np.concatenate(blocks)), records
+    return ModelBank(bank.dim, bank.kappa, bank.class_ids, sizes, np.concatenate(blocks)), records

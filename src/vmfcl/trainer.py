@@ -95,7 +95,7 @@ def _e_step_array(bank: mx.ModelBank, feats: np.ndarray, y: np.ndarray) -> np.nd
     labels. Returns an (n,) int64 array of component indices aligned with
     the rows by position, so records that share an id stay distinct.
     """
-    at = bank.layout.positions(y)  # UnknownClass for a label the bank lacks
+    at = bank.positions(y)  # UnknownClass for a label the bank lacks
     order = np.argsort(at, kind="stable")  # grouped by class position, each group in row order
     cuts = np.cumsum(np.bincount(at, minlength=len(bank.class_ids)))[:-1]
     z = np.zeros(len(y), dtype=np.int64)
@@ -154,7 +154,7 @@ def reg_loss(bank: mx.ModelBank) -> float:
     """
     if not bank.class_ids:
         raise ValueError("bank must have at least one class")
-    return mx.spread_penalty(bank.means, bank.layout)[0] + 0.0  # -0.0 + 0.0 is +0.0
+    return mx.spread_penalty(bank)[0] + 0.0  # -0.0 + 0.0 is +0.0
 
 
 def _old_log_posteriors(snapshot: ModelState, feats: np.ndarray) -> np.ndarray:
@@ -170,7 +170,7 @@ def _old_log_posteriors(snapshot: ModelState, feats: np.ndarray) -> np.ndarray:
     t = feats @ snapshot.bank.means.T
     t *= snapshot.bank.kappa
     for lo in range(0, len(t), mx.PREDICT_BLOCK_ROWS):
-        mx.segment_log_softmax(t[lo : lo + mx.PREDICT_BLOCK_ROWS], snapshot.bank.layout)
+        mx.segment_log_softmax(t[lo : lo + mx.PREDICT_BLOCK_ROWS], snapshot.bank)
     return t
 
 

@@ -7,17 +7,17 @@ from types import SimpleNamespace
 import numpy as np
 
 from vmfcl.backbone import forward_batch
-from vmfcl.mixture import BankLayout, ModelBank, assign_components_batch, predict_batch
+from vmfcl.mixture import ModelBank, assign_components_batch, predict_batch
 from vmfcl.streams import FeatureRecords
 
 
 def make_bank(dim: int, kappa: float, mixtures: dict) -> ModelBank:
     """A bank of ``{class id: (K, d) means}``, packed in ascending class order by
-    ``ModelBank.from_packed``, which checks the means."""
+    the ``ModelBank`` constructor, which checks the means."""
     ids = sorted(mixtures)
     blocks = [np.asarray(mixtures[c], dtype=np.float64) for c in ids]
     means = np.vstack(blocks) if blocks else np.zeros((0, dim))
-    return ModelBank.from_packed(dim, kappa, BankLayout(ids, [len(b) for b in blocks]), means)
+    return ModelBank(dim, kappa, ids, [len(b) for b in blocks], means)
 
 
 def make_records(x, y, domain=-1, first_id: int = 0) -> FeatureRecords:

@@ -128,7 +128,7 @@ def reg_loss(bank) -> float:
 def old_log_posteriors(snapshot, feats: np.ndarray) -> np.ndarray:
     """Teacher log posteriors, log-softmax per class, over the whole (n, K_old) array at once."""
     t = snapshot.bank.kappa * (feats @ snapshot.bank.means.T)
-    segment_log_softmax(t, snapshot.bank.layout)
+    segment_log_softmax(t, snapshot.bank)
     return t
 
 

@@ -280,8 +280,8 @@ def test_criterion_3_normalization():
         bank = make_bank(6, kappa, mixtures)
         # the posteriors loss_and_grad trains with: within each class and over classes
         t = kappa * (normalize_rows(rng.standard_normal((2500, 6))) @ bank.means.T)
-        log_p, _ = log_posteriors(t, bank.layout)
-        comp = np.add.reduceat(np.exp(t), bank.layout.starts, axis=1)  # (2500, 4) class sums
+        log_p, _ = log_posteriors(t, bank)
+        comp = np.add.reduceat(np.exp(t), bank.starts, axis=1)  # (2500, 4) class sums
         cls = np.add.reduce(np.exp(log_p), axis=1)
         worst = max(worst, float(np.max(np.abs(comp - 1.0))), float(np.max(np.abs(cls - 1.0))))
         total += t.shape[0]

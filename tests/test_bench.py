@@ -23,7 +23,7 @@ from vmfcl.bench import (
 )
 from vmfcl.cli import main as cli_main
 from vmfcl.config import parse_sections
-from vmfcl.errors import ConfigError, DegenerateFeature, PurityUnavailable
+from vmfcl.errors import ConfigError, DegenerateFeature
 from vmfcl.memory import select_memory
 from vmfcl import bench, streams, trainer
 from vmfcl.streams import SynthConfig, read_stream
@@ -158,8 +158,7 @@ class TestPurity:
             assert peak < 2**20
 
     def test_unknown_domains_unavailable(self):
-        with pytest.raises(PurityUnavailable):
-            purity(np.array([0]), np.array([0]), np.array([-1]))
+        assert purity(np.array([0, 0]), np.array([0, 0]), np.array([1, -1])) is None
 
     def test_unequal_lengths_rejected(self):
         one, two = np.zeros(1, int), np.zeros(2, int)

@@ -1,14 +1,17 @@
 """Byte identity against history: the pinned legs of ``tools/check_identical.py``.
 
 Each leg of ``check_identical.LEGS`` marked ``pinned`` (the four shipped-config
-runs, the VMFS ``synth`` leg and the ``nd_gain`` export leg) runs in-process at
-seed 1 into ``tmp_path``, and the sha256 of each of its files must equal the
+runs, the two perfbench-config runs, the VMFS ``synth`` leg and the ``nd_gain``
+export leg) runs in-process at seed 1 into ``tmp_path``, and the sha256 of each of its files must equal the
 digest pinned in ``identity_digests.json``. Files are hashed as the tool hashes
 them, ``train.log`` without its ``wall_clock_sec=`` line. The files round the
 model (``model.vmfb`` holds float32, ``train.log`` six digits), so for a leg
 that trains, the final model's float64 means and layers are pinned too, as
 ``state.float64``: a one-ulp drift in training shows only there. The table
-records the NumPy version it was pinned under. A change that alters these bits
+records the NumPy version it was pinned under. The shipped configs freeze the
+backbone (``hidden_dim = 0``); ``nd_wide`` trains a hidden layer, and
+``nc_eval``'s new-class sessions reach the teacher's ``kept`` fast path in
+``loss_and_grad``, so those two legs pin the paths the shipped ones skip. A change that alters these bits
 on purpose re-pins the table from the digests a failure prints, and says so.
 """
 

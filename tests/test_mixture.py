@@ -10,7 +10,6 @@ from helpers import assign_one, decode_snapshot, make_bank, predict_one
 from vmfcl.errors import DimensionError, EmptyModel, UnknownClass
 from vmfcl.mixture import (
     PREDICT_BLOCK_ROWS,
-    BankLayout,
     ModelBank,
     log_posteriors,
     predict_batch,
@@ -29,7 +28,7 @@ def posteriors(bank: ModelBank, vs) -> tuple[np.ndarray, np.ndarray]:
     """Within-class (n, K) and class (n, C) posteriors of the rows of ``vs``, as
     ``loss_and_grad`` computes them."""
     t = bank.kappa * (np.atleast_2d(np.asarray(vs, dtype=np.float64)) @ bank.means.T)
-    log_p, _ = log_posteriors(t, bank.layout)
+    log_p, _ = log_posteriors(t, bank)
     return np.exp(t), np.exp(log_p)
 
 
@@ -284,10 +283,9 @@ class TestClassMixture:
             make_bank(2, 16.0, {0: np.array([[bad, 0.0]])})
 
     def test_means_of_another_dimension_rejected(self):
-        layout = BankLayout([0], [1])
         for means in (np.array([[1.0, 0.0]]), np.array([1.0, 0.0, 0.0]), np.ones((1, 1, 3))):
             with pytest.raises(DimensionError):
-                ModelBank.from_packed(3, 16.0, layout, means)
+                ModelBank(3, 16.0, [0], [1], means)
 
     def test_mixture_is_a_view_of_the_packed_rows(self):
         bank = make_bank(2, 16.0, {0: np.eye(2), 4: np.array([[0.6, 0.8]])})
@@ -298,33 +296,52 @@ class TestClassMixture:
 
 
 class TestPackedBank:
-    def test_from_packed_checks_its_rows(self):
-        layout = BankLayout([0, 3], [1, 2])
+    def test_constructor_checks_its_rows(self):
         good = np.array([[1.0, 0.0], [0.0, 1.0], [0.6, 0.8]])
-        bank = ModelBank.from_packed(2, 16.0, layout, good)
+        bank = ModelBank(2, 16.0, [0, 3], [1, 2], good)
         assert bank.class_ids == [0, 3]
         np.testing.assert_array_equal(bank.mixtures[3].means, good[1:])
         for bad in (good[:2], np.array([[1.0, 0.0], [0.0, 1.0], [0.6, 0.9]]), np.full((3, 2), np.nan)):
             with pytest.raises(DimensionError):
-                ModelBank.from_packed(2, 16.0, layout, bad)
+                ModelBank(2, 16.0, [0, 3], [1, 2], bad)
+
+    def test_the_empty_bank(self):
+        bank = ModelBank(3, 16.0)
+        assert bank.class_ids == [] and bank.means.shape == (0, 3)
+        assert bank.offsets.tolist() == [0] and bank.sizes.size == 0
 
     @pytest.mark.parametrize("sizes", [[2, 0], [0, 1], [3, -1]])
     def test_layout_rejects_a_class_without_components(self, sizes):
-        with pytest.raises(DimensionError):
-            BankLayout([0, 3], sizes)
+        # the means fill the blocks, so only the size check can refuse them
+        means = np.tile([1.0, 0.0], (sum(sizes), 1))
+        with pytest.raises(DimensionError, match="at least one component"):
+            ModelBank(2, 16.0, [0, 3], sizes, means)
 
     @pytest.mark.parametrize("ids", [[3, 1], [1, 1], [0, 2, 2]])
     def test_layout_rejects_class_ids_that_do_not_strictly_ascend(self, ids):
-        with pytest.raises(DimensionError):
-            BankLayout(ids, [1] * len(ids))
+        with pytest.raises(DimensionError, match="strictly ascend"):
+            ModelBank(2, 16.0, ids, [1] * len(ids), np.tile([1.0, 0.0], (len(ids), 1)))
+
+    def test_index_arrays_are_read_only_and_shared_by_with_means(self):
+        ids = np.array([0, 3])
+        bank = ModelBank(2, 16.0, ids, [1, 2], np.array([[1.0, 0.0], [0.0, 1.0], [0.6, 0.8]]))
+        assert ids.flags.writeable  # the bank froze its own copy
+        moved = bank.with_means(bank.means[::-1].copy())
+        for name in ("ids", "offsets", "starts", "sizes", "log_sizes", "column_index", "column_class",
+                     "half_pair_weight", "column_pair_weight"):
+            assert not getattr(bank, name).flags.writeable, name
+            assert getattr(moved, name) is getattr(bank, name), name
+        assert moved.class_ids == bank.class_ids and bank.means[0, 0] == 1.0
+        # the teacher map one bank computed is the other's cached answer
+        assert moved.teacher_columns(bank)[0] is bank.teacher_columns(bank)[0]
 
     def test_rows_of_maps_class_and_component_to_the_packed_row(self):
-        layout = BankLayout([0, 3], [1, 2])
-        assert layout.rows_of(np.array([3, 0, 3]), np.array([1, 0, 0])).tolist() == [2, 0, 1]
+        bank = ModelBank(2, 16.0, [0, 3], [1, 2], np.array([[1.0, 0.0], [0.0, 1.0], [0.6, 0.8]]))
+        assert bank.rows_of(np.array([3, 0, 3]), np.array([1, 0, 0])).tolist() == [2, 0, 1]
         with pytest.raises(UnknownClass):
-            layout.rows_of(np.array([1]), np.array([0]))
+            bank.rows_of(np.array([1]), np.array([0]))
         with pytest.raises(UnknownClass):
-            BankLayout([], []).rows_of(np.array([0]), np.array([0]))
+            ModelBank(2, 16.0).rows_of(np.array([0]), np.array([0]))
         for z in (-1, 2):
             with pytest.raises(ValueError):
-                layout.rows_of(np.array([3]), np.array([z]))
+                bank.rows_of(np.array([3]), np.array([z]))

@@ -84,7 +84,7 @@ def dots_argmax(bank: ModelBank, vs: np.ndarray) -> tuple[np.ndarray, np.ndarray
     dots = mixture._dots(vs, bank.means)
     with np.errstate(invalid="ignore"):
         tied = (dots == np.max(dots, axis=1, keepdims=True)).sum(axis=1) > 1
-    return bank.layout.column_class[np.argmax(dots, axis=1)], tied
+    return bank.column_class[np.argmax(dots, axis=1)], tied
 
 
 @settings(max_examples=120, deadline=None, database=None)

@@ -12,7 +12,15 @@ copy of the files and compares the two:
   accuracies and the memory unchanged, and makes every purity ``None``: the
   method never reads a domain label while it trains or selects memory. The
   train pool is drawn in a random order, so that its records do not list
-  each class's domains in order.
+  each class's domains in order;
+* a monotone relabelling of the classes and of the domains (c -> 3c + 7 and
+  z -> 2z + 1, or increasing maps Hypothesis draws) leaves the model and the
+  report unchanged once the report's class and domain keys are mapped back:
+  labels are compared and sorted, never used as numbers;
+* under an NC split, a non-monotone bijection of the domain labels leaves the
+  model and the report unchanged, keys mapped back: NC schedules whole
+  classes, so the domain order cannot matter either. The train pool is drawn
+  in a random order here too.
 
 Reports are compared as dicts without ``config_echo``, which names the file
 paths; the model is compared as the bytes of its float64 means and layers.
@@ -23,7 +31,7 @@ import tempfile
 from dataclasses import replace
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from vmfcl.bench import RunConfig, run_experiment_full
@@ -68,6 +76,29 @@ def hidden(records: FeatureRecords) -> FeatureRecords:
     return replace(records, domain=np.full(len(records), -1, np.int32))
 
 
+def relabelled(records: FeatureRecords, classes: list[int], domains: list[int]) -> FeatureRecords:
+    """``records`` with class c renamed ``classes[c]`` and domain z renamed ``domains[z]``."""
+    return replace(records, y=np.array(classes)[records.y], domain=np.array(domains)[records.domain])
+
+
+def keys_mapped_back(report: dict, classes: list[int], domains: list[int]) -> dict:
+    """A relabelled run's report with its class and domain keys renamed to the original labels."""
+    c_back = {str(new): str(old) for old, new in enumerate(classes)}
+    z_back = {str(new): str(old) for old, new in enumerate(domains)}
+
+    def by_class(table: dict) -> dict:
+        return {c_back[c]: value for c, value in table.items()}
+
+    out = dict(report)
+    out["components_per_class"] = by_class(report["components_per_class"])
+    for key in ("components_per_class_history", "memory_class_counts", "memory_component_counts"):
+        out[key] = [by_class(table) for table in report[key]]
+    out["per_class_domain_acc"] = {
+        c_back[c]: {z_back[z]: acc for z, acc in row.items()} for c, row in report["per_class_domain_acc"].items()
+    }
+    return out
+
+
 @settings(max_examples=4, deadline=None, database=None)
 @given(SEEDS, st.permutations(range(TEST_RECORDS)), st.sampled_from(["ND", "NC"]))
 def test_permuting_the_test_pool_changes_nothing(seed, order, split):
@@ -95,3 +126,32 @@ def test_hiding_every_domain_under_nc_changes_no_model_or_accuracy(seed, order):
     for report in (shown, blind):  # the per-(class, domain) table is keyed by domain
         del report["purity_per_session"], report["per_class_domain_acc"]
     assert blind == shown
+
+
+INCREASING = st.lists(st.integers(0, 2**31 - 1), unique=True, min_size=5, max_size=5).map(sorted)
+
+
+@settings(max_examples=4, deadline=None, database=None)
+@given(SEEDS, INCREASING, st.sampled_from(["ND", "NC"]))
+@example(seed=1, labels=[7, 10, 13, 1, 3], split="ND")  # c -> 3c + 7 and z -> 2z + 1
+def test_a_monotone_relabelling_changes_nothing(seed, labels, split):
+    classes, domains = labels[:3], labels[3:]
+    train, test = pools(seed)
+    want_report, want_model = run(train, test, split, seed)
+    report, model = run(relabelled(train, classes, domains), relabelled(test, classes, domains), split, seed)
+    assert model == want_model
+    assert keys_mapped_back(report, classes, domains) == want_report
+
+
+@settings(max_examples=4, deadline=None, database=None)
+@given(SEEDS, st.permutations(range(TRAIN_RECORDS)),
+       st.lists(st.integers(0, 2**31 - 1), unique=True, min_size=2, max_size=2).map(sorted))
+def test_a_non_monotone_domain_bijection_under_nc_changes_nothing(seed, order, values):
+    domains = values[::-1]  # domain 0 gets the larger label: the order of the two is reversed
+    train, test = pools(seed)
+    train = train.subset(np.array(order))  # a generated pool lists each class's domains in order
+    want_report, want_model = run(train, test, "NC", seed)
+    classes = [0, 1, 2]
+    report, model = run(relabelled(train, classes, domains), relabelled(test, classes, domains), "NC", seed)
+    assert model == want_model
+    assert keys_mapped_back(report, classes, domains) == want_report

@@ -1,7 +1,8 @@
 """Property tests: one SGD step equals the fresh-array reference byte for byte.
 
-``vmfcl.backbone.loss_and_grad`` reads its layout arrays and the teacher
-column map from ``ModelBank.layout`` and reuses its temporaries in place;
+``vmfcl.backbone.loss_and_grad`` reads the bank's index arrays and its
+teacher column map (``ModelBank.teacher_columns``), built once per packing,
+and reuses its temporaries in place;
 ``sgd_step`` steps and re-projects the means in one buffer and leaves a
 frozen backbone as it is. ``reference_sgd`` is the same step written with
 every array rebuilt and freshly allocated, so the two must agree on every
@@ -21,7 +22,7 @@ from hypothesis import strategies as st
 
 from vmfcl.backbone import init_params, loss_and_grad, sgd_step
 from vmfcl.errors import ModelRegression
-from vmfcl.mixture import BankLayout, ModelBank
+from vmfcl.mixture import ModelBank
 from vmfcl.structure import expand
 from vmfcl.trainer import ModelState
 from vmfcl.vmf import normalize_rows
@@ -102,7 +103,7 @@ def test_loss_and_grad_matches_the_reference_byte_for_byte(case):
     params, bank, x, y, z, coef, old_lp = case
     want = ref.loss_and_grad(params, bank, x, y, z, old_log_post=old_lp, **coef)
     assert_same_result(loss_and_grad(params, bank, x, y, z, old_log_post=old_lp, **coef), want)
-    # the same bank and teacher again: the layout and the teacher map are cached now
+    # the same bank and teacher again: the teacher map is cached now
     assert_same_result(loss_and_grad(params, bank, x, y, z, old_log_post=old_lp, **coef), want)
     frozen = loss_and_grad(params, bank, x, y, z, old_log_post=old_lp, with_layers=False, **coef)
     assert_same_result(frozen, want, layers=False)
@@ -118,7 +119,9 @@ def test_sgd_step_matches_the_reference_byte_for_byte(case, lr, backbone_lr, wei
     layer_lr = lr if backbone_lr is None else backbone_lr  # the reference's None is the means' rate
     new_params, new_bank = sgd_step(params, bank, grad, lr, weight_decay, layer_lr)
     assert same_bytes(new_bank.means, want_bank.means)
-    assert new_bank.layout is bank.layout
+    for name, arr in vars(bank).items():
+        if isinstance(arr, np.ndarray) and name != "means":
+            assert getattr(new_bank, name) is arr, name
     for (w, b), (rw, rb) in zip(new_params.layers, want_params.layers):
         assert same_bytes(w, rw) and same_bytes(b, rb)
     if layer_lr == 0.0:
@@ -136,10 +139,10 @@ def test_sgd_step_matches_the_reference_byte_for_byte(case, lr, backbone_lr, wei
 def test_teacher_reuse_matches_the_reference_byte_for_byte(case, beta, seed):
     params, bank, x, y, z, coef, (old, log_r) = case
     coef["beta"] = beta
-    cols, kept = bank.layout.teacher_columns(old.layout)
+    cols, kept = bank.teacher_columns(old)
     assert kept == all(bank.mixtures[c].num_components == old.mixtures[c].num_components
                        for c in old.class_ids)
-    # a second teacher layout, recomputed: the first class loses a component where it can
+    # a second teacher packing, recomputed: the first class loses a component where it can
     first = old.class_ids[0]
     mixtures = {c: old.mixtures[c].means for c in old.class_ids}
     mixtures[first] = mixtures[first][: max(1, old.sizes[0] - 1)]
@@ -152,7 +155,7 @@ def test_teacher_reuse_matches_the_reference_byte_for_byte(case, beta, seed):
         frozen = loss_and_grad(params, bank, x, y, z, old_log_post=teacher, with_layers=False, **coef)
         assert_same_result(frozen, want, layers=False)
     # the map of the last teacher asked for is the cached one
-    assert bank.layout.teacher_columns(old.layout)[0] is bank.layout.teacher_columns(old.layout)[0]
+    assert bank.teacher_columns(old)[0] is bank.teacher_columns(old)[0]
 
 
 def test_frozen_gradient_cannot_train_the_backbone():
@@ -167,7 +170,7 @@ def test_frozen_gradient_cannot_train_the_backbone():
 
 @settings(max_examples=100, deadline=None, database=None)
 @given(steps(), st.integers(1, 12), st.integers(0, 2**32 - 1))
-def test_from_packed_equals_a_fresh_pack(case, k, seed):
+def test_a_spliced_pack_equals_a_fresh_pack(case, k, seed):
     params, bank, x, y, z, coef, _ = case
     i = seed % len(bank.class_ids)
     c = bank.class_ids[i]
@@ -177,18 +180,18 @@ def test_from_packed_equals_a_fresh_pack(case, k, seed):
     sizes = bank.sizes.tolist()
     sizes[i] = k
     rows = np.vstack([bank.means[: bank.offsets[i]], means, bank.means[bank.offsets[i + 1] :]])
-    packed = ModelBank.from_packed(bank.dim, bank.kappa, BankLayout(bank.class_ids, sizes), rows)
+    packed = ModelBank(bank.dim, bank.kappa, bank.class_ids, sizes, rows)
     mixtures = {k: m.means for k, m in bank.mixtures.items() if k != c}
     fresh = make_bank(bank.dim, bank.kappa, {**mixtures, c: means})
     assert packed.class_ids == fresh.class_ids
     assert same_bytes(packed.means, fresh.means)
-    for name, arr in vars(fresh.layout).items():
+    for name, arr in vars(fresh).items():
         if isinstance(arr, np.ndarray):
-            assert same_bytes(getattr(packed.layout, name), arr), name
+            assert same_bytes(getattr(packed, name), arr), name
     # the spread penalty's weights, from their definition
     w = [1.0 / (s * (s - 1)) if s > 1 else 0.0 for s in sizes]
-    assert packed.layout.half_pair_weight.tolist() == [0.5 * wc for wc in w]
-    assert packed.layout.column_pair_weight.tolist() == [
+    assert packed.half_pair_weight.tolist() == [0.5 * wc for wc in w]
+    assert packed.column_pair_weight.tolist() == [
         -(wc / len(sizes)) for wc, s in zip(w, sizes) for _ in range(s)
     ]
     z = np.minimum(z, packed.sizes[np.searchsorted(packed.class_ids, y)] - 1)
@@ -206,7 +209,7 @@ def test_mismatched_teacher_after_a_cached_hit_still_raises():
             c: normalize_rows(rng.standard_normal((2, d))) for c in (1, 5)
         })
         bank = expand(old, grown, 3, rng)
-        assert bank.layout.teacher_columns(old.layout)[1] == (grown == [8])
+        assert bank.teacher_columns(old)[1] == (grown == [8])
         params = init_params(d + 1, d, 0, rng)
         x = rng.standard_normal((6, d + 1))
         y, z = np.array([1, 5, 8, 1, 5, 8]), np.zeros(6, np.int64)

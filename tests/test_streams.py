@@ -555,6 +555,24 @@ class TestStreamFiles:
             write_stream(path, random_records(np.random.default_rng(28), n=3), role)
         assert not path.exists()
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 1e39, -1e39])
+    def test_feature_not_finite_in_float32_rejected_on_write(self, tmp_path, bad):
+        # 1e39 is finite in float64 but casts to inf in float32; the record sits in a later block
+        records = random_records(np.random.default_rng(29), n=PREDICT_BLOCK_ROWS + 5)
+        records.x[PREDICT_BLOCK_ROWS + 2, 1] = bad
+        path = tmp_path / "bad.vmfs"
+        with pytest.raises(ValueError, match=f"record {PREDICT_BLOCK_ROWS + 2} has a feature"):
+            write_stream(path, records)
+        assert not path.exists()
+
+    def test_repeated_id_rejected_on_write(self, tmp_path):
+        records = make_records(np.ones((4, 2)), np.zeros(4, int))
+        records.ids[[1, 3]] = 3
+        path = tmp_path / "dup.vmfs"
+        with pytest.raises(ValueError, match="duplicate example id 3 in record 3"):
+            write_stream(path, records)
+        assert not path.exists()
+
     def test_concat_preserves_order(self):
         rng = np.random.default_rng(26)
         a, b = random_records(rng, n=4), random_records(rng, n=3)
@@ -602,11 +620,11 @@ class TestStreamChunks:
             records.ids[row] = value
         for row, col, value in x_edits:
             records.x[row, col] = value
-        path = tmp_path / "pool.vmfs"
-        write_stream(path, records)
-        raw = bytearray(path.read_bytes())
+        # encoded by the layout's definition, as write_stream refuses a repeated id or a bad feature
+        raw = bytearray(whole_file_bytes(records, ROLE_TRAIN))
         for row, value in (roles or {}).items():  # the role byte follows the id, class and domain
             raw[20 + row * record_size(3) + 16] = value
+        path = tmp_path / "pool.vmfs"
         path.write_bytes(bytes(raw))
         return path
 
@@ -678,11 +696,13 @@ class TestStreamChunks:
         # mask of equal neighbours, 9 bytes per record, so under 12
         assert peak < record_bytes(back) + 2 * B * record_size(d) + 12 * n
 
-    def test_writing_holds_at_most_two_chunks(self, tmp_path):
+    def test_writing_holds_two_chunks_and_the_id_sort(self, tmp_path):
         n, d = 20_000, 16
         records = random_records(np.random.default_rng(32), n=n, d=d)
         _, peak = traced_peak(write_stream, tmp_path / "big.vmfs", records)
-        assert peak < 2 * B * record_size(d)
+        # the duplicate-id check holds a sorted copy of the ids and a mask of equal
+        # neighbours, 9 bytes per record, before the file is opened
+        assert peak < 2 * B * record_size(d) + 9 * n
 
 
 class TestFeatureRecords:

@@ -37,9 +37,9 @@ def assert_same_bank(got: ModelBank, want: ModelBank):
     assert got.class_ids == want.class_ids
     assert (got.dim, got.kappa) == (want.dim, want.kappa)
     assert same_bytes(got.means, want.means)
-    for name, arr in vars(want.layout).items():
+    for name, arr in vars(want).items():
         if isinstance(arr, np.ndarray):
-            assert same_bytes(getattr(got.layout, name), arr), name
+            assert same_bytes(getattr(got, name), arr), name
 
 
 def _features(rng, means, z_means, d):

@@ -328,10 +328,10 @@ class TestTeacher:
 
 
 def state_arrays(state: ModelState) -> list:
-    """Copies of every array of a state: its layers, its means and its layout's index arrays."""
+    """Copies of every array of a state: its layers, and its bank's means and index arrays."""
     layers = [a for layer in state.params.layers for a in layer]
-    layout = [a for a in vars(state.bank.layout).values() if isinstance(a, np.ndarray)]
-    return [np.copy(a) for a in layers + [state.bank.means] + layout]
+    bank = [a for a in vars(state.bank).values() if isinstance(a, np.ndarray)]
+    return [np.copy(a) for a in layers + bank]
 
 
 def assert_state_equals(state: ModelState, arrays: list):

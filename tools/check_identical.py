@@ -33,8 +33,8 @@ run the same inputs.
 
 The legs marked ``pinned`` are also a tier-1 test: ``tests/test_identity.py``
 runs them in-process at seed 1 and compares their files with the digests
-pinned in ``tests/identity_digests.json``. The other legs take longer, or
-name temporary paths in their reports, so they run here only.
+pinned in ``tests/identity_digests.json``. The two ``[data]`` legs name
+temporary paths in their reports, so they run here only.
 """
 
 from __future__ import annotations
@@ -75,7 +75,8 @@ LEGS = [
     *(Leg(f"{config}.{method}", ("run", "--config", f"{{root}}/configs/{config}.cfg", "--method", method),
           OUTPUTS, pinned=True)
       for config in ("nd_gain", "ncd_purity") for method in ("domain_aware", "replay_baseline")),
-    *(Leg(f"{config}.configured", ("run", "--config", f"{{root}}/perfbench/configs/{config}.cfg"), OUTPUTS)
+    *(Leg(f"{config}.configured", ("run", "--config", f"{{root}}/perfbench/configs/{config}.cfg"), OUTPUTS,
+          pinned=True)
       for config in ("nd_wide", "nc_eval")),
     SYNTH,
     Leg("nc_eval.data", ("run", "--config", "{data}"), OUTPUTS),
