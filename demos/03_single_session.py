@@ -14,7 +14,7 @@ import sys
 
 import numpy as np
 
-from vmfcl import LossConfig, ModelState, SynthConfig, TrainConfig, generate_synthetic, purity
+from vmfcl import LossConfig, ModelState, ReductionConfig, SynthConfig, generate_synthetic, purity
 from vmfcl.backbone import init_params
 from vmfcl.bench import log_to
 from vmfcl.mixture import ModelBank
@@ -31,16 +31,15 @@ state = ModelState(
     ModelBank(cfg.dim, kappa=16.0),
 )
 
-train_cfg = TrainConfig(
-    loss=LossConfig(epochs=25, batch_size=64, lr=0.05, backbone_lr=0.0),
-    m=30,
-    seed=7,
-)
+loss = LossConfig(epochs=25, batch_size=64, lr=0.05, backbone_lr=0.0)
 print("training one session on", len(train), "examples ...")
 # a first session: no memory to replay, so the training set is the session's
 # records, and every class it brings is expanded; z holds one component index
-# per training record, aligned by position
-state, z = train_session(state, train, np.unique(train.y), train_cfg, emit=log_to(sys.stdout))
+# per training record, aligned by position; each setting is its own keyword
+state, z = train_session(
+    state, train, np.unique(train.y),
+    m=30, loss=loss, reduction=ReductionConfig(), seed=7, emit=log_to(sys.stdout),
+)
 
 print("\nfinal component counts per class:")
 for c, k in zip(state.bank.class_ids, state.bank.sizes.tolist()):

@@ -36,7 +36,6 @@ from .trainer import (
     _e_step_array as e_step,
     LossConfig,
     ModelState,
-    TrainConfig,
     clf_loss,
     distill_loss,
     lambda_at,
@@ -55,7 +54,7 @@ __all__ = [
     "FeatureRecords", "SplitPlan", "SynthConfig", "generate_synthetic",
     "make_splits", "read_stream", "sample_vmf", "write_stream",
     "ReductionConfig", "collect_stats", "expand", "merge_pair", "reduce",
-    "LossConfig", "ModelState", "TrainConfig", "clf_loss", "distill_loss",
+    "LossConfig", "ModelState", "clf_loss", "distill_loss",
     "e_step", "lambda_at", "reg_loss", "train_session",
     "normalize",
 ]

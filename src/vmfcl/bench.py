@@ -41,7 +41,7 @@ from .streams import (
     read_stream,
 )
 from .structure import ReductionConfig
-from .trainer import LossConfig, ModelState, TrainConfig, train_session
+from .trainer import LossConfig, ModelState, train_session
 
 METHODS = ("domain_aware", "replay_baseline")
 SPLITS = ("NC", "ND", "NCD")
@@ -350,7 +350,7 @@ def run_experiment_full(cfg: RunConfig, out_dir=None) -> RunResult:
     # per class, which only the first session that brings the class expands (see below)
     baseline = cfg.method == "replay_baseline"
     loss_cfg = replace(cfg.loss, lambda_max=0.0, beta=0.0, eta=0.0) if baseline else cfg.loss
-    tcfg = TrainConfig(loss_cfg, None if baseline else cfg.reduction, m=1 if baseline else cfg.m)
+    reduction, m = (None, 1) if baseline else (cfg.reduction, cfg.m)
 
     state = ModelState(
         init_params(input_dim, embed_dim, cfg.hidden_dim, np.random.default_rng(init_seed)),
@@ -379,7 +379,9 @@ def run_experiment_full(cfg: RunConfig, out_dir=None) -> RunResult:
             expand = np.setdiff1d(session.y, state.bank.class_ids) if baseline else np.unique(session.y)
             if emit is not None:
                 emit("session", t=t, pairs=plan.sessions[t], n=len(session))
-            state, z = train_session(state, data, expand, replace(tcfg, seed=session_seeds[t]), emit=emit)
+            state, z = train_session(
+                state, data, expand, m=m, loss=loss_cfg, reduction=reduction, seed=session_seeds[t], emit=emit
+            )
 
             row, seen_acc, class_domain_acc = seen_accuracies(
                 state.bank, state.params, test_pool, test_index, plan.sessions[: t + 1]
@@ -404,9 +406,15 @@ def run_experiment_full(cfg: RunConfig, out_dir=None) -> RunResult:
             emit("wall_clock", sec=time.perf_counter() - t_start)
             log.close()
         if out_dir is not None:
-            with open(os.path.join(out_dir, "report.json"), "w", encoding="utf-8") as fh:
-                fh.write(report.to_json())
-            if not report.incomplete:
-                save_snapshot(os.path.join(out_dir, "model.vmfb"), state.bank, state.params.layers)
+            path = os.path.join(out_dir, "report.json")
+            try:
+                with open(path, "w", encoding="utf-8") as fh:
+                    fh.write(report.to_json())
+                if not report.incomplete:
+                    path = os.path.join(out_dir, "model.vmfb")
+                    save_snapshot(path, state.bank, state.params.layers)
+            except OSError as e:
+                if not report.incomplete:  # a failed run raises its own error instead
+                    raise ConfigError(f"cannot write {path}: {e}") from None
 
     return RunResult(report, state, plan, train_pool, test_pool)

@@ -90,16 +90,19 @@ def _cmd_export(args) -> int:
         raise ConfigError(f"cannot write {path}: it is a directory")
     result = run_experiment_full(cfg, out_dir=args.out)
     pool, params = result.test_pool, result.state.params
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["example_id", "class", "domain"] + [f"e{i}" for i in range(result.state.bank.dim)])
-        # forwarded in blocks, as evaluation is, so no float64 copy of the whole pool is made
-        for lo in range(0, len(pool), PREDICT_BLOCK_ROWS):
-            feats = forward_batch(params, pool.x[lo : lo + PREDICT_BLOCK_ROWS])
-            for i, row in enumerate(feats, lo):
-                writer.writerow(
-                    [int(pool.ids[i]), int(pool.y[i]), int(pool.domain[i])] + [repr(float(v)) for v in row]
-                )
+    try:
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["example_id", "class", "domain"] + [f"e{i}" for i in range(result.state.bank.dim)])
+            # forwarded in blocks, as evaluation is, so no float64 copy of the whole pool is made
+            for lo in range(0, len(pool), PREDICT_BLOCK_ROWS):
+                feats = forward_batch(params, pool.x[lo : lo + PREDICT_BLOCK_ROWS])
+                for i, row in enumerate(feats, lo):
+                    writer.writerow(
+                        [int(pool.ids[i]), int(pool.y[i]), int(pool.domain[i])] + [repr(float(v)) for v in row]
+                    )
+    except OSError as e:
+        raise ConfigError(f"cannot write {path}: {e}") from None
     print(f"wrote {path} ({len(pool)} embeddings)")
     return 0
 
@@ -115,7 +118,7 @@ def _cmd_report(args) -> int:
         try:
             with open(path, encoding="utf-8") as fh:
                 loaded.append(json.load(fh))
-        except (OSError, json.JSONDecodeError) as e:
+        except (OSError, ValueError, RecursionError) as e:  # ValueError: bad JSON or bad UTF-8
             raise ConfigError(f"cannot read report {path}: {e}") from None
         if not isinstance(loaded[-1], dict):
             raise ConfigError(f"report {path} is not a JSON object")

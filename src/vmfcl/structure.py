@@ -36,19 +36,6 @@ class ReductionConfig:
         check_ranges(self)
 
 
-@dataclass
-class ReductionRecord:
-    """Per-class reduction outcome: sizes and the original -> output merge map.
-
-    ``merge_map[i]`` is the output slot of original component i, or -1 for
-    components dropped with fewer than ``min_count`` assigned examples.
-    """
-
-    k_before: int
-    k_after: int
-    merge_map: list[int] = field(default_factory=list)
-
-
 def expand(bank: ModelBank, incoming_classes, m: int, rng: np.random.Generator) -> ModelBank:
     """Append m fresh rows (uniform random directions) to each incoming class's block.
 
@@ -103,17 +90,16 @@ def collect_stats(
 
 def _reduce_class(
     means: np.ndarray, counts: np.ndarray, sums: np.ndarray, cfg: ReductionConfig
-) -> tuple[np.ndarray, ReductionRecord]:
+) -> tuple[np.ndarray, list[int]]:
     """Reduce one class block; ``means``, ``counts`` and ``sums`` are its rows."""
-    k_before = counts.size
-    merge_map = np.full(k_before, -1)
+    merge_map = np.full(counts.size, -1)
     alive = np.flatnonzero(counts >= cfg.min_count)
     if not alive.size:
         # Nothing (or too little) reached this class this session; keep the
         # single highest-count component rather than an empty mixture.
         keep = int(np.argmax(counts))
         merge_map[keep] = 0
-        return means[keep : keep + 1], ReductionRecord(k_before, 1, merge_map.tolist())
+        return means[keep : keep + 1], merge_map.tolist()
 
     means, counts, sums = means[alive], counts[alive].tolist(), list(sums[alive])
     members = [[k] for k in alive.tolist()]
@@ -132,23 +118,27 @@ def _reduce_class(
 
     for out_idx, orig in enumerate(members):
         merge_map[orig] = out_idx
-    return means, ReductionRecord(k_before, len(members), merge_map.tolist())
+    return means, merge_map.tolist()
 
 
 def reduce(
     bank: ModelBank, counts: np.ndarray, sums: np.ndarray, cfg: ReductionConfig
-) -> tuple[ModelBank, dict[int, ReductionRecord]]:
+) -> tuple[ModelBank, dict[int, list[int]]]:
     """Drop starved components, then agglomeratively merge each class's clusters.
 
     ``counts`` (K,) and ``sums`` (K, d) hold every bank row's statistics,
     as ``collect_stats`` returns them. Reduction never crosses class
-    boundaries. Returns the reduced bank and per-class records.
+    boundaries. Returns the reduced bank and each class id's merge map:
+    ``merge_map[i]`` is the output component of the class's original
+    component i, or -1 for one dropped with fewer than ``min_count``
+    assigned examples. A map is onto ``0..k_after-1``, so the class had
+    ``len(merge_map)`` components before and ``max(merge_map) + 1`` after.
     """
     if counts.shape != bank.means.shape[:1] or sums.shape != bank.means.shape:
         raise ValueError(f"stats do not cover the bank's {bank.means.shape[0]} components")
-    blocks, sizes, records = [bank.means[:0]], [], {}
+    blocks, sizes, merge_maps = [bank.means[:0]], [], {}
     for c, lo, hi in zip(bank.class_ids, bank.offsets[:-1].tolist(), bank.offsets[1:].tolist()):
-        block, records[c] = _reduce_class(bank.means[lo:hi], counts[lo:hi], sums[lo:hi], cfg)
+        block, merge_maps[c] = _reduce_class(bank.means[lo:hi], counts[lo:hi], sums[lo:hi], cfg)
         blocks.append(block)
         sizes.append(block.shape[0])
-    return ModelBank(bank.dim, bank.kappa, bank.class_ids, sizes, np.concatenate(blocks)), records
+    return ModelBank(bank.dim, bank.kappa, bank.class_ids, sizes, np.concatenate(blocks)), merge_maps

@@ -1,16 +1,16 @@
 """Per-session hard-EM training loop.
 
 One session trains on the records its caller gives it: keep the previous
-model as the teacher, expand the classes the caller names, then alternate an
+bank as the teacher, expand the classes the caller names, then alternate an
 epoch-level hard E-step (each example commits to its closest component
 within its class) with mini-batch SGD on the combined objective. After the
 last epoch every class is reduced and a final E-step produces assignments
 consistent with the reduced model.
 
 The backbone features of the session data are computed once per E-step
-that follows a layer update: the first forward also gives the teacher its
-features (the snapshot's layers are the session's until the first step),
-and a session whose backbone rate is exactly 0 runs that one forward only.
+that follows a layer update: the first forward also serves the teacher
+(the layers are the previous session's until the first step), and a
+session whose backbone rate is exactly 0 runs that one forward only.
 
 The intra-class coefficient follows a linear warmup from 0: it only starts
 to matter once the class prediction that the assignments depend on has had
@@ -49,16 +49,6 @@ class LossConfig:
 
     def __post_init__(self):
         check_ranges(self)
-
-
-@dataclass
-class TrainConfig:
-    """Everything one session needs beyond the data itself; ``reduction=None`` skips the reduction."""
-
-    loss: LossConfig = field(default_factory=LossConfig)
-    reduction: st.ReductionConfig | None = field(default_factory=st.ReductionConfig)
-    m: int = 30
-    seed: int = 0
 
 
 @dataclass
@@ -137,7 +127,7 @@ def distill_loss(
     """
     if snapshot is None or not snapshot.bank.class_ids:
         return 0.0
-    old_lp = _old_log_posteriors(snapshot, bb.forward_batch(snapshot.params, records.x))
+    old_lp = _old_log_posteriors(snapshot.bank, bb.forward_batch(snapshot.params, records.x))
     _, _, terms = bb.loss_and_grad(
         params, bank, records.x, records.y, np.zeros(len(records), np.int64), lam=0.0, beta=1.0,
         eta=0.0, old_log_post=(snapshot.bank, old_lp), with_layers=False,
@@ -157,100 +147,102 @@ def reg_loss(bank: mx.ModelBank) -> float:
     return mx.spread_penalty(bank)[0] + 0.0  # -0.0 + 0.0 is +0.0
 
 
-def _old_log_posteriors(snapshot: ModelState, feats: np.ndarray) -> np.ndarray:
+def _old_log_posteriors(teacher: mx.ModelBank, feats: np.ndarray) -> np.ndarray:
     """Teacher log posteriors for the whole dataset, computed once per session.
 
-    ``feats`` are the snapshot backbone's unit features of the records.
+    ``feats`` are the records' unit features under the previous session's layers.
     Returns one (n, K_old) array in the teacher bank's row order, log-softmax
     per class. The κ-scaled scores are that array itself, and the softmax
     runs in place on ``PREDICT_BLOCK_ROWS``-row blocks of it, so its scratch
     is a few blocks, not a few more (n, K_old) arrays; every step is row-wise,
     so the blocks change no bit.
     """
-    t = feats @ snapshot.bank.means.T
-    t *= snapshot.bank.kappa
+    t = feats @ teacher.means.T
+    t *= teacher.kappa
     for lo in range(0, len(t), mx.PREDICT_BLOCK_ROWS):
-        mx.segment_log_softmax(t[lo : lo + mx.PREDICT_BLOCK_ROWS], snapshot.bank)
+        mx.segment_log_softmax(t[lo : lo + mx.PREDICT_BLOCK_ROWS], teacher)
     return t
 
 
 def train_session(
-    state: ModelState, data: FeatureRecords, expand_classes, cfg: TrainConfig, emit=None
+    state: ModelState, data: FeatureRecords, expand_classes, *,
+    m: int, loss: LossConfig, reduction: st.ReductionConfig | None, seed: int, emit=None,
 ) -> tuple[ModelState, np.ndarray]:
     """Run one full incremental session on ``data``; the input state is never mutated.
 
     ``data`` is the session's training set (the incoming records, then any
-    replayed ones), and ``expand_classes`` the classes that get ``cfg.m``
-    fresh components before the first epoch. Returns the updated state and
-    the final (post-reduction) assignments of ``data``, one per record by
-    position. Any error propagates and leaves the caller's state exactly as
-    it was. ``emit`` gets one "epoch" event per epoch and one "reduce" event
-    per class, each as it happens.
+    replayed ones), and ``expand_classes`` the classes that get ``m`` fresh
+    components before the first epoch; ``seed`` draws them and the batch
+    order, and ``reduction=None`` skips the reduction. Returns the updated
+    state and the final (post-reduction) assignments of ``data``, one per
+    record by position. Any error propagates and leaves the caller's state
+    exactly as it was. ``emit`` gets one "epoch" event per epoch and one
+    "reduce" event per class, each as it happens.
 
     No step writes into an array it is given: ``expand``, ``sgd_step`` and
-    ``reduce`` each return new arrays. So the input state serves as the
-    teacher as it is, without a copy, and stays intact whether the session
-    succeeds or fails.
+    ``reduce`` each return new arrays. So the input bank serves as the
+    teacher as it is, without a copy, and the input state stays intact
+    whether the session succeeds or fails.
     """
     if len(data) == 0:
         raise ValueError("session data must be nonempty")
     params, bank = state.params, state.bank
-    snapshot = state if bank.class_ids else None
+    teacher = bank if bank.class_ids else None
 
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(seed)
     if len(expand_classes):
-        bank = st.expand(bank, expand_classes, cfg.m, rng)
+        bank = st.expand(bank, expand_classes, m, rng)
 
-    layer_lr = cfg.loss.lr if cfg.loss.backbone_lr is None else cfg.loss.backbone_lr
+    layer_lr = loss.lr if loss.backbone_lr is None else loss.backbone_lr
     # a backbone rate of exactly 0 leaves the layers as they are, so their
     # gradient is not needed and their features stay valid all session
     frozen = layer_lr == 0.0
-    # the snapshot's layers are these layers until the first step: one forward serves both
+    # the teacher's layers are these layers until the first step: one forward serves both
     feats = bb.forward_batch(params, data.x)
     old_lp = None
-    if snapshot is not None and cfg.loss.beta != 0.0:
-        old_lp = _old_log_posteriors(snapshot, feats)
+    if teacher is not None and loss.beta != 0.0:
+        old_lp = _old_log_posteriors(teacher, feats)
 
     n = len(data)
-    for epoch in range(cfg.loss.epochs):
+    for epoch in range(loss.epochs):
         if feats is None:
             feats = bb.forward_batch(params, data.x)
         z = _e_step_array(bank, feats, data.y)
         if not frozen:
             feats = None  # the layers step below
-        lam = lambda_at(epoch, cfg.loss)
-        factor = _lr_factor(epoch, cfg.loss.epochs)
-        lr = cfg.loss.lr * factor
+        lam = lambda_at(epoch, loss)
+        factor = _lr_factor(epoch, loss.epochs)
+        lr = loss.lr * factor
         perm = rng.permutation(n)
         sums = dict.fromkeys(("inter", "intra", "distill"), 0.0)
-        for start in range(0, n, cfg.loss.batch_size):
-            idx = perm[start : start + cfg.loss.batch_size]
+        for start in range(0, n, loss.batch_size):
+            idx = perm[start : start + loss.batch_size]
             _, grad, terms = bb.loss_and_grad(
                 params, bank, data.x[idx], data.y[idx], z[idx],
-                lam=lam, beta=cfg.loss.beta, eta=cfg.loss.eta,
-                old_log_post=None if old_lp is None else (snapshot.bank, old_lp[idx]),
+                lam=lam, beta=loss.beta, eta=loss.eta,
+                old_log_post=None if old_lp is None else (teacher, old_lp[idx]),
                 with_layers=not frozen,
             )
             for name in sums:
                 sums[name] += terms[name] * idx.size
-            params, bank = bb.sgd_step(params, bank, grad, lr, cfg.loss.weight_decay, layer_lr * factor)
+            params, bank = bb.sgd_step(params, bank, grad, lr, loss.weight_decay, layer_lr * factor)
         if emit is not None:
             # clf and dis are batch means over the epoch; reg is the end-of-epoch value
             clf = (sums["inter"] + lam * sums["intra"]) / n
             dis = sums["distill"] / n
             reg = reg_loss(bank)
-            total = clf + cfg.loss.beta * dis + cfg.loss.eta * reg
+            total = clf + loss.beta * dis + loss.eta * reg
             emit("epoch", epoch=epoch, lam=lam, lr=lr, clf=clf, dis=dis, reg=reg, total=total)
 
     if feats is None:
         feats = bb.forward_batch(params, data.x)
-    if cfg.reduction is not None:
+    if reduction is not None:
         z = _e_step_array(bank, feats, data.y)
         counts, sums = st.collect_stats(bank, data.y, z, feats)
-        bank, reduction = st.reduce(bank, counts, sums, cfg.reduction)
+        bank, merge_maps = st.reduce(bank, counts, sums, reduction)
         if emit is not None:
-            for c, rec in sorted(reduction.items()):
-                emit("reduce", class_id=c, k_before=rec.k_before, k_after=rec.k_after, merge_map=rec.merge_map)
+            for c, mm in sorted(merge_maps.items()):
+                emit("reduce", class_id=c, k_before=len(mm), k_after=max(mm) + 1, merge_map=mm)
 
     final = _e_step_array(bank, feats, data.y)
     return ModelState(params, bank), final

@@ -18,7 +18,7 @@ from vmfcl.memory import select_memory
 from vmfcl.mixture import ModelBank, log_posteriors
 from vmfcl.streams import SynthConfig, generate_synthetic, make_splits
 from vmfcl.structure import ReductionConfig, collect_stats, reduce as reduce_bank
-from vmfcl.trainer import LossConfig, ModelState, TrainConfig, _e_step_array, train_session
+from vmfcl.trainer import LossConfig, ModelState, _e_step_array, train_session
 from vmfcl.vmf import normalize, normalize_rows
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
@@ -325,9 +325,8 @@ def test_criterion_5_reduction_sensitivity():
     state = ModelState(init_params(16, 16, 0, np.random.default_rng(1)), ModelBank(16, 16.0))
     loss = LossConfig(epochs=25, batch_size=64, lr=0.05, backbone_lr=0.0)
     for t in (0, 1):
-        cfg = TrainConfig(loss=loss, m=30, seed=100 + t, reduction=None)
         session = train_pool.subset(rows[t])
-        state, _ = train_session(state, session, np.unique(session.y), cfg)
+        state, _ = train_session(state, session, np.unique(session.y), m=30, loss=loss, reduction=None, seed=100 + t)
     data = train_pool.subset(rows[1])
     z = _e_step_array(state.bank, forward_batch(state.params, data.x), data.y)
     feats = forward_batch(state.params, data.x)

@@ -318,6 +318,11 @@ class TestRunExperiment:
             run_experiment_full(cfg, out_dir=str(out))
         partial = json.loads((out / "report.json").read_text())
         assert partial["incomplete"] is True
+        # a report that cannot be written does not replace the run's own error
+        (out / "report.json").unlink()
+        (out / "report.json").symlink_to(tmp_path / "nonexistent" / "x")
+        with np.errstate(over="ignore"), pytest.raises(DegenerateFeature):
+            run_experiment_full(cfg, out_dir=str(out))
 
     @pytest.mark.parametrize("method, split, sessions", [
         ("domain_aware", "ND", None), ("domain_aware", "NCD", 3), ("replay_baseline", "NCD", 3),
@@ -327,9 +332,9 @@ class TestRunExperiment:
         calls, concats = [], []
         train_session, purity, select_memory = bench.train_session, bench.purity, bench.select_memory
 
-        def train(state, data, expand, cfg, emit=None):
+        def train(state, data, expand, **settings):
             calls.append({"data": data, "expand": np.asarray(expand).tolist(), "known": state.bank.class_ids})
-            return train_session(state, data, expand, cfg, emit)
+            return train_session(state, data, expand, **settings)
 
         def score(y, z, domains):
             calls[-1]["purity_y"] = y
@@ -631,11 +636,17 @@ test = {out}/test.vmfs
         capsys.readouterr()
         bad = tmp_path / "list.json"
         bad.write_text("[1, 2]\n")
-        for files in ([str(bad)], [good, str(bad)], [str(bad), good]):
-            assert cli_main(["report", *files]) == 1
-            captured = capsys.readouterr()
-            assert captured.out == ""  # nothing printed before the error
-            assert "config error" in captured.err and f"{bad} is not a JSON object" in captured.err
+        not_utf8 = tmp_path / "latin.json"
+        not_utf8.write_bytes(b'\xff\xfe{"a": 1}')
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100_000 + "]" * 100_000)
+        for path, message in ((bad, "is not a JSON object"), (not_utf8, "cannot read report"),
+                              (deep, "cannot read report")):
+            for files in ([str(path)], [good, str(path)], [str(path), good]):
+                assert cli_main(["report", *files]) == 1
+                captured = capsys.readouterr()
+                assert captured.out == ""  # nothing printed before the error
+                assert "config error" in captured.err and str(path) in captured.err and message in captured.err
 
     def test_export_embeddings(self, tmp_path):
         cfg = self.write_cfg(tmp_path)
@@ -799,6 +810,13 @@ test = {out}/test.vmfs
         assert "config error" in err and f"cannot write {out / name}" in err
         log = out / "train.log"
         assert "epoch=" not in (log.read_text() if log.exists() else "")  # rejected before training
+        # a dangling symlink is found only when the file is written, after the run
+        dangling = tmp_path / "dangling"
+        dangling.mkdir()
+        (dangling / name).symlink_to(tmp_path / "nonexistent" / "x")
+        assert cli_main([command, "--config", cfg, "--out", str(dangling)]) == 1
+        err = capsys.readouterr().err
+        assert "config error" in err and f"cannot write {dangling / name}" in err
 
     @pytest.mark.parametrize("command", ["synth", "run", "export-embeddings"])
     def test_out_that_is_an_existing_file_exit_code(self, tmp_path, capsys, command):

@@ -12,9 +12,11 @@ string, and the benchmark calls it through that wrapper. Dunder methods are
 exempt, as the interpreter calls them. Code that no run, demo, tool or
 benchmark reads either gets such a caller or leaves the package. A field
 counts as read when code in those places loads an attribute of its name.
+The README's "Library layout" table names every export in its module's row.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import vmfcl
@@ -119,3 +121,17 @@ def test_every_dataclass_field_is_read_outside_the_tests():
     reads = attribute_reads()
     assert [f for f in found
             if f.rpartition(".")[0] not in FIELD_RULE_EXEMPT and f.rpartition(".")[2] not in reads] == []
+
+
+def readme_layout_rows() -> dict[str, str]:
+    """The README's "Library layout" rows: module name -> its contents cell."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    return dict(re.findall(r"^\| `(vmfcl\.\w+)` \| (.*) \|$", readme, re.MULTILINE))
+
+
+def test_readme_layout_names_every_export_in_its_module_row():
+    rows = readme_layout_rows()
+    assert len(rows) >= 8  # the table was found
+    # a name is listed as `name` or as a call, `name(...)`
+    assert [e for e in vmfcl.__all__
+            if not re.search(rf"`{e}[`(]", rows.get(getattr(vmfcl, e).__module__, ""))] == []

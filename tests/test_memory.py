@@ -186,14 +186,15 @@ class TestSelectMemory:
         resumed = MemoryBuffer(8, reloaded, np.zeros(len(reloaded), np.int64))
 
         from vmfcl.backbone import init_params
-        from vmfcl.trainer import LossConfig, ModelState, TrainConfig, train_session
+        from vmfcl.structure import ReductionConfig
+        from vmfcl.trainer import LossConfig, ModelState, train_session
 
         fresh = records.subset(np.concatenate([np.arange(5), np.arange(20, 25)]))
         fresh.ids = fresh.ids + 5000
         state = ModelState(init_params(4, 4, 0, np.random.default_rng(0)), ModelBank(4, 16.0))
-        cfg = TrainConfig(loss=LossConfig(epochs=1, batch_size=16, lr=0.05, backbone_lr=0.0),
-                          m=4, seed=1)
-        _, final = train_session(state, concat_records(fresh, resumed.records), np.unique(fresh.y), cfg)
+        loss = LossConfig(epochs=1, batch_size=16, lr=0.05, backbone_lr=0.0)
+        _, final = train_session(state, concat_records(fresh, resumed.records), np.unique(fresh.y),
+                                 m=4, loss=loss, reduction=ReductionConfig(), seed=1)
         assert len(final) == 10 + len(resumed)
 
     def test_buffer_over_budget_rejected(self):

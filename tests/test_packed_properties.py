@@ -77,7 +77,7 @@ def cases(draw):
 
 
 def teacher_log_post(teacher: ModelState, x) -> np.ndarray:
-    return _old_log_posteriors(teacher, forward_batch(teacher.params, x))
+    return _old_log_posteriors(teacher.bank, forward_batch(teacher.params, x))
 
 
 @settings(max_examples=200, deadline=None, database=None)

@@ -109,8 +109,7 @@ class TestReduce:
         bank = make_bank(2, 16.0, {0: np.vstack([mu, mu])})
         out, recs = reduce(bank, *stats_for([mu, mu], [5, 3]), ReductionConfig(delta=0.7))
         assert out.mixtures[0].num_components == 1
-        assert recs[0].k_before == 2 and recs[0].k_after == 1
-        assert recs[0].merge_map == [0, 0]
+        assert recs[0] == [0, 0]
 
     def test_orthogonal_means_kept(self):
         bank = make_bank(2, 16.0, {0: np.eye(2)})
@@ -121,7 +120,7 @@ class TestReduce:
         bank = make_bank(2, 16.0, {0: np.eye(2)})
         out, recs = reduce(bank, *stats_for(np.eye(2), [4, 0]), ReductionConfig(delta=0.7))
         assert out.mixtures[0].num_components == 1
-        assert recs[0].merge_map == [0, -1]
+        assert recs[0] == [0, -1]
 
     def test_all_empty_keeps_one(self):
         bank = make_bank(2, 16.0, {0: np.eye(2)})
@@ -133,7 +132,7 @@ class TestReduce:
         bank = make_bank(2, 16.0, {0: np.eye(2)})
         out, recs = reduce(bank, *stats_for(np.eye(2), [40, 2]), ReductionConfig(delta=0.7, min_count=5))
         assert out.mixtures[0].num_components == 1
-        assert recs[0].merge_map == [0, -1]
+        assert recs[0] == [0, -1]
 
     def test_min_components_respected(self):
         mu = normalize([1.0, 1.0])
@@ -210,11 +209,11 @@ class TestReduce:
                 counts[0] = 2
             bank = make_bank(3, 16.0, {0: means})
             out, recs = reduce(bank, *stats_for(means, counts), ReductionConfig(delta=0.7))
-            rec = recs[0]
+            merge_map = recs[0]
             k_out = out.mixtures[0].num_components
-            mapped = [m for m in rec.merge_map if m >= 0]
+            mapped = [m for m in merge_map if m >= 0]
             assert set(mapped) == set(range(k_out))  # surjective onto outputs
-            for orig, m in enumerate(rec.merge_map):
+            for orig, m in enumerate(merge_map):
                 assert m == -1 or 0 <= m < k_out
                 if counts[orig] > 0:
                     assert m >= 0  # nonempty originals always map somewhere

@@ -20,7 +20,6 @@ from vmfcl.trainer import (
     _e_step_array as e_step,
     LossConfig,
     ModelState,
-    TrainConfig,
     _old_log_posteriors,
     clf_loss,
     distill_loss,
@@ -244,7 +243,7 @@ class TestLossTerms:
             + beta * oracles.distill_loss(bank, params, snap, recs)
             + eta * oracles.reg_loss(bank)
         )
-        old_lp = _old_log_posteriors(snap, forward_batch(snap.params, recs.x))
+        old_lp = _old_log_posteriors(snap.bank, forward_batch(snap.params, recs.x))
         got, _, _ = loss_and_grad(params, bank, recs.x, recs.y, z, lam=lam, beta=beta, eta=eta,
                                   old_log_post=(snap.bank, old_lp))
         assert got == pytest.approx(expected, rel=1e-12)
@@ -280,7 +279,7 @@ class TestLossTerms:
             + beta * oracles.distill_loss(bank, params, snap, recs)
             + eta * oracles.reg_loss(bank)
         )
-        old_lp = _old_log_posteriors(snap, forward_batch(snap.params, recs.x))
+        old_lp = _old_log_posteriors(snap.bank, forward_batch(snap.params, recs.x))
         vectorized, _, terms = loss_and_grad(params, bank, x, y, z, lam=lam, beta=beta, eta=eta,
                                              old_log_post=(old, old_lp))
         assert vectorized == pytest.approx(scalar, abs=1e-9)
@@ -307,7 +306,7 @@ class TestTeacher:
         rng = np.random.default_rng(n)
         snap = teacher(rng)
         feats = normalize_rows(rng.standard_normal((n, snap.bank.dim)))
-        got = _old_log_posteriors(snap, feats)
+        got = _old_log_posteriors(snap.bank, feats)
         want = oracles.old_log_posteriors(snap, feats)
         assert got.shape == want.shape and got.dtype == want.dtype
         assert got.tobytes() == want.tobytes()
@@ -320,7 +319,7 @@ class TestTeacher:
         block = self.B * snap.bank.means.shape[0] * 8
         tracemalloc.start()
         try:
-            _old_log_posteriors(snap, feats)
+            _old_log_posteriors(snap.bank, feats)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -351,13 +350,14 @@ class TestTrainSession:
     def base_state(self, d=8, seed=1):
         return ModelState(init_params(d, d, 0, np.random.default_rng(seed)), ModelBank(d, 16.0))
 
-    def cfg(self, epochs=12, seed=3, **kw):
+    def cfg(self, epochs=12, seed=3):
+        """The keyword settings of a session that trains the means only."""
         loss = LossConfig(epochs=epochs, batch_size=32, lr=0.05, backbone_lr=0.0)
-        return TrainConfig(loss=loss, reduction=ReductionConfig(), m=30, seed=seed, **kw)
+        return dict(m=30, loss=loss, reduction=ReductionConfig(), seed=seed)
 
     def test_purity_on_separated_stream(self):
         session, _ = synthetic_session()
-        state, z = train_session(self.base_state(), session, np.unique(session.y), self.cfg())
+        state, z = train_session(self.base_state(), session, np.unique(session.y), **self.cfg())
         recs = session
         from vmfcl.bench import purity
 
@@ -366,7 +366,7 @@ class TestTrainSession:
     def test_zero_epochs_leaves_params_untouched(self):
         session, _ = synthetic_session()
         state0 = self.base_state()
-        state, table = train_session(state0, session, np.unique(session.y), self.cfg(epochs=0))
+        state, table = train_session(state0, session, np.unique(session.y), **self.cfg(epochs=0))
         for (w0, b0), (w1, b1) in zip(state0.params.layers, state.params.layers):
             np.testing.assert_array_equal(w0, w1)
             np.testing.assert_array_equal(b0, b1)
@@ -376,7 +376,7 @@ class TestTrainSession:
 
     def test_final_assignments_are_reduced_model_fixed_point(self):
         session, _ = synthetic_session()
-        state, z = train_session(self.base_state(), session, np.unique(session.y), self.cfg())
+        state, z = train_session(self.base_state(), session, np.unique(session.y), **self.cfg())
         recs = session
         for k, y in zip(z, recs.y):
             assert 0 <= k < state.bank.mixtures[int(y)].num_components
@@ -384,8 +384,8 @@ class TestTrainSession:
 
     def test_deterministic_under_seed(self):
         session, _ = synthetic_session()
-        s1, t1 = train_session(self.base_state(), session, np.unique(session.y), self.cfg())
-        s2, t2 = train_session(self.base_state(), session, np.unique(session.y), self.cfg())
+        s1, t1 = train_session(self.base_state(), session, np.unique(session.y), **self.cfg())
+        s2, t2 = train_session(self.base_state(), session, np.unique(session.y), **self.cfg())
         np.testing.assert_array_equal(t1, t2)
         for c in s1.bank.class_ids:
             np.testing.assert_array_equal(s1.bank.mixtures[c].means, s2.bank.mixtures[c].means)
@@ -394,16 +394,16 @@ class TestTrainSession:
 
     def second_session(self, backbone_lr, expanding=True):
         """A trained state, a second session's training set (its records, then the
-        memory's), the memory, the classes it expands and a config that trains the
+        memory's), the memory, the classes it expands and the settings that train the
         layers at ``backbone_lr`` and distils; unless it expands the existing
         classes, the first step reads the input state's means themselves."""
         session, _ = synthetic_session()
-        state, z = train_session(self.base_state(), session, np.unique(session.y), self.cfg(epochs=2))
+        state, z = train_session(self.base_state(), session, np.unique(session.y), **self.cfg(epochs=2))
         memory = select_memory(state.bank, session, z, 20, np.random.default_rng(0))
         loss = LossConfig(epochs=3, batch_size=32, lr=0.05, backbone_lr=backbone_lr)
         data = concat_records(session, memory.records)
         expand = np.unique(session.y) if expanding else []
-        return state, data, memory, expand, TrainConfig(loss=loss, m=5, seed=4)
+        return state, data, memory, expand, dict(m=5, loss=loss, reduction=ReductionConfig(), seed=4)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_abort_leaves_state_bitwise_intact(self):
@@ -412,7 +412,7 @@ class TestTrainSession:
         state0 = self.base_state()
         before = state_arrays(state0)
         with pytest.raises(VmfclError):
-            train_session(state0, bad, np.unique(bad.y), self.cfg())
+            train_session(state0, bad, np.unique(bad.y), **self.cfg())
         assert_state_equals(state0, before)
         assert state0.bank.mixtures == {}
         # a second session, from a non-empty bank with a teacher and memory: a bad
@@ -420,10 +420,10 @@ class TestTrainSession:
         state, data, memory, expand, cfg = self.second_session(backbone_lr=0.02)
         before = state_arrays(state)
         with pytest.raises(VmfclError):
-            train_session(state, concat_records(bad, memory.records), expand, cfg)
-        huge = TrainConfig(loss=LossConfig(epochs=3, batch_size=32, lr=1e300), m=5, seed=4)
+            train_session(state, concat_records(bad, memory.records), expand, **cfg)
+        huge = LossConfig(epochs=3, batch_size=32, lr=1e300)
         with pytest.raises(VmfclError):
-            train_session(state, data, expand, huge)
+            train_session(state, data, expand, **{**cfg, "loss": huge})
         assert_state_equals(state, before)
 
     @pytest.mark.parametrize("expanding", [True, False], ids=["expanding", "not-expanding"])
@@ -432,31 +432,58 @@ class TestTrainSession:
         # the input state is the session's teacher, read in place: no step may write to it
         state, data, _, expand, cfg = self.second_session(backbone_lr, expanding)
         before = state_arrays(state)
-        after, _ = train_session(state, data, expand, cfg)
+        after, _ = train_session(state, data, expand, **cfg)
         assert_state_equals(state, before)
         assert not np.array_equal(after.bank.means, state.bank.means)
 
     def test_empty_session_rejected(self):
         empty = empty_records(8)
         with pytest.raises(ValueError):
-            train_session(self.base_state(), empty, np.unique(empty.y), self.cfg())
+            train_session(self.base_state(), empty, np.unique(empty.y), **self.cfg())
 
     def test_epoch_log_lines(self):
         session, _ = synthetic_session()
         log = io.StringIO()
-        train_session(self.base_state(), session, np.unique(session.y), self.cfg(epochs=3), emit=log_to(log))
+        train_session(self.base_state(), session, np.unique(session.y), **self.cfg(epochs=3), emit=log_to(log))
         lines = [l for l in log.getvalue().splitlines() if l.startswith("epoch=")]
         assert len(lines) == 3
         assert "lambda=" in lines[0] and "clf=" in lines[0] and "total=" in lines[0]
         reduce_lines = [l for l in log.getvalue().splitlines() if l.startswith("reduce ")]
         assert reduce_lines and "k_before=" in reduce_lines[0]
 
+    def test_reduce_events_count_each_class_before_and_after(self, monkeypatch):
+        # k_before and k_after are read off the merge map: the class's block in
+        # the expanded bank and in the returned one, which the map is onto
+        import vmfcl.structure
+
+        session, _ = synthetic_session()
+        expanded = []
+        expand = vmfcl.structure.expand
+
+        def recording(*args):
+            expanded.append(expand(*args))
+            return expanded[-1]
+
+        monkeypatch.setattr(vmfcl.structure, "expand", recording)
+        events = []
+        state, _ = train_session(self.base_state(), session, np.unique(session.y), **self.cfg(epochs=2),
+                                 emit=lambda kind, **values: events.append((kind, values)))
+        reduces = [values for kind, values in events if kind == "reduce"]
+        before = dict(zip(expanded[0].class_ids, expanded[0].sizes.tolist()))
+        after = dict(zip(state.bank.class_ids, state.bank.sizes.tolist()))
+        assert [e["class_id"] for e in reduces] == state.bank.class_ids
+        for e in reduces:
+            assert e["k_before"] == before[e["class_id"]] == len(e["merge_map"])
+            assert e["k_after"] == after[e["class_id"]]
+            assert sorted(set(e["merge_map"]) - {-1}) == list(range(e["k_after"]))
+        assert any(e["k_after"] < e["k_before"] for e in reduces)
+
     def forward_rows(self, monkeypatch, losses):
         """Row counts of the forwards in one session per loss config, from a teacher and from scratch."""
         import vmfcl.backbone
 
         session, _ = synthetic_session()
-        teacher, _ = train_session(self.base_state(), session, np.unique(session.y), self.cfg(epochs=2))
+        teacher, _ = train_session(self.base_state(), session, np.unique(session.y), **self.cfg(epochs=2))
         original = vmfcl.backbone.forward_batch
         rows = []
 
@@ -469,8 +496,8 @@ class TestTrainSession:
         for loss in losses:
             for state in (teacher, self.base_state()):
                 rows.clear()
-                cfg = TrainConfig(loss=loss, m=30, seed=3)
-                train_session(state, session, np.unique(session.y), cfg, emit=log_to(io.StringIO()))
+                train_session(state, session, np.unique(session.y), m=30, loss=loss,
+                              reduction=ReductionConfig(), seed=3, emit=log_to(io.StringIO()))
                 out.append(rows.copy())
         return len(session), out
 
@@ -495,11 +522,10 @@ class TestTrainSession:
         # with lr = 0 the model stays put, so the batch means an epoch event
         # reports equal the full-data oracles on the returned state
         session, _ = synthetic_session()
-        teacher, _ = train_session(self.base_state(), session, np.unique(session.y), self.cfg(epochs=2))
+        teacher, _ = train_session(self.base_state(), session, np.unique(session.y), **self.cfg(epochs=2))
         loss = LossConfig(epochs=2, batch_size=32, lr=0.0, lambda_warmup_epochs=0)
-        cfg = TrainConfig(loss=loss, m=3, reduction=None, seed=5)
         events = []
-        state, z = train_session(teacher, session, np.unique(session.y), cfg,
+        state, z = train_session(teacher, session, np.unique(session.y), m=3, loss=loss, reduction=None, seed=5,
                                  emit=lambda kind, **values: events.append((kind, values)))
         assert [kind for kind, _ in events] == ["epoch"] * loss.epochs
         recs = session
@@ -541,7 +567,7 @@ class TestTrainSession:
         mem_records = recs.subset(np.arange(5))
         mem_records.ids = mem_records.ids + 100000  # distinct ids
         data = concat_records(session, mem_records)
-        state, table = train_session(self.base_state(), data, np.unique(session.y), self.cfg(epochs=1))
+        state, table = train_session(self.base_state(), data, np.unique(session.y), **self.cfg(epochs=1))
         assert len(table) == len(recs) + 5
 
     def test_memory_records_sharing_ids_keep_their_own_assignments(self):
@@ -550,7 +576,7 @@ class TestTrainSession:
         session, _ = synthetic_session()
         recs = session
         data = concat_records(recs, recs.subset(np.arange(5)))
-        state, z = train_session(self.base_state(), data, np.unique(recs.y), self.cfg(epochs=1))
+        state, z = train_session(self.base_state(), data, np.unique(recs.y), **self.cfg(epochs=1))
         assert z.shape == (len(recs) + 5,)
         np.testing.assert_array_equal(z, e_step(state.bank, forward_batch(state.params, data.x), data.y))
 
@@ -564,6 +590,6 @@ class TestTrainSession:
         session, _ = synthetic_session()
         loss = LossConfig(epochs=4, batch_size=32, lr=0.05, lambda_max=0.0, beta=0.0, eta=0.0,
                           backbone_lr=0.0)
-        cfg = TrainConfig(loss=loss, m=1, reduction=None, seed=3)
-        state, _ = train_session(self.base_state(), session, np.unique(session.y), cfg)
+        state, _ = train_session(self.base_state(), session, np.unique(session.y), m=1, loss=loss, reduction=None,
+                                 seed=3)
         assert all(m.num_components == 1 for m in state.bank.mixtures.values())
