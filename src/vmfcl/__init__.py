@@ -35,7 +35,6 @@ from .structure import ReductionConfig, collect_stats, expand, merge_pair, reduc
 from .trainer import (
     _e_step_array as e_step,
     LossConfig,
-    ModelState,
     clf_loss,
     distill_loss,
     lambda_at,
@@ -54,7 +53,7 @@ __all__ = [
     "FeatureRecords", "SplitPlan", "SynthConfig", "generate_synthetic",
     "make_splits", "read_stream", "sample_vmf", "write_stream",
     "ReductionConfig", "collect_stats", "expand", "merge_pair", "reduce",
-    "LossConfig", "ModelState", "clf_loss", "distill_loss",
+    "LossConfig", "clf_loss", "distill_loss",
     "e_step", "lambda_at", "reg_loss", "train_session",
     "normalize",
 ]

@@ -1,19 +1,21 @@
 """Metrics, experiment orchestration and machine-readable run reports.
 
-``run_experiment_full`` drives the full incremental protocol: train a session,
-evaluate on everything seen so far (``seen_accuracies``, which scores each
-seen test record once, in blocks of ``PREDICT_BLOCK_ROWS`` rows), rebuild
-the replay memory, repeat. A session's records are cut from the train pool
-when it starts and released before the next one trains, so the run holds
-each pool once plus one session's records; followed by the memory's, they
-are the session's one training set. The ``replay_baseline`` method
-pins every class to a single component and turns off expansion, reduction
-and the intra-class/distillation/regularization terms, leaving plain replay
+``run_experiment_full`` drives the full incremental protocol: train a
+session (``params`` and ``bank`` in, new ones out), evaluate on everything
+seen so far (``seen_accuracies``, which scores each seen test record once,
+in blocks of ``PREDICT_BLOCK_ROWS`` rows), rebuild the replay memory,
+repeat. A session's records are cut from the train pool when it starts and
+released before the next one trains, so the run holds each pool once plus
+one session's records; followed by the memory's, they are the session's
+one training set. The ``replay_baseline`` method pins every class to a
+single component and turns off expansion, reduction and the
+intra-class/distillation/regularization terms, leaving plain replay
 fine-tuning of the same architecture, so the delta against
 ``domain_aware`` isolates the mixture machinery.
 
 Report JSON is fully deterministic for a fixed config and seed: volatile
 metadata (wall clock) goes to train.log instead, which ``log_to`` writes.
+Every output file is opened before the first session (``open_outputs``).
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ from .streams import (
     read_stream,
 )
 from .structure import ReductionConfig
-from .trainer import LossConfig, ModelState, train_session
+from .trainer import LossConfig, train_session
 
 METHODS = ("domain_aware", "replay_baseline")
 SPLITS = ("NC", "ND", "NCD")
@@ -249,7 +251,8 @@ class RunResult:
     """Report plus the live objects a caller may want to inspect or export."""
 
     report: SessionReport
-    state: ModelState
+    params: BackboneParams
+    bank: ModelBank
     plan: object
     train_pool: FeatureRecords
     test_pool: FeatureRecords
@@ -312,11 +315,26 @@ def seen_accuracies(
     return row, percent(slice(None)), per_pair
 
 
+def open_outputs(out_dir, names) -> list[str]:
+    """Make ``out_dir`` and open each named file in it in append mode, which truncates nothing,
+    so a file that cannot be written raises ConfigError before any training. Returns the paths."""
+    paths = [os.path.join(out_dir, name) for name in names]
+    path = f"the output directory {out_dir}"
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+        for path in paths:
+            open(path, "a").close()
+    except OSError as e:
+        raise ConfigError(f"cannot write {path}: {e}") from None
+    return paths
+
+
 def run_experiment_full(cfg: RunConfig, out_dir=None) -> RunResult:
     """Execute all sessions of a run; optionally write report/log/model files.
 
     On an error mid-run a partial report flagged ``incomplete`` is written
-    (when ``out_dir`` is given) before the error propagates.
+    and ``model.vmfb`` removed (when ``out_dir`` is given) before the error
+    propagates.
     """
     cfg.validate()
     t_start = time.perf_counter()
@@ -352,49 +370,39 @@ def run_experiment_full(cfg: RunConfig, out_dir=None) -> RunResult:
     loss_cfg = replace(cfg.loss, lambda_max=0.0, beta=0.0, eta=0.0) if baseline else cfg.loss
     reduction, m = (None, 1) if baseline else (cfg.reduction, cfg.m)
 
-    state = ModelState(
-        init_params(input_dim, embed_dim, cfg.hidden_dim, np.random.default_rng(init_seed)),
-        ModelBank(embed_dim, cfg.kappa),
-    )
+    params = init_params(input_dim, embed_dim, cfg.hidden_dim, np.random.default_rng(init_seed))
+    bank = ModelBank(embed_dim, cfg.kappa)
     memory = None
     report = SessionReport(seed=cfg.seed, session_seeds=session_seeds, config_echo=cfg.echo())
 
     log = emit = None
     if out_dir is not None:
-        try:
-            os.makedirs(out_dir, exist_ok=True)
-            for name in ("report.json", "model.vmfb"):  # written after the last session
-                path = os.path.join(out_dir, name)
-                if os.path.isdir(path):
-                    raise ConfigError(f"cannot write {path}: it is a directory")
-            log = open(os.path.join(out_dir, "train.log"), "w", encoding="utf-8")
-            emit = log_to(log)
-        except OSError as e:
-            raise ConfigError(f"cannot write the output directory {out_dir}: {e}") from None
+        report_path, model_path, log_path = open_outputs(out_dir, ("report.json", "model.vmfb", "train.log"))
+        log = open(log_path, "w", encoding="utf-8")
+        emit = log_to(log)
 
     try:
         for t in range(len(rows)):
             session = train_pool.subset(rows[t])  # only the current session's records are held
             data = session if memory is None else concat_records(session, memory.records)
-            expand = np.setdiff1d(session.y, state.bank.class_ids) if baseline else np.unique(session.y)
+            expand = np.setdiff1d(session.y, bank.class_ids) if baseline else np.unique(session.y)
             if emit is not None:
                 emit("session", t=t, pairs=plan.sessions[t], n=len(session))
-            state, z = train_session(
-                state, data, expand, m=m, loss=loss_cfg, reduction=reduction, seed=session_seeds[t], emit=emit
+            params, bank, z = train_session(
+                params, bank, data, expand,
+                m=m, loss=loss_cfg, reduction=reduction, seed=session_seeds[t], emit=emit,
             )
 
             row, seen_acc, class_domain_acc = seen_accuracies(
-                state.bank, state.params, test_pool, test_index, plan.sessions[: t + 1]
+                bank, params, test_pool, test_index, plan.sessions[: t + 1]
             )
             report.acc_matrix.append(row)
             report.per_session_acc.append(seen_acc)
 
             report.purity_per_session.append(purity(data.y, z, data.domain))
 
-            memory = select_memory(
-                state.bank, data, z, cfg.memory_budget, np.random.default_rng(memory_seeds[t])
-            )
-            report.components_per_class_history.append(dict(zip(state.bank.class_ids, state.bank.sizes.tolist())))
+            memory = select_memory(bank, data, z, cfg.memory_budget, np.random.default_rng(memory_seeds[t]))
+            report.components_per_class_history.append(dict(zip(bank.class_ids, bank.sizes.tolist())))
             report.memory_class_counts.append(memory.class_counts())
             report.memory_component_counts.append(memory.component_counts())
             del session, data  # the memory keeps its own copy of what it selected
@@ -406,15 +414,17 @@ def run_experiment_full(cfg: RunConfig, out_dir=None) -> RunResult:
             emit("wall_clock", sec=time.perf_counter() - t_start)
             log.close()
         if out_dir is not None:
-            path = os.path.join(out_dir, "report.json")
             try:
+                if report.incomplete:
+                    os.remove(model_path)  # a failed run leaves no model
+                path = report_path
                 with open(path, "w", encoding="utf-8") as fh:
                     fh.write(report.to_json())
                 if not report.incomplete:
-                    path = os.path.join(out_dir, "model.vmfb")
-                    save_snapshot(path, state.bank, state.params.layers)
+                    path = model_path
+                    save_snapshot(path, bank, params.layers)
             except OSError as e:
                 if not report.incomplete:  # a failed run raises its own error instead
                     raise ConfigError(f"cannot write {path}: {e}") from None
 
-    return RunResult(report, state, plan, train_pool, test_pool)
+    return RunResult(report, params, bank, plan, train_pool, test_pool)

@@ -18,7 +18,7 @@ import sys
 from dataclasses import replace
 
 from .backbone import forward_batch
-from .bench import METHODS, load_run_config, run_experiment_full
+from .bench import METHODS, load_run_config, open_outputs, run_experiment_full
 from .errors import ConfigError, VmfclError
 from .mixture import PREDICT_BLOCK_ROWS
 from .streams import ROLE_TEST, generate_synthetic, write_stream
@@ -62,10 +62,8 @@ def _cmd_synth(args) -> int:
     if args.seed is not None:
         cfg.synth = replace(cfg.synth, seed=args.seed)
     train, test, _ = generate_synthetic(cfg.synth)
-    train_path = os.path.join(args.out, "train.vmfs")
-    test_path = os.path.join(args.out, "test.vmfs")
+    train_path, test_path = open_outputs(args.out, ["train.vmfs", "test.vmfs"])
     try:
-        os.makedirs(args.out, exist_ok=True)
         write_stream(train_path, train)
         write_stream(test_path, test, ROLE_TEST)
     except OSError as e:
@@ -85,15 +83,17 @@ def _cmd_run(args) -> int:
 
 def _cmd_export(args) -> int:
     cfg = _load(args)
-    path = os.path.join(args.out, "embeddings.csv")
-    if os.path.isdir(path):  # checked before the run, which writes it last
-        raise ConfigError(f"cannot write {path}: it is a directory")
-    result = run_experiment_full(cfg, out_dir=args.out)
-    pool, params = result.test_pool, result.state.params
+    (path,) = open_outputs(args.out, ["embeddings.csv"])  # before the run, which writes it last
+    try:
+        result = run_experiment_full(cfg, out_dir=args.out)
+    except BaseException:
+        os.remove(path)  # a failed run leaves no embeddings, as it leaves no model
+        raise
+    pool, params = result.test_pool, result.params
     try:
         with open(path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
-            writer.writerow(["example_id", "class", "domain"] + [f"e{i}" for i in range(result.state.bank.dim)])
+            writer.writerow(["example_id", "class", "domain"] + [f"e{i}" for i in range(result.bank.dim)])
             # forwarded in blocks, as evaluation is, so no float64 copy of the whole pool is made
             for lo in range(0, len(pool), PREDICT_BLOCK_ROWS):
                 feats = forward_batch(params, pool.x[lo : lo + PREDICT_BLOCK_ROWS])

@@ -267,18 +267,18 @@ def predict_batch(bank: ModelBank, vs: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Versioned binary snapshots ("VMFB" container, optional "THET" backbone block),
+# Versioned binary snapshots ("VMFB" container, then a "THET" backbone block),
 # written by ``vmfcl run`` as model.vmfb; the package has no reader
 # ---------------------------------------------------------------------------
 
 
-def save_snapshot(path, bank: ModelBank, layers=None):
-    """Write a bank (and optionally backbone layers) as a VMFB snapshot.
+def save_snapshot(path, bank: ModelBank, layers):
+    """Write a bank and the backbone layers as a VMFB snapshot.
 
     Layout, all little-endian: magic "VMFB", u32 version, u32 d, f32 kappa,
     u32 class count, then per class (ascending id) u32 id, u32 K and K*d
-    float32 means. If ``layers`` is given (a list of (weight, bias) pairs),
-    a "THET" section follows with u32 layer count and per layer u32 out/in
+    float32 means. A "THET" section follows for ``layers`` (a list of
+    (weight, bias) pairs) with u32 layer count and per layer u32 out/in
     dims, the float32 weight matrix and the float32 bias.
     """
     chunks = [
@@ -286,14 +286,9 @@ def save_snapshot(path, bank: ModelBank, layers=None):
         struct.pack("<IIfI", SNAPSHOT_VERSION, bank.dim, bank.kappa, len(bank.class_ids)),
     ]
     for c, lo, hi in zip(bank.class_ids, bank.offsets[:-1], bank.offsets[1:]):
-        chunks.append(struct.pack("<II", c, hi - lo))
-        chunks.append(bank.means[lo:hi].astype("<f4").tobytes())
-    if layers is not None:
-        chunks.append(BACKBONE_TAG)
-        chunks.append(struct.pack("<I", len(layers)))
-        for w, b in layers:
-            chunks.append(struct.pack("<II", w.shape[0], w.shape[1]))
-            chunks.append(np.asarray(w).astype("<f4").tobytes())
-            chunks.append(np.asarray(b).astype("<f4").tobytes())
+        chunks += [struct.pack("<II", c, hi - lo), bank.means[lo:hi].astype("<f4").tobytes()]
+    chunks += [BACKBONE_TAG, struct.pack("<I", len(layers))]
+    for w, b in layers:
+        chunks += [struct.pack("<II", *w.shape), np.asarray(w, "<f4").tobytes(), np.asarray(b, "<f4").tobytes()]
     with open(path, "wb") as fh:
         fh.write(b"".join(chunks))

@@ -1,11 +1,11 @@
 """Per-session hard-EM training loop.
 
-One session trains on the records its caller gives it: keep the previous
-bank as the teacher, expand the classes the caller names, then alternate an
-epoch-level hard E-step (each example commits to its closest component
-within its class) with mini-batch SGD on the combined objective. After the
-last epoch every class is reduced and a final E-step produces assignments
-consistent with the reduced model.
+One session takes the model as its two parts, the layers and the bank, and
+returns new ones: keep the previous bank as the teacher, expand the classes
+the caller names, then alternate an epoch-level hard E-step (each example
+commits to its closest component within its class) with mini-batch SGD on
+the combined objective. After the last epoch every class is reduced and a
+final E-step gives assignments consistent with the reduced model.
 
 The backbone features of the session data are computed once per E-step
 that follows a layer update: the first forward also serves the teacher
@@ -49,14 +49,6 @@ class LossConfig:
 
     def __post_init__(self):
         check_ranges(self)
-
-
-@dataclass
-class ModelState:
-    """Backbone parameters plus the bank of every class's components."""
-
-    params: bb.BackboneParams
-    bank: mx.ModelBank
 
 
 def lambda_at(epoch: int, cfg: LossConfig) -> float:
@@ -115,22 +107,23 @@ def clf_loss(
 def distill_loss(
     bank: mx.ModelBank,
     params: bb.BackboneParams,
-    snapshot: ModelState | None,
+    old_params: bb.BackboneParams,
+    old_bank: mx.ModelBank,
     records: FeatureRecords,
 ) -> float:
     """Mean KL between current and previous-session component posteriors.
 
-    For every example and every class the snapshot knows, the current
-    posterior is restricted to the components inherited from the snapshot
-    (the leading block, since expansion appends) and renormalized before
-    comparing. Defined as 0 in the first session.
+    For every example and every class of ``old_bank``, the current posterior
+    is restricted to the components inherited from it (the leading block,
+    since expansion appends), renormalized, and compared with the previous
+    session's model, ``old_params`` and ``old_bank``. 0 for an empty old bank.
     """
-    if snapshot is None or not snapshot.bank.class_ids:
+    if not old_bank.class_ids:
         return 0.0
-    old_lp = _old_log_posteriors(snapshot.bank, bb.forward_batch(snapshot.params, records.x))
+    old_lp = _old_log_posteriors(old_bank, bb.forward_batch(old_params, records.x))
     _, _, terms = bb.loss_and_grad(
         params, bank, records.x, records.y, np.zeros(len(records), np.int64), lam=0.0, beta=1.0,
-        eta=0.0, old_log_post=(snapshot.bank, old_lp), with_layers=False,
+        eta=0.0, old_log_post=(old_bank, old_lp), with_layers=False,
     )
     return terms["distill"]
 
@@ -164,29 +157,29 @@ def _old_log_posteriors(teacher: mx.ModelBank, feats: np.ndarray) -> np.ndarray:
     return t
 
 
+@np.errstate(over="ignore", invalid="ignore")  # each step checks its results and raises typed errors
 def train_session(
-    state: ModelState, data: FeatureRecords, expand_classes, *,
+    params: bb.BackboneParams, bank: mx.ModelBank, data: FeatureRecords, expand_classes, *,
     m: int, loss: LossConfig, reduction: st.ReductionConfig | None, seed: int, emit=None,
-) -> tuple[ModelState, np.ndarray]:
-    """Run one full incremental session on ``data``; the input state is never mutated.
+) -> tuple[bb.BackboneParams, mx.ModelBank, np.ndarray]:
+    """Run one full incremental session on ``data``; neither ``params`` nor ``bank`` is mutated.
 
     ``data`` is the session's training set (the incoming records, then any
     replayed ones), and ``expand_classes`` the classes that get ``m`` fresh
     components before the first epoch; ``seed`` draws them and the batch
     order, and ``reduction=None`` skips the reduction. Returns the updated
-    state and the final (post-reduction) assignments of ``data``, one per
-    record by position. Any error propagates and leaves the caller's state
-    exactly as it was. ``emit`` gets one "epoch" event per epoch and one
-    "reduce" event per class, each as it happens.
+    params and bank and the final (post-reduction) assignments of ``data``,
+    one per record by position. Any error propagates and leaves the caller's
+    params and bank exactly as they were. ``emit`` gets one "epoch" event
+    per epoch and one "reduce" event per class, each as it happens.
 
     No step writes into an array it is given: ``expand``, ``sgd_step`` and
     ``reduce`` each return new arrays. So the input bank serves as the
-    teacher as it is, without a copy, and the input state stays intact
-    whether the session succeeds or fails.
+    teacher as it is, without a copy, and neither input changes whether the
+    session succeeds or fails.
     """
     if len(data) == 0:
         raise ValueError("session data must be nonempty")
-    params, bank = state.params, state.bank
     teacher = bank if bank.class_ids else None
 
     rng = np.random.default_rng(seed)
@@ -245,4 +238,4 @@ def train_session(
                 emit("reduce", class_id=c, k_before=len(mm), k_after=max(mm) + 1, merge_map=mm)
 
     final = _e_step_array(bank, feats, data.y)
-    return ModelState(params, bank), final
+    return params, bank, final

@@ -20,7 +20,6 @@ from vmfcl import mixture as mx
 from vmfcl.errors import ModelRegression, NumericalError
 from vmfcl.mixture import segment_log_softmax
 from vmfcl.streams import FeatureRecords
-from vmfcl.trainer import ModelState
 
 
 def clf_loss(
@@ -73,34 +72,36 @@ def _class_log_scores_batch(bank: mx.ModelBank, feats: np.ndarray) -> np.ndarray
 def distill_loss(
     bank: mx.ModelBank,
     params: bb.BackboneParams,
-    snapshot: ModelState | None,
+    old_params: bb.BackboneParams,
+    old_bank: mx.ModelBank,
     records: FeatureRecords,
 ) -> float:
     """Mean KL between current and previous-session component posteriors.
 
-    For every example and every class the snapshot knows, the current
-    posterior is restricted to the components inherited from the snapshot
-    (the leading block, since expansion appends) and renormalized before
-    comparing. Defined as 0 in the first session.
+    ``old_params`` and ``old_bank`` are the previous session's model. For
+    every example and every class the old bank knows, the current posterior
+    is restricted to the components inherited from it (the leading block,
+    since expansion appends) and renormalized before comparing. Defined as 0
+    in the first session, when the old bank has no class.
     """
-    if snapshot is None or not snapshot.bank.class_ids:
+    if not old_bank.class_ids:
         return 0.0
     feats = bb.forward_batch(params, records.x)
-    old_feats = bb.forward_batch(snapshot.params, records.x)
+    old_feats = bb.forward_batch(old_params, records.x)
     total = 0.0
-    snap_ids, mixtures = snapshot.bank.class_ids, bank.mixtures
-    for c, old_mix in snapshot.bank.mixtures.items():
+    old_ids, mixtures = old_bank.class_ids, bank.mixtures
+    for c, old_mix in old_bank.mixtures.items():
         if c not in mixtures:
             raise ModelRegression(f"class {c} from the previous session is missing from the bank")
         k_old = old_mix.num_components
         if mixtures[c].num_components < k_old:
             raise ModelRegression(f"class {c} lost inherited components")
         t_new = bank.kappa * (feats @ mixtures[c].means[:k_old].T)
-        t_old = snapshot.bank.kappa * (old_feats @ old_mix.means.T)
+        t_old = old_bank.kappa * (old_feats @ old_mix.means.T)
         log_q = t_new - _logsumexp_rows(t_new)
         log_r = t_old - _logsumexp_rows(t_old)
         total += float(np.sum(np.exp(log_q) * (log_q - log_r)))
-    value = total / (len(records) * len(snap_ids))
+    value = total / (len(records) * len(old_ids))
     if not math.isfinite(value):
         raise NumericalError(f"distillation loss is non-finite ({value})")
     return value
@@ -125,10 +126,10 @@ def reg_loss(bank) -> float:
     return total / len(bank.mixtures)
 
 
-def old_log_posteriors(snapshot, feats: np.ndarray) -> np.ndarray:
+def old_log_posteriors(teacher: mx.ModelBank, feats: np.ndarray) -> np.ndarray:
     """Teacher log posteriors, log-softmax per class, over the whole (n, K_old) array at once."""
-    t = snapshot.bank.kappa * (feats @ snapshot.bank.means.T)
-    segment_log_softmax(t, snapshot.bank)
+    t = teacher.kappa * (feats @ teacher.means.T)
+    segment_log_softmax(t, teacher)
     return t
 
 

@@ -18,7 +18,7 @@ from vmfcl.memory import select_memory
 from vmfcl.mixture import ModelBank, log_posteriors
 from vmfcl.streams import SynthConfig, generate_synthetic, make_splits
 from vmfcl.structure import ReductionConfig, collect_stats, reduce as reduce_bank
-from vmfcl.trainer import LossConfig, ModelState, _e_step_array, train_session
+from vmfcl.trainer import LossConfig, _e_step_array, train_session
 from vmfcl.vmf import normalize, normalize_rows
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
@@ -322,19 +322,21 @@ def test_criterion_5_reduction_sensitivity():
     synth = SynthConfig(4, 3, 16, 50.0, 150, 0, min_angle_deg=60.0, seed=77)
     train_pool, _, _ = generate_synthetic(synth)
     _, rows = make_splits(train_pool, "ND", 3, seed=5)
-    state = ModelState(init_params(16, 16, 0, np.random.default_rng(1)), ModelBank(16, 16.0))
+    params, bank = init_params(16, 16, 0, np.random.default_rng(1)), ModelBank(16, 16.0)
     loss = LossConfig(epochs=25, batch_size=64, lr=0.05, backbone_lr=0.0)
     for t in (0, 1):
         session = train_pool.subset(rows[t])
-        state, _ = train_session(state, session, np.unique(session.y), m=30, loss=loss, reduction=None, seed=100 + t)
+        params, bank, _ = train_session(
+            params, bank, session, np.unique(session.y), m=30, loss=loss, reduction=None, seed=100 + t
+        )
     data = train_pool.subset(rows[1])
-    z = _e_step_array(state.bank, forward_batch(state.params, data.x), data.y)
-    feats = forward_batch(state.params, data.x)
-    counts, sums = collect_stats(state.bank, data.y, z, feats)
+    z = _e_step_array(bank, forward_batch(params, data.x), data.y)
+    feats = forward_batch(params, data.x)
+    counts, sums = collect_stats(bank, data.y, z, feats)
 
     mean_k = []
     for delta in (0.5, 0.6, 0.7, 0.8, 0.9):
-        red, _ = reduce_bank(state.bank, counts, sums, ReductionConfig(delta=delta))
+        red, _ = reduce_bank(bank, counts, sums, ReductionConfig(delta=delta))
         mean_k.append(float(np.mean([red.mixtures[c].num_components for c in red.class_ids])))
     non_increasing = all(a >= b - 1e-12 for a, b in zip(mean_k, mean_k[1:]))
     strict = mean_k[-1] < mean_k[0]

@@ -225,11 +225,11 @@ class TestRunExperiment:
         log = (out / "train.log").read_text()
         assert "session=0" in log and "epoch=0" in log and "wall_clock_sec=" in log
         snap = decode_snapshot((out / "model.vmfb").read_bytes())
-        bank = result.state.bank
+        bank = result.bank
         assert list(snap.means) == bank.class_ids == [0, 1]
         np.testing.assert_array_equal(np.vstack(list(snap.means.values())), bank.means.astype("<f4"))
-        assert len(snap.layers) == len(result.state.params.layers)
-        for (w, b), (sw, sb) in zip(result.state.params.layers, snap.layers):
+        assert len(snap.layers) == len(result.params.layers)
+        for (w, b), (sw, sb) in zip(result.params.layers, snap.layers):
             np.testing.assert_array_equal(sw, w.astype("<f4"))
             np.testing.assert_array_equal(sb, b.astype("<f4"))
 
@@ -302,27 +302,34 @@ class TestRunExperiment:
         assert n == (sessions or 2)
         assert rep.session_seeds == np.random.default_rng(1993).integers(0, 2**63, size=2 + 2 * n).tolist()[2 : 2 + n]
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_incomplete_report_on_failure(self, tmp_path):
+    def test_incomplete_report_on_failure(self, tmp_path, monkeypatch):
         from vmfcl.streams import generate_synthetic, write_stream
 
         train, test, _ = generate_synthetic(SynthConfig(2, 2, 8, 30.0, 30, 10, seed=8))
         tr, te = tmp_path / "tr.vmfs", tmp_path / "te.vmfs"
         write_stream(tr, train)
         write_stream(te, test)
-        # valid files; the first step throws the means off the float range
-        cfg = tiny_cfg(synth=None, train_path=str(tr), test_path=str(te),
-                       loss=LossConfig(epochs=4, batch_size=32, lr=1e300, backbone_lr=0.0))
+        good = tiny_cfg(synth=None, train_path=str(tr), test_path=str(te))
         out = tmp_path / "broken"
-        with np.errstate(over="ignore"), pytest.raises(DegenerateFeature):
+        run_experiment_full(good, out_dir=str(out))
+        assert (out / "model.vmfb").is_file()
+        # valid files; the first step throws the means off the float range
+        cfg = replace(good, loss=LossConfig(epochs=4, batch_size=32, lr=1e300, backbone_lr=0.0))
+        with pytest.raises(DegenerateFeature):
             run_experiment_full(cfg, out_dir=str(out))
         partial = json.loads((out / "report.json").read_text())
         assert partial["incomplete"] is True
+        assert not (out / "model.vmfb").exists()  # the earlier run's model goes with the failed run
+
         # a report that cannot be written does not replace the run's own error
-        (out / "report.json").unlink()
-        (out / "report.json").symlink_to(tmp_path / "nonexistent" / "x")
-        with np.errstate(over="ignore"), pytest.raises(DegenerateFeature):
-            run_experiment_full(cfg, out_dir=str(out))
+        def swap_then_fail(*args):
+            (out / "report.json").unlink()
+            (out / "report.json").mkdir()
+            raise DegenerateFeature("the run's own error")
+
+        monkeypatch.setattr(bench, "select_memory", swap_then_fail)
+        with pytest.raises(DegenerateFeature, match="the run's own error"):
+            run_experiment_full(good, out_dir=str(out))
 
     @pytest.mark.parametrize("method, split, sessions", [
         ("domain_aware", "ND", None), ("domain_aware", "NCD", 3), ("replay_baseline", "NCD", 3),
@@ -332,9 +339,9 @@ class TestRunExperiment:
         calls, concats = [], []
         train_session, purity, select_memory = bench.train_session, bench.purity, bench.select_memory
 
-        def train(state, data, expand, **settings):
-            calls.append({"data": data, "expand": np.asarray(expand).tolist(), "known": state.bank.class_ids})
-            return train_session(state, data, expand, **settings)
+        def train(params, bank, data, expand, **settings):
+            calls.append({"data": data, "expand": np.asarray(expand).tolist(), "known": bank.class_ids})
+            return train_session(params, bank, data, expand, **settings)
 
         def score(y, z, domains):
             calls[-1]["purity_y"] = y
@@ -810,13 +817,32 @@ test = {out}/test.vmfs
         assert "config error" in err and f"cannot write {out / name}" in err
         log = out / "train.log"
         assert "epoch=" not in (log.read_text() if log.exists() else "")  # rejected before training
-        # a dangling symlink is found only when the file is written, after the run
+        # a dangling symlink is found when every output is opened, before the run too
         dangling = tmp_path / "dangling"
         dangling.mkdir()
         (dangling / name).symlink_to(tmp_path / "nonexistent" / "x")
         assert cli_main([command, "--config", cfg, "--out", str(dangling)]) == 1
         err = capsys.readouterr().err
         assert "config error" in err and f"cannot write {dangling / name}" in err
+        log = dangling / "train.log"
+        assert "epoch=" not in (log.read_text() if log.exists() else "")
+
+    @pytest.mark.parametrize("command, outputs", [
+        ("run", ["model.vmfb"]), ("export-embeddings", ["model.vmfb", "embeddings.csv"]),
+    ])
+    def test_failed_rerun_leaves_no_model(self, tmp_path, capsys, command, outputs):
+        # an earlier run's model or embeddings never sit next to a failed run's report
+        good = self.write_cfg(tmp_path)
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(config_with("train", "lr", "1e300"))  # the first step overflows the means
+        out = tmp_path / "out"
+        assert cli_main([command, "--config", good, "--out", str(out)]) == 0
+        assert all((out / name).is_file() for name in outputs)
+        capsys.readouterr()
+        assert cli_main([command, "--config", str(bad), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")  # typed, also under error::RuntimeWarning
+        assert json.loads((out / "report.json").read_text())["incomplete"] is True
+        assert not any((out / name).exists() for name in outputs)
 
     @pytest.mark.parametrize("command", ["synth", "run", "export-embeddings"])
     def test_out_that_is_an_existing_file_exit_code(self, tmp_path, capsys, command):
@@ -877,8 +903,8 @@ test = {out}/test.vmfs
         result = run_experiment_full(cfg)
         assert len(result.report.per_session_acc) == 3
         assert built == []
-        assert list(result.state.bank.mixtures) == result.state.bank.class_ids
-        assert built == result.state.bank.sizes.tolist()  # it counts
+        assert list(result.bank.mixtures) == result.bank.class_ids
+        assert built == result.bank.sizes.tolist()  # it counts
 
     def test_shipped_configs_parse(self):
         root = os.path.join(os.path.dirname(__file__), "..", "configs")

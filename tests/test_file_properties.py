@@ -128,7 +128,7 @@ def test_stream_round_trip(records, role):
 
 @st.composite
 def snapshots(draw):
-    """A bank and either no backbone or a layer stack that ends at the bank dim."""
+    """A bank and a layer stack that ends at the bank dim."""
     d = draw(st.integers(2, 6))
     ids = draw(st.sets(st.integers(0, 2**32 - 1), min_size=1, max_size=5))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -136,14 +136,12 @@ def snapshots(draw):
         c: normalize_rows(rng.standard_normal((draw(st.integers(1, 4)), d)))
         for c in ids
     })
-    layers = None
-    if draw(st.booleans()):
-        dims = draw(st.lists(st.integers(1, 5), min_size=1, max_size=3)) + [d]
-        layers = [
-            (draw(hnp.arrays(np.float64, (fan_out, fan_in), elements=FLOATS)),
-             draw(hnp.arrays(np.float64, (fan_out,), elements=FLOATS)))
-            for fan_in, fan_out in zip(dims[:-1], dims[1:])
-        ]
+    dims = draw(st.lists(st.integers(1, 5), min_size=1, max_size=3)) + [d]
+    layers = [
+        (draw(hnp.arrays(np.float64, (fan_out, fan_in), elements=FLOATS)),
+         draw(hnp.arrays(np.float64, (fan_out,), elements=FLOATS)))
+        for fan_in, fan_out in zip(dims[:-1], dims[1:])
+    ]
     return bank, layers
 
 
@@ -158,9 +156,6 @@ def test_snapshot_round_trip(snapshot):
     assert [len(m) for m in snap.means.values()] == bank.sizes.tolist()
     for c, lo, hi in zip(bank.class_ids, bank.offsets[:-1], bank.offsets[1:]):
         np.testing.assert_array_equal(snap.means[c], bank.means[lo:hi].astype("<f4"))
-    if layers is None:
-        assert snap.layers is None
-        return
     assert len(snap.layers) == len(layers)
     for (w, b), (lw, lb) in zip(layers, snap.layers):
         np.testing.assert_array_equal(lw, w.astype("<f4"))

@@ -35,10 +35,10 @@ _spec.loader.exec_module(check_identical)
 PINNED_LEGS = [leg for leg in check_identical.LEGS if leg.pinned]
 
 
-def state_digest(state) -> str:
-    """sha256 of a final model in float64: the packed means, then each layer's weight and bias."""
-    h = hashlib.sha256(state.bank.means.tobytes())
-    for w, b in state.params.layers:
+def state_digest(result) -> str:
+    """sha256 of a run's final model in float64: the packed means, then each layer's weight and bias."""
+    h = hashlib.sha256(result.bank.means.tobytes())
+    for w, b in result.params.layers:
         h.update(w.tobytes())
         h.update(b.tobytes())
     return h.hexdigest()
@@ -57,7 +57,7 @@ def leg_digests(leg, out: Path, monkeypatch) -> dict:
     args = [a.format(root=ROOT) for a in leg.args]
     assert cli.main([*args, "--seed", str(PINNED["seed"]), "--out", str(out)]) == 0
     got = {name: check_identical.digest(out / name) for name in leg.outputs}
-    got.update({"state.float64": state_digest(r.state) for r in runs})
+    got.update({"state.float64": state_digest(r) for r in runs})
     return got
 
 

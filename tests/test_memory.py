@@ -187,14 +187,14 @@ class TestSelectMemory:
 
         from vmfcl.backbone import init_params
         from vmfcl.structure import ReductionConfig
-        from vmfcl.trainer import LossConfig, ModelState, train_session
+        from vmfcl.trainer import LossConfig, train_session
 
         fresh = records.subset(np.concatenate([np.arange(5), np.arange(20, 25)]))
         fresh.ids = fresh.ids + 5000
-        state = ModelState(init_params(4, 4, 0, np.random.default_rng(0)), ModelBank(4, 16.0))
+        params = init_params(4, 4, 0, np.random.default_rng(0))
         loss = LossConfig(epochs=1, batch_size=16, lr=0.05, backbone_lr=0.0)
-        _, final = train_session(state, concat_records(fresh, resumed.records), np.unique(fresh.y),
-                                 m=4, loss=loss, reduction=ReductionConfig(), seed=1)
+        _, _, final = train_session(params, ModelBank(4, 16.0), concat_records(fresh, resumed.records),
+                                    np.unique(fresh.y), m=4, loss=loss, reduction=ReductionConfig(), seed=1)
         assert len(final) == 10 + len(resumed)
 
     def test_buffer_over_budget_rejected(self):

@@ -236,14 +236,6 @@ class TestSnapshots:
             np.testing.assert_array_equal(lw, w.astype("<f4"))
             np.testing.assert_array_equal(lb, b.astype("<f4"))
 
-    def test_round_trip_without_backbone(self, tmp_path):
-        bank = make_bank(3, 16.0, {0: np.eye(3)[:2]})
-        path = tmp_path / "bankonly.vmfb"
-        save_snapshot(path, bank)
-        snap = decode_snapshot(path.read_bytes())
-        assert snap.layers is None
-        np.testing.assert_array_equal(snap.means[0], np.eye(3)[:2])
-
     def test_byte_layout(self, tmp_path):
         bank = make_bank(3, 16.0, {
             0: np.eye(3)[:2],

@@ -23,10 +23,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vmfcl.backbone import forward_batch, init_params, loss_and_grad, sgd_step
-from vmfcl.mixture import assign_components_batch, predict_batch
+from vmfcl.mixture import ModelBank, assign_components_batch, predict_batch
 from vmfcl.structure import expand
 from vmfcl.trainer import (
-    ModelState,
     _e_step_array,
     _old_log_posteriors,
     clf_loss,
@@ -39,11 +38,12 @@ TOL = 1e-10
 
 @st.composite
 def cases(draw):
-    """A bank of 1-8 classes with 1-12 components each, an optional teacher and a batch.
+    """A bank of 1-8 classes with 1-12 components each, the teacher and a batch.
 
-    The teacher holds a proper subset of the classes; the current bank grows
-    from it by ``expand``, as a session does, so the inherited components
-    lead each class block.
+    The teacher is the previous session's ``(params, bank)``. Its bank holds
+    a proper subset of the classes, none in a first session; the current
+    bank grows from it by ``expand``, as a session does, so the inherited
+    components lead each class block.
     """
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     d = draw(st.integers(2, 8))
@@ -61,7 +61,7 @@ def cases(draw):
         grown = [c for c in ids if c not in old_ids or draw(st.booleans())]
         bank = expand(old, grown, m, rng)
     else:
-        old = None
+        old = ModelBank(d, kappa)
         bank = make_bank(d, kappa, {
             c: normalize_rows(rng.standard_normal((draw(st.integers(1, 12)), d)))
             for c in ids
@@ -72,12 +72,14 @@ def cases(draw):
     x = rng.standard_normal((n, d + 1))
     y = rng.choice(ids, size=n)
     z = rng.integers(0, bank.sizes[np.searchsorted(ids, y)])
-    teacher = None if old is None else ModelState(init_params(d + 1, d, hidden, rng), old)
+    teacher = (init_params(d + 1, d, hidden, rng) if old_ids else params, old)
     return bank, teacher, params, x, y, z
 
 
-def teacher_log_post(teacher: ModelState, x) -> np.ndarray:
-    return _old_log_posteriors(teacher.bank, forward_batch(teacher.params, x))
+def teacher_log_post(teacher, x):
+    """``loss_and_grad``'s ``old_log_post`` for the teacher ``(params, bank)``; None in a first session."""
+    old_params, old = teacher
+    return (old, _old_log_posteriors(old, forward_batch(old_params, x))) if old.class_ids else None
 
 
 @settings(max_examples=200, deadline=None, database=None)
@@ -85,13 +87,13 @@ def teacher_log_post(teacher: ModelState, x) -> np.ndarray:
 def test_packed_terms_match_the_per_class_oracles(case):
     bank, teacher, params, x, y, z = case
     recs = make_records(x, y)
-    old_lp = None if teacher is None else (teacher.bank, teacher_log_post(teacher, x))
+    old_lp = teacher_log_post(teacher, x)
     _, _, terms = loss_and_grad(params, bank, x, y, z, lam=1.0, beta=1.0, eta=1.0, old_log_post=old_lp)
     inter = oracles.clf_loss(bank, params, recs, z, 0.0)
     assert terms["inter"] == pytest.approx(inter, rel=TOL, abs=TOL)
     assert terms["inter"] + terms["intra"] == pytest.approx(oracles.clf_loss(bank, params, recs, z, 1.0),
                                                             rel=TOL, abs=TOL)
-    assert terms["distill"] == pytest.approx(oracles.distill_loss(bank, params, teacher, recs),
+    assert terms["distill"] == pytest.approx(oracles.distill_loss(bank, params, *teacher, recs),
                                              rel=TOL, abs=TOL)
     assert terms["reg"] == pytest.approx(oracles.reg_loss(bank), rel=TOL, abs=TOL)
 
@@ -101,17 +103,17 @@ def test_packed_terms_match_the_per_class_oracles(case):
 def test_trainer_losses_are_the_packed_terms_bit_for_bit(case, lam):
     bank, teacher, params, x, y, z = case
     recs = make_records(x, y)
-    old_lp = None if teacher is None else (teacher.bank, teacher_log_post(teacher, x))
+    old_lp = teacher_log_post(teacher, x)
     _, _, terms = loss_and_grad(params, bank, x, y, z, lam=lam, beta=1.0, eta=0.0, old_log_post=old_lp)
     assert clf_loss(bank, params, recs, z, lam) == terms["inter"] + lam * terms["intra"]
-    assert distill_loss(bank, params, teacher, recs) == terms["distill"]
+    assert distill_loss(bank, params, *teacher, recs) == terms["distill"]
 
 
 @settings(max_examples=100, deadline=None, database=None)
 @given(cases(), st.sampled_from([0.01, 0.5]))
 def test_packed_sgd_step_is_a_per_class_normalized_update(case, lr):
     bank, teacher, params, x, y, z = case
-    old_lp = None if teacher is None else (teacher.bank, teacher_log_post(teacher, x))
+    old_lp = teacher_log_post(teacher, x)
     _, grad, _ = loss_and_grad(params, bank, x, y, z, lam=0.1, beta=1.0, eta=0.1, old_log_post=old_lp)
     _, new_bank = sgd_step(params, bank, grad, lr, 0.0, lr)
     assert new_bank.class_ids == bank.class_ids

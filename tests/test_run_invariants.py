@@ -63,8 +63,7 @@ def run(train: FeatureRecords, test: FeatureRecords, split: str, seed: int):
         result = run_experiment_full(cfg)
     report = result.report.to_dict()
     del report["config_echo"]
-    state = result.state
-    model = b"".join([state.bank.means.tobytes(), *(a.tobytes() for layer in state.params.layers for a in layer)])
+    model = b"".join([result.bank.means.tobytes(), *(a.tobytes() for layer in result.params.layers for a in layer)])
     return report, model
 
 

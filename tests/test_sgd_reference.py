@@ -24,14 +24,13 @@ from vmfcl.backbone import init_params, loss_and_grad, sgd_step
 from vmfcl.errors import ModelRegression
 from vmfcl.mixture import ModelBank
 from vmfcl.structure import expand
-from vmfcl.trainer import ModelState
 from vmfcl.vmf import normalize_rows
 
 
-def teacher_log_post(teacher: ModelState, x):
-    feats = ref.normalize_rows(ref._forward_raw(teacher.params, x)[0])
-    t = teacher.bank.kappa * (feats @ teacher.bank.means.T)
-    return ref.segment_log_softmax(t, teacher.bank.offsets)[1]
+def teacher_log_post(old_params, old: ModelBank, x):
+    feats = ref.normalize_rows(ref._forward_raw(old_params, x)[0])
+    t = old.kappa * (feats @ old.means.T)
+    return ref.segment_log_softmax(t, old.offsets)[1]
 
 
 @st.composite
@@ -50,7 +49,6 @@ def steps(draw, teacher_growth=st.sampled_from(["kept", "some", "all"]), min_old
     n_old = draw(st.integers(min_old, n_classes))
     old_ids = sorted(draw(st.permutations(ids))[:n_old])
     hidden = draw(st.sampled_from([0, 3]))
-    teacher = None
     if old_ids:
         old = make_bank(d, kappa, {
             c: normalize_rows(rng.standard_normal((draw(st.integers(1, 6)), d)))
@@ -60,7 +58,7 @@ def steps(draw, teacher_growth=st.sampled_from(["kept", "some", "all"]), min_old
         grown = [c for c in ids
                  if c not in old_ids or growth == "all" or (growth == "some" and draw(st.booleans()))]
         bank = expand(old, grown, draw(st.integers(1, 6)), rng) if grown else old
-        teacher = ModelState(init_params(d + 1, d, hidden, rng), old)
+        old_params = init_params(d + 1, d, hidden, rng)
     else:
         bank = make_bank(d, kappa, {
             c: normalize_rows(rng.standard_normal((draw(st.integers(1, 12)), d)))
@@ -72,7 +70,7 @@ def steps(draw, teacher_growth=st.sampled_from(["kept", "some", "all"]), min_old
     y = rng.choice(ids, size=n)
     z = rng.integers(0, bank.sizes[np.searchsorted(ids, y)])
     coef = {name: draw(st.sampled_from([0.0, 0.07, 1.0])) for name in ("lam", "beta", "eta")}
-    old_lp = None if teacher is None else (teacher.bank, teacher_log_post(teacher, x))
+    old_lp = (old, teacher_log_post(old_params, old, x)) if old_ids else None
     return params, bank, x, y, z, coef, old_lp
 
 
@@ -213,9 +211,8 @@ def test_mismatched_teacher_after_a_cached_hit_still_raises():
         params = init_params(d + 1, d, 0, rng)
         x = rng.standard_normal((6, d + 1))
         y, z = np.array([1, 5, 8, 1, 5, 8]), np.zeros(6, np.int64)
-        teacher = ModelState(params, old)
         args = dict(lam=0.1, beta=1.0, eta=0.1)
-        old_lp = (old, teacher_log_post(teacher, x))
+        old_lp = (old, teacher_log_post(params, old, x))
         for _ in range(2):  # the second call hits the cached teacher map
             want = ref.loss_and_grad(params, bank, x, y, z, old_log_post=old_lp, **args)
             assert_same_result(loss_and_grad(params, bank, x, y, z, old_log_post=old_lp, **args), want)

@@ -19,7 +19,6 @@ from vmfcl.structure import ReductionConfig
 from vmfcl.trainer import (
     _e_step_array as e_step,
     LossConfig,
-    ModelState,
     _old_log_posteriors,
     clf_loss,
     distill_loss,
@@ -141,14 +140,13 @@ class TestLossTerms:
 
     def test_distill_zero_for_identical_models(self):
         bank, params = self.setup_bank()
-        snap = ModelState(params, bank)
         recs = make_records(normalize_rows(np.array([[0.3, 0.9], [-0.8, 0.1]])), np.array([0, 1]))
-        assert distill_loss(bank, params, snap, recs) == pytest.approx(0.0, abs=1e-12)
+        assert distill_loss(bank, params, params, bank, recs) == pytest.approx(0.0, abs=1e-12)
 
     def test_distill_zero_without_snapshot(self):
         bank, params = self.setup_bank()
         recs = make_records(np.array([[1.0, 0.0]]), np.array([0]))
-        assert distill_loss(bank, params, None, recs) == 0.0
+        assert distill_loss(bank, params, params, ModelBank(2, 16.0), recs) == 0.0
 
     def test_distill_direct_kl_value(self):
         # current posterior (0.9, 0.1) against a uniform teacher (0.5, 0.5)
@@ -161,11 +159,12 @@ class TestLossTerms:
         cur = make_bank(2, kappa, {0: np.vstack([v, mu2])})
         same = normalize([0.7, 0.7])
         old = make_bank(2, kappa, {0: np.vstack([same, same])})
-        snap = ModelState(identity_backbone(2), old)
         recs = make_records(v[None, :], np.array([0]))
         q = np.array([0.9, 0.1])
         expected = float(np.sum(q * np.log(q / 0.5)))
-        assert distill_loss(cur, identity_backbone(2), snap, recs) == pytest.approx(expected, abs=1e-9)
+        assert distill_loss(cur, identity_backbone(2), identity_backbone(2), old, recs) == pytest.approx(
+            expected, abs=1e-9
+        )
 
     def test_distill_restricts_to_inherited_block(self):
         kappa = 16.0
@@ -174,18 +173,18 @@ class TestLossTerms:
         old = make_bank(2, kappa, {0: old_means})
         # current model inherited both components and gained an expansion one
         cur = make_bank(2, kappa, {0: np.vstack([old_means, normalize([0.0, 1.0])])})
-        snap = ModelState(identity_backbone(2), old)
         recs = make_records(v[None, :], np.array([0]))
         # identical inherited block and identical features: KL must vanish
-        assert distill_loss(cur, identity_backbone(2), snap, recs) == pytest.approx(0.0, abs=1e-12)
+        assert distill_loss(cur, identity_backbone(2), identity_backbone(2), old, recs) == pytest.approx(
+            0.0, abs=1e-12
+        )
 
     def test_distill_missing_class_raises(self):
         bank, params = self.setup_bank()
         old = make_bank(2, 16.0, {9: np.eye(2)[:1]})
-        snap = ModelState(params, old)
         recs = make_records(np.array([[1.0, 0.0]]), np.array([0]))
         with pytest.raises(ModelRegression):
-            distill_loss(bank, params, snap, recs)
+            distill_loss(bank, params, params, old, recs)
 
     def test_reg_all_singletons_zero(self):
         bank = make_bank(2, 16.0, {0: np.eye(2)[:1], 1: np.eye(2)[1:]})
@@ -236,16 +235,15 @@ class TestLossTerms:
         bank, params = self.setup_bank()
         recs = make_records(normalize_rows(np.array([[0.9, 0.2], [-0.7, -0.6]])), np.array([0, 1]))
         z = e_step(bank, forward_batch(params, recs.x), recs.y)
-        snap = ModelState(params, bank)
         lam, beta, eta = 0.1, 1.0, 0.1
         expected = (
             oracles.clf_loss(bank, params, recs, z, lam)
-            + beta * oracles.distill_loss(bank, params, snap, recs)
+            + beta * oracles.distill_loss(bank, params, params, bank, recs)
             + eta * oracles.reg_loss(bank)
         )
-        old_lp = _old_log_posteriors(snap.bank, forward_batch(snap.params, recs.x))
+        old_lp = _old_log_posteriors(bank, forward_batch(params, recs.x))
         got, _, _ = loss_and_grad(params, bank, recs.x, recs.y, z, lam=lam, beta=beta, eta=eta,
-                                  old_log_post=(snap.bank, old_lp))
+                                  old_log_post=(bank, old_lp))
         assert got == pytest.approx(expected, rel=1e-12)
 
     def test_overall_without_terms_equals_clf(self):
@@ -268,7 +266,6 @@ class TestLossTerms:
             old_mixtures[c] = means[: max(1, k - 1)].copy()
         bank = make_bank(4, 16.0, mixtures)
         old = make_bank(4, 16.0, old_mixtures)
-        snap = ModelState(params, old)
         x = rng.standard_normal((12, 5))
         y = rng.integers(0, 3, size=12)
         recs = make_records(x, y)
@@ -276,26 +273,25 @@ class TestLossTerms:
         lam, beta, eta = 0.08, 1.0, 0.1
         scalar = (
             oracles.clf_loss(bank, params, recs, z, lam)
-            + beta * oracles.distill_loss(bank, params, snap, recs)
+            + beta * oracles.distill_loss(bank, params, params, old, recs)
             + eta * oracles.reg_loss(bank)
         )
-        old_lp = _old_log_posteriors(snap.bank, forward_batch(snap.params, recs.x))
+        old_lp = _old_log_posteriors(old, forward_batch(params, recs.x))
         vectorized, _, terms = loss_and_grad(params, bank, x, y, z, lam=lam, beta=beta, eta=eta,
                                              old_log_post=(old, old_lp))
         assert vectorized == pytest.approx(scalar, abs=1e-9)
         assert terms["inter"] + lam * terms["intra"] == pytest.approx(
             oracles.clf_loss(bank, params, recs, z, lam), abs=1e-9
         )
-        assert terms["distill"] == pytest.approx(oracles.distill_loss(bank, params, snap, recs), abs=1e-9)
+        assert terms["distill"] == pytest.approx(oracles.distill_loss(bank, params, params, old, recs), abs=1e-9)
         assert terms["reg"] == pytest.approx(oracles.reg_loss(bank), abs=1e-12)
 
 
-def teacher(rng, n_classes=12, d=8, kappa=16.0) -> ModelState:
-    """A snapshot of uneven class blocks (1 to 6 components) behind an identity backbone."""
-    bank = make_bank(d, kappa, {
+def teacher(rng, n_classes=12, d=8, kappa=16.0) -> ModelBank:
+    """A teacher bank of uneven class blocks (1 to 6 components)."""
+    return make_bank(d, kappa, {
         c: normalize_rows(rng.standard_normal((int(rng.integers(1, 7)), d))) for c in range(n_classes)
     })
-    return ModelState(identity_backbone(d), bank)
 
 
 class TestTeacher:
@@ -304,37 +300,37 @@ class TestTeacher:
     @pytest.mark.parametrize("n", [1, B - 1, B, B + 1, 2 * B + 3])
     def test_blocked_teacher_equals_the_whole_array_oracle(self, n):
         rng = np.random.default_rng(n)
-        snap = teacher(rng)
-        feats = normalize_rows(rng.standard_normal((n, snap.bank.dim)))
-        got = _old_log_posteriors(snap.bank, feats)
-        want = oracles.old_log_posteriors(snap, feats)
+        old = teacher(rng)
+        feats = normalize_rows(rng.standard_normal((n, old.dim)))
+        got = _old_log_posteriors(old, feats)
+        want = oracles.old_log_posteriors(old, feats)
         assert got.shape == want.shape and got.dtype == want.dtype
         assert got.tobytes() == want.tobytes()
 
     def test_teacher_memory_is_its_output_and_a_few_blocks(self):
         rng = np.random.default_rng(3)
-        snap = teacher(rng, n_classes=16)
-        feats = normalize_rows(rng.standard_normal((6 * self.B, snap.bank.dim)))
-        output = feats.shape[0] * snap.bank.means.shape[0] * 8
-        block = self.B * snap.bank.means.shape[0] * 8
+        old = teacher(rng, n_classes=16)
+        feats = normalize_rows(rng.standard_normal((6 * self.B, old.dim)))
+        output = feats.shape[0] * old.means.shape[0] * 8
+        block = self.B * old.means.shape[0] * 8
         tracemalloc.start()
         try:
-            _old_log_posteriors(snap.bank, feats)
+            _old_log_posteriors(old, feats)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < output + 4 * block
 
 
-def state_arrays(state: ModelState) -> list:
-    """Copies of every array of a state: its layers, and its bank's means and index arrays."""
-    layers = [a for layer in state.params.layers for a in layer]
-    bank = [a for a in vars(state.bank).values() if isinstance(a, np.ndarray)]
-    return [np.copy(a) for a in layers + bank]
+def state_arrays(params: BackboneParams, bank: ModelBank) -> list:
+    """Copies of every array of a model: its layers, and its bank's means and index arrays."""
+    layers = [a for layer in params.layers for a in layer]
+    packed = [a for a in vars(bank).values() if isinstance(a, np.ndarray)]
+    return [np.copy(a) for a in layers + packed]
 
 
-def assert_state_equals(state: ModelState, arrays: list):
-    now = state_arrays(state)
+def assert_state_equals(params: BackboneParams, bank: ModelBank, arrays: list):
+    now = state_arrays(params, bank)
     assert len(now) == len(arrays)
     for a, b in zip(now, arrays):
         assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
@@ -348,7 +344,8 @@ def synthetic_session(seed=50, n_classes=3, domains=2, kt=60.0, per_pair=40, d=8
 
 class TestTrainSession:
     def base_state(self, d=8, seed=1):
-        return ModelState(init_params(d, d, 0, np.random.default_rng(seed)), ModelBank(d, 16.0))
+        """A first session's model: fresh layers and an empty bank."""
+        return init_params(d, d, 0, np.random.default_rng(seed)), ModelBank(d, 16.0)
 
     def cfg(self, epochs=12, seed=3):
         """The keyword settings of a session that trains the means only."""
@@ -357,7 +354,7 @@ class TestTrainSession:
 
     def test_purity_on_separated_stream(self):
         session, _ = synthetic_session()
-        state, z = train_session(self.base_state(), session, np.unique(session.y), **self.cfg())
+        _, _, z = train_session(*self.base_state(), session, np.unique(session.y), **self.cfg())
         recs = session
         from vmfcl.bench import purity
 
@@ -365,86 +362,85 @@ class TestTrainSession:
 
     def test_zero_epochs_leaves_params_untouched(self):
         session, _ = synthetic_session()
-        state0 = self.base_state()
-        state, table = train_session(state0, session, np.unique(session.y), **self.cfg(epochs=0))
-        for (w0, b0), (w1, b1) in zip(state0.params.layers, state.params.layers):
+        params0, bank0 = self.base_state()
+        params, bank, table = train_session(params0, bank0, session, np.unique(session.y), **self.cfg(epochs=0))
+        for (w0, b0), (w1, b1) in zip(params0.layers, params.layers):
             np.testing.assert_array_equal(w0, w1)
             np.testing.assert_array_equal(b0, b1)
         # expansion + reduction still ran
-        assert all(m.num_components >= 1 for m in state.bank.mixtures.values())
+        assert all(m.num_components >= 1 for m in bank.mixtures.values())
         assert len(table) == len(session)
 
     def test_final_assignments_are_reduced_model_fixed_point(self):
         session, _ = synthetic_session()
-        state, z = train_session(self.base_state(), session, np.unique(session.y), **self.cfg())
+        params, bank, z = train_session(*self.base_state(), session, np.unique(session.y), **self.cfg())
         recs = session
         for k, y in zip(z, recs.y):
-            assert 0 <= k < state.bank.mixtures[int(y)].num_components
-        np.testing.assert_array_equal(e_step(state.bank, forward_batch(state.params, recs.x), recs.y), z)
+            assert 0 <= k < bank.mixtures[int(y)].num_components
+        np.testing.assert_array_equal(e_step(bank, forward_batch(params, recs.x), recs.y), z)
 
     def test_deterministic_under_seed(self):
         session, _ = synthetic_session()
-        s1, t1 = train_session(self.base_state(), session, np.unique(session.y), **self.cfg())
-        s2, t2 = train_session(self.base_state(), session, np.unique(session.y), **self.cfg())
+        p1, bank1, t1 = train_session(*self.base_state(), session, np.unique(session.y), **self.cfg())
+        p2, bank2, t2 = train_session(*self.base_state(), session, np.unique(session.y), **self.cfg())
         np.testing.assert_array_equal(t1, t2)
-        for c in s1.bank.class_ids:
-            np.testing.assert_array_equal(s1.bank.mixtures[c].means, s2.bank.mixtures[c].means)
-        for (w1, b1), (w2, b2) in zip(s1.params.layers, s2.params.layers):
+        for c in bank1.class_ids:
+            np.testing.assert_array_equal(bank1.mixtures[c].means, bank2.mixtures[c].means)
+        for (w1, b1), (w2, b2) in zip(p1.layers, p2.layers):
             np.testing.assert_array_equal(w1, w2)
 
     def second_session(self, backbone_lr, expanding=True):
-        """A trained state, a second session's training set (its records, then the
-        memory's), the memory, the classes it expands and the settings that train the
-        layers at ``backbone_lr`` and distils; unless it expands the existing
-        classes, the first step reads the input state's means themselves."""
+        """A trained ``(params, bank)``, a second session's training set (its records,
+        then the memory's), the memory, the classes it expands and the settings that
+        train the layers at ``backbone_lr`` and distils; unless it expands the
+        existing classes, the first step reads the input bank's means themselves."""
         session, _ = synthetic_session()
-        state, z = train_session(self.base_state(), session, np.unique(session.y), **self.cfg(epochs=2))
-        memory = select_memory(state.bank, session, z, 20, np.random.default_rng(0))
+        params, bank, z = train_session(*self.base_state(), session, np.unique(session.y), **self.cfg(epochs=2))
+        memory = select_memory(bank, session, z, 20, np.random.default_rng(0))
         loss = LossConfig(epochs=3, batch_size=32, lr=0.05, backbone_lr=backbone_lr)
         data = concat_records(session, memory.records)
         expand = np.unique(session.y) if expanding else []
-        return state, data, memory, expand, dict(m=5, loss=loss, reduction=ReductionConfig(), seed=4)
+        return (params, bank), data, memory, expand, dict(m=5, loss=loss, reduction=ReductionConfig(), seed=4)
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_abort_leaves_state_bitwise_intact(self):
         bad, _ = synthetic_session()
         bad.x[3, 0] = np.inf
-        state0 = self.base_state()
-        before = state_arrays(state0)
+        model0 = self.base_state()
+        before = state_arrays(*model0)
         with pytest.raises(VmfclError):
-            train_session(state0, bad, np.unique(bad.y), **self.cfg())
-        assert_state_equals(state0, before)
-        assert state0.bank.mixtures == {}
+            train_session(*model0, bad, np.unique(bad.y), **self.cfg())
+        assert_state_equals(*model0, before)
+        assert model0[1].mixtures == {}
         # a second session, from a non-empty bank with a teacher and memory: a bad
         # record fails on the first forward, a huge rate on the first means step
-        state, data, memory, expand, cfg = self.second_session(backbone_lr=0.02)
-        before = state_arrays(state)
+        model, data, memory, expand, cfg = self.second_session(backbone_lr=0.02)
+        before = state_arrays(*model)
         with pytest.raises(VmfclError):
-            train_session(state, concat_records(bad, memory.records), expand, **cfg)
+            train_session(*model, concat_records(bad, memory.records), expand, **cfg)
         huge = LossConfig(epochs=3, batch_size=32, lr=1e300)
         with pytest.raises(VmfclError):
-            train_session(state, data, expand, **{**cfg, "loss": huge})
-        assert_state_equals(state, before)
+            train_session(*model, data, expand, **{**cfg, "loss": huge})
+        assert_state_equals(*model, before)
 
     @pytest.mark.parametrize("expanding", [True, False], ids=["expanding", "not-expanding"])
     @pytest.mark.parametrize("backbone_lr", [0.02, 0.0], ids=["trained-backbone", "frozen-backbone"])
     def test_success_leaves_state_bitwise_intact(self, backbone_lr, expanding):
-        # the input state is the session's teacher, read in place: no step may write to it
-        state, data, _, expand, cfg = self.second_session(backbone_lr, expanding)
-        before = state_arrays(state)
-        after, _ = train_session(state, data, expand, **cfg)
-        assert_state_equals(state, before)
-        assert not np.array_equal(after.bank.means, state.bank.means)
+        # the input bank is the session's teacher, read in place: no step may write to it
+        model, data, _, expand, cfg = self.second_session(backbone_lr, expanding)
+        before = state_arrays(*model)
+        _, after, _ = train_session(*model, data, expand, **cfg)
+        assert_state_equals(*model, before)
+        assert not np.array_equal(after.means, model[1].means)
 
     def test_empty_session_rejected(self):
         empty = empty_records(8)
         with pytest.raises(ValueError):
-            train_session(self.base_state(), empty, np.unique(empty.y), **self.cfg())
+            train_session(*self.base_state(), empty, np.unique(empty.y), **self.cfg())
 
     def test_epoch_log_lines(self):
         session, _ = synthetic_session()
         log = io.StringIO()
-        train_session(self.base_state(), session, np.unique(session.y), **self.cfg(epochs=3), emit=log_to(log))
+        train_session(*self.base_state(), session, np.unique(session.y), **self.cfg(epochs=3), emit=log_to(log))
         lines = [l for l in log.getvalue().splitlines() if l.startswith("epoch=")]
         assert len(lines) == 3
         assert "lambda=" in lines[0] and "clf=" in lines[0] and "total=" in lines[0]
@@ -466,12 +462,12 @@ class TestTrainSession:
 
         monkeypatch.setattr(vmfcl.structure, "expand", recording)
         events = []
-        state, _ = train_session(self.base_state(), session, np.unique(session.y), **self.cfg(epochs=2),
-                                 emit=lambda kind, **values: events.append((kind, values)))
+        _, bank, _ = train_session(*self.base_state(), session, np.unique(session.y), **self.cfg(epochs=2),
+                                   emit=lambda kind, **values: events.append((kind, values)))
         reduces = [values for kind, values in events if kind == "reduce"]
         before = dict(zip(expanded[0].class_ids, expanded[0].sizes.tolist()))
-        after = dict(zip(state.bank.class_ids, state.bank.sizes.tolist()))
-        assert [e["class_id"] for e in reduces] == state.bank.class_ids
+        after = dict(zip(bank.class_ids, bank.sizes.tolist()))
+        assert [e["class_id"] for e in reduces] == bank.class_ids
         for e in reduces:
             assert e["k_before"] == before[e["class_id"]] == len(e["merge_map"])
             assert e["k_after"] == after[e["class_id"]]
@@ -483,7 +479,7 @@ class TestTrainSession:
         import vmfcl.backbone
 
         session, _ = synthetic_session()
-        teacher, _ = train_session(self.base_state(), session, np.unique(session.y), **self.cfg(epochs=2))
+        trained = train_session(*self.base_state(), session, np.unique(session.y), **self.cfg(epochs=2))[:2]
         original = vmfcl.backbone.forward_batch
         rows = []
 
@@ -494,9 +490,9 @@ class TestTrainSession:
         monkeypatch.setattr(vmfcl.backbone, "forward_batch", counting)
         out = []
         for loss in losses:
-            for state in (teacher, self.base_state()):
+            for model in (trained, self.base_state()):
                 rows.clear()
-                train_session(state, session, np.unique(session.y), m=30, loss=loss,
+                train_session(*model, session, np.unique(session.y), m=30, loss=loss,
                               reduction=ReductionConfig(), seed=3, emit=log_to(io.StringIO()))
                 out.append(rows.copy())
         return len(session), out
@@ -522,16 +518,16 @@ class TestTrainSession:
         # with lr = 0 the model stays put, so the batch means an epoch event
         # reports equal the full-data oracles on the returned state
         session, _ = synthetic_session()
-        teacher, _ = train_session(self.base_state(), session, np.unique(session.y), **self.cfg(epochs=2))
+        teacher = train_session(*self.base_state(), session, np.unique(session.y), **self.cfg(epochs=2))[:2]
         loss = LossConfig(epochs=2, batch_size=32, lr=0.0, lambda_warmup_epochs=0)
         events = []
-        state, z = train_session(teacher, session, np.unique(session.y), m=3, loss=loss, reduction=None, seed=5,
-                                 emit=lambda kind, **values: events.append((kind, values)))
+        params, bank, z = train_session(*teacher, session, np.unique(session.y), m=3, loss=loss, reduction=None,
+                                        seed=5, emit=lambda kind, **values: events.append((kind, values)))
         assert [kind for kind, _ in events] == ["epoch"] * loss.epochs
         recs = session
-        clf = oracles.clf_loss(state.bank, state.params, recs, z, loss.lambda_max)
-        dis = oracles.distill_loss(state.bank, state.params, teacher, recs)
-        reg = oracles.reg_loss(state.bank)
+        clf = oracles.clf_loss(bank, params, recs, z, loss.lambda_max)
+        dis = oracles.distill_loss(bank, params, *teacher, recs)
+        reg = oracles.reg_loss(bank)
         assert clf > 0 and reg != 0
         for epoch, (_, got) in enumerate(events):
             assert list(got) == ["epoch", "lam", "lr", "clf", "dis", "reg", "total"]
@@ -567,7 +563,7 @@ class TestTrainSession:
         mem_records = recs.subset(np.arange(5))
         mem_records.ids = mem_records.ids + 100000  # distinct ids
         data = concat_records(session, mem_records)
-        state, table = train_session(self.base_state(), data, np.unique(session.y), **self.cfg(epochs=1))
+        _, _, table = train_session(*self.base_state(), data, np.unique(session.y), **self.cfg(epochs=1))
         assert len(table) == len(recs) + 5
 
     def test_memory_records_sharing_ids_keep_their_own_assignments(self):
@@ -576,9 +572,9 @@ class TestTrainSession:
         session, _ = synthetic_session()
         recs = session
         data = concat_records(recs, recs.subset(np.arange(5)))
-        state, z = train_session(self.base_state(), data, np.unique(recs.y), **self.cfg(epochs=1))
+        params, bank, z = train_session(*self.base_state(), data, np.unique(recs.y), **self.cfg(epochs=1))
         assert z.shape == (len(recs) + 5,)
-        np.testing.assert_array_equal(z, e_step(state.bank, forward_batch(state.params, data.x), data.y))
+        np.testing.assert_array_equal(z, e_step(bank, forward_batch(params, data.x), data.y))
 
     def test_assignment_count_must_match_records(self):
         bank = make_bank(2, 16.0, {0: np.eye(2)})
@@ -590,6 +586,6 @@ class TestTrainSession:
         session, _ = synthetic_session()
         loss = LossConfig(epochs=4, batch_size=32, lr=0.05, lambda_max=0.0, beta=0.0, eta=0.0,
                           backbone_lr=0.0)
-        state, _ = train_session(self.base_state(), session, np.unique(session.y), m=1, loss=loss, reduction=None,
-                                 seed=3)
-        assert all(m.num_components == 1 for m in state.bank.mixtures.values())
+        _, bank, _ = train_session(*self.base_state(), session, np.unique(session.y), m=1, loss=loss,
+                                   reduction=None, seed=3)
+        assert all(m.num_components == 1 for m in bank.mixtures.values())
